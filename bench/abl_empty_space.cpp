@@ -122,12 +122,18 @@ int main(int argc, char** argv) {
       config.image_width = image;
       config.image_height = image;
       memsim::Hierarchy dense_h(platform, nthreads);
-      (void)render::raycast_traced(volume, camera, tf, config, dense_h);
+      render::Image dense_image(config.image_width, config.image_height);
+      auto dense_ctx = exec::make_replay_context(dense_h.num_threads());
+      dense_ctx.jobs().replay(render::raycast_job(volume, camera, tf, config, dense_image, nullptr,
+                                              false, core::traced_views(dense_h)));
       fills.set(row0, c, static_cast<double>(dense_h.counter("L2_DATA_READ_MISS_MEM_FILL")));
       config.use_macrocells = true;
       config.macrocell_size = trace_block;
       memsim::Hierarchy accel_h(platform, nthreads);
-      (void)render::raycast_traced(volume, camera, tf, config, accel_h);
+      render::Image accel_image(config.image_width, config.image_height);
+      auto accel_ctx = exec::make_replay_context(accel_h.num_threads());
+      accel_ctx.jobs().replay(render::raycast_job(volume, camera, tf, config, accel_image, nullptr,
+                                              false, core::traced_views(accel_h)));
       fills.set(row0 + 1, c,
                 static_cast<double>(accel_h.counter("L2_DATA_READ_MISS_MEM_FILL")));
     }

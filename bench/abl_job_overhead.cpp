@@ -4,16 +4,16 @@
 // ExecutionContext::jobs() instead of calling the thread primitives
 // directly (DESIGN.md Sec. 12). This bench pins the cost of that
 // indirection three ways:
-//   1. modeled counters — the traced bilateral replay through the job path
-//      must drive exactly the access stream of the pre-job direct replay
-//      loop (hand-rolled here). Deterministic memsim counters; the
-//      job/direct ratio row gates at exactly 1.0 — the job layer adds
-//      zero modeled work.
+//   1. modeled counters — the bilateral job replayed with traced views
+//      (JobGraph::replay) must drive exactly the access stream of a
+//      direct replay loop (hand-rolled here). Deterministic memsim
+//      counters; the job/direct ratio row gates at exactly 1.0 — the job
+//      layer adds zero modeled work.
 //   2. wall clock — the gradient driver (job path) vs the identical tile
 //      body dispatched straight on ctx.parallel_static_state. The delta
-//      is pure dispatch bookkeeping (registry lookup, record, span,
-//      metrics); the acceptance target is <= 2% overhead. Advisory:
-//      wall clock never gates in CI.
+//      is pure dispatch bookkeeping (record, span, metrics); the
+//      acceptance target is <= 2% overhead. Advisory: wall clock never
+//      gates in CI.
 //   3. cache sharing — two macrocell raycasts queued back-to-back on one
 //      context: job #1 must build the grid (1 miss), job #2 must reuse it
 //      (>= 1 hit, 0 misses), attributed per job in the run report.
@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
 
   memsim::Hierarchy h_direct(platform, nthreads);
   pair.z.visit([&](const auto& grid) {
-    // The pre-refactor driver body: materialize the round-robin schedule
-    // and replay it serially through per-thread sinks.
+    // The reference loop: materialize the round-robin schedule and
+    // replay it serially through per-thread sinks.
     const filters::BilateralWeights weights(params.radius, params.sigma_spatial);
     const std::size_t pencils = filters::pencil_count(grid.extents(), params.pencil);
     const threads::StaticRoundRobin rr(pencils, nthreads);
@@ -78,7 +78,9 @@ int main(int argc, char** argv) {
   });
 
   memsim::Hierarchy h_job(platform, nthreads);
-  filters::bilateral_traced(pair.z, dst_job, params, h_job, trace_items);
+  auto replay_ctx = exec::make_replay_context(h_job.num_threads());
+  replay_ctx.jobs().replay(
+      filters::bilateral_job(pair.z, dst_job, params, core::traced_views(h_job)), trace_items);
 
   const auto direct_acc = static_cast<double>(h_direct.total_accesses());
   const auto direct_fill =

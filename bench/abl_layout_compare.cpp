@@ -48,7 +48,9 @@ Metrics measure_bilateral(const core::AnyVolume& volume,
   m.native_seconds = bench_util::min_time_of(
       reps, [&] { filters::bilateral_parallel(volume, dst, params, pool); });
   memsim::Hierarchy hierarchy(platform, nthreads);
-  filters::bilateral_traced(volume, dst, params, hierarchy, trace_items);
+  auto replay_ctx = exec::make_replay_context(hierarchy.num_threads());
+  replay_ctx.jobs().replay(
+      filters::bilateral_job(volume, dst, params, core::traced_views(hierarchy)), trace_items);
   m.modeled_cycles = static_cast<double>(hierarchy.modeled_cycles_max());
   m.escapes = static_cast<double>(hierarchy.counter("L2_DATA_READ_MISS_MEM_FILL"));
   return m;
@@ -68,7 +70,10 @@ Metrics measure_volrend(const core::AnyVolume& volume,
   });
   const render::RenderConfig trace_config{trace_image, trace_image, 16, 0.5f, 0.98f};
   memsim::Hierarchy hierarchy(platform, nthreads);
-  (void)render::raycast_traced(volume, camera, tf, trace_config, hierarchy);
+  render::Image traced(trace_config.image_width, trace_config.image_height);
+  auto replay_ctx = exec::make_replay_context(hierarchy.num_threads());
+  replay_ctx.jobs().replay(render::raycast_job(volume, camera, tf, trace_config, traced, nullptr,
+                                          false, core::traced_views(hierarchy)));
   m.modeled_cycles = static_cast<double>(hierarchy.modeled_cycles_max());
   m.escapes = static_cast<double>(hierarchy.counter("L2_DATA_READ_MISS_MEM_FILL"));
   return m;
@@ -131,6 +136,7 @@ std::string tuned_pattern(const std::string& kernel, const core::Extents3D& e,
 
 int main(int argc, char** argv) {
   const bench_util::Options opts(argc, argv);
+  const sfcvis::bench::TraceSession trace_session(opts);
   const bool quick = opts.get_flag("quick");
   const std::uint32_t size = opts.get_u32("size", quick ? 24 : 48);
   const unsigned nthreads = opts.get_u32("threads", 4);

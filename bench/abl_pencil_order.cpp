@@ -44,9 +44,12 @@ int main(int argc, char** argv) {
     for (const auto order : orders) {
       const filters::BilateralParams params{radius, 1.5f, 0.1f, axis, order};
       memsim::Hierarchy ha(platform, nthreads);
-      filters::bilateral_traced(pair.array, dst, params, ha, trace_items);
       memsim::Hierarchy hz(platform, nthreads);
-      filters::bilateral_traced(pair.z, dst, params, hz, trace_items);
+      auto replay_ctx = exec::make_replay_context(ha.num_threads());
+      replay_ctx.jobs().replay(
+          filters::bilateral_job(pair.array, dst, params, core::traced_views(ha)), trace_items);
+      replay_ctx.jobs().replay(
+          filters::bilateral_job(pair.z, dst, params, core::traced_views(hz)), trace_items);
       table.set(row, 0,
                 bench_util::scaled_relative_difference(
                     static_cast<double>(ha.modeled_cycles_max()),

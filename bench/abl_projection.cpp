@@ -30,7 +30,10 @@ int main(int argc, char** argv) {
   auto escapes = [&](const auto& volume, unsigned viewpoint, render::Projection proj) {
     const auto camera = render::orbit_camera(viewpoint, 8, fsize, fsize, fsize, proj);
     memsim::Hierarchy h(platform, nthreads);
-    (void)render::raycast_traced(volume, camera, tf, config, h);
+    render::Image image(config.image_width, config.image_height);
+    auto replay_ctx = exec::make_replay_context(h.num_threads());
+    replay_ctx.jobs().replay(render::raycast_job(volume, camera, tf, config, image, nullptr,
+                                            false, core::traced_views(h)));
     return static_cast<double>(h.counter("PAPI_L3_TCA"));
   };
 

@@ -32,7 +32,9 @@ int main(int argc, char** argv) {
                             filters::LoopOrder order) {
     const filters::BilateralParams params{radius, 1.5f, 0.1f, axis, order};
     memsim::Hierarchy h(platform, nthreads);
-    filters::bilateral_traced(volume, dst, params, h, trace_items);
+    auto replay_ctx = exec::make_replay_context(h.num_threads());
+    replay_ctx.jobs().replay(filters::bilateral_job(volume, dst, params, core::traced_views(h)),
+                             trace_items);
     return std::pair{static_cast<double>(h.counter("L2_DATA_READ_MISS_MEM_FILL")) /
                          static_cast<double>(h.total_accesses()),
                      static_cast<double>(h.modeled_cycles_max()) /
@@ -41,7 +43,10 @@ int main(int argc, char** argv) {
   auto zsweep_escapes = [&](const auto& volume) {
     const filters::BilateralParams params{radius, 1.5f, 0.1f};
     memsim::Hierarchy h(platform, nthreads);
-    filters::bilateral_zsweep_traced(volume, dst, params, h, trace_items);
+    auto replay_ctx = exec::make_replay_context(h.num_threads());
+    replay_ctx.jobs().replay(filters::bilateral_zsweep_job(volume, dst, params, replay_ctx,
+                                                           core::traced_views(h)),
+                             trace_items);
     return std::pair{static_cast<double>(h.counter("L2_DATA_READ_MISS_MEM_FILL")) /
                          static_cast<double>(h.total_accesses()),
                      static_cast<double>(h.modeled_cycles_max()) /

@@ -39,9 +39,12 @@ int main(int argc, char** argv) {
     // Full traces at small sizes; capped at larger ones for bounded cost.
     const std::size_t items = size <= 32 ? SIZE_MAX : 256;
     memsim::Hierarchy ha(platform, nthreads);
-    filters::bilateral_traced(pair.array, dst, params, ha, items);
     memsim::Hierarchy hz(platform, nthreads);
-    filters::bilateral_traced(pair.z, dst, params, hz, items);
+    auto replay_ctx = exec::make_replay_context(ha.num_threads());
+    replay_ctx.jobs().replay(
+        filters::bilateral_job(pair.array, dst, params, core::traced_views(ha)), items);
+    replay_ctx.jobs().replay(
+        filters::bilateral_job(pair.z, dst, params, core::traced_views(hz)), items);
     table.set(0, c,
               bench_util::scaled_relative_difference(
                   static_cast<double>(ha.counter("L2_DATA_READ_MISS_MEM_FILL")),

@@ -101,9 +101,12 @@ inline int run_bilateral_figure(const BilateralFigure& figure, int argc,
       runtime_ds.set(row, col, bench_util::scaled_relative_difference(ta, tz));
 
       memsim::Hierarchy ha(platform, nthreads, tpc);
-      filters::bilateral_traced(pair.array, dst, params, ha, trace_items);
       memsim::Hierarchy hz(platform, nthreads, tpc);
-      filters::bilateral_traced(pair.z, dst, params, hz, trace_items);
+      auto replay_ctx = exec::make_replay_context(ha.num_threads());
+      replay_ctx.jobs().replay(
+          filters::bilateral_job(pair.array, dst, params, core::traced_views(ha)), trace_items);
+      replay_ctx.jobs().replay(
+          filters::bilateral_job(pair.z, dst, params, core::traced_views(hz)), trace_items);
       modeled_ds.set(row, col,
                      bench_util::scaled_relative_difference(
                          static_cast<double>(ha.modeled_cycles_max()),

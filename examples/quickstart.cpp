@@ -57,9 +57,14 @@ int main() {
   // -- 4. Memory-system counters via the cache simulator. ------------------
   // Replay the renderer's exact access stream through a modeled Ivy Bridge
   // node and read the paper's PAPI_L3_TCA metric.
+  // The replay runs the renderer's own job over 4 logical threads on this
+  // one, reading the volume through traced views.
   memsim::Hierarchy hierarchy(memsim::scaled(memsim::ivybridge(), 16), /*threads=*/4);
   const render::RenderConfig small{96, 96, 16, 0.5f, 0.98f};
-  (void)render::raycast_traced(volume, camera, tf, small, hierarchy);
+  render::Image traced(small.image_width, small.image_height);
+  exec::ExecutionContext replay_ctx = exec::make_replay_context(hierarchy.num_threads());
+  replay_ctx.jobs().replay(render::raycast_job(volume, camera, tf, small, traced, nullptr, false,
+                                               core::traced_views(hierarchy)));
   std::printf("traced render: %llu accesses, PAPI_L3_TCA=%llu, mem fills=%llu\n",
               static_cast<unsigned long long>(hierarchy.total_accesses()),
               static_cast<unsigned long long>(hierarchy.counter("PAPI_L3_TCA")),

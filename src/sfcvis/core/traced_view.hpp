@@ -18,7 +18,9 @@
 
 #include <concepts>
 #include <cstdint>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "sfcvis/core/gmorton.hpp"
 #include "sfcvis/core/grid.hpp"
@@ -42,11 +44,11 @@ concept AccessSink = requires(S sink, std::uint64_t addr, std::uint32_t bytes) {
   sink.access(addr, bytes);
 };
 
-/// Provides one AccessSink per simulated thread of a traced replay. The
-/// traced kernel drivers (bilateral_traced, raycast_traced, ...) are
-/// templated on this instead of naming a concrete consumer, so the same
-/// deterministic replay feeds either the modeled cache hierarchy
-/// (memsim::Hierarchy) or the reuse-distance profiler
+/// Provides one AccessSink per simulated thread of a traced replay. A
+/// replay hands a kernel's job builder traced_views(provider) (below) as
+/// its view factory instead of naming a concrete consumer, so the same
+/// deterministic replay (exec::JobGraph::replay) feeds either the modeled
+/// cache hierarchy (memsim::Hierarchy) or the reuse-distance profiler
 /// (locality::LocalityProfiler). Sinks returned by sink() are cheap value
 /// types bound to the provider; the replay itself stays single-threaded,
 /// so providers need no internal synchronization.
@@ -140,6 +142,51 @@ template <class T, Layout3D LayoutT, AccessSink SinkT>
 [[nodiscard]] inline TracedView<T, LayoutT, SinkT> make_traced_view(
     const Grid3D<T, LayoutT>& grid, SinkT& sink) {
   return TracedView<T, LayoutT, SinkT>(grid, sink);
+}
+
+// ---------------------------------------------------------------------------
+// Per-worker view factories of the kernel job builders
+// ---------------------------------------------------------------------------
+// Every job builder (filters/, render/) takes a defaulted `Views views`
+// argument and gives worker `tid` the read view views(volume, tid). The
+// default serves native runs; a traced replay passes traced_views(provider)
+// and runs the very same job through exec::JobGraph::replay.
+
+/// The native factory: make_read_view for the volume's backend.
+struct ReadViews {
+  template <VolumeBackend V>
+  [[nodiscard]] auto operator()(const V& volume, unsigned /*tid*/) const {
+    return make_read_view(volume);
+  }
+};
+
+/// The traced factory: worker `tid` reads through make_traced_view bound to
+/// provider.sink(tid). The sinks are made once, for every logical worker,
+/// and shared by the factory's copies (the job's closures keep them alive).
+template <SinkProvider P>
+class TracedViews {
+  using Sink = decltype(std::declval<P&>().sink(0u));
+
+ public:
+  explicit TracedViews(P& provider) : sinks_(std::make_shared<std::vector<Sink>>()) {
+    sinks_->reserve(provider.num_threads());
+    for (unsigned t = 0; t < provider.num_threads(); ++t) {
+      sinks_->push_back(provider.sink(t));
+    }
+  }
+
+  template <VolumeBackend V>
+  [[nodiscard]] auto operator()(const V& volume, unsigned tid) const {
+    return make_traced_view(volume, (*sinks_)[tid]);
+  }
+
+ private:
+  std::shared_ptr<std::vector<Sink>> sinks_;
+};
+
+template <SinkProvider P>
+[[nodiscard]] TracedViews<P> traced_views(P& provider) {
+  return TracedViews<P>(provider);
 }
 
 /// Structure-cache salt of a backend: cached derived structures (macrocell

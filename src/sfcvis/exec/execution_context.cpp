@@ -74,12 +74,13 @@ ExecutionContext::ExecutionContext(unsigned num_threads, threads::Affinity affin
         return opts;
       }()) {}
 
-ExecutionContext::ExecutionContext(const ExecOptions& opts)
+ExecutionContext::ExecutionContext(const ExecOptions& opts, bool replay)
     : num_threads_(resolve_threads(opts.threads)),
       requested_backend_(opts.backend),
       active_backend_(opts.backend),
       affinity_(opts.affinity),
       chunks_per_thread_(std::max<std::size_t>(1, opts.chunks_per_thread)),
+      replay_(replay),
       memory_(opts.memory) {
   if (opts.threads == 0 && num_threads_ == 1 && std::thread::hardware_concurrency() == 0) {
     backend_note_ = "hardware concurrency unknown; using 1 thread";
@@ -110,6 +111,14 @@ ExecutionContext::ExecutionContext(const ExecOptions& opts)
 
 ExecutionContext::~ExecutionContext() = default;
 
+ExecutionContext make_replay_context(unsigned threads) {
+  ExecOptions opts;
+  opts.threads = threads;
+  opts.backend = Backend::kPool;
+  opts.layout_registry.clear();
+  return ExecutionContext(opts, /*replay=*/true);
+}
+
 threads::Pool& ExecutionContext::pool() {
   if (!pool_) {
     pool_ = std::make_unique<threads::Pool>(num_threads_, affinity_);
@@ -126,6 +135,10 @@ JobGraph& ExecutionContext::jobs() {
 
 void ExecutionContext::parallel_static(
     std::size_t num_items, const std::function<void(std::size_t, unsigned)>& fn) {
+  if (replay_) {
+    for_each_replayed(num_items, fn);
+    return;
+  }
   if (active_backend_ == Backend::kOpenMP &&
       threads::parallel_for_omp_static(num_threads_, num_items, fn)) {
     return;
@@ -135,6 +148,10 @@ void ExecutionContext::parallel_static(
 
 void ExecutionContext::parallel_dynamic(
     std::size_t num_items, const std::function<void(std::size_t, unsigned)>& fn) {
+  if (replay_) {
+    for_each_replayed(num_items, fn);
+    return;
+  }
   if (active_backend_ == Backend::kOpenMP &&
       threads::parallel_for_omp_dynamic(num_threads_, num_items, fn)) {
     return;

@@ -99,7 +99,7 @@ class ExecutionContext {
   /// Pool-vs-OpenMP per the process default, no pinning.
   explicit ExecutionContext(unsigned num_threads);
   ExecutionContext(unsigned num_threads, threads::Affinity affinity);
-  explicit ExecutionContext(const ExecOptions& opts);
+  explicit ExecutionContext(const ExecOptions& opts) : ExecutionContext(opts, false) {}
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
   ~ExecutionContext();
@@ -116,6 +116,11 @@ class ExecutionContext {
   [[nodiscard]] bool affinity_applied() const noexcept {
     return pool_ != nullptr && pool_->affinity_applied();
   }
+  /// True once the worker pool exists (pool() creates it on first use; a
+  /// replay context never does).
+  [[nodiscard]] bool has_pool() const noexcept { return pool_ != nullptr; }
+  /// True for a make_replay_context() context.
+  [[nodiscard]] bool replaying() const noexcept { return replay_; }
   [[nodiscard]] std::size_t chunks_per_thread() const noexcept { return chunks_per_thread_; }
   [[nodiscard]] const core::MemoryPolicy& memory_policy() const noexcept { return memory_; }
 
@@ -155,21 +160,25 @@ class ExecutionContext {
   /// before its first item, then fn(state, item, tid) for each owned item.
   template <class MakeState, class Fn>
   void parallel_static_state(std::size_t num_items, MakeState&& make, Fn&& fn) {
-    if (active_backend_ == Backend::kOpenMP) {
+    if (replay_ || active_backend_ == Backend::kOpenMP) {
       using State = std::decay_t<decltype(make(0U))>;
-      // One slot per OpenMP thread number; each slot is only ever touched
-      // by its own thread within the single parallel region, lazily
-      // constructed before that thread's first item.
+      // One slot per worker (OpenMP thread number or replay worker),
+      // lazily constructed before that worker's first item; under OpenMP
+      // each slot is only ever touched by its own thread within the single
+      // parallel region.
       std::vector<std::optional<State>> states(num_threads_);
-      const bool ran = threads::parallel_for_omp_static(
-          num_threads_, num_items, [&](std::size_t item, unsigned tid) {
-            auto& slot = states[tid];
-            if (!slot) {
-              slot.emplace(make(tid));
-            }
-            fn(*slot, item, tid);
-          });
-      if (ran) {
+      const auto run_item = [&](std::size_t item, unsigned tid) {
+        auto& slot = states[tid];
+        if (!slot) {
+          slot.emplace(make(tid));
+        }
+        fn(*slot, item, tid);
+      };
+      if (replay_) {
+        for_each_replayed(num_items, run_item);
+        return;
+      }
+      if (threads::parallel_for_omp_static(num_threads_, num_items, run_item)) {
         return;
       }
     }
@@ -237,12 +246,25 @@ class ExecutionContext {
   }
 
  private:
+  friend ExecutionContext make_replay_context(unsigned threads);
+  ExecutionContext(const ExecOptions& opts, bool replay);
+
+  /// A replay context's dispatch: items in order on the calling thread,
+  /// item i on logical worker i % size().
+  template <class Fn>
+  void for_each_replayed(std::size_t num_items, Fn&& fn) const {
+    for (std::size_t item = 0; item < num_items; ++item) {
+      fn(item, static_cast<unsigned>(item % num_threads_));
+    }
+  }
+
   unsigned num_threads_;
   Backend requested_backend_;
   Backend active_backend_;
   std::string backend_note_;
   threads::Affinity affinity_;
   std::size_t chunks_per_thread_;
+  bool replay_;
   core::MemoryPolicy memory_{};
   std::unique_ptr<threads::Pool> pool_;
   StructureCache structures_;
@@ -259,18 +281,14 @@ inline void run_job(ExecutionContext& ctx, KernelJob job) {
   graph.run(graph.submit(std::move(job)));
 }
 
-/// A single-threaded context for the traced replay drivers, which take a
-/// SinkProvider instead of an ExecutionContext but still dispatch through
-/// a JobGraph (as serial jobs) for per-job attribution. No pool is ever
-/// spawned (serial dispatch never touches it) and no layout registry is
-/// loaded.
-[[nodiscard]] inline ExecutionContext make_replay_context() {
-  ExecOptions opts;
-  opts.threads = 1;
-  opts.backend = Backend::kPool;
-  opts.layout_registry.clear();
-  return ExecutionContext(opts);
-}
+/// A context for JobGraph::replay with `threads` logical workers (a
+/// SinkProvider's num_threads()). Every parallel region it runs — tiles
+/// and prep-stage structure builds alike — goes in item order on the
+/// calling thread, item i on worker i % size(), so no pool is ever
+/// created; size() and curve_chunks() still describe `threads` workers,
+/// so job builders decompose exactly as for a native run. No layout
+/// registry is loaded.
+[[nodiscard]] ExecutionContext make_replay_context(unsigned threads);
 
 /// Publishes a bricked volume's cache-counter deltas since the previous
 /// call (per volume) into the trace metrics registry as "bricked.*"

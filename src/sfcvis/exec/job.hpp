@@ -2,18 +2,17 @@
 //
 // Every kernel driver used to be a bespoke free function that privately
 // spelled its own decomposition and parallel_for call — nothing above the
-// driver could queue, interleave, or cancel kernel work, and ROADMAP's
-// serve layer had no unit of work to shard. A KernelJob captures one
-// kernel invocation *after* decomposition: a registered kernel id, the
-// tile count its decomposer produced (pencils, curve chunks, image tiles,
-// replay assignments), the tile body as a type-erased closure, and an
-// optional job-prep stage where StructureCache lookups are hoisted so two
-// queued jobs over one volume share derived structures (macrocell grids).
+// driver could queue, interleave, or cancel kernel work. A KernelJob
+// captures one kernel invocation *after* decomposition: a kernel id, the
+// tile count its decomposer produced (pencils, curve chunks, image tiles),
+// the tile body as a type-erased closure, and an optional job-prep stage
+// where StructureCache lookups are hoisted so two queued jobs over one
+// volume share derived structures (macrocell grids).
 //
 // Jobs are built by the kernel layers (filters/kernels_common.hpp,
-// render/raycast.hpp) and executed by exec::JobGraph, which owns the
-// FIFO + priority-lane scheduling, cooperative cancellation, per-job
-// deadline accounting, and the per-job trace/metrics attribution.
+// render/raycast.hpp) and executed by exec::JobGraph, which owns the FIFO
+// scheduling, cooperative cancellation, the traced replay mode, and the
+// per-job trace/metrics attribution.
 //
 // Lifetime contract: a job's closures reference the kernel operands
 // (source/destination volumes, images) by pointer — the operands must
@@ -33,29 +32,18 @@ namespace sfcvis::exec {
 
 class ExecutionContext;
 
-/// Scheduling lane: the high lane drains before the normal lane.
-enum class JobPriority : std::uint8_t {
-  kNormal = 0,
-  kHigh,
-};
-
 /// How a job's tiles map onto the backend.
 enum class JobDispatch : std::uint8_t {
   kStatic = 0,  ///< round-robin static assignment (pencil/chunk kernels)
   kDynamic,     ///< work-queue dynamic assignment (raycast image tiles)
-  kSerial,      ///< in-order on the calling thread (traced replay drivers)
 };
 
-/// Where a job ended up (records only ever hold kDone or kCancelled).
+/// Where a job ended up.
 enum class JobState : std::uint8_t {
-  kQueued = 0,
-  kRunning,
-  kDone,
+  kDone = 0,
   kCancelled,
 };
 
-[[nodiscard]] const char* to_string(JobPriority priority) noexcept;
-[[nodiscard]] const char* to_string(JobDispatch dispatch) noexcept;
 [[nodiscard]] const char* to_string(JobState state) noexcept;
 
 using JobId = std::uint64_t;
@@ -79,12 +67,10 @@ class CancelToken {
 
 /// One decomposed kernel invocation, ready to submit to JobGraph.
 struct KernelJob {
-  std::string kernel;  ///< registered kernel id (KernelRegistry validates)
-  JobPriority priority = JobPriority::kNormal;
+  /// Kernel id, e.g. "bilateral.zsweep". Must be a string literal: the
+  /// per-job "exec.job" span stores the pointer as its tag.
+  const char* kernel = nullptr;
   JobDispatch dispatch = JobDispatch::kStatic;
-  /// Completion deadline relative to submit time; 0 = none. Purely an
-  /// accounting device (records/metrics flag misses); nothing is killed.
-  std::uint64_t deadline_ns = 0;
   CancelToken cancel;
   /// Identity of the written output (volume storage / image pixels).
   /// JobGraph rejects a second queued job writing the same output.
@@ -113,13 +99,11 @@ struct KernelJob {
 struct JobRecord {
   JobId id = 0;
   std::string kernel;
-  JobState state = JobState::kQueued;
+  JobState state = JobState::kDone;
   std::size_t tiles = 0;
   std::size_t tiles_run = 0;          ///< < tiles when cancelled mid-run
   std::uint64_t queue_wait_ns = 0;    ///< submit -> dequeue
   std::uint64_t run_ns = 0;           ///< dequeue -> completion (prep + tiles)
-  std::uint64_t deadline_ns = 0;
-  bool deadline_missed = false;       ///< queue_wait + run exceeded deadline
   std::uint64_t structure_cache_hits = 0;    ///< attributed to this job's prep+run
   std::uint64_t structure_cache_misses = 0;
 };

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "sfcvis/exec/execution_context.hpp"
-#include "sfcvis/exec/kernel_registry.hpp"
 #include "sfcvis/exec/trace_session.hpp"
 #include "sfcvis/trace/trace.hpp"
 
@@ -27,7 +26,6 @@ std::uint64_t now_ns() {
 struct JobCounters {
   trace::CounterId jobs_run;
   trace::CounterId jobs_cancelled;
-  trace::CounterId jobs_deadline_missed;
   trace::CounterId tiles;
   trace::CounterId queue_wait_ns;
   trace::CounterId run_ns;
@@ -39,7 +37,6 @@ const JobCounters& job_counters() {
     JobCounters c;
     c.jobs_run = tracer.counter_id("exec.jobs_run");
     c.jobs_cancelled = tracer.counter_id("exec.jobs_cancelled");
-    c.jobs_deadline_missed = tracer.counter_id("exec.jobs_deadline_missed");
     c.tiles = tracer.counter_id("exec.job_tiles_run");
     c.queue_wait_ns = tracer.counter_id("exec.job_queue_wait_ns");
     c.run_ns = tracer.counter_id("exec.job_run_ns");
@@ -48,18 +45,39 @@ const JobCounters& job_counters() {
   return counters;
 }
 
-}  // namespace
+/// Process-wide id sequence: a run report aggregates jobs from every
+/// context (driver contexts, replay contexts), so per-graph numbering
+/// would collide in the report's "jobs" section.
+JobId next_job_id() {
+  static std::atomic<JobId> g_next_id{1};
+  return g_next_id.fetch_add(1, std::memory_order_relaxed);
+}
 
-JobId JobGraph::submit(KernelJob job) {
-  const KernelInfo* info = KernelRegistry::instance().find(job.kernel);
-  if (info == nullptr) {
-    throw std::invalid_argument("JobGraph::submit: unregistered kernel '" + job.kernel +
-                                "' (see exec::KernelRegistry)");
+/// The shape checks submit and replay share.
+void validate(const KernelJob& job) {
+  if (job.kernel == nullptr) {
+    throw std::invalid_argument("JobGraph: job has no kernel id");
   }
   if (job.tiles > 0 && !job.tile) {
-    throw std::invalid_argument("JobGraph::submit: job '" + job.kernel +
+    throw std::invalid_argument(std::string("JobGraph: job '") + job.kernel +
                                 "' has tiles but no tile body");
   }
+}
+
+}  // namespace
+
+const char* to_string(JobState state) noexcept {
+  switch (state) {
+    case JobState::kDone:
+      return "done";
+    case JobState::kCancelled:
+      return "cancelled";
+  }
+  return "?";
+}
+
+JobId JobGraph::submit(KernelJob job) {
+  validate(job);
   const std::lock_guard<std::mutex> lock(mutex_);
   if (job.output != nullptr) {
     for (const Pending& p : queue_) {
@@ -71,13 +89,21 @@ JobId JobGraph::submit(KernelJob job) {
       }
     }
   }
-  // Process-wide id sequence: a run report aggregates jobs from every
-  // context (driver contexts, replay contexts), so per-graph numbering
-  // would collide in the report's "jobs" section.
-  static std::atomic<JobId> g_next_id{1};
-  const JobId id = g_next_id.fetch_add(1, std::memory_order_relaxed);
-  queue_.push_back(Pending{std::move(job), id, info, now_ns()});
+  const JobId id = next_job_id();
+  queue_.push_back(Pending{std::move(job), id, now_ns()});
   return id;
+}
+
+JobId JobGraph::replay(KernelJob job, std::size_t max_items) {
+  if (!ctx_.replaying()) {
+    throw std::logic_error(
+        "JobGraph::replay: not a replay context (see exec::make_replay_context)");
+  }
+  validate(job);
+  job.tiles = std::min(job.tiles, max_items);
+  Pending pending{std::move(job), next_job_id(), now_ns()};
+  run_one(pending);
+  return pending.id;
 }
 
 std::optional<JobGraph::Pending> JobGraph::pop_next() {
@@ -85,14 +111,8 @@ std::optional<JobGraph::Pending> JobGraph::pop_next() {
   if (queue_.empty()) {
     return std::nullopt;
   }
-  auto it = std::find_if(queue_.begin(), queue_.end(), [](const Pending& p) {
-    return p.job.priority == JobPriority::kHigh;
-  });
-  if (it == queue_.end()) {
-    it = queue_.begin();
-  }
-  Pending p = std::move(*it);
-  queue_.erase(it);
+  Pending p = std::move(queue_.front());
+  queue_.pop_front();
   return p;
 }
 
@@ -130,7 +150,6 @@ void JobGraph::run_one(Pending& pending) {
   record.id = pending.id;
   record.kernel = job.kernel;
   record.tiles = job.tiles;
-  record.deadline_ns = job.deadline_ns;
   const std::uint64_t start_ns = now_ns();
   record.queue_wait_ns = start_ns - pending.submit_ns;
   if (job.cancel.cancelled()) {
@@ -144,55 +163,34 @@ void JobGraph::run_one(Pending& pending) {
   {
     // Per-job span, with the kernel's historical phase span nested inside
     // so reports keep their pre-job-system phase names.
-    trace::ScopedSpan job_span("exec.job", pending.info->name.c_str(), pending.id);
+    trace::ScopedSpan job_span("exec.job", job.kernel, pending.id);
     if (job.prepare) {
       job.prepare(ctx_);
     }
     trace::ScopedSpan kernel_span(job.span_name != nullptr ? job.span_name : "exec.job.tiles",
                                   job.span_tag, job.tiles);
     const CancelToken cancel = job.cancel;
-    if (job.tiles > 0) {
-      switch (job.dispatch) {
-        case JobDispatch::kSerial: {
-          std::size_t done = 0;
-          for (std::size_t t = 0; t < job.tiles && !cancel.cancelled(); ++t) {
-            job.tile(nullptr, t, 0U);
-            ++done;
-          }
-          tiles_run.store(done, std::memory_order_relaxed);
-          break;
-        }
-        case JobDispatch::kDynamic:
-          ctx_.parallel_dynamic(job.tiles, [&](std::size_t t, unsigned tid) {
-            if (cancel.cancelled()) {
-              return;
-            }
-            job.tile(nullptr, t, tid);
-            tiles_run.fetch_add(1, std::memory_order_relaxed);
-          });
-          break;
-        case JobDispatch::kStatic:
-          if (job.make_state) {
-            ctx_.parallel_static_state(
-                job.tiles, [&](unsigned tid) { return job.make_state(tid); },
-                [&](const std::shared_ptr<void>& state, std::size_t t, unsigned tid) {
-                  if (cancel.cancelled()) {
-                    return;
-                  }
-                  job.tile(state.get(), t, tid);
-                  tiles_run.fetch_add(1, std::memory_order_relaxed);
-                });
-          } else {
-            ctx_.parallel_static(job.tiles, [&](std::size_t t, unsigned tid) {
-              if (cancel.cancelled()) {
-                return;
-              }
-              job.tile(nullptr, t, tid);
-              tiles_run.fetch_add(1, std::memory_order_relaxed);
-            });
-          }
-          break;
+    const auto run_tile = [&](void* state, std::size_t t, unsigned tid) {
+      if (cancel.cancelled()) {
+        return;
       }
+      job.tile(state, t, tid);
+      tiles_run.fetch_add(1, std::memory_order_relaxed);
+    };
+    if (job.tiles == 0) {
+      // A recorded no-op: neither the tile body nor make_state runs.
+    } else if (job.dispatch == JobDispatch::kDynamic) {
+      ctx_.parallel_dynamic(job.tiles,
+                            [&](std::size_t t, unsigned tid) { run_tile(nullptr, t, tid); });
+    } else if (job.make_state) {
+      ctx_.parallel_static_state(
+          job.tiles, [&](unsigned tid) { return job.make_state(tid); },
+          [&](const std::shared_ptr<void>& state, std::size_t t, unsigned tid) {
+            run_tile(state.get(), t, tid);
+          });
+    } else {
+      ctx_.parallel_static(job.tiles,
+                           [&](std::size_t t, unsigned tid) { run_tile(nullptr, t, tid); });
     }
   }
   record.tiles_run = tiles_run.load(std::memory_order_relaxed);
@@ -202,8 +200,6 @@ void JobGraph::run_one(Pending& pending) {
   record.state = (job.cancel.cancelled() && record.tiles_run < record.tiles)
                      ? JobState::kCancelled
                      : JobState::kDone;
-  record.deadline_missed =
-      record.deadline_ns != 0 && record.queue_wait_ns + record.run_ns > record.deadline_ns;
   finish_record(std::move(record));
 }
 
@@ -214,9 +210,6 @@ void JobGraph::finish_record(JobRecord record) {
   tracer.add(c.tiles, record.tiles_run);
   tracer.add(c.queue_wait_ns, record.queue_wait_ns);
   tracer.add(c.run_ns, record.run_ns);
-  if (record.deadline_missed) {
-    tracer.add(c.jobs_deadline_missed, 1);
-  }
   if (TraceSession* session = TraceSession::current()) {
     trace::JobReportEntry entry;
     entry.id = record.id;
@@ -226,8 +219,6 @@ void JobGraph::finish_record(JobRecord record) {
     entry.tiles_run = record.tiles_run;
     entry.queue_wait_ns = record.queue_wait_ns;
     entry.run_ns = record.run_ns;
-    entry.deadline_ns = record.deadline_ns;
-    entry.deadline_missed = record.deadline_missed;
     entry.structure_cache_hits = record.structure_cache_hits;
     entry.structure_cache_misses = record.structure_cache_misses;
     session->add_job(std::move(entry));

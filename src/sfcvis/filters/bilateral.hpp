@@ -36,7 +36,6 @@
 #include "sfcvis/filters/fastmath.hpp"
 #include "sfcvis/filters/kernels_common.hpp"
 #include "sfcvis/memsim/hierarchy.hpp"
-#include "sfcvis/threads/schedulers.hpp"
 #include "sfcvis/trace/trace.hpp"
 
 namespace sfcvis::filters {
@@ -563,14 +562,17 @@ void bilateral_reference(const core::ArrayVolume& src, core::ArrayVolume& dst,
 /// Builds the pencil-decomposed bilateral job. The job's closures
 /// reference `src`/`dst`, which must outlive its run; the weights are
 /// built here (decomposition/prep happens in the builder, not per tile).
-template <core::VolumeBackend VolT>
+/// `views` makes each worker's read view (see core::ReadViews); the
+/// gather path reads storage directly and only takes the native factory.
+template <core::VolumeBackend VolT, class Views = core::ReadViews>
 [[nodiscard]] exec::KernelJob bilateral_job(const VolT& src, core::ArrayVolume& dst,
-                                            const BilateralParams& params) {
+                                            const BilateralParams& params, Views views = {}) {
   auto weights = std::make_shared<const BilateralWeights>(params);
   const std::size_t pencils = pencil_count(src.extents(), params.pencil);
   const VolT* src_p = &src;
   core::ArrayVolume* dst_p = &dst;
   if (params.use_gather) {
+    detail::require_native_views<Views>("bilateral_job");
     return detail::make_state_job(
         "bilateral", pencils, dst.data(),
         [weights, params](unsigned) {
@@ -589,7 +591,7 @@ template <core::VolumeBackend VolT>
   // pins and must not be shared across threads (a PlainView is free).
   return detail::make_state_job(
       "bilateral", pencils, dst.data(),
-      [src_p](unsigned) { return core::make_read_view(*src_p); },
+      [src_p, views](unsigned tid) { return views(*src_p, tid); },
       [dst_p, weights, params](const auto& view, std::size_t pencil, unsigned) {
         SFCVIS_TRACE_SPAN("bilateral.pencil", "exact", pencil);
         bilateral_pencil(view, *dst_p, *weights, params, pencil);
@@ -615,10 +617,10 @@ inline void bilateral_parallel(const core::AnyVolume& src, core::ArrayVolume& ds
 }
 
 /// Facade job builder.
-[[nodiscard]] inline exec::KernelJob bilateral_job(const core::AnyVolume& src,
-                                                   core::ArrayVolume& dst,
-                                                   const BilateralParams& params) {
-  return src.visit([&](const auto& grid) { return bilateral_job(grid, dst, params); });
+template <class Views = core::ReadViews>
+[[nodiscard]] exec::KernelJob bilateral_job(const core::AnyVolume& src, core::ArrayVolume& dst,
+                                            const BilateralParams& params, Views views = {}) {
+  return src.visit([&](const auto& grid) { return bilateral_job(grid, dst, params, views); });
 }
 
 namespace detail {
@@ -656,11 +658,14 @@ void zsweep_range(const core::ZOrderTables& tables, const core::Extents3D& e,
 /// visits storage in monotonically increasing order — the traversal the
 /// layout is optimal for. This is the "traversal matched to layout"
 /// extension the paper's related work (Bader 2013) describes for matrix
-/// codes; bench/abl_traversal quantifies it for the bilateral filter.
-template <core::VolumeBackend VolT>
+/// codes; bench/abl_traversal quantifies it for the bilateral filter. A
+/// replay context chunks by its logical worker count, so a traced replay
+/// sweeps exactly the native run's chunks.
+template <core::VolumeBackend VolT, class Views = core::ReadViews>
 [[nodiscard]] exec::KernelJob bilateral_zsweep_job(const VolT& src, core::ArrayVolume& dst,
                                                    const BilateralParams& params,
-                                                   const exec::ExecutionContext& ctx) {
+                                                   const exec::ExecutionContext& ctx,
+                                                   Views views = {}) {
   auto weights =
       std::make_shared<const BilateralWeights>(params.radius, params.sigma_spatial);
   const core::Extents3D e = src.extents();
@@ -685,7 +690,7 @@ template <core::VolumeBackend VolT>
   // pins and must not be shared across threads (a PlainView is free).
   return detail::make_state_job(
       "bilateral.zsweep", num_chunks, dst.data(),
-      [src_p](unsigned) { return core::make_read_view(*src_p); },
+      [src_p, views](unsigned tid) { return views(*src_p, tid); },
       [dst_p, weights, tables, params, e, cubic, cap, chunk_len](
           const auto& view, std::size_t chunk, unsigned) {
         SFCVIS_TRACE_SPAN("bilateral.zsweep.chunk", nullptr, chunk);
@@ -715,132 +720,14 @@ inline void bilateral_zsweep(const core::AnyVolume& src, core::ArrayVolume& dst,
 }
 
 /// Facade job builder.
-[[nodiscard]] inline exec::KernelJob bilateral_zsweep_job(const core::AnyVolume& src,
-                                                          core::ArrayVolume& dst,
-                                                          const BilateralParams& params,
-                                                          const exec::ExecutionContext& ctx) {
+template <class Views = core::ReadViews>
+[[nodiscard]] exec::KernelJob bilateral_zsweep_job(const core::AnyVolume& src,
+                                                   core::ArrayVolume& dst,
+                                                   const BilateralParams& params,
+                                                   const exec::ExecutionContext& ctx,
+                                                   Views views = {}) {
   return src.visit(
-      [&](const auto& grid) { return bilateral_zsweep_job(grid, dst, params, ctx); });
-}
-
-/// Counter-collection variant of the curve-order sweep. Runs as a serial
-/// replay job (kSerial dispatch) on a private single-threaded graph; the
-/// chunk-count formula matches exec::ExecutionContext::curve_chunks so
-/// traced and untraced sweeps decompose identically for the same thread
-/// count and chunks_per_thread (tests/test_jobs.cpp pins this).
-template <core::VolumeBackend VolT, core::SinkProvider ProviderT>
-void bilateral_zsweep_traced(const VolT& src, core::ArrayVolume& dst,
-                             const BilateralParams& params, ProviderT& provider,
-                             std::size_t max_items = SIZE_MAX,
-                             std::size_t chunks_per_thread = 8) {
-  auto weights =
-      std::make_shared<const BilateralWeights>(params.radius, params.sigma_spatial);
-  const core::Extents3D e = src.extents();
-  // Same padded-curve chunking as bilateral_zsweep (chunk ranges are
-  // layout-independent, so capped replays compare identical voxel sets
-  // across layouts), decoded on the fly — no materialized order vector.
-  auto tables = std::make_shared<const core::ZOrderTables>(e);
-  const bool cubic = tables->padded().nx == tables->padded().ny &&
-                     tables->padded().ny == tables->padded().nz;
-  const std::size_t cap = tables->capacity();
-  const unsigned num_threads = provider.num_threads();
-  const std::size_t num_chunks = std::max<std::size_t>(
-      1, num_threads * chunks_per_thread * cap / std::max<std::size_t>(1, e.size()));
-  const std::size_t chunk_len = (cap + num_chunks - 1) / num_chunks;
-  const threads::StaticRoundRobin rr(num_chunks, num_threads);
-  auto order = std::make_shared<const std::vector<threads::Assignment>>(rr.replay_order());
-  using Sink = decltype(provider.sink(0u));
-  auto sinks = std::make_shared<std::vector<Sink>>();
-  sinks->reserve(num_threads);
-  for (unsigned t = 0; t < num_threads; ++t) {
-    sinks->push_back(provider.sink(t));
-  }
-  const VolT* src_p = &src;
-  core::ArrayVolume* dst_p = &dst;
-  exec::KernelJob job;
-  job.kernel = "bilateral.zsweep.traced";
-  job.dispatch = exec::JobDispatch::kSerial;
-  job.tiles = std::min(max_items, order->size());
-  job.output = dst.data();
-  job.span_name = "bilateral.zsweep.traced";
-  job.tile = [src_p, dst_p, weights, tables, params, e, cubic, cap, chunk_len, order,
-              sinks](void*, std::size_t t, unsigned) {
-    const auto& assignment = (*order)[t];
-    const auto view = core::make_traced_view(*src_p, (*sinks)[assignment.tid]);
-    const std::size_t begin = assignment.item * chunk_len;
-    const std::size_t end = std::min(cap, begin + chunk_len);
-    detail::zsweep_range(*tables, e, cubic, std::min(begin, end), end,
-                         [&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
-                           dst_p->at(i, j, k) = bilateral_voxel(
-                               view, i, j, k, *weights, params.sigma_range, params.order);
-                         });
-  };
-  exec::ExecutionContext replay_ctx = detail::make_replay_context();
-  detail::run_job(replay_ctx, std::move(job));
-}
-
-/// Counter-collection variant: replays the exact access stream that
-/// `num_threads` round-robin threads would produce through the modeled
-/// hierarchy (single real thread; deterministic).
-///
-/// `max_items` caps the replay at a prefix of the schedule: the benches use
-/// it to bound simulation cost on large volumes. Both layouts replay the
-/// identical voxel set, so the scaled relative difference stays well
-/// defined (see DESIGN.md Sec. 4).
-template <core::VolumeBackend VolT, core::SinkProvider ProviderT>
-void bilateral_traced(const VolT& src, core::ArrayVolume& dst,
-                      const BilateralParams& params, ProviderT& provider,
-                      std::size_t max_items = SIZE_MAX) {
-  auto weights =
-      std::make_shared<const BilateralWeights>(params.radius, params.sigma_spatial);
-  const std::size_t pencils = pencil_count(src.extents(), params.pencil);
-  const unsigned num_threads = provider.num_threads();
-  const threads::StaticRoundRobin rr(pencils, num_threads);
-  auto order = std::make_shared<const std::vector<threads::Assignment>>(rr.replay_order());
-  using Sink = decltype(provider.sink(0u));
-  auto sinks = std::make_shared<std::vector<Sink>>();
-  sinks->reserve(num_threads);
-  for (unsigned t = 0; t < num_threads; ++t) {
-    sinks->push_back(provider.sink(t));
-  }
-  const VolT* src_p = &src;
-  core::ArrayVolume* dst_p = &dst;
-  exec::KernelJob job;
-  job.kernel = "bilateral.traced";
-  job.dispatch = exec::JobDispatch::kSerial;
-  job.tiles = std::min(max_items, order->size());
-  job.output = dst.data();
-  job.span_name = "bilateral.traced";
-  job.tile = [src_p, dst_p, weights, params, order, sinks](void*, std::size_t t,
-                                                           unsigned) {
-    const auto& assignment = (*order)[t];
-    const auto view = core::make_traced_view(*src_p, (*sinks)[assignment.tid]);
-    bilateral_pencil(view, *dst_p, *weights, params, assignment.item);
-  };
-  exec::ExecutionContext replay_ctx = detail::make_replay_context();
-  detail::run_job(replay_ctx, std::move(job));
-}
-
-/// Facade drivers for the traced variants (replay stays single-threaded
-/// and deterministic; any SinkProvider — memsim::Hierarchy for modeled
-/// counters, locality::LocalityProfiler for reuse distances — plugs in).
-template <core::SinkProvider ProviderT>
-void bilateral_traced(const core::AnyVolume& src, core::ArrayVolume& dst,
-                      const BilateralParams& params, ProviderT& provider,
-                      std::size_t max_items = SIZE_MAX) {
-  src.visit([&](const auto& grid) {
-    bilateral_traced(grid, dst, params, provider, max_items);
-  });
-}
-
-template <core::SinkProvider ProviderT>
-void bilateral_zsweep_traced(const core::AnyVolume& src, core::ArrayVolume& dst,
-                             const BilateralParams& params, ProviderT& provider,
-                             std::size_t max_items = SIZE_MAX,
-                             std::size_t chunks_per_thread = 8) {
-  src.visit([&](const auto& grid) {
-    bilateral_zsweep_traced(grid, dst, params, provider, max_items, chunks_per_thread);
-  });
+      [&](const auto& grid) { return bilateral_zsweep_job(grid, dst, params, ctx, views); });
 }
 
 }  // namespace sfcvis::filters

@@ -145,16 +145,19 @@ void gaussian_pencil_gather(const VolT& src, core::ArrayVolume& dst,
 
 /// Builds the Gaussian-convolution job (x-pencil decomposition). The
 /// job's closures reference `src`/`dst`, which must outlive its run.
-template <core::VolumeBackend VolT>
+/// `views` makes each worker's read view (see core::ReadViews); the
+/// gather path reads storage directly and only takes the native factory.
+template <core::VolumeBackend VolT, class Views = core::ReadViews>
 [[nodiscard]] exec::KernelJob gaussian_job(const VolT& src, core::ArrayVolume& dst,
                                            unsigned radius, float sigma,
-                                           bool use_gather = false) {
+                                           bool use_gather = false, Views views = {}) {
   auto taps = std::make_shared<const std::vector<float>>(gaussian_kernel_1d(radius, sigma));
   const core::Extents3D e = src.extents();
   const std::size_t pencils = static_cast<std::size_t>(e.ny) * e.nz;
   const VolT* src_p = &src;
   core::ArrayVolume* dst_p = &dst;
   if (use_gather) {
+    detail::require_native_views<Views>("gaussian_job");
     return detail::make_state_job(
         "gaussian", pencils, dst.data(),
         [taps](unsigned) {
@@ -171,7 +174,7 @@ template <core::VolumeBackend VolT>
   // pins and must not be shared across threads (a PlainView is free).
   return detail::make_state_job(
       "gaussian", pencils, dst.data(),
-      [src_p](unsigned) { return core::make_read_view(*src_p); },
+      [src_p, views](unsigned tid) { return views(*src_p, tid); },
       [dst_p, taps, e](const auto& view, std::size_t p, unsigned) {
         const auto j = static_cast<std::uint32_t>(p % e.ny);
         const auto k = static_cast<std::uint32_t>(p / e.ny);
@@ -202,11 +205,13 @@ inline void gaussian_convolve(const core::AnyVolume& src, core::ArrayVolume& dst
 }
 
 /// Facade job builder.
-[[nodiscard]] inline exec::KernelJob gaussian_job(const core::AnyVolume& src,
-                                                  core::ArrayVolume& dst, unsigned radius,
-                                                  float sigma, bool use_gather = false) {
-  return src.visit(
-      [&](const auto& grid) { return gaussian_job(grid, dst, radius, sigma, use_gather); });
+template <class Views = core::ReadViews>
+[[nodiscard]] exec::KernelJob gaussian_job(const core::AnyVolume& src, core::ArrayVolume& dst,
+                                           unsigned radius, float sigma,
+                                           bool use_gather = false, Views views = {}) {
+  return src.visit([&](const auto& grid) {
+    return gaussian_job(grid, dst, radius, sigma, use_gather, views);
+  });
 }
 
 /// Serial three-pass separable Gaussian (array-order only); numerically

@@ -28,9 +28,11 @@ template <core::ReadView3D View>
 }
 
 /// Builds the gradient-magnitude job (x-pencil decomposition). The job's
-/// closures reference `src`/`dst`, which must outlive its run.
-template <core::VolumeBackend VolT>
-[[nodiscard]] exec::KernelJob gradient_job(const VolT& src, core::ArrayVolume& dst) {
+/// closures reference `src`/`dst`, which must outlive its run; `views`
+/// makes each worker's read view (see core::ReadViews).
+template <core::VolumeBackend VolT, class Views = core::ReadViews>
+[[nodiscard]] exec::KernelJob gradient_job(const VolT& src, core::ArrayVolume& dst,
+                                           Views views = {}) {
   const core::Extents3D e = src.extents();
   const std::size_t pencils = static_cast<std::size_t>(e.ny) * e.nz;
   const VolT* src_p = &src;
@@ -39,7 +41,7 @@ template <core::VolumeBackend VolT>
   // pins and must not be shared across threads (a PlainView is free).
   return detail::make_state_job(
       "gradient", pencils, dst.data(),
-      [src_p](unsigned) { return core::make_read_view(*src_p); },
+      [src_p, views](unsigned tid) { return views(*src_p, tid); },
       [dst_p, e](const auto& view, std::size_t p, unsigned) {
         const auto j = static_cast<std::uint32_t>(p % e.ny);
         const auto k = static_cast<std::uint32_t>(p / e.ny);
@@ -65,9 +67,10 @@ inline void gradient_magnitude(const core::AnyVolume& src, core::ArrayVolume& ds
 }
 
 /// Facade job builder.
-[[nodiscard]] inline exec::KernelJob gradient_job(const core::AnyVolume& src,
-                                                  core::ArrayVolume& dst) {
-  return src.visit([&](const auto& grid) { return gradient_job(grid, dst); });
+template <class Views = core::ReadViews>
+[[nodiscard]] exec::KernelJob gradient_job(const core::AnyVolume& src, core::ArrayVolume& dst,
+                                           Views views = {}) {
+  return src.visit([&](const auto& grid) { return gradient_job(grid, dst, views); });
 }
 
 }  // namespace sfcvis::filters

@@ -5,16 +5,21 @@
 // drivers themselves are thin: build a job (decomposition happens in the
 // builder), submit it to the context's JobGraph, run it to completion.
 // This file is where the per-kernel ExecutionContext& overload
-// boilerplate the drivers used to repeat now lives once.
+// boilerplate the drivers used to repeat now lives once. Every builder
+// takes a defaulted per-worker view factory (core::ReadViews); a counter
+// run passes core::traced_views(provider) and replays the same job
+// through exec::JobGraph::replay.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <utility>
 
+#include "sfcvis/core/traced_view.hpp"
 #include "sfcvis/exec/execution_context.hpp"
 #include "sfcvis/exec/job.hpp"
 
@@ -50,15 +55,15 @@ namespace detail {
 /// Builds the common shape of a stateless kernel job: `tiles` items under
 /// `dispatch`, each running fn(item, tid). `output` is the identity of
 /// the written buffer (JobGraph's double-submit guard keys on it);
-/// `span_name`/`span_tag` keep the kernel's historical trace phase names
-/// and must be string literals.
+/// `kernel` and `span_name`/`span_tag` (the kernel's historical trace
+/// phase names) must be string literals.
 template <class Fn>
-[[nodiscard]] exec::KernelJob make_job(std::string kernel, exec::JobDispatch dispatch,
+[[nodiscard]] exec::KernelJob make_job(const char* kernel, exec::JobDispatch dispatch,
                                        std::size_t tiles, const void* output, Fn fn,
                                        const char* span_name,
                                        const char* span_tag = nullptr) {
   exec::KernelJob job;
-  job.kernel = std::move(kernel);
+  job.kernel = kernel;
   job.dispatch = dispatch;
   job.tiles = tiles;
   job.output = output;
@@ -73,13 +78,13 @@ template <class Fn>
 /// worker, then fn(state, item, tid) for each of its items. Always
 /// static-dispatched, matching the round-robin pencil model.
 template <class Make, class Fn>
-[[nodiscard]] exec::KernelJob make_state_job(std::string kernel, std::size_t tiles,
+[[nodiscard]] exec::KernelJob make_state_job(const char* kernel, std::size_t tiles,
                                              const void* output, Make make, Fn fn,
                                              const char* span_name,
                                              const char* span_tag = nullptr) {
   using State = std::decay_t<decltype(make(0U))>;
   exec::KernelJob job;
-  job.kernel = std::move(kernel);
+  job.kernel = kernel;
   job.dispatch = exec::JobDispatch::kStatic;
   job.tiles = tiles;
   job.output = output;
@@ -94,10 +99,21 @@ template <class Make, class Fn>
   return job;
 }
 
-/// exec::run_job / exec::make_replay_context under the filters spelling
-/// the kernel drivers use (they live in the exec layer so render/ can
-/// share them without depending on filters/).
-using exec::make_replay_context;
+/// The use_gather fast paths read storage through core::gather_row, not
+/// through the worker's view, so a traced view factory would silently
+/// miss those reads: the gather branches take the native factory only.
+template <class Views>
+void require_native_views(const char* builder) {
+  if constexpr (!std::is_same_v<Views, core::ReadViews>) {
+    throw std::invalid_argument(std::string(builder) +
+                                ": use_gather reads storage through core::gather_row, "
+                                "bypassing the view factory; replay with use_gather off");
+  }
+}
+
+/// exec::run_job under the filters spelling the kernel drivers use (it
+/// lives in the exec layer so render/ can share it without depending on
+/// filters/).
 using exec::run_job;
 
 }  // namespace detail

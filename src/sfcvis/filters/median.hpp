@@ -40,10 +40,11 @@ template <core::ReadView3D View>
 }
 
 /// Builds the median-filter job (x-pencil decomposition). The job's
-/// closures reference `src`/`dst`, which must outlive its run.
-template <core::VolumeBackend VolT>
+/// closures reference `src`/`dst`, which must outlive its run; `views`
+/// makes each worker's read view (see core::ReadViews).
+template <core::VolumeBackend VolT, class Views = core::ReadViews>
 [[nodiscard]] exec::KernelJob median_job(const VolT& src, core::ArrayVolume& dst,
-                                         unsigned radius) {
+                                         unsigned radius, Views views = {}) {
   const core::Extents3D e = src.extents();
   const std::size_t pencils = static_cast<std::size_t>(e.ny) * e.nz;
   const std::size_t taps = static_cast<std::size_t>(2 * radius + 1);
@@ -53,7 +54,7 @@ template <core::VolumeBackend VolT>
   // pins and must not be shared across threads (a PlainView is free).
   return detail::make_state_job(
       "median", pencils, dst.data(),
-      [src_p](unsigned) { return core::make_read_view(*src_p); },
+      [src_p, views](unsigned tid) { return views(*src_p, tid); },
       [dst_p, e, radius, taps](const auto& view, std::size_t p, unsigned) {
         std::vector<float> scratch;
         scratch.reserve(taps * taps * taps);
@@ -80,9 +81,10 @@ inline void median_filter(const core::AnyVolume& src, core::ArrayVolume& dst,
 }
 
 /// Facade job builder.
-[[nodiscard]] inline exec::KernelJob median_job(const core::AnyVolume& src,
-                                                core::ArrayVolume& dst, unsigned radius) {
-  return src.visit([&](const auto& grid) { return median_job(grid, dst, radius); });
+template <class Views = core::ReadViews>
+[[nodiscard]] exec::KernelJob median_job(const core::AnyVolume& src, core::ArrayVolume& dst,
+                                         unsigned radius, Views views = {}) {
+  return src.visit([&](const auto& grid) { return median_job(grid, dst, radius, views); });
 }
 
 }  // namespace sfcvis::filters

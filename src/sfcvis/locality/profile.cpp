@@ -1,36 +1,26 @@
 #include "sfcvis/locality/profile.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "sfcvis/data/combustion.hpp"
 #include "sfcvis/data/phantom.hpp"
 #include "sfcvis/exec/trace_session.hpp"
-#include "sfcvis/filters/bilateral.hpp"
-#include "sfcvis/render/raycast.hpp"
 
 namespace sfcvis::locality {
 
-namespace {
-
-// The tuner's workload definitions (tuner/tuner.cpp): against-the-grain
-// radius-3 z-pencils in zyx order for the filter, an orbit camera with the
-// flame transfer function for the renderer.
-filters::BilateralParams bilateral_params() {
+filters::BilateralParams workload_bilateral_params() {
   return filters::BilateralParams{3, 1.5f, 0.1f, filters::PencilAxis::kZ,
                                   filters::LoopOrder::kZYX};
 }
 
-render::RenderConfig raycast_config(std::uint32_t image) {
+render::RenderConfig workload_raycast_config(std::uint32_t image) {
   return render::RenderConfig{image, image, 16, 0.5f, 0.98f};
 }
 
-render::Camera raycast_camera(const core::Extents3D& e) {
+render::Camera workload_raycast_camera(const core::Extents3D& e) {
   return render::orbit_camera(2, 8, static_cast<float>(e.nx), static_cast<float>(e.ny),
                               static_cast<float>(e.nz));
 }
-
-}  // namespace
 
 void fill_workload_volume(core::AnyVolume& volume, const std::string& kernel) {
   if (kernel == "bilateral") {
@@ -49,19 +39,7 @@ trace::LocalityProfile profile_workload(const core::AnyVolume& volume,
                                         LocalityConfig config) {
   config.threads = workload.threads;
   LocalityProfiler profiler(std::move(config));
-  if (workload.kernel == "bilateral") {
-    core::ArrayVolume dst(volume.extents());
-    filters::bilateral_traced(volume, dst, bilateral_params(), profiler,
-                              workload.trace_items);
-  } else if (workload.kernel == "raycast") {
-    (void)render::raycast_traced(volume, raycast_camera(volume.extents()),
-                                 render::TransferFunction::flame(),
-                                 raycast_config(workload.trace_image), profiler,
-                                 workload.trace_items);
-  } else {
-    throw std::invalid_argument("locality: unknown kernel \"" + workload.kernel +
-                                "\" (want bilateral or raycast)");
-  }
+  replay_workload(volume, workload, profiler);
   return profiler.profile(workload.kernel, layout);
 }
 

@@ -40,7 +40,6 @@
 #include "sfcvis/render/image.hpp"
 #include "sfcvis/render/macrocell.hpp"
 #include "sfcvis/render/transfer.hpp"
-#include "sfcvis/threads/schedulers.hpp"
 #include "sfcvis/trace/trace.hpp"
 
 namespace sfcvis::render {
@@ -447,16 +446,19 @@ namespace detail {
 /// requires ctx.structures().invalidate(volume.data()). With
 /// `collect_stats` each worker folds its tile-local RayStats into the
 /// metrics registry ("raycast.*" counters; read them via
-/// Tracer::metrics_snapshot / render::skip_rate).
-template <core::VolumeBackend VolT>
+/// Tracer::metrics_snapshot / render::skip_rate). `views` makes each
+/// worker's read view (see core::ReadViews): a traced replay
+/// (exec::JobGraph::replay) reads the volume through traced views while
+/// the macrocell grid, metadata built once, stays untraced.
+template <core::VolumeBackend VolT, class Views = core::ReadViews>
 [[nodiscard]] exec::KernelJob raycast_job(const VolT& volume, const Camera& camera,
                                           const TransferFunction& tf,
                                           const RenderConfig& config, Image& image,
                                           const MacrocellGrid* cells = nullptr,
-                                          bool collect_stats = false) {
+                                          bool collect_stats = false, Views views = {}) {
   validate_packet_size(config.packet_size);
   const TileDecomposition tiles(config.image_width, config.image_height, config.tile_size);
-  using View = decltype(core::make_read_view(volume));
+  using View = decltype(views(volume, 0U));
   // Per-run state resolved in job.prepare: the macrocell grid (cache
   // lookup) and one read view per worker (out-of-core views carry
   // per-worker brick pins and must not be shared across threads; a
@@ -480,7 +482,7 @@ template <core::VolumeBackend VolT>
   job.output = image.pixels().data();
   job.span_name = "raycast.parallel";
   job.span_tag = config.use_macrocells ? "macrocell" : "dense";
-  job.prepare = [shared, vol_p, config](exec::ExecutionContext& ctx) {
+  job.prepare = [shared, vol_p, config, views](exec::ExecutionContext& ctx) {
     if (config.use_macrocells && shared->use_cells == nullptr) {
       shared->cached_cells = ctx.structures().get_or_build<MacrocellGrid>(
           vol_p->data(),
@@ -492,7 +494,7 @@ template <core::VolumeBackend VolT>
     shared->views.clear();
     shared->views.reserve(ctx.size());
     for (unsigned t = 0; t < ctx.size(); ++t) {
-      shared->views.push_back(core::make_read_view(*vol_p));
+      shared->views.push_back(views(*vol_p, t));
     }
   };
   job.tile = [shared, tf_p, img_p, camera, config, tiles, collect_stats](
@@ -535,106 +537,14 @@ template <core::VolumeBackend VolT>
 }
 
 /// Facade job builder.
-[[nodiscard]] inline exec::KernelJob raycast_job(const core::AnyVolume& volume,
-                                                 const Camera& camera,
-                                                 const TransferFunction& tf,
-                                                 const RenderConfig& config, Image& image,
-                                                 const MacrocellGrid* cells = nullptr,
-                                                 bool collect_stats = false) {
+template <class Views = core::ReadViews>
+[[nodiscard]] exec::KernelJob raycast_job(const core::AnyVolume& volume, const Camera& camera,
+                                          const TransferFunction& tf,
+                                          const RenderConfig& config, Image& image,
+                                          const MacrocellGrid* cells = nullptr,
+                                          bool collect_stats = false, Views views = {}) {
   return volume.visit([&](const auto& grid) {
-    return raycast_job(grid, camera, tf, config, image, cells, collect_stats);
-  });
-}
-
-/// Counter-collection render: replays the access streams of
-/// hierarchy.num_threads() logical threads (tiles assigned round-robin,
-/// interleaved deterministically) through the modeled memory system.
-/// `max_items` caps the replay at a prefix of the tile schedule, bounding
-/// simulation cost; both layouts replay the identical pixel set.
-///
-/// config.use_macrocells takes the same skipping path as the native
-/// render, so the modeled counters measure the reduced access stream; the
-/// macrocell summary itself is metadata and is not traced (it is built
-/// once, not read per-frame in proportion to the volume).
-template <core::VolumeBackend VolT, core::SinkProvider ProviderT>
-[[nodiscard]] Image raycast_traced(const VolT& volume,
-                                   const Camera& camera, const TransferFunction& tf,
-                                   const RenderConfig& config, ProviderT& provider,
-                                   std::size_t max_items = SIZE_MAX,
-                                   const MacrocellGrid* cells = nullptr,
-                                   bool collect_stats = false) {
-  validate_packet_size(config.packet_size);
-  Image image(config.image_width, config.image_height);
-  // The replay builds its grid locally and serially (deterministic, no
-  // context in scope). tests/test_jobs.cpp pins that the serial build
-  // matches the context-parallel build the native render caches, so
-  // traced and untraced skipping paths stay bit-identical.
-  auto local_cells = std::make_shared<MacrocellGrid>();
-  const MacrocellGrid* use_cells = nullptr;
-  if (config.use_macrocells) {
-    if (cells == nullptr) {
-      *local_cells = MacrocellGrid::build(volume, config.macrocell_size);
-      cells = local_cells.get();
-    }
-    use_cells = cells;
-  }
-  const TileDecomposition tiles(config.image_width, config.image_height, config.tile_size);
-  const unsigned num_threads = provider.num_threads();
-  const threads::StaticRoundRobin rr(tiles.count(), num_threads);
-  auto order = std::make_shared<const std::vector<threads::Assignment>>(rr.replay_order());
-  using Sink = decltype(provider.sink(0u));
-  auto sinks = std::make_shared<std::vector<Sink>>();
-  sinks->reserve(num_threads);
-  for (unsigned t = 0; t < num_threads; ++t) {
-    sinks->push_back(provider.sink(t));
-  }
-  struct ReplayStats {
-    RayStats run_stats;
-    std::uint64_t rendered = 0;
-  };
-  auto stats = std::make_shared<ReplayStats>();
-  const VolT* vol_p = &volume;
-  const TransferFunction* tf_p = &tf;
-  Image* img_p = &image;
-  exec::KernelJob job;
-  job.kernel = "raycast.traced";
-  job.dispatch = exec::JobDispatch::kSerial;
-  job.tiles = std::min(max_items, order->size());
-  job.output = image.pixels().data();
-  job.span_name = "raycast.traced";
-  job.span_tag = use_cells != nullptr ? "macrocell" : "dense";
-  job.tile = [vol_p, tf_p, img_p, camera, config, tiles, local_cells, use_cells, order,
-              sinks, stats, collect_stats](void*, std::size_t t, unsigned) {
-    const auto& assignment = (*order)[t];
-    const auto view = core::make_traced_view(*vol_p, (*sinks)[assignment.tid]);
-    RayStats tile_stats;
-    render_tile(view, camera, *tf_p, config, *img_p, tiles.bounds(assignment.item),
-                use_cells, collect_stats ? &tile_stats : nullptr);
-    stats->run_stats.add(tile_stats);
-    ++stats->rendered;
-  };
-  exec::ExecutionContext replay_ctx = exec::make_replay_context();
-  exec::run_job(replay_ctx, std::move(job));
-  if (collect_stats) {
-    // Replay is single-threaded: all logical threads fold on this one.
-    detail::fold_ray_stats(stats->run_stats, stats->rendered);
-  }
-  return image;
-}
-
-/// Facade driver for the counter-collection render (replay stays
-/// single-threaded and deterministic; any SinkProvider — memsim::Hierarchy
-/// or locality::LocalityProfiler — plugs in).
-template <core::SinkProvider ProviderT>
-[[nodiscard]] Image raycast_traced(const core::AnyVolume& volume,
-                                   const Camera& camera, const TransferFunction& tf,
-                                   const RenderConfig& config, ProviderT& provider,
-                                   std::size_t max_items = SIZE_MAX,
-                                   const MacrocellGrid* cells = nullptr,
-                                   bool collect_stats = false) {
-  return volume.visit([&](const auto& grid) {
-    return raycast_traced(grid, camera, tf, config, provider, max_items, cells,
-                          collect_stats);
+    return raycast_job(grid, camera, tf, config, image, cells, collect_stats, views);
   });
 }
 

@@ -323,10 +323,6 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
       w.value(j.queue_wait_ns);
       w.key("run_ns");
       w.value(j.run_ns);
-      w.key("deadline_ns");
-      w.value(j.deadline_ns);
-      w.key("deadline_missed");
-      w.value(j.deadline_missed);
       w.key("structure_cache_hits");
       w.value(j.structure_cache_hits);
       w.key("structure_cache_misses");

@@ -101,8 +101,6 @@ struct JobReportEntry {
   std::uint64_t tiles_run = 0;
   std::uint64_t queue_wait_ns = 0;
   std::uint64_t run_ns = 0;
-  std::uint64_t deadline_ns = 0;  ///< 0 = no deadline
-  bool deadline_missed = false;
   std::uint64_t structure_cache_hits = 0;
   std::uint64_t structure_cache_misses = 0;
 };

@@ -4,10 +4,9 @@
 #include <stdexcept>
 
 #include "sfcvis/bench_util/stats.hpp"
-#include "sfcvis/data/combustion.hpp"
-#include "sfcvis/data/phantom.hpp"
 #include "sfcvis/exec/execution_context.hpp"
 #include "sfcvis/filters/bilateral.hpp"
+#include "sfcvis/locality/profile.hpp"
 #include "sfcvis/locality/reuse.hpp"
 #include "sfcvis/memsim/hierarchy.hpp"
 #include "sfcvis/render/raycast.hpp"
@@ -20,31 +19,6 @@ namespace {
 /// The counter both benches report as "L2 escapes": reads the private
 /// stack could not serve.
 constexpr std::string_view kEscapeCounter = "L2_DATA_READ_MISS_MEM_FILL";
-
-filters::BilateralParams bilateral_params() {
-  // The bench's against-the-grain configuration (abl_layout_compare):
-  // radius-3 z-pencils in zyx order, where layout matters most.
-  return filters::BilateralParams{3, 1.5f, 0.1f, filters::PencilAxis::kZ,
-                                  filters::LoopOrder::kZYX};
-}
-
-render::RenderConfig raycast_config(std::uint32_t image) {
-  return render::RenderConfig{image, image, 16, 0.5f, 0.98f};
-}
-
-render::Camera raycast_camera(const core::Extents3D& e) {
-  const auto fsize = static_cast<float>(e.nx);
-  return render::orbit_camera(2, 8, fsize, static_cast<float>(e.ny),
-                              static_cast<float>(e.nz));
-}
-
-void fill_master(core::AnyVolume& volume, const std::string& kernel) {
-  if (kernel == "bilateral") {
-    volume.visit([](auto& g) { data::fill_mri_phantom(g); });
-  } else {
-    volume.visit([](auto& g) { data::fill_combustion(g); });
-  }
-}
 
 /// Mutates `pattern` in place: `swaps` random swaps of two positions that
 /// hold different characters (a same-character swap is the identity).
@@ -75,21 +49,16 @@ std::string random_pattern(const core::Extents3D& extents, verify::SplitMix64& r
   return s;
 }
 
-/// Runs the configured kernel's capped traced replay through any
-/// SinkProvider (the hierarchy or the locality profiler).
-template <core::SinkProvider ProviderT>
-void run_traced(const TunerConfig& config, const core::AnyVolume& volume,
-                ProviderT& provider) {
-  if (config.kernel == "bilateral") {
-    core::ArrayVolume dst(config.extents);
-    filters::bilateral_traced(volume, dst, bilateral_params(), provider,
-                              config.trace_items);
-  } else {
-    (void)render::raycast_traced(volume, raycast_camera(config.extents),
-                                 render::TransferFunction::flame(),
-                                 raycast_config(config.trace_image), provider,
-                                 config.trace_items);
-  }
+/// The tuner's configuration as the shared traced workload
+/// (locality/profile.hpp): the fitness replays exactly what a locality
+/// profile of the same volume measures.
+locality::WorkloadConfig workload_of(const TunerConfig& config) {
+  locality::WorkloadConfig workload;
+  workload.kernel = config.kernel;
+  workload.threads = config.threads;
+  workload.trace_items = config.trace_items;
+  workload.trace_image = config.trace_image;
+  return workload;
 }
 
 }  // namespace
@@ -111,7 +80,7 @@ FitnessEvaluator::FitnessEvaluator(const TunerConfig& config)
     throw std::invalid_argument(
         "layout tuner: sampled-mrc fitness needs a platform with private cache levels");
   }
-  fill_master(master_, config_.kernel);
+  locality::fill_workload_volume(master_, config_.kernel);
 }
 
 const Candidate& FitnessEvaluator::evaluate(const std::string& pattern) {
@@ -138,13 +107,13 @@ const Candidate& FitnessEvaluator::evaluate(const std::string& pattern) {
     lconfig.line_bytes = last_private.line_bytes;
     lconfig.extra_line_capacities = {last_private.size_bytes};
     locality::LocalityProfiler profiler(std::move(lconfig));
-    run_traced(config_, volume, profiler);
+    locality::replay_workload(volume, workload_of(config_), profiler);
     const std::uint64_t misses = profiler.miss_estimate(last_private.size_bytes);
     c.fitness = static_cast<double>(misses);
     c.escapes = misses;
   } else {
     memsim::Hierarchy hierarchy(platform_, config_.threads);
-    run_traced(config_, volume, hierarchy);
+    locality::replay_workload(volume, workload_of(config_), hierarchy);
     c.fitness = static_cast<double>(hierarchy.modeled_cycles_max());
     c.escapes = hierarchy.counter(kEscapeCounter);
   }
@@ -253,20 +222,20 @@ double measure_wallclock(const TunerConfig& config, core::LayoutKind kind,
   core::VolumeOpts opts;
   opts.interleave = interleave;
   core::AnyVolume volume = core::make_volume(kind, config.extents, opts);
-  fill_master(volume, config.kernel);
+  locality::fill_workload_volume(volume, config.kernel);
   exec::ExecutionContext ctx(threads);
   if (config.kernel == "bilateral") {
     core::ArrayVolume dst(config.extents);
     return bench_util::min_time_of(reps, [&] {
-      filters::bilateral_parallel(volume, dst, bilateral_params(), ctx);
+      filters::bilateral_parallel(volume, dst, locality::workload_bilateral_params(), ctx);
     });
   }
-  const render::Camera camera = raycast_camera(config.extents);
+  const render::Camera camera = locality::workload_raycast_camera(config.extents);
   const auto tf = render::TransferFunction::flame();
   // Wall-clock validation renders a real image (4x the traced edge, at
   // least 64) so the measurement is not dominated by setup.
   const std::uint32_t image = std::max<std::uint32_t>(64, config.trace_image * 4);
-  const render::RenderConfig rc = raycast_config(image);
+  const render::RenderConfig rc = locality::workload_raycast_config(image);
   return bench_util::min_time_of(reps, [&] {
     (void)render::raycast_parallel(volume, camera, tf, rc, ctx);
   });

@@ -243,7 +243,9 @@ TEST(BilateralTraced, ProducesSameResultAndCounts) {
 
   memsim::Hierarchy hierarchy(memsim::tiny_test_platform(), 2);
   Grid3D<float, ArrayOrderLayout> got(e);
-  filters::bilateral_traced(src, got, params, hierarchy);
+  auto replay_ctx = exec::make_replay_context(hierarchy.num_threads());
+  replay_ctx.jobs().replay(
+      filters::bilateral_job(src, got, params, core::traced_views(hierarchy)));
   expect_grids_near(expected, got, 1e-5f);
 
   // Every stencil tap goes through the model: 27 reads + 1 center read per
@@ -258,7 +260,9 @@ TEST(BilateralTraced, DeterministicCounters) {
   auto run = [&] {
     memsim::Hierarchy h(memsim::tiny_test_platform(), 4);
     Grid3D<float, ArrayOrderLayout> dst(e);
-    filters::bilateral_traced(src, dst, BilateralParams{1, 1.5f, 0.15f}, h);
+    auto replay_ctx = exec::make_replay_context(h.num_threads());
+    replay_ctx.jobs().replay(
+        filters::bilateral_job(src, dst, BilateralParams{1, 1.5f, 0.15f}, core::traced_views(h)));
     return std::make_pair(h.counter("PAPI_L3_TCA"), h.memory_fills());
   };
   EXPECT_EQ(run(), run());
@@ -276,9 +280,10 @@ TEST(BilateralTraced, ZOrderReducesEscapesInAgainstGrainConfig) {
 
   Grid3D<float, ArrayOrderLayout> dst(e);
   memsim::Hierarchy ha(memsim::tiny_test_platform(), 2);
-  filters::bilateral_traced(src_a, dst, params, ha);
   memsim::Hierarchy hz(memsim::tiny_test_platform(), 2);
-  filters::bilateral_traced(src_z, dst, params, hz);
+  auto replay_ctx = exec::make_replay_context(ha.num_threads());
+  replay_ctx.jobs().replay(filters::bilateral_job(src_a, dst, params, core::traced_views(ha)));
+  replay_ctx.jobs().replay(filters::bilateral_job(src_z, dst, params, core::traced_views(hz)));
 
   EXPECT_LT(hz.counter("L2_DATA_READ_MISS_MEM_FILL"),
             ha.counter("L2_DATA_READ_MISS_MEM_FILL"));
@@ -312,7 +317,9 @@ TEST(BilateralZSweep, TracedMatchesAndIsDeterministic) {
   auto run = [&] {
     memsim::Hierarchy h(memsim::tiny_test_platform(), 2);
     Grid3D<float, ArrayOrderLayout> dst(e);
-    filters::bilateral_zsweep_traced(src, dst, params, h);
+    auto replay_ctx = exec::make_replay_context(h.num_threads());
+    replay_ctx.jobs().replay(
+        filters::bilateral_zsweep_job(src, dst, params, replay_ctx, core::traced_views(h)));
     return std::make_pair(h.memory_fills(), dst.at(3, 4, 5));
   };
   const auto first = run();
@@ -320,7 +327,9 @@ TEST(BilateralZSweep, TracedMatchesAndIsDeterministic) {
   // Full (uncapped) traced run covers every voxel: 28 reads per voxel.
   memsim::Hierarchy h(memsim::tiny_test_platform(), 2);
   Grid3D<float, ArrayOrderLayout> dst(e);
-  filters::bilateral_zsweep_traced(src, dst, params, h);
+  auto replay_ctx = exec::make_replay_context(h.num_threads());
+  replay_ctx.jobs().replay(
+      filters::bilateral_zsweep_job(src, dst, params, replay_ctx, core::traced_views(h)));
   EXPECT_EQ(h.total_accesses(), e.size() * 28);
 }
 

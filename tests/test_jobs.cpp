@@ -1,17 +1,18 @@
-// Job-system lifecycle and parity suite (exec::KernelJob / JobGraph /
-// KernelRegistry).
+// Job-system lifecycle and parity suite (exec::KernelJob / JobGraph).
 //
 // Pins the contracts the migration to schedulable jobs introduced:
 //  * queued job dispatch is bit-identical to the synchronous driver calls
 //    (every kernel family, every volume backend incl. out-of-core);
 //  * pool and OpenMP backends produce identical per-job records;
 //  * cancellation (pre-start and mid-run), the REJECTED double-submit
-//    policy, zero-tile jobs, priority lanes, deadline accounting;
+//    policy, zero-tile jobs;
 //  * queued back-to-back macrocell renders share one StructureCache entry
 //    (the second job's record attributes a hit);
-//  * the serial macrocell build the traced replay uses matches the
-//    context-parallel build the native render caches (satellite audit of
-//    traced-vs-untraced drift).
+//  * traced replay (JobGraph::replay) runs the native job itself: the
+//    serial macrocell build a replay context prepares matches the
+//    context-parallel one, every kernel's replay output matches its native
+//    run on every backend with deterministic counters and capped records,
+//    and the gather paths refuse traced views.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -19,7 +20,8 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
-#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sfcvis/core/brick_file.hpp"
@@ -27,7 +29,6 @@
 #include "sfcvis/memsim/hierarchy.hpp"
 #include "sfcvis/memsim/platforms.hpp"
 #include "sfcvis/exec/execution_context.hpp"
-#include "sfcvis/exec/kernel_registry.hpp"
 #include "sfcvis/filters/bilateral.hpp"
 #include "sfcvis/filters/gaussian.hpp"
 #include "sfcvis/filters/gradient.hpp"
@@ -74,17 +75,7 @@ ExecutionContext make_ctx(unsigned threads, exec::Backend backend = exec::Backen
   return ExecutionContext(opts);
 }
 
-/// A no-op test kernel in the registry (registered once per process;
-/// repeat registration attempts are the duplicate-rejection test).
-void ensure_test_kernel() {
-  if (exec::KernelRegistry::instance().find("test.noop") == nullptr) {
-    exec::KernelRegistry::instance().register_kernel(
-        {"test.noop", "items", JobDispatch::kSerial, false, ""});
-  }
-}
-
 KernelJob noop_job(JobDispatch dispatch, std::size_t tiles, const void* output = nullptr) {
-  ensure_test_kernel();
   KernelJob job;
   job.kernel = "test.noop";
   job.dispatch = dispatch;
@@ -95,62 +86,10 @@ KernelJob noop_job(JobDispatch dispatch, std::size_t tiles, const void* output =
 }
 
 // -----------------------------------------------------------------------------
-// Registry
-
-TEST(KernelRegistry, BuiltinKernelsAreSeeded) {
-  auto& reg = exec::KernelRegistry::instance();
-  for (const char* name : {"bilateral", "bilateral.zsweep", "bilateral.traced",
-                           "bilateral.zsweep.traced", "bilateral2d", "gaussian", "median",
-                           "gradient", "raycast", "raycast.traced"}) {
-    const exec::KernelInfo* info = reg.find(name);
-    ASSERT_NE(info, nullptr) << name;
-    EXPECT_EQ(info->name, name);
-    EXPECT_FALSE(info->decomposer.empty()) << name;
-  }
-  EXPECT_EQ(reg.find("raycast")->dispatch, JobDispatch::kDynamic);
-  EXPECT_TRUE(reg.find("raycast")->uses_structure_cache);
-  EXPECT_EQ(reg.find("raycast")->structures, "macrocell");
-  EXPECT_EQ(reg.find("bilateral.traced")->dispatch, JobDispatch::kSerial);
-  EXPECT_EQ(reg.find("no.such.kernel"), nullptr);
-}
-
-TEST(KernelRegistry, DuplicateAndEmptyRegistrationThrow) {
-  ensure_test_kernel();
-  EXPECT_THROW(exec::KernelRegistry::instance().register_kernel(
-                   {"test.noop", "items", JobDispatch::kSerial, false, ""}),
-               std::invalid_argument);
-  EXPECT_THROW(exec::KernelRegistry::instance().register_kernel(
-                   {"", "items", JobDispatch::kSerial, false, ""}),
-               std::invalid_argument);
-}
-
-TEST(KernelRegistry, NamesEnumeratesEveryEntry) {
-  ensure_test_kernel();
-  const auto names = exec::KernelRegistry::instance().names();
-  EXPECT_GE(names.size(), 11u);  // 10 builtins + test.noop
-  std::size_t found = 0;
-  for (const auto& n : names) {
-    if (n == "gradient" || n == "test.noop") {
-      ++found;
-    }
-  }
-  EXPECT_EQ(found, 2u);
-}
-
-// -----------------------------------------------------------------------------
 // Lifecycle edges
-
-TEST(JobGraph, UnregisteredKernelRejectedAtSubmit) {
-  auto ctx = make_ctx(2);
-  KernelJob job;
-  job.kernel = "definitely.not.registered";
-  job.tiles = 0;
-  EXPECT_THROW((void)ctx.jobs().submit(std::move(job)), std::invalid_argument);
-}
 
 TEST(JobGraph, TilesWithoutBodyRejectedAtSubmit) {
   auto ctx = make_ctx(2);
-  ensure_test_kernel();
   KernelJob job;
   job.kernel = "test.noop";
   job.tiles = 4;  // no tile body
@@ -174,7 +113,6 @@ TEST(JobGraph, ZeroTileRegionNeverInvokesTheBody) {
   // job must run as a recorded no-op without touching its tile body or
   // per-worker state factory.
   auto ctx = make_ctx(2);
-  ensure_test_kernel();
   KernelJob job;
   job.kernel = "test.noop";
   job.dispatch = JobDispatch::kStatic;
@@ -198,11 +136,10 @@ TEST(JobGraph, ZeroTileRegionNeverInvokesTheBody) {
 
 TEST(JobGraph, CancelBeforeStartRunsNothing) {
   auto ctx = make_ctx(2);
-  ensure_test_kernel();
   int runs = 0;
   KernelJob job;
   job.kernel = "test.noop";
-  job.dispatch = JobDispatch::kSerial;
+  job.dispatch = JobDispatch::kStatic;
   job.tiles = 8;
   job.tile = [&](void*, std::size_t, unsigned) { ++runs; };
   const auto cancel = job.cancel;
@@ -218,10 +155,9 @@ TEST(JobGraph, CancelBeforeStartRunsNothing) {
 
 TEST(JobGraph, CancelMidRunStopsBetweenTiles) {
   auto ctx = make_ctx(1);
-  ensure_test_kernel();
   KernelJob job;
   job.kernel = "test.noop";
-  job.dispatch = JobDispatch::kSerial;
+  job.dispatch = JobDispatch::kStatic;
   job.tiles = 8;
   const auto cancel = job.cancel;
   int runs = 0;
@@ -258,30 +194,17 @@ TEST(JobGraph, DoubleSubmitOfSameOutputIsRejected) {
   (void)id;
 }
 
-TEST(JobGraph, HighPriorityLaneDrainsFirst) {
-  auto ctx = make_ctx(1);
-  ensure_test_kernel();
-  std::vector<int> order;
-  auto make = [&](int tag, exec::JobPriority priority) {
-    KernelJob job = noop_job(JobDispatch::kSerial, 1);
-    job.priority = priority;
-    job.tile = [&order, tag](void*, std::size_t, unsigned) { order.push_back(tag); };
-    return job;
-  };
-  (void)ctx.jobs().submit(make(0, exec::JobPriority::kNormal));
-  (void)ctx.jobs().submit(make(1, exec::JobPriority::kNormal));
-  (void)ctx.jobs().submit(make(2, exec::JobPriority::kHigh));
-  (void)ctx.jobs().submit(make(3, exec::JobPriority::kHigh));
-  ctx.jobs().run_all();
-  EXPECT_EQ(order, (std::vector<int>{2, 3, 0, 1}));  // high FIFO, then normal FIFO
+TEST(JobGraph, ReplayNeedsReplayContext) {
+  auto ctx = make_ctx(2);
+  EXPECT_THROW((void)ctx.jobs().replay(noop_job(JobDispatch::kStatic, 1)), std::logic_error);
+  EXPECT_FALSE(ctx.has_pool());
 }
 
 TEST(JobGraph, RunDrainsScheduledOrderUpToRequestedJob) {
   auto ctx = make_ctx(1);
-  ensure_test_kernel();
   std::vector<int> order;
   auto make = [&](int tag) {
-    KernelJob job = noop_job(JobDispatch::kSerial, 1);
+    KernelJob job = noop_job(JobDispatch::kStatic, 1);
     job.tile = [&order, tag](void*, std::size_t, unsigned) { order.push_back(tag); };
     return job;
   };
@@ -295,27 +218,6 @@ TEST(JobGraph, RunDrainsScheduledOrderUpToRequestedJob) {
   EXPECT_EQ(ctx.jobs().pending(), 1u);
   ctx.jobs().run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(JobGraph, DeadlineAccountingFlagsMissesOnly) {
-  auto ctx = make_ctx(1);
-  ensure_test_kernel();
-  KernelJob slow = noop_job(JobDispatch::kSerial, 1);
-  slow.deadline_ns = 1;  // 1 ns: certain miss
-  slow.tile = [](void*, std::size_t, unsigned) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  };
-  const auto slow_id = ctx.jobs().submit(std::move(slow));
-  KernelJob fine = noop_job(JobDispatch::kSerial, 1);
-  fine.deadline_ns = std::uint64_t{60} * 1000 * 1000 * 1000;  // one minute
-  const auto fine_id = ctx.jobs().submit(std::move(fine));
-  const auto free_id = ctx.jobs().submit(noop_job(JobDispatch::kSerial, 1));  // no deadline
-  ctx.jobs().run_all();
-  EXPECT_TRUE(ctx.jobs().find_record(slow_id)->deadline_missed);
-  EXPECT_FALSE(ctx.jobs().find_record(fine_id)->deadline_missed);
-  EXPECT_FALSE(ctx.jobs().find_record(free_id)->deadline_missed);
-  // Deadlines are accounting only: the job still ran to completion.
-  EXPECT_EQ(ctx.jobs().find_record(slow_id)->state, JobState::kDone);
 }
 
 // -----------------------------------------------------------------------------
@@ -499,12 +401,13 @@ TEST(JobCache, QueuedRaycastsShareOneMacrocellGrid) {
 }
 
 // -----------------------------------------------------------------------------
-// Traced-driver drift audit pins (satellite 6)
+// Traced replay: the native job, replayed through JobGraph::replay
 
 TEST(TracedDrift, SerialMacrocellBuildMatchesContextParallelBuild) {
-  // raycast_traced builds its grid serially (no context in replay scope);
-  // raycast_parallel caches a context-parallel build. Both paths must
-  // produce identical grids or traced and native skipping diverge.
+  // A replay context builds the macrocell grid serially in the raycast
+  // job's prepare stage; raycast_parallel caches a context-parallel build.
+  // Both must produce identical grids or traced and native skipping
+  // diverge.
   const Extents3D e{20, 13, 9};
   AnyVolume vol = core::make_volume(LayoutKind::kZOrder, e);
   vol.fill_from(field);
@@ -525,51 +428,166 @@ TEST(TracedDrift, SerialMacrocellBuildMatchesContextParallelBuild) {
   }
 }
 
-TEST(TracedDrift, ZsweepTracedChunkingMatchesUntwistedFormula) {
-  // The traced sweep derives its chunk count from (threads,
-  // chunks_per_thread) exactly like ExecutionContext::curve_chunks — this
-  // pins the constants so the replayed decomposition cannot drift from
-  // the native one.
-  const Extents3D e{24, 17, 11};
-  const core::ZOrderTables tables(e);
-  const std::size_t cap = tables.capacity();
-  for (const unsigned threads : {1u, 3u, 8u}) {
-    for (const std::size_t cpt : {std::size_t{1}, std::size_t{8}}) {
-      exec::ExecOptions opts;
-      opts.threads = threads;
-      opts.chunks_per_thread = cpt;
-      opts.layout_registry.clear();
-      ExecutionContext ctx(opts);
-      const std::size_t native = ctx.curve_chunks(e.size(), cap);
-      const std::size_t traced = std::max<std::size_t>(
-          1, threads * cpt * cap / std::max<std::size_t>(1, e.size()));
-      EXPECT_EQ(native, traced) << threads << "x" << cpt;
-    }
-  }
+/// Counters and record of one traced replay of build(ctx, views, out) on a
+/// fresh replay context of three logical workers.
+struct ReplayRun {
+  std::uint64_t accesses = 0;
+  std::uint64_t fills = 0;
+  std::uint64_t cycles = 0;
+  exec::JobRecord record;
+  bool pool_created = false;
+};
+
+template <class Build, class Out>
+ReplayRun replay_once(const Build& build, Out& out, std::size_t max_items = SIZE_MAX) {
+  memsim::Hierarchy h(memsim::tiny_test_platform(), 3);
+  ExecutionContext replay_ctx = exec::make_replay_context(h.num_threads());
+  const exec::JobId id =
+      replay_ctx.jobs().replay(build(replay_ctx, core::traced_views(h), out), max_items);
+  ReplayRun run;
+  run.accesses = h.total_accesses();
+  run.fills = h.memory_fills();
+  run.cycles = h.modeled_cycles_max();
+  run.record = *replay_ctx.jobs().find_record(id);
+  run.pool_created = replay_ctx.has_pool();
+  return run;
+}
+
+bool identical(const ArrayVolume& a, const ArrayVolume& b) {
+  return verify::compare_grids(a, b, verify::Tolerance::bit_identical(), "replay").ok;
+}
+
+bool identical(const render::Image& a, const render::Image& b) {
+  return verify::compare_images(a, b, verify::Tolerance::bit_identical(), "replay").ok;
+}
+
+/// The replay contract of one job builder: the native run and a replay
+/// write the same output bit for bit, two replays give the same counters,
+/// a capped replay records exactly its cap as done (what
+/// trace_summary.py --validate requires of a jobs entry), and no replay
+/// creates a worker pool.
+template <class Build, class MakeOut>
+void expect_replay_contract(const std::string& what, const Build& build,
+                            const MakeOut& make_out) {
+  auto ctx = make_ctx(3);
+  auto native = make_out();
+  exec::run_job(ctx, build(ctx, core::ReadViews{}, native));
+  auto traced = make_out();
+  auto again = make_out();
+  const ReplayRun first = replay_once(build, traced);
+  const ReplayRun second = replay_once(build, again);
+  EXPECT_TRUE(identical(native, traced)) << what;
+  EXPECT_GT(first.accesses, 0u) << what;
+  EXPECT_EQ(std::tie(first.accesses, first.fills, first.cycles),
+            std::tie(second.accesses, second.fills, second.cycles))
+      << what;
+  EXPECT_FALSE(first.pool_created) << what;
+  EXPECT_EQ(first.record.state, JobState::kDone) << what;
+  EXPECT_EQ(first.record.tiles_run, first.record.tiles) << what;
+
+  constexpr std::size_t kCap = 4;
+  auto capped_out = make_out();
+  const ReplayRun capped = replay_once(build, capped_out, kCap);
+  EXPECT_EQ(capped.record.state, JobState::kDone) << what;
+  EXPECT_EQ(capped.record.tiles, kCap) << what;
+  EXPECT_EQ(capped.record.tiles_run, kCap) << what;
+  EXPECT_LT(capped.accesses, first.accesses) << what;
+  EXPECT_FALSE(capped.pool_created) << what;
 }
 
 TEST(TracedDrift, TracedReplayMatchesNativeOutputs) {
-  // bilateral_traced ignores use_gather / LUT modes by design (it measures
-  // the per-voxel access stream), but its *output* must still match the
-  // native driver in exact mode.
-  const Extents3D e = Extents3D::cube(10);
-  AnyVolume src = core::make_volume(LayoutKind::kZOrder, e);
-  src.fill_from(field);
+  // Every kernel's counter run is its native job replayed with traced
+  // views, on every in-memory layout and the out-of-core bricked backend.
+  const Extents3D e{12, 10, 9};
+  std::vector<std::pair<std::string, AnyVolume>> volumes;
+  for (const LayoutKind kind : core::kAllLayoutKinds) {
+    AnyVolume volume = core::make_volume(kind, e);
+    volume.fill_from(field);
+    volumes.emplace_back(std::string(core::to_string(kind)), std::move(volume));
+  }
+  const auto path =
+      (std::filesystem::temp_directory_path() / "sfcvis_jobs_replay.sfcbrk").string();
+  core::BrickPackOptions popts;
+  popts.brick_edge = 8;
+  (void)core::pack_brick_file(path, volumes.front().second, popts);
+  auto open_ctx = make_ctx(1);
+  volumes.emplace_back("bricked", open_ctx.open_bricked(path, 0));
+
   filters::BilateralParams params;
   params.radius = 1;
-  params.use_gather = false;
-  params.fast_exp = false;
-  params.use_range_lut = false;
-  auto ctx = make_ctx(3);
-  ArrayVolume native(e);
-  filters::bilateral_parallel(src, native, params, ctx);
-  memsim::Hierarchy hierarchy(memsim::tiny_test_platform(), 2);
-  ArrayVolume traced(e);
-  filters::bilateral_traced(src, traced, params, hierarchy);
-  const auto report = verify::compare_grids(native, traced,
-                                            verify::Tolerance::bit_identical(),
-                                            "bilateral traced vs native [exact mode]");
-  EXPECT_TRUE(report.ok) << report.to_string();
+  render::RenderConfig config;
+  config.image_width = 24;
+  config.image_height = 24;
+  config.tile_size = 8;
+  const render::Camera cam({20, 16, 22}, {6, 5, 4.5f}, {0, 1, 0}, 40.0f,
+                           render::Projection::kPerspective);
+  const auto tf = render::TransferFunction::flame();
+  const auto volume_out = [&] { return ArrayVolume(e); };
+  const auto image_out = [&] { return render::Image(config.image_width, config.image_height); };
+  for (const auto& entry : volumes) {
+    const std::string& name = entry.first;
+    const AnyVolume& src = entry.second;
+    expect_replay_contract(
+        name + " bilateral",
+        [&](ExecutionContext&, auto views, ArrayVolume& out) {
+          return filters::bilateral_job(src, out, params, views);
+        },
+        volume_out);
+    expect_replay_contract(
+        name + " bilateral.zsweep",
+        [&](ExecutionContext& ctx, auto views, ArrayVolume& out) {
+          return filters::bilateral_zsweep_job(src, out, params, ctx, views);
+        },
+        volume_out);
+    expect_replay_contract(
+        name + " gaussian",
+        [&](ExecutionContext&, auto views, ArrayVolume& out) {
+          return filters::gaussian_job(src, out, 1, 1.0f, false, views);
+        },
+        volume_out);
+    expect_replay_contract(
+        name + " median",
+        [&](ExecutionContext&, auto views, ArrayVolume& out) {
+          return filters::median_job(src, out, 1, views);
+        },
+        volume_out);
+    expect_replay_contract(
+        name + " gradient",
+        [&](ExecutionContext&, auto views, ArrayVolume& out) {
+          return filters::gradient_job(src, out, views);
+        },
+        volume_out);
+    for (const bool macrocells : {false, true}) {
+      render::RenderConfig rc = config;
+      rc.use_macrocells = macrocells;
+      expect_replay_contract(
+          name + (macrocells ? " raycast [macrocell]" : " raycast [dense]"),
+          [&](ExecutionContext&, auto views, render::Image& out) {
+            return render::raycast_job(src, cam, tf, rc, out, nullptr, false, views);
+          },
+          image_out);
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(TracedDrift, GatherPathsRejectTracedViews) {
+  // The gather fast paths read storage through core::gather_row, past any
+  // view: a traced factory would silently drop those reads, so the
+  // builders refuse it. The native factory keeps the gather paths.
+  const Extents3D e = Extents3D::cube(8);
+  AnyVolume src = core::make_volume(LayoutKind::kZOrder, e);
+  src.fill_from(field);
+  ArrayVolume dst(e);
+  memsim::Hierarchy h(memsim::tiny_test_platform(), 2);
+  filters::BilateralParams params;
+  params.use_gather = true;
+  EXPECT_THROW((void)filters::bilateral_job(src, dst, params, core::traced_views(h)),
+               std::invalid_argument);
+  EXPECT_THROW((void)filters::gaussian_job(src, dst, 1, 1.0f, true, core::traced_views(h)),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)filters::bilateral_job(src, dst, params));
+  EXPECT_NO_THROW((void)filters::gaussian_job(src, dst, 1, 1.0f, true));
 }
 
 }  // namespace

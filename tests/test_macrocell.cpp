@@ -443,14 +443,19 @@ TEST(MacrocellRender, TracedSkippingReducesAccessesImageIdentical) {
   const auto camera = render::orbit_camera(2, 8, 32, 32, 32);
 
   memsim::Hierarchy dense_h(memsim::tiny_test_platform(), 2);
-  const Image dense = render::raycast_traced(volume, camera, tf, config, dense_h);
+  Image dense(config.image_width, config.image_height);
+  auto dense_ctx = exec::make_replay_context(dense_h.num_threads());
+  dense_ctx.jobs().replay(render::raycast_job(volume, camera, tf, config, dense, nullptr, false,
+                                              core::traced_views(dense_h)));
 
   config.use_macrocells = true;
   config.macrocell_size = 8;
   memsim::Hierarchy accel_h(memsim::tiny_test_platform(), 2);
   trace::Tracer::instance().reset_metrics();
-  const Image accel = render::raycast_traced(volume, camera, tf, config, accel_h, SIZE_MAX,
-                                             nullptr, /*collect_stats=*/true);
+  Image accel(config.image_width, config.image_height);
+  auto accel_ctx = exec::make_replay_context(accel_h.num_threads());
+  accel_ctx.jobs().replay(render::raycast_job(volume, camera, tf, config, accel, nullptr,
+                                              /*collect_stats=*/true, core::traced_views(accel_h)));
   const trace::MetricsSnapshot metrics = trace::Tracer::instance().metrics_snapshot();
 
   EXPECT_EQ(count_mismatches(dense, accel), 0u);

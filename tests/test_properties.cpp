@@ -244,7 +244,8 @@ TEST_P(PlatformSweep, TracedCountersAreDeterministicAndOrdered) {
                                         filters::LoopOrder::kZYX};
   auto run = [&] {
     memsim::Hierarchy h(spec, 3);
-    filters::bilateral_traced(src, dst, params, h);
+    auto replay_ctx = exec::make_replay_context(h.num_threads());
+    replay_ctx.jobs().replay(filters::bilateral_job(src, dst, params, core::traced_views(h)));
     return h;
   };
   const auto h1 = run();

@@ -129,7 +129,11 @@ TEST(Golden, RenderChecksumStableAcrossLayoutTileAndSchedule) {
             reference);
 
   memsim::Hierarchy h(memsim::tiny_test_platform(), 2);
-  EXPECT_EQ(image_checksum(render::raycast_traced(gz, cam, tf, base, h)), reference);
+  render::Image traced(base.image_width, base.image_height);
+  auto replay_ctx = exec::make_replay_context(h.num_threads());
+  replay_ctx.jobs().replay(
+      render::raycast_job(gz, cam, tf, base, traced, nullptr, false, core::traced_views(h)));
+  EXPECT_EQ(image_checksum(traced), reference);
 }
 
 TEST(Golden, TracedCountersPinned) {
@@ -143,13 +147,14 @@ TEST(Golden, TracedCountersPinned) {
   const filters::BilateralParams params{1, 1.5f, 0.1f, filters::PencilAxis::kZ,
                                         filters::LoopOrder::kZYX};
   memsim::Hierarchy h(memsim::tiny_test_platform(), 2);
-  filters::bilateral_traced(src, dst, params, h);
+  auto replay_ctx = exec::make_replay_context(h.num_threads());
+  replay_ctx.jobs().replay(filters::bilateral_job(src, dst, params, core::traced_views(h)));
   // 16^3 voxels x 28 reads.
   EXPECT_EQ(h.total_accesses(), 114688u);
   const auto before = std::make_tuple(h.counter("PAPI_L3_TCA"), h.memory_fills(),
                                       h.modeled_cycles_max());
   memsim::Hierarchy h2(memsim::tiny_test_platform(), 2);
-  filters::bilateral_traced(src, dst, params, h2);
+  replay_ctx.jobs().replay(filters::bilateral_job(src, dst, params, core::traced_views(h2)));
   EXPECT_EQ(before, std::make_tuple(h2.counter("PAPI_L3_TCA"), h2.memory_fills(),
                                     h2.modeled_cycles_max()));
 }

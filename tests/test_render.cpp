@@ -351,7 +351,10 @@ TEST(Raycast, TracedMatchesParallelImage) {
   const Image native = render::raycast_parallel(g, cam, tf, config, pool);
 
   memsim::Hierarchy h(memsim::tiny_test_platform(), 3);
-  const Image traced = render::raycast_traced(g, cam, tf, config, h);
+  Image traced(config.image_width, config.image_height);
+  auto replay_ctx = exec::make_replay_context(h.num_threads());
+  replay_ctx.jobs().replay(
+      render::raycast_job(g, cam, tf, config, traced, nullptr, false, core::traced_views(h)));
   for (std::size_t p = 0; p < native.pixels().size(); ++p) {
     ASSERT_EQ(native.pixels()[p], traced.pixels()[p]);
   }
@@ -367,7 +370,10 @@ TEST(Raycast, EarlyTerminationReducesWork) {
   auto traced_accesses = [&](float threshold) {
     memsim::Hierarchy h(memsim::tiny_test_platform(), 1);
     const RenderConfig config{32, 32, 32, 0.5f, threshold};
-    (void)render::raycast_traced(g, cam, tf, config, h);
+    Image image(config.image_width, config.image_height);
+    auto replay_ctx = exec::make_replay_context(h.num_threads());
+    replay_ctx.jobs().replay(
+        render::raycast_job(g, cam, tf, config, image, nullptr, false, core::traced_views(h)));
     return h.total_accesses();
   };
   EXPECT_LT(traced_accesses(0.5f), traced_accesses(1.1f));
@@ -386,7 +392,10 @@ TEST(Raycast, ViewpointSensitivityIsArrayOrderSpecific) {
   auto fills = [&](const auto& grid, unsigned viewpoint) {
     memsim::Hierarchy h(memsim::tiny_test_platform(), 2);
     const auto cam = render::orbit_camera(viewpoint, 8, 32, 32, 32);
-    (void)render::raycast_traced(grid, cam, tf, config, h);
+    Image image(config.image_width, config.image_height);
+    auto replay_ctx = exec::make_replay_context(h.num_threads());
+    replay_ctx.jobs().replay(
+        render::raycast_job(grid, cam, tf, config, image, nullptr, false, core::traced_views(h)));
     return static_cast<double>(h.counter("L2_DATA_READ_MISS_MEM_FILL"));
   };
 

@@ -1,35 +1,57 @@
 #!/usr/bin/env bash
-# Dispatch gate: the raw threads::parallel_for* primitives may only be
-# called from src/sfcvis/exec/ (the ExecutionContext / JobGraph dispatch
-# layer) and src/sfcvis/threads/ (their home). Every kernel driver must
-# go through an exec::KernelJob (filters/kernels_common.hpp builders) or,
-# for structure builds, the ctx.parallel_* methods — never the free
-# functions. tests/ are exempt (they unit-test the primitives), and
-# bench/abl_scheduler.cpp is allowlisted: it deliberately benchmarks the
-# raw pool/OpenMP primitives against each other (DESIGN.md Sec. 6).
+# Dispatch gate, two source-level rules over src/ bench/ examples/ tools/
+# (tests/ are exempt from both: they unit-test the primitives):
+#
+#  1. The raw threads::parallel_for* primitives may only be called from
+#     src/sfcvis/exec/ (the ExecutionContext / JobGraph dispatch layer) and
+#     src/sfcvis/threads/ (their home). Every kernel driver must go through
+#     an exec::KernelJob (filters/kernels_common.hpp builders) or, for
+#     structure builds, the ctx.parallel_* methods — never the free
+#     functions. bench/abl_scheduler.cpp is allowlisted: it deliberately
+#     benchmarks the raw pool/OpenMP primitives against each other
+#     (DESIGN.md Sec. 6).
+#  2. make_traced_view may only appear under src/sfcvis/core/, where its
+#     overloads and the core::traced_views factory live. A counter run is
+#     the kernel's own job replayed with core::traced_views through
+#     exec::JobGraph::replay, never a hand-written traced twin of a
+#     driver. bench/abl_job_overhead.cpp is allowlisted: its hand-written
+#     direct replay loop is the reference the abl_job_model gate compares
+#     the job replay against.
 #
 # Usage: check_dispatch_gate.sh [repo-root]   (defaults to the script's repo)
 set -u
 
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
-pattern='parallel_for(_static(_state)?|_dynamic|_omp_static|_omp_dynamic)?[[:space:]]*\('
+status=0
 
-violations=$(grep -rnE "$pattern" \
-  "$root/src" "$root/bench" "$root/examples" "$root/tools" 2>/dev/null \
-  | grep -v "^$root/src/sfcvis/exec/" \
-  | grep -v "^$root/src/sfcvis/threads/" \
-  | grep -v "^$root/bench/abl_scheduler.cpp:" \
-  | grep -v "^$root/tools/check_dispatch_gate.sh:")
+# check <pattern> <message> <allowed path prefix>...
+check() {
+  local pattern=$1 message=$2
+  shift 2
+  local hits allowed
+  hits=$(grep -rnE "$pattern" "$root/src" "$root/bench" "$root/examples" "$root/tools" \
+    2>/dev/null | grep -v "^$root/tools/check_dispatch_gate.sh:")
+  for allowed in "$@"; do
+    hits=$(printf '%s\n' "$hits" | grep -v "^$root/$allowed")
+  done
+  if [ -n "$hits" ]; then
+    echo "dispatch gate FAILED: $message"
+    echo
+    echo "$hits"
+    echo
+    status=1
+  fi
+}
 
-if [ -n "$violations" ]; then
-  echo "dispatch gate FAILED: direct threads::parallel_for* calls outside"
-  echo "src/sfcvis/exec/ and src/sfcvis/threads/ — build an exec::KernelJob"
-  echo "and submit it through ExecutionContext::jobs() (or use the"
-  echo "ctx.parallel_* methods for structure builds):"
-  echo
-  echo "$violations"
-  exit 1
+check 'parallel_for(_static(_state)?|_dynamic|_omp_static|_omp_dynamic)?[[:space:]]*\(' \
+  "direct threads::parallel_for* calls outside src/sfcvis/exec/ and src/sfcvis/threads/ — build an exec::KernelJob and submit it through ExecutionContext::jobs() (or use the ctx.parallel_* methods for structure builds):" \
+  src/sfcvis/exec/ src/sfcvis/threads/ bench/abl_scheduler.cpp:
+check 'make_traced_view' \
+  "make_traced_view outside src/sfcvis/core/ — replay the kernel's own job with core::traced_views through exec::JobGraph::replay instead of writing a traced twin:" \
+  src/sfcvis/core/ bench/abl_job_overhead.cpp:
+
+if [ "$status" -eq 0 ]; then
+  echo "dispatch gate OK: no direct parallel_for calls outside exec/ and threads/," \
+    "no make_traced_view outside core/"
 fi
-
-echo "dispatch gate OK: no direct parallel_for calls outside exec/ and threads/"
-exit 0
+exit "$status"

@@ -268,7 +268,7 @@ def validate_locality(doc, path, required):
 
 
 JOB_ENTRY_KEYS = ("id", "kernel", "state", "tiles", "tiles_run",
-                  "queue_wait_ns", "run_ns", "deadline_ns", "deadline_missed",
+                  "queue_wait_ns", "run_ns",
                   "structure_cache_hits", "structure_cache_misses")
 JOB_STATES = ("done", "cancelled")
 
@@ -279,10 +279,10 @@ def validate_jobs(doc, path, required):
     The section is always present; available=False carries a reason in
     'source'. An available section must hold at least one job entry, each
     with the full per-job accounting set: unique positive ids, a terminal
-    state, tiles_run consistent with the state (a done job ran every tile;
-    only cancellation cuts a job short), and a deadline miss only ever
-    flagged against a real deadline. With required=True (CI's trace-smoke
-    job on the job-overhead bench), an unavailable section fails outright.
+    state, and tiles_run consistent with the state (a done job ran every
+    tile; only cancellation cuts a job short). With required=True (CI's
+    trace-smoke job on the job-overhead bench), an unavailable section
+    fails outright.
     """
     jobs = doc.get("jobs")
     if not isinstance(jobs, dict) or "available" not in jobs or "source" not in jobs:
@@ -318,9 +318,6 @@ def validate_jobs(doc, path, required):
             raise ValidationError(
                 f"{path}: {who} done with {job['tiles_run']}/{job['tiles']} "
                 f"tiles — only cancellation may cut a job short")
-        if job["deadline_missed"] and job["deadline_ns"] == 0:
-            raise ValidationError(
-                f"{path}: {who} flags a deadline miss without a deadline")
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +425,10 @@ def summarize_report(doc, path):
                 if j["structure_cache_hits"] or j["structure_cache_misses"]:
                     cache = (f"  cache {j['structure_cache_hits']}h/"
                              f"{j['structure_cache_misses']}m")
-                miss = "  DEADLINE MISSED" if j["deadline_missed"] else ""
                 print(f"  #{j['id']:<4} {j['kernel']:<26} {j['state']:<10} "
                       f"{fmt_count(j['tiles_run'])}/{fmt_count(j['tiles'])} tiles  "
                       f"wait {j['queue_wait_ns'] / 1e6:.3f} ms  "
-                      f"run {j['run_ns'] / 1e6:.3f} ms{cache}{miss}")
+                      f"run {j['run_ns'] / 1e6:.3f} ms{cache}")
         else:
             print(f"\njobs: unavailable ({jobs.get('source', '?')})")
 
