@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
       render::Image dense_image(config.image_width, config.image_height);
       auto dense_ctx = exec::make_replay_context(dense_h.num_threads());
       dense_ctx.jobs().replay(render::raycast_job(volume, camera, tf, config, dense_image, nullptr,
-                                              false, core::traced_views(dense_h)));
+                                                  false, core::traced_views(dense_h)));
       fills.set(row0, c, static_cast<double>(dense_h.counter("L2_DATA_READ_MISS_MEM_FILL")));
       config.use_macrocells = true;
       config.macrocell_size = trace_block;
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
       render::Image accel_image(config.image_width, config.image_height);
       auto accel_ctx = exec::make_replay_context(accel_h.num_threads());
       accel_ctx.jobs().replay(render::raycast_job(volume, camera, tf, config, accel_image, nullptr,
-                                              false, core::traced_views(accel_h)));
+                                                  false, core::traced_views(accel_h)));
       fills.set(row0 + 1, c,
                 static_cast<double>(accel_h.counter("L2_DATA_READ_MISS_MEM_FILL")));
     }

@@ -73,7 +73,7 @@ Metrics measure_volrend(const core::AnyVolume& volume,
   render::Image traced(trace_config.image_width, trace_config.image_height);
   auto replay_ctx = exec::make_replay_context(hierarchy.num_threads());
   replay_ctx.jobs().replay(render::raycast_job(volume, camera, tf, trace_config, traced, nullptr,
-                                          false, core::traced_views(hierarchy)));
+                                               false, core::traced_views(hierarchy)));
   m.modeled_cycles = static_cast<double>(hierarchy.modeled_cycles_max());
   m.escapes = static_cast<double>(hierarchy.counter("L2_DATA_READ_MISS_MEM_FILL"));
   return m;

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     render::Image image(config.image_width, config.image_height);
     auto replay_ctx = exec::make_replay_context(h.num_threads());
     replay_ctx.jobs().replay(render::raycast_job(volume, camera, tf, config, image, nullptr,
-                                            false, core::traced_views(h)));
+                                                 false, core::traced_views(h)));
     return static_cast<double>(h.counter("PAPI_L3_TCA"));
   };
 

@@ -48,13 +48,13 @@ int main(int argc, char** argv) {
     render::Image image_a(config.image_width, config.image_height);
     auto replay_a = exec::make_replay_context(ha.num_threads());
     replay_a.jobs().replay(render::raycast_job(pair.array, camera, tf, config, image_a, nullptr,
-                                            false, core::traced_views(ha)));
+                                               false, core::traced_views(ha)));
     escapes.set(0, c, static_cast<double>(ha.counter("L2_DATA_READ_MISS_MEM_FILL")));
     memsim::Hierarchy hz(platform, nthreads);
     render::Image image_z(config.image_width, config.image_height);
     auto replay_z = exec::make_replay_context(hz.num_threads());
     replay_z.jobs().replay(render::raycast_job(pair.z, camera, tf, config, image_z, nullptr,
-                                            false, core::traced_views(hz)));
+                                               false, core::traced_views(hz)));
     escapes.set(1, c, static_cast<double>(hz.counter("L2_DATA_READ_MISS_MEM_FILL")));
   }
 

@@ -93,9 +93,9 @@ inline int run_volrend_ds_figure(const VolrendFigure& figure, int argc,
       render::Image image(trace_config.image_width, trace_config.image_height);
       auto replay_ctx = exec::make_replay_context(ha.num_threads());
       replay_ctx.jobs().replay(render::raycast_job(pair.array, camera, tf, trace_config, image,
-                                                      nullptr, false, core::traced_views(ha)));
+                                                   nullptr, false, core::traced_views(ha)));
       replay_ctx.jobs().replay(render::raycast_job(pair.z, camera, tf, trace_config, image,
-                                                      nullptr, false, core::traced_views(hz)));
+                                                   nullptr, false, core::traced_views(hz)));
       modeled_ds.set(v, col,
                      bench_util::scaled_relative_difference(
                          static_cast<double>(ha.modeled_cycles_max()),
@@ -167,9 +167,9 @@ inline int run_volrend_absolute_figure(const VolrendFigure& figure, int argc,
     render::Image image(trace_config.image_width, trace_config.image_height);
     auto replay_ctx = exec::make_replay_context(ha.num_threads());
     replay_ctx.jobs().replay(render::raycast_job(pair.array, camera, tf, trace_config, image,
-                                                    nullptr, false, core::traced_views(ha)));
+                                                 nullptr, false, core::traced_views(ha)));
     replay_ctx.jobs().replay(render::raycast_job(pair.z, camera, tf, trace_config, image,
-                                                    nullptr, false, core::traced_views(hz)));
+                                                 nullptr, false, core::traced_views(hz)));
     counter_abs.set(0, v, static_cast<double>(ha.counter(figure.counter)));
     counter_abs.set(1, v, static_cast<double>(hz.counter(figure.counter)));
     std::printf("  [viewpoint %u] done\n", v);
