@@ -82,7 +82,7 @@ BENCHMARK(BM_MortonBmi2);
 
 void BM_ZOrderAxisTables(benchmark::State& state) {
   // The paper's scheme: precomputed per-axis tables, combined with adds.
-  const core::ZOrderLayout layout(core::Extents3D::cube(kN));
+  const core::GeneralizedMortonLayout layout(core::Extents3D::cube(kN));
   for (auto _ : state) {
     for (const auto& c : coords()) {
       benchmark::DoNotOptimize(layout.index(c.i, c.j, c.k));

@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
   // Viewpoint 1: oblique view -> strongly uneven tile costs.
   const auto camera = render::orbit_camera(1, 8, fsize, fsize, fsize);
   const render::TileDecomposition tiles(image, image, config.tile_size);
-  const core::PlainView<float, core::ZOrderLayout> view(pair.z.as<core::ZOrderLayout>());
+  const core::PlainView<float, core::GeneralizedMortonLayout> view(
+      pair.z.as<core::GeneralizedMortonLayout>());
 
   render::Image img(image, image);
   auto tile_job = [&](std::size_t t, unsigned) {

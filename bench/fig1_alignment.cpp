@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
                                 {"a-order", "z-order"}, cols);
   for (unsigned v = 0; v < 8; ++v) {
     table.set(0, v, mean_lines_per_ray(pair.array.as<core::ArrayOrderLayout>(), v, image, tf));
-    table.set(1, v, mean_lines_per_ray(pair.z.as<core::ZOrderLayout>(), v, image, tf));
+    table.set(1, v, mean_lines_per_ray(pair.z.as<core::GeneralizedMortonLayout>(), v, image, tf));
   }
   bench::emit_table(table, opts, "fig1_lines_per_ray.csv", 1);
 

@@ -18,9 +18,8 @@ namespace {
 using namespace sfcvis;
 
 template <core::Layout3D L>
-void print_slice(const L& layout, std::uint32_t n) {
-  std::printf("%s: offsets of the k=0 slice (%ux%u)\n",
-              std::string(L::name()).c_str(), n, n);
+void print_slice(const char* name, const L& layout, std::uint32_t n) {
+  std::printf("%s: offsets of the k=0 slice (%ux%u)\n", name, n, n);
   for (std::uint32_t j = 0; j < n; ++j) {
     for (std::uint32_t i = 0; i < n; ++i) {
       std::printf("%5zu", layout.index(i, j, 0));
@@ -31,12 +30,12 @@ void print_slice(const L& layout, std::uint32_t n) {
 }
 
 template <core::Layout3D L>
-void print_crossings(const L& layout, std::uint32_t n) {
+void print_crossings(const char* name, const L& layout, std::uint32_t n) {
   // Fraction of unit steps along each axis that leave a 64-byte line
   // (16 floats). Array order: x rarely, y/z always. Z-order: balanced.
   const std::size_t line_elems = 16;
   const char* axis_names[3] = {"x", "y", "z"};
-  std::printf("%-12s", std::string(L::name()).c_str());
+  std::printf("%-12s", name);
   for (unsigned axis = 0; axis < 3; ++axis) {
     std::size_t crossings = 0, steps = 0;
     for (std::uint32_t k = 0; k < n - (axis == 2); ++k) {
@@ -65,7 +64,8 @@ int main(int argc, char** argv) {
 
   // Every layout is reached through the facade: make_volume is the single
   // dispatch point, and visit() hands the concrete layout back to the
-  // templated printers.
+  // templated printers. Sections are labelled by kind, not by layout type:
+  // z-order is the canonical generalized-Morton layout.
   const auto for_layout = [](core::LayoutKind kind, const core::Extents3D& ext,
                              std::uint32_t tile, auto&& fn) {
     core::VolumeOpts vopts;
@@ -80,13 +80,15 @@ int main(int argc, char** argv) {
   };
 
   for (const auto kind : core::kAllLayoutKinds) {
-    for_layout(kind, e, std::min(n, 4u), [&](const auto& l) { print_slice(l, n); });
+    for_layout(kind, e, std::min(n, 4u),
+               [&](const auto& l) { print_slice(core::to_string(kind), l, n); });
   }
 
   std::printf("fraction of unit steps crossing a 64-byte line boundary (32^3):\n");
   const core::Extents3D big = core::Extents3D::cube(32);
   for (const auto kind : core::kAllLayoutKinds) {
-    for_layout(kind, big, 4, [&](const auto& l) { print_crossings(l, 32); });
+    for_layout(kind, big, 4,
+               [&](const auto& l) { print_crossings(core::to_string(kind), l, 32); });
   }
 
   std::printf("\npadding behaviour for awkward extents (20 x 7 x 5):\n");

@@ -22,6 +22,15 @@ constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kFixedHeaderBytes = 48;
 constexpr std::size_t kPayloadAlign = 64;
 
+// The header's inner-kind field stores LayoutKind numerically, so the enum
+// values are part of the SFCBRK01 format.
+static_assert(static_cast<std::uint32_t>(LayoutKind::kArray) == 0);
+static_assert(static_cast<std::uint32_t>(LayoutKind::kZOrder) == 1);
+static_assert(static_cast<std::uint32_t>(LayoutKind::kTiled) == 2);
+static_assert(static_cast<std::uint32_t>(LayoutKind::kHilbert) == 3);
+static_assert(static_cast<std::uint32_t>(LayoutKind::kGMorton) == 4);
+static_assert(static_cast<std::uint32_t>(LayoutKind::kBricked) == 5);
+
 [[noreturn]] void fail(const std::string& path, const std::string& reason) {
   throw std::runtime_error("brick file \"" + path + "\": " + reason);
 }
@@ -99,9 +108,6 @@ std::vector<std::uint32_t> brick_inner_offsets(std::uint32_t edge, LayoutKind in
     case LayoutKind::kArray:
       fill(ArrayOrderLayout(cube));
       return lut;
-    case LayoutKind::kZOrder:
-      fill(ZOrderLayout(cube));
-      return lut;
     case LayoutKind::kTiled: {
       std::uint32_t tile = inner_tile == 0 ? 8 : inner_tile;
       tile = std::min(std::bit_floor(tile), edge);
@@ -111,10 +117,13 @@ std::vector<std::uint32_t> brick_inner_offsets(std::uint32_t edge, LayoutKind in
     case LayoutKind::kHilbert:
       fill(HilbertLayout(cube));
       return lut;
+    case LayoutKind::kZOrder:
     case LayoutKind::kGMorton: {
-      const InterleavePattern pattern = interleave.empty()
-                                            ? InterleavePattern::canonical(cube)
-                                            : InterleavePattern(interleave, cube);
+      // Z-order is the canonical pattern; only gmorton reads the interleave.
+      const InterleavePattern pattern =
+          inner_kind == LayoutKind::kZOrder || interleave.empty()
+              ? InterleavePattern::canonical(cube)
+              : InterleavePattern(interleave, cube);
       fill(GeneralizedMortonLayout(cube, pattern));
       return lut;
     }

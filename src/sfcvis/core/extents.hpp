@@ -43,6 +43,12 @@ struct Extents3D {
   }
 };
 
+/// Integer coordinate triple, e.g. recovered from a curve index by decode.
+struct Coord3D {
+  std::uint32_t i = 0, j = 0, k = 0;
+  friend constexpr bool operator==(const Coord3D&, const Coord3D&) = default;
+};
+
 /// Smallest power of two >= v (v = 0 maps to 1).
 [[nodiscard]] constexpr std::uint32_t next_pow2(std::uint32_t v) noexcept {
   return v <= 1 ? 1u : std::bit_ceil(v);

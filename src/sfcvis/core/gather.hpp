@@ -7,17 +7,21 @@
 // iterating the scratch with unit stride. The gather itself is the only
 // place that pays layout cost, so it is specialized per layout:
 //
-//  * generic         — one layout.index() per element (tiled, Hilbert, …).
-//  * ArrayOrderLayout— x rows are a single memcpy; y/z rows are fixed-stride
-//                      walks (the stride is hoisted out of the loop).
-//  * ZOrderLayout    — incremental Morton stepping (core/morton.hpp masked
-//                      ripple-add; Holzmüller, arXiv:1710.06384) on cubic
-//                      curves, per-axis table stepping on anisotropic ones.
-//                      Either way the walk detects maximal contiguous index
-//                      runs and flushes each with one memcpy, so a row load
-//                      becomes a handful of run copies instead of per-voxel
-//                      table lookups (the same contiguity zorder_blocks_
-//                      contiguous exploits at block granularity).
+//  * generic                 — one layout.index() per element (tiled,
+//                              Hilbert, …).
+//  * ArrayOrderLayout        — x rows are a single memcpy; y/z rows are
+//                              fixed-stride walks (the stride is hoisted out
+//                              of the loop).
+//  * GeneralizedMortonLayout — incremental masked ripple-add stepping
+//                              (GMortonTables::inc_axis; Holzmüller,
+//                              arXiv:1710.06384) on any interleave pattern,
+//                              the canonical Z curve included. The walk
+//                              detects maximal contiguous index runs and
+//                              flushes each with one memcpy, so a row load
+//                              becomes a handful of run copies instead of
+//                              per-voxel table lookups (the same contiguity
+//                              GMortonTables::blocks_contiguous exploits at
+//                              block granularity).
 //
 // Precondition for all overloads: the whole row [start, start + n) lies
 // inside the grid's logical extents.
@@ -31,7 +35,6 @@
 
 #include "sfcvis/core/gmorton.hpp"
 #include "sfcvis/core/grid.hpp"
-#include "sfcvis/core/morton.hpp"
 
 namespace sfcvis::core {
 
@@ -81,7 +84,7 @@ inline void copy_run(const T* src, T* out, std::uint32_t run) {
   std::memcpy(out, src, run * sizeof(T));
 }
 
-/// Walks `n` voxels from Morton index `m`, advancing with `step`, and
+/// Walks `n` voxels from curve index `m`, advancing with `step`, and
 /// flushes every maximal contiguous index run with one copy.
 template <class T, class StepFn>
 void gather_morton_runs(const T* data, std::uint64_t m, std::uint32_t n, T* out,
@@ -161,58 +164,10 @@ void gather_row(const Grid3D<T, ArrayOrderLayout>& g, Axis3 axis, std::uint32_t 
   }
 }
 
-/// Z-order gather: incremental Morton/table stepping with contiguous-run
-/// memcpy. On the (common) cubic padded curve the per-voxel step is pure
-/// bit arithmetic; anisotropic curves step the per-axis deposit table.
-template <class T>
-void gather_row(const Grid3D<T, ZOrderLayout>& g, Axis3 axis, std::uint32_t i,
-                std::uint32_t j, std::uint32_t k, std::uint32_t n, T* out,
-                GatherRunStats* rs = nullptr) {
-  const ZOrderTables& tables = g.layout().tables();
-  const T* data = g.data();
-  const Extents3D& padded = tables.padded();
-  if (padded.nx == padded.ny && padded.ny == padded.nz) {
-    // Cubic padded curve == plain Morton: O(1) neighbour steps, no loads.
-    const std::uint64_t m = morton_encode_3d(i, j, k);
-    switch (axis) {
-      case Axis3::kX:
-        detail::gather_morton_runs(
-            data, m, n, out, [](std::uint64_t z) { return morton_inc_x(z); }, rs);
-        return;
-      case Axis3::kY:
-        detail::gather_morton_runs(
-            data, m, n, out, [](std::uint64_t z) { return morton_inc_y(z); }, rs);
-        return;
-      case Axis3::kZ:
-        detail::gather_morton_runs(
-            data, m, n, out, [](std::uint64_t z) { return morton_inc_z(z); }, rs);
-        return;
-    }
-  }
-  // Anisotropic table curve: fix the two off-axis summands, step one table.
-  const auto ax = static_cast<unsigned>(axis);
-  const std::uint32_t c0 = axis == Axis3::kX ? i : axis == Axis3::kY ? j : k;
-  const std::uint64_t base = tables.index(i, j, k) - tables.axis_entry(ax, c0);
-  std::uint32_t l = 0;
-  while (l < n) {
-    const std::uint64_t begin = base + tables.axis_entry(ax, c0 + l);
-    std::uint32_t run = 1;
-    while (l + run < n &&
-           tables.axis_entry(ax, c0 + l + run) == tables.axis_entry(ax, c0 + l) + run) {
-      ++run;
-    }
-    detail::copy_run(data + begin, out + l, run);
-    if (rs != nullptr) {
-      rs->note(run);
-    }
-    l += run;
-  }
-}
-
 /// Generalized-Morton gather: the masked ripple-add neighbour step works
 /// for every interleave pattern (each axis's bit-planes sit in increasing
-/// output position), so any family member gets the same incremental
-/// run-detecting walk as the canonical Z curve — no per-voxel table loads.
+/// output position), so every family member, Z-order included, gets the
+/// same incremental run-detecting walk — no per-voxel table loads.
 template <class T>
 void gather_row(const Grid3D<T, GeneralizedMortonLayout>& g, Axis3 axis, std::uint32_t i,
                 std::uint32_t j, std::uint32_t k, std::uint32_t n, T* out,

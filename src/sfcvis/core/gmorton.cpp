@@ -63,9 +63,13 @@ InterleavePattern InterleavePattern::canonical(const Extents3D& extents) {
   validate_extents(extents);
   const Extents3D p = padded_pow2(extents);
   const unsigned bits[3] = {log2_pow2(p.nx), log2_pow2(p.ny), log2_pow2(p.nz)};
-  // Same assignment as ZOrderTables: round-robin x, y, z per bit-plane
-  // while an axis still has bits left, LSB upward — built here as the
-  // LSB-first character sequence and then reversed into MSB-first form.
+  // Walk the bit-planes from least significant upward; at each plane the
+  // axes that still have bits left claim consecutive output slots in x, y,
+  // z order. For cubic power-of-two extents this is classic Morton
+  // interleaving; for anisotropic extents the surplus high bits of the
+  // larger axes end up contiguous at the top, keeping the index space
+  // exactly px*py*pz. Built as the LSB-first character sequence, then
+  // reversed into MSB-first form.
   std::string lsb_first;
   const unsigned max_bits = std::max(bits[0], std::max(bits[1], bits[2]));
   for (unsigned plane = 0; plane < max_bits; ++plane) {
@@ -118,6 +122,7 @@ GMortonTables::GMortonTables(const Extents3D& logical, const InterleavePattern& 
   if (padded_pow2(logical) != pattern.padded()) {
     throw std::invalid_argument("GMortonTables: pattern was built for different extents");
   }
+  canonical_ = pattern == InterleavePattern::canonical(logical);
   capacity_ = pattern.padded().size();
 
   auto build = [this](unsigned axis, std::uint32_t n) {
@@ -141,6 +146,20 @@ GMortonTables::GMortonTables(const Extents3D& logical, const InterleavePattern& 
       mask_[axis] |= std::uint64_t{1} << pattern_.bit_position(axis, plane);
     }
   }
+}
+
+bool GMortonTables::blocks_contiguous(unsigned block_log2) const noexcept {
+  for (unsigned axis = 0; axis < 3; ++axis) {
+    if (pattern_.axis_bits(axis) < block_log2) {
+      return false;
+    }
+    for (unsigned plane = 0; plane < block_log2; ++plane) {
+      if (pattern_.bit_position(axis, plane) >= 3 * block_log2) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 Coord3D GMortonTables::decode(std::size_t index) const noexcept {

@@ -1,12 +1,15 @@
 // Generalized Morton layouts: arbitrary per-axis bit-interleave patterns.
 //
-// A canonical Z-order index interleaves the coordinate bits round-robin
-// (x0 y0 z0 x1 y1 z1 ...). Swatman et al. (arXiv:2309.07002) observe that
-// this is one point in a much larger family: ANY assignment of the padded
-// extents' coordinate bit-planes to output bit positions yields a valid
-// bijective layout, and which member of the family is fastest depends on
-// the kernel's access pattern, the volume shape, and the machine. This
-// header provides that family:
+// The paper's Z-order index (Sec. III-C, after Pascucci & Frank 2001)
+// interleaves the coordinate bits round-robin (x0 y0 z0 x1 y1 z1 ...) and
+// serves each access from three per-axis tables. Swatman et al.
+// (arXiv:2309.07002) observe that this is one point in a much larger
+// family: ANY assignment of the padded extents' coordinate bit-planes to
+// output bit positions yields a valid bijective layout, and which member
+// of the family is fastest depends on the kernel's access pattern, the
+// volume shape, and the machine. This header provides that family, and
+// with it the paper's layout: LayoutKind::kZOrder is the canonical
+// pattern below.
 //
 //  * InterleavePattern — a validated interleave string such as
 //    "zyxzyxzzyyxx". The string is read most-significant-bit first
@@ -17,11 +20,11 @@
 //    degenerate points the generators below produce (pinned by
 //    tests/test_gmorton.cpp).
 //  * GeneralizedMortonLayout — the Layout3D policy: per-axis deposit
-//    tables exactly like zorder_tables.hpp (index = xtab[i] + ytab[j] +
-//    ztab[k], three loads and two adds regardless of the pattern — the
-//    paper's equal-footing property holds for every family member), plus
-//    per-axis bit masks so neighbour stepping reuses the masked
-//    ripple-add idiom of core/morton.hpp on arbitrary patterns.
+//    tables (index = xtab[i] + ytab[j] + ztab[k], three loads and two adds
+//    regardless of the pattern — the paper's equal-footing property holds
+//    for every family member), plus per-axis bit masks so neighbour
+//    stepping reuses the masked ripple-add idiom of core/morton.hpp on
+//    arbitrary patterns (Holzmüller, arXiv:1710.06384).
 //
 // tools/layout_tuner searches this family per (kernel, shape, machine);
 // exec::LayoutRegistry persists the winners.
@@ -34,7 +37,6 @@
 #include <vector>
 
 #include "sfcvis/core/extents.hpp"
-#include "sfcvis/core/zorder_tables.hpp"
 
 namespace sfcvis::core {
 
@@ -54,9 +56,10 @@ class InterleavePattern {
   /// expected per-axis counts otherwise.
   InterleavePattern(std::string_view pattern, const Extents3D& extents);
 
-  /// Canonical Z-order member: round-robin x, y, z from the least
-  /// significant bit while an axis still has bits left — bit-identical to
-  /// ZOrderTables (zorder_tables.cpp uses the same assignment).
+  /// Canonical member — the paper's Z-order: round-robin x, y, z from the
+  /// least significant bit-plane up while an axis still has bits left, so
+  /// anisotropic extents concatenate the surplus high bits of the larger
+  /// axes and the index space is exactly the padded volume.
   [[nodiscard]] static InterleavePattern canonical(const Extents3D& extents);
 
   /// Row-major member: all x bits lowest, then y, then z — array order
@@ -114,9 +117,9 @@ class InterleavePattern {
   return h;
 }
 
-/// Precomputed per-axis deposit tables for one interleave pattern —
-/// the generalized twin of ZOrderTables (same index arithmetic, arbitrary
-/// bit placement) plus the per-axis masks neighbour stepping needs.
+/// Precomputed per-axis deposit tables for one interleave pattern: entry c
+/// of an axis table holds coordinate c's bits already deposited at their
+/// output positions, plus the per-axis masks neighbour stepping needs.
 class GMortonTables {
  public:
   GMortonTables() = default;
@@ -134,8 +137,21 @@ class GMortonTables {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const InterleavePattern& pattern() const noexcept { return pattern_; }
 
+  /// True when the pattern is the canonical one for its extents, i.e. the
+  /// tables are the paper's Z-order (recorded once, at construction).
+  [[nodiscard]] bool canonical() const noexcept { return canonical_; }
+
   /// Inverse mapping: recovers (i, j, k) from a linear index.
   [[nodiscard]] Coord3D decode(std::size_t index) const noexcept;
+
+  /// True when every 2^block_log2-aligned cube block occupies one
+  /// contiguous index range: the low 3*block_log2 output bits hold exactly
+  /// the low block_log2 bit-planes of each axis. The canonical pattern
+  /// passes whenever every padded axis is at least 2^block_log2 wide. When
+  /// true, the block with origin (i0, j0, k0) spans [index(i0, j0, k0),
+  /// +2^(3*block_log2)) — a linear scan of the grid's storage, which is
+  /// how layout-aware block summaries (render/macrocell.hpp) are built.
+  [[nodiscard]] bool blocks_contiguous(unsigned block_log2) const noexcept;
 
   /// Deposited bit pattern of coordinate `c` on `axis` (0 = x) — the
   /// per-axis summand of index(), for row walks that hold the other two
@@ -187,21 +203,23 @@ class GMortonTables {
 
  private:
   InterleavePattern pattern_;
+  bool canonical_ = false;
   std::size_t capacity_ = 0;
   std::uint64_t mask_[3] = {0, 0, 0};
   std::vector<std::uint64_t> xtab_, ytab_, ztab_;
 };
 
-/// Generalized-Morton layout policy: any interleave pattern, served by the
-/// same three-loads-two-adds arithmetic as the fixed layouts. Tables are
-/// shared_ptr-held so layout objects are cheap to copy into per-thread
-/// kernel state (same discipline as ZOrderLayout).
+/// Generalized-Morton layout policy: any interleave pattern, served by three
+/// table loads and two adds whatever the pattern. Each axis is padded to a
+/// power of two (paper Sec. V limitation); required_capacity() reflects the
+/// padding. Tables are shared_ptr-held so layout objects are cheap to copy
+/// into per-thread kernel state.
 class GeneralizedMortonLayout {
  public:
   GeneralizedMortonLayout() = default;
 
-  /// Canonical-pattern member (degenerate Z-order): what extents-only
-  /// construction (conversion helpers, default make_volume) yields.
+  /// Canonical-pattern member — the paper's Z-order: what extents-only
+  /// construction (conversion helpers, make_volume(kZOrder)) yields.
   explicit GeneralizedMortonLayout(const Extents3D& e)
       : GeneralizedMortonLayout(e, InterleavePattern::canonical(e)) {}
 
@@ -230,6 +248,8 @@ class GeneralizedMortonLayout {
   [[nodiscard]] const InterleavePattern& pattern() const noexcept {
     return tables_->pattern();
   }
+  /// True for the canonical pattern, i.e. the paper's Z-order.
+  [[nodiscard]] bool canonical() const noexcept { return tables_ && tables_->canonical(); }
 
  private:
   Extents3D extents_{};

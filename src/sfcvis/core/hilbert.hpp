@@ -8,7 +8,7 @@
 
 #include <cstdint>
 
-#include "sfcvis/core/zorder_tables.hpp"  // Coord3D
+#include "sfcvis/core/extents.hpp"  // Coord3D
 
 namespace sfcvis::core {
 

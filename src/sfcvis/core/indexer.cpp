@@ -20,7 +20,7 @@ Indexer::Indexer(Order order, const Extents3D& extents)
       ztab_[k] = static_cast<std::size_t>(k) * extents.nx * extents.ny;
     }
   } else {
-    const ZOrderTables tables(extents);
+    const GMortonTables tables(extents, InterleavePattern::canonical(extents));
     capacity_ = tables.capacity();
     xtab_.resize(extents.nx);
     ytab_.resize(extents.ny);

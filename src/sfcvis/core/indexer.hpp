@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "sfcvis/core/extents.hpp"
-#include "sfcvis/core/zorder_tables.hpp"
+#include "sfcvis/core/gmorton.hpp"
 
 namespace sfcvis::core {
 

@@ -6,24 +6,25 @@
 // concept below, and kernels are templated on the policy (or use the
 // runtime Indexer facade in indexer.hpp).
 //
-//  * ArrayOrderLayout — classic row-major: the control.
-//  * ZOrderLayout     — Morton/Z space-filling curve: the paper's subject.
-//  * TiledLayout      — blocked/tiled layout: the blocking baseline
-//                       (Pascucci & Frank's "3D blocking" comparator).
-//  * HilbertLayout    — Hilbert space-filling curve: SFC baseline with
-//                       better locality but costlier indexing
-//                       (Reissmann et al. 2014).
+//  * ArrayOrderLayout        — classic row-major: the unpadded control.
+//  * GeneralizedMortonLayout — any per-axis bit interleave (core/gmorton.hpp);
+//                              its canonical pattern is the Morton/Z curve,
+//                              the paper's subject.
+//  * TiledLayout             — blocked/tiled layout: the blocking baseline
+//                              (Pascucci & Frank's "3D blocking" comparator).
+//  * HilbertLayout           — Hilbert space-filling curve: SFC baseline with
+//                              better locality but costlier indexing
+//                              (Reissmann et al. 2014).
 #pragma once
 
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 
 #include "sfcvis/core/extents.hpp"
+#include "sfcvis/core/gmorton.hpp"
 #include "sfcvis/core/hilbert.hpp"
-#include "sfcvis/core/zorder_tables.hpp"
 
 namespace sfcvis::core {
 
@@ -59,43 +60,6 @@ class ArrayOrderLayout {
 
  private:
   Extents3D extents_{};
-};
-
-// ---------------------------------------------------------------------------
-// Z order (Morton)
-// ---------------------------------------------------------------------------
-
-/// Z-order (Morton) layout via the per-axis tables of zorder_tables.hpp.
-/// Non-power-of-two extents are padded per axis (paper Sec. V limitation);
-/// required_capacity() reflects the padding.
-///
-/// The tables are shared_ptr-held so layout objects are cheap to copy into
-/// per-thread kernel state.
-class ZOrderLayout {
- public:
-  ZOrderLayout() = default;
-  explicit ZOrderLayout(const Extents3D& e)
-      : extents_(e), tables_(std::make_shared<ZOrderTables>(e)) {}
-
-  [[nodiscard]] std::size_t index(std::uint32_t i, std::uint32_t j,
-                                  std::uint32_t k) const noexcept {
-    return tables_->index(i, j, k);
-  }
-
-  [[nodiscard]] const Extents3D& extents() const noexcept { return extents_; }
-  [[nodiscard]] std::size_t required_capacity() const noexcept {
-    return tables_ ? tables_->capacity() : 0;
-  }
-  [[nodiscard]] static constexpr std::string_view name() noexcept { return "z-order"; }
-
-  /// Inverse mapping (used by conversion and the layout explorer example).
-  [[nodiscard]] Coord3D decode(std::size_t idx) const noexcept { return tables_->decode(idx); }
-
-  [[nodiscard]] const ZOrderTables& tables() const noexcept { return *tables_; }
-
- private:
-  Extents3D extents_{};
-  std::shared_ptr<const ZOrderTables> tables_;
 };
 
 // ---------------------------------------------------------------------------
@@ -191,7 +155,7 @@ class HilbertLayout {
 };
 
 static_assert(Layout3D<ArrayOrderLayout>);
-static_assert(Layout3D<ZOrderLayout>);
+static_assert(Layout3D<GeneralizedMortonLayout>);
 static_assert(Layout3D<TiledLayout>);
 static_assert(Layout3D<HilbertLayout>);
 

@@ -10,10 +10,11 @@
 
 namespace sfcvis::core {
 
-/// The storage layouts under study, as a runtime tag.
+/// The storage layouts under study, as a runtime tag. The numeric values
+/// are stored in SFCBRK01 brick-file headers (pinned in brick_file.cpp).
 enum class LayoutKind : std::uint8_t {
   kArray = 0,  ///< row-major array order (the baseline)
-  kZOrder,     ///< Morton / Z-order curve (the paper's layout)
+  kZOrder,     ///< Morton / Z-order curve (the paper's layout): canonical gmorton pattern
   kTiled,      ///< pow2-block tiling (the classic bricking alternative)
   kHilbert,    ///< Hilbert curve (related-work SFC variant)
   kGMorton,    ///< generalized Morton: arbitrary interleave pattern (tuner family)
@@ -29,7 +30,8 @@ inline constexpr LayoutKind kAllLayoutKinds[] = {LayoutKind::kArray, LayoutKind:
                                                  LayoutKind::kGMorton};
 
 /// Stable lowercase name ("array-order", "z-order", "tiled", "hilbert",
-/// "gmorton", "bricked") — matches the static Layout3D::name() strings.
+/// "gmorton", "bricked") — matches the static Layout3D::name() strings;
+/// "z-order" names the canonical GeneralizedMortonLayout.
 [[nodiscard]] const char* to_string(LayoutKind kind) noexcept;
 
 }  // namespace sfcvis::core

@@ -20,22 +20,8 @@ struct Lut3D {
   }
 };
 
-struct Lut2D {
-  std::array<std::uint32_t, 256> spread{};  // byte -> bits at stride 2 (16 bits)
-  Lut2D() {
-    for (unsigned b = 0; b < 256; ++b) {
-      spread[b] = static_cast<std::uint32_t>(part_bits_2(b));
-    }
-  }
-};
-
 const Lut3D& lut3d() {
   static const Lut3D t;
-  return t;
-}
-
-const Lut2D& lut2d() {
-  static const Lut2D t;
   return t;
 }
 
@@ -66,17 +52,6 @@ MortonCoord3D morton_decode_3d_lut(std::uint64_t m) noexcept {
     c.z |= static_cast<std::uint32_t>(t[chunk >> 2]) << (round * 3);
   }
   return c;
-}
-
-std::uint64_t morton_encode_2d_lut(std::uint32_t x, std::uint32_t y) noexcept {
-  const auto& t = lut2d().spread;
-  auto spread = [&t](std::uint32_t v) {
-    return static_cast<std::uint64_t>(t[v & 0xff]) |
-           (static_cast<std::uint64_t>(t[(v >> 8) & 0xff]) << 16) |
-           (static_cast<std::uint64_t>(t[(v >> 16) & 0xff]) << 32) |
-           (static_cast<std::uint64_t>(t[(v >> 24) & 0xff]) << 48);
-  };
-  return spread(x) | (spread(y) << 1);
 }
 
 }  // namespace sfcvis::core

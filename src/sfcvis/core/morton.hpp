@@ -1,4 +1,4 @@
-// Morton (Z-order) encoding and decoding for 2D and 3D coordinates.
+// Morton (Z-order) encoding and decoding for 3D coordinates.
 //
 // The Z-order curve maps a d-dimensional coordinate to a 1-D index by
 // interleaving the bits of each coordinate component.  Points that are close
@@ -16,7 +16,8 @@
 //
 // The per-axis table scheme used by layouts (one table per axis holding the
 // pre-interleaved bit pattern of every possible coordinate value, after
-// Pascucci & Frank 2001) lives in zorder_tables.hpp / layout.hpp.
+// Pascucci & Frank 2001) lives in gmorton.hpp, whose canonical pattern is
+// this curve.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +30,6 @@ namespace sfcvis::core {
 
 /// Maximum bits per axis representable in a 64-bit 3D Morton index.
 inline constexpr unsigned kMortonMaxBits3D = 21;
-/// Maximum bits per axis representable in a 64-bit 2D Morton index.
-inline constexpr unsigned kMortonMaxBits2D = 32;
 
 // ---------------------------------------------------------------------------
 // Magic-bits codecs
@@ -58,28 +57,6 @@ inline constexpr unsigned kMortonMaxBits2D = 32;
   return v;
 }
 
-/// Spreads the low 32 bits of `v` so bit i moves to bit 2*i.
-[[nodiscard]] constexpr std::uint64_t part_bits_2(std::uint64_t v) noexcept {
-  v &= 0xffffffffULL;
-  v = (v | (v << 16)) & 0x0000ffff0000ffffULL;
-  v = (v | (v << 8)) & 0x00ff00ff00ff00ffULL;
-  v = (v | (v << 4)) & 0x0f0f0f0f0f0f0f0fULL;
-  v = (v | (v << 2)) & 0x3333333333333333ULL;
-  v = (v | (v << 1)) & 0x5555555555555555ULL;
-  return v;
-}
-
-/// Inverse of part_bits_2: gathers every second bit back into the low 32 bits.
-[[nodiscard]] constexpr std::uint64_t compact_bits_2(std::uint64_t v) noexcept {
-  v &= 0x5555555555555555ULL;
-  v = (v ^ (v >> 1)) & 0x3333333333333333ULL;
-  v = (v ^ (v >> 2)) & 0x0f0f0f0f0f0f0f0fULL;
-  v = (v ^ (v >> 4)) & 0x00ff00ff00ff00ffULL;
-  v = (v ^ (v >> 8)) & 0x0000ffff0000ffffULL;
-  v = (v ^ (v >> 16)) & 0x00000000ffffffffULL;
-  return v;
-}
-
 /// Encodes (x, y, z) into a 3D Morton index; x occupies the least
 /// significant interleave slot (bit 0), matching the z-major curve the
 /// layouts use. Coordinates above 21 bits are truncated.
@@ -104,25 +81,6 @@ struct MortonCoord3D {
                        static_cast<std::uint32_t>(compact_bits_3(m >> 2))};
 }
 
-/// Encodes (x, y) into a 2D Morton index; x occupies bit 0.
-[[nodiscard]] constexpr std::uint64_t morton_encode_2d(std::uint32_t x,
-                                                       std::uint32_t y) noexcept {
-  return part_bits_2(x) | (part_bits_2(y) << 1);
-}
-
-/// Decoded 2D coordinate pair.
-struct MortonCoord2D {
-  std::uint32_t x = 0;
-  std::uint32_t y = 0;
-  friend constexpr bool operator==(const MortonCoord2D&, const MortonCoord2D&) = default;
-};
-
-/// Decodes a 2D Morton index back into its coordinate pair.
-[[nodiscard]] constexpr MortonCoord2D morton_decode_2d(std::uint64_t m) noexcept {
-  return MortonCoord2D{static_cast<std::uint32_t>(compact_bits_2(m)),
-                       static_cast<std::uint32_t>(compact_bits_2(m >> 1))};
-}
-
 // ---------------------------------------------------------------------------
 // Byte-LUT codecs
 // ---------------------------------------------------------------------------
@@ -135,9 +93,6 @@ struct MortonCoord2D {
 
 /// LUT-based 3D decode; identical output to morton_decode_3d.
 [[nodiscard]] MortonCoord3D morton_decode_3d_lut(std::uint64_t m) noexcept;
-
-/// LUT-based 2D encode; identical output to morton_encode_2d.
-[[nodiscard]] std::uint64_t morton_encode_2d_lut(std::uint32_t x, std::uint32_t y) noexcept;
 
 // ---------------------------------------------------------------------------
 // BMI2 codecs (compiled only when the target supports PDEP/PEXT)
@@ -165,31 +120,6 @@ struct MortonCoord2D {
                        static_cast<std::uint32_t>(_pext_u64(m, 0x4924924924924924ULL))};
 }
 #endif
-
-// ---------------------------------------------------------------------------
-// Aligned-block ranges
-// ---------------------------------------------------------------------------
-// A 2^b-aligned cube of side 2^b occupies one contiguous run of the Morton
-// curve: its low 3b index bits enumerate the block interior and the high
-// bits are fixed. This is what makes block-granular summaries (min-max
-// macrocells, per-block statistics) linear scans over a Z-order grid.
-
-/// Contiguous Morton index range of one aligned block: [base, base+length).
-struct MortonBlockRange3D {
-  std::uint64_t base = 0;
-  std::uint64_t length = 0;
-};
-
-/// Range of the aligned 2^b cube block with block coordinates (bx, by, bz)
-/// — i.e. voxels [bx*2^b, (bx+1)*2^b) per axis — on the plain (cubic)
-/// Morton curve. length is always 2^(3b).
-[[nodiscard]] constexpr MortonBlockRange3D morton_block_range_3d(std::uint32_t bx,
-                                                                 std::uint32_t by,
-                                                                 std::uint32_t bz,
-                                                                 unsigned b) noexcept {
-  return MortonBlockRange3D{morton_encode_3d(bx << b, by << b, bz << b),
-                            std::uint64_t{1} << (3 * b)};
-}
 
 // ---------------------------------------------------------------------------
 // Neighbour stepping without full decode/re-encode

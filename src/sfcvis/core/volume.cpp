@@ -1,12 +1,14 @@
 #include "sfcvis/core/volume.hpp"
 
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
 namespace sfcvis::core {
 
 const char* to_string(LayoutKind kind) noexcept {
-  // Kept in sync with each Layout::name(); static_asserts below pin them.
+  // Kept in sync with each Layout::name() (z-order is the canonical
+  // gmorton pattern); static_asserts below pin them.
   switch (kind) {
     case LayoutKind::kArray:
       return "array-order";
@@ -25,7 +27,6 @@ const char* to_string(LayoutKind kind) noexcept {
 }
 
 static_assert(ArrayOrderLayout::name() == std::string_view{"array-order"});
-static_assert(ZOrderLayout::name() == std::string_view{"z-order"});
 static_assert(TiledLayout::name() == std::string_view{"tiled"});
 static_assert(HilbertLayout::name() == std::string_view{"hilbert"});
 static_assert(GeneralizedMortonLayout::name() == std::string_view{"gmorton"});
@@ -98,7 +99,8 @@ AnyVolume make_volume(LayoutKind kind, const Extents3D& extents, const VolumeOpt
       return AnyVolume(
           ArrayVolume(ArrayOrderLayout(extents), opts.memory, opts.first_touch));
     case LayoutKind::kZOrder:
-      return AnyVolume(ZOrderVolume(ZOrderLayout(extents), opts.memory, opts.first_touch));
+      return AnyVolume(
+          GMortonVolume(GeneralizedMortonLayout(extents), opts.memory, opts.first_touch));
     case LayoutKind::kTiled:
       return AnyVolume(
           TiledVolume(TiledLayout(extents, opts.tile), opts.memory, opts.first_touch));
@@ -119,6 +121,19 @@ AnyVolume make_volume(LayoutKind kind, const Extents3D& extents, const VolumeOpt
           "core::BrickedVolume::open / exec::ExecutionContext::open_bricked");
   }
   throw std::invalid_argument("unknown LayoutKind");
+}
+
+LayoutKind AnyVolume::kind() const noexcept {
+  // One entry per Variant alternative, in order.
+  constexpr LayoutKind kByAlternative[] = {LayoutKind::kArray, LayoutKind::kTiled,
+                                           LayoutKind::kHilbert, LayoutKind::kGMorton,
+                                           LayoutKind::kBricked};
+  static_assert(std::size(kByAlternative) == std::variant_size_v<Variant>);
+  const GMortonVolume* gm = std::get_if<GMortonVolume>(&v_);
+  if (gm != nullptr && gm->layout().canonical()) {
+    return LayoutKind::kZOrder;
+  }
+  return kByAlternative[v_.index()];
 }
 
 AnyVolume AnyVolume::convert_to(LayoutKind kind, const VolumeOpts& opts) const {

@@ -1,10 +1,10 @@
-// Runtime volume facade: one value type over the five float Grid3D layout
+// Runtime volume facade: one value type over the four float Grid3D layout
 // instantiations plus the out-of-core BrickedVolume backend.
 //
 // The paper's Sec. III-C requirement is that swapping the memory layout be
 // transparent to the application. The Layout3D templates deliver that at
 // compile time; AnyVolume extends it to runtime so drivers, benches, and
-// tools can pick a layout from a flag without spelling the 5-way template
+// tools can pick a layout from a flag without spelling the 4-way template
 // cross-product. make_volume() (volume.cpp) is the ONLY place in the
 // library where the per-layout Grid3D instantiations are written out —
 // a CI grep gate (tools/check_layout_gate.sh) keeps it that way.
@@ -40,11 +40,11 @@ struct LayoutSpec {
 /// at make_volume time). Throws std::invalid_argument for unknown names.
 [[nodiscard]] LayoutSpec parse_layout_spec(std::string_view spec);
 
-/// Named aliases for the five concrete volumes. Kernel drivers spell their
+/// Named aliases for the four concrete volumes. Kernel drivers spell their
 /// array-order outputs with ArrayVolume; the per-layout spellings
 /// themselves stay confined to core/ (enforced by the CI grep gate).
+/// Z-order volumes are GMortonVolumes with the canonical pattern.
 using ArrayVolume = Grid3D<float, ArrayOrderLayout>;
-using ZOrderVolume = Grid3D<float, ZOrderLayout>;
 using TiledVolume = Grid3D<float, TiledLayout>;
 using HilbertVolume = Grid3D<float, HilbertLayout>;
 using GMortonVolume = Grid3D<float, GeneralizedMortonLayout>;
@@ -57,16 +57,14 @@ struct VolumeOpts {
   FirstTouchFn first_touch{};    ///< parallel-init hook when memory.first_touch
 };
 
-/// A float volume in any of the five in-core layouts or the out-of-core
+/// A float volume in any of the in-core layouts or the out-of-core
 /// bricked backend — std::variant underneath, so it is a value type
 /// (copy/move work; a copied bricked volume shares its cache) and visit()
 /// recovers the static type for kernels.
 class AnyVolume {
  public:
-  // Alternative order must track the LayoutKind enum: kind() is the
-  // variant index.
-  using Variant = std::variant<ArrayVolume, ZOrderVolume, TiledVolume, HilbertVolume,
-                               GMortonVolume, BrickedVolume>;
+  using Variant =
+      std::variant<ArrayVolume, TiledVolume, HilbertVolume, GMortonVolume, BrickedVolume>;
 
   AnyVolume() = default;
 
@@ -77,9 +75,10 @@ class AnyVolume {
   /// Wraps an opened out-of-core bricked volume.
   AnyVolume(BrickedVolume bricked) : v_(std::move(bricked)) {}  // NOLINT(google-explicit-constructor)
 
-  [[nodiscard]] LayoutKind kind() const noexcept {
-    return static_cast<LayoutKind>(v_.index());
-  }
+  /// The held layout kind. A generalized-Morton volume reports kZOrder
+  /// when its pattern is the canonical one for its extents, kGMorton
+  /// otherwise.
+  [[nodiscard]] LayoutKind kind() const noexcept;
 
   /// Layout name of the held grid (same strings as to_string(kind())).
   [[nodiscard]] const char* layout_name() const noexcept { return to_string(kind()); }
@@ -159,8 +158,9 @@ class AnyVolume {
 };
 
 /// Allocates a zeroed volume of the given layout kind — the single place
-/// the five Grid3D instantiations are spelled. For kGMorton,
-/// opts.interleave selects the pattern (empty = canonical Z-equivalent).
+/// the four Grid3D instantiations are spelled. kZOrder is the canonical
+/// generalized-Morton pattern; for kGMorton, opts.interleave selects the
+/// pattern (empty = canonical, i.e. the same mapping as kZOrder).
 /// kBricked throws std::invalid_argument: a bricked volume is opened from
 /// a packed file (pack_brick_file + BrickedVolume::open), never allocated.
 [[nodiscard]] AnyVolume make_volume(LayoutKind kind, const Extents3D& extents,

@@ -31,7 +31,6 @@
 #include "sfcvis/core/simd.hpp"
 #include "sfcvis/core/traced_view.hpp"
 #include "sfcvis/core/volume.hpp"
-#include "sfcvis/core/zquery.hpp"
 #include "sfcvis/exec/execution_context.hpp"
 #include "sfcvis/filters/fastmath.hpp"
 #include "sfcvis/filters/kernels_common.hpp"
@@ -626,22 +625,11 @@ template <class Views = core::ReadViews>
 namespace detail {
 
 /// Invokes fn(i, j, k) for every logical voxel of `e` whose padded-curve
-/// index lies in [begin, end), in curve (storage) order. `cubic` selects
-/// the branch-free magic-bits decode, valid whenever the padded curve is
-/// plain Morton (all padded axes equal); otherwise the anisotropic table
-/// curve decodes through `tables`.
+/// index lies in [begin, end), in curve (storage) order, decoding through
+/// the canonical (Z-order) `tables`.
 template <class Fn>
-void zsweep_range(const core::ZOrderTables& tables, const core::Extents3D& e,
-                  bool cubic, std::size_t begin, std::size_t end, Fn&& fn) {
-  if (cubic) {
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      const core::MortonCoord3D c = core::morton_decode_3d(idx);
-      if (e.contains(c.x, c.y, c.z)) {
-        fn(c.x, c.y, c.z);
-      }
-    }
-    return;
-  }
+void zsweep_range(const core::GMortonTables& tables, const core::Extents3D& e,
+                  std::size_t begin, std::size_t end, Fn&& fn) {
   for (std::size_t idx = begin; idx < end; ++idx) {
     const core::Coord3D c = tables.decode(idx);
     if (e.contains(c.i, c.j, c.k)) {
@@ -678,9 +666,8 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
   // *logical* voxels per chunk stays at roughly size / (threads *
   // chunks_per_thread) even when much of the padded curve is holes —
   // 48^3 pads to 64^3: 58% padding).
-  auto tables = std::make_shared<const core::ZOrderTables>(e);
-  const bool cubic = tables->padded().nx == tables->padded().ny &&
-                     tables->padded().ny == tables->padded().nz;
+  auto tables = std::make_shared<const core::GMortonTables>(
+      e, core::InterleavePattern::canonical(e));
   const std::size_t cap = tables->capacity();
   const std::size_t num_chunks = ctx.curve_chunks(e.size(), cap);
   const std::size_t chunk_len = (cap + num_chunks - 1) / num_chunks;
@@ -691,12 +678,12 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
   return detail::make_state_job(
       "bilateral.zsweep", num_chunks, dst.data(),
       [src_p, views](unsigned tid) { return views(*src_p, tid); },
-      [dst_p, weights, tables, params, e, cubic, cap, chunk_len](
+      [dst_p, weights, tables, params, e, cap, chunk_len](
           const auto& view, std::size_t chunk, unsigned) {
         SFCVIS_TRACE_SPAN("bilateral.zsweep.chunk", nullptr, chunk);
         const std::size_t begin = chunk * chunk_len;
         const std::size_t end = std::min(cap, begin + chunk_len);
-        detail::zsweep_range(*tables, e, cubic, std::min(begin, end), end,
+        detail::zsweep_range(*tables, e, std::min(begin, end), end,
                              [&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
                                dst_p->at(i, j, k) =
                                    bilateral_voxel(view, i, j, k, *weights,

@@ -9,9 +9,11 @@
 // on mostly-transparent data is exactly those wasted taps.
 //
 // The build is layout-aware, which is the Z-order payoff this subsystem
-// showcases: for a ZOrderLayout volume with B = 2^b (and every padded axis
-// >= B), each macrocell's core block is one *contiguous* run of storage
-// (core::zorder_blocks_contiguous), so the bulk of the build is a linear
+// showcases: for a GeneralizedMortonLayout volume with B = 2^b whose low 3b
+// index bits hold the low b bit-planes of each axis — Z-order whenever every
+// padded axis is >= B, and any tuned pattern that keeps those planes at the
+// bottom — each macrocell's core block is one *contiguous* run of storage
+// (GMortonTables::blocks_contiguous), so the bulk of the build is a linear
 // scan — the cache-friendliest sweep the layout admits. Array-order (and
 // any other layout) builds through a blocked triple loop instead. Both
 // paths produce identical grids; cells are independent, so the build
@@ -36,7 +38,6 @@
 
 #include "sfcvis/core/grid.hpp"
 #include "sfcvis/core/volume.hpp"
-#include "sfcvis/core/zquery.hpp"
 #include "sfcvis/exec/execution_context.hpp"
 #include "sfcvis/render/vec.hpp"
 #include "sfcvis/trace/trace.hpp"
@@ -184,15 +185,14 @@ void MacrocellGrid::compute_cell(const VolT& volume, const ViewT& view, std::uin
   // Layout-aware fast path only exists for in-core grids (out-of-core
   // backends have no layout()/contiguous storage to scan linearly).
   if constexpr (requires { typename VolT::layout_type; }) {
-    if constexpr (std::is_same_v<typename VolT::layout_type, core::ZOrderLayout>) {
+    if constexpr (std::is_same_v<typename VolT::layout_type, core::GeneralizedMortonLayout>) {
       // Layout-aware path: a 2^b-aligned block that lies fully inside the
       // logical extents is one contiguous run of storage — scan it linearly
       // and sweep only the one-voxel footprint shell through the indexer.
       const std::int64_t cx0 = c.i * b, cy0 = c.j * b, cz0 = c.k * b;
       const std::int64_t cx1 = cx0 + b - 1, cy1 = cy0 + b - 1, cz1 = cz0 + b - 1;
       if (std::has_single_bit(block) && cx1 < e.nx && cy1 < e.ny && cz1 < e.nz &&
-          core::zorder_blocks_contiguous(volume.layout().tables(),
-                                         core::log2_pow2(block))) {
+          volume.layout().tables().blocks_contiguous(core::log2_pow2(block))) {
         const std::size_t base = volume.layout().index(static_cast<std::uint32_t>(cx0),
                                                        static_cast<std::uint32_t>(cy0),
                                                        static_cast<std::uint32_t>(cz0));

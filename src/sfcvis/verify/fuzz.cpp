@@ -32,7 +32,6 @@ using core::ArrayOrderLayout;
 using core::Extents3D;
 using core::Grid3D;
 using core::LayoutKind;
-using core::ZOrderLayout;
 using ArrayGrid = core::ArrayVolume;
 
 void record(FuzzSummary& summary, DiffReport report) {
@@ -137,16 +136,6 @@ struct VolumeSet {
   AnyVolume bricked;
 };
 
-/// A uniformly random valid interleave string for `e`: Fisher-Yates over the
-/// canonical multiset, so per-axis bit counts are preserved by construction.
-std::string random_interleave(const Extents3D& e, SplitMix64& rng) {
-  std::string s = core::InterleavePattern::canonical(e).str();
-  for (std::size_t i = s.size(); i > 1; --i) {
-    std::swap(s[i - 1], s[rng.below(i)]);
-  }
-  return s;
-}
-
 /// Packs `src` to a temporary brick file with randomized geometry and
 /// re-opens it. The temp file is removed right after open — on POSIX the
 /// open descriptor / mapping keeps the payload readable, so no case leaves
@@ -220,7 +209,7 @@ VolumeSet make_volumes(const Extents3D& e, std::uint64_t content_seed, unsigned 
 /// Checks a few random gather_row calls (random axis, start, length —
 /// including starts inside blocks and runs crossing block boundaries)
 /// against a plain at() walk. This is the primitive the sliding-window
-/// bilateral path trusts; the ZOrderLayout overload walks the curve
+/// bilateral path trusts; the GeneralizedMortonLayout overload walks the curve
 /// incrementally, so misbehaviour shows up here before it smears into a
 /// whole filtered volume.
 template <core::VolumeBackend VolT>
@@ -538,6 +527,14 @@ void fuzz_raycast(FuzzSummary& summary, const VolumeSet& vols, SplitMix64& rng,
 
 }  // namespace
 
+std::string random_interleave(const Extents3D& e, SplitMix64& rng) {
+  std::string s = core::InterleavePattern::canonical(e).str();
+  for (std::size_t i = s.size(); i > 1; --i) {
+    std::swap(s[i - 1], s[rng.below(i)]);
+  }
+  return s;
+}
+
 // ---------------------------------------------------------------------------
 // Drivers
 // ---------------------------------------------------------------------------
@@ -664,7 +661,7 @@ FuzzSummary run_metamorphic_case(std::uint64_t seed, const FuzzOptions& opts) {
   cfg.macrocell_size = rng.chance(50) ? 4u : 8u;
   cfg.packet_size = rng.chance(50) ? (rng.chance(50) ? 4u : 8u) : 1u;
   desc << " packet=" << cfg.packet_size;
-  const auto zvolume = core::convert_layout<ZOrderLayout>(volume);
+  const auto zvolume = core::convert_layout<core::GeneralizedMortonLayout>(volume);
   for (unsigned vp = 0; vp < 8; ++vp) {
     const render::Camera camera = render::orbit_camera(
         vp, 8, static_cast<float>(e.nx), static_cast<float>(e.ny), static_cast<float>(e.nz));

@@ -34,6 +34,7 @@
 
 #include "sfcvis/core/extents.hpp"
 #include "sfcvis/verify/diff.hpp"
+#include "sfcvis/verify/rng.hpp"
 
 namespace sfcvis::verify {
 
@@ -55,6 +56,11 @@ struct FuzzSummary {
 
   [[nodiscard]] bool ok() const noexcept { return failures.empty(); }
 };
+
+/// A uniformly random valid interleave string for `e`: Fisher-Yates over the
+/// canonical multiset, so per-axis bit counts are preserved by construction.
+/// The fuzzer draws every case's gmorton pattern with it.
+[[nodiscard]] std::string random_interleave(const core::Extents3D& e, SplitMix64& rng);
 
 /// Runs one differential fuzz case: kernels x layouts x modes on a
 /// seed-generated volume.

@@ -24,8 +24,8 @@ namespace threads = sfcvis::threads;
 
 using core::ArrayOrderLayout;
 using core::Extents3D;
+using core::GeneralizedMortonLayout;
 using core::Grid3D;
-using core::ZOrderLayout;
 using filters::BilateralParams;
 using filters::LoopOrder;
 using filters::PencilAxis;
@@ -184,7 +184,7 @@ TEST(BilateralGather, ExactModeBitIdenticalToReferenceZPencil) {
   const Extents3D e = Extents3D::cube(14);
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
-  Grid3D<float, ZOrderLayout> zsrc(e);
+  Grid3D<float, GeneralizedMortonLayout> zsrc(e);
   zsrc.copy_from(src);
   Grid3D<float, ArrayOrderLayout> ref(e);
   filters::bilateral_reference(src, ref, 2, 1.5f, 0.1f);
@@ -221,7 +221,7 @@ TEST(BilateralGather, FastExpWithinTolAllAxesAndLayouts) {
   const Extents3D e{13, 12, 14};
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
-  Grid3D<float, ZOrderLayout> zsrc(e);
+  Grid3D<float, GeneralizedMortonLayout> zsrc(e);
   zsrc.copy_from(src);
   Grid3D<float, ArrayOrderLayout> ref(e);
   filters::bilateral_reference(src, ref, 2, 1.5f, 0.1f);
@@ -282,7 +282,7 @@ TEST(BilateralGather, FullModeCombinationMatrix) {
   const Extents3D e{12, 11, 13};
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
-  Grid3D<float, ZOrderLayout> zsrc(e);
+  Grid3D<float, GeneralizedMortonLayout> zsrc(e);
   zsrc.copy_from(src);
   Grid3D<float, ArrayOrderLayout> ref(e);
   filters::bilateral_reference(src, ref, 2, 1.5f, 0.1f);
@@ -350,7 +350,7 @@ namespace {
 void check_degenerate(const Extents3D& e, unsigned radius) {
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
-  Grid3D<float, ZOrderLayout> zsrc(e);
+  Grid3D<float, GeneralizedMortonLayout> zsrc(e);
   zsrc.copy_from(src);
   Grid3D<float, ArrayOrderLayout> ref(e);
   filters::bilateral_reference(src, ref, radius, 1.5f, 0.1f);

@@ -17,8 +17,8 @@ namespace data = sfcvis::data;
 
 using core::ArrayOrderLayout;
 using core::Extents3D;
+using core::GeneralizedMortonLayout;
 using core::Grid3D;
-using core::ZOrderLayout;
 
 // ---------------------------------------------------------------------------
 // Value noise / fBm
@@ -119,7 +119,7 @@ TEST(Phantom, HasSharpEdges) {
 TEST(Phantom, FillIsLayoutAgnostic) {
   const Extents3D e{24, 24, 24};
   Grid3D<float, ArrayOrderLayout> ga(e);
-  Grid3D<float, ZOrderLayout> gz(e);
+  Grid3D<float, GeneralizedMortonLayout> gz(e);
   const data::PhantomParams params{.seed = 3, .texture_amplitude = 0.02f, .noise_sigma = 0.03f};
   data::fill_mri_phantom(ga, params);
   data::fill_mri_phantom(gz, params);
@@ -248,14 +248,14 @@ TEST(VolumeIO, SaveLoadRoundTrip) {
 
 TEST(VolumeIO, RoundTripThroughZOrderGrid) {
   const Extents3D e{10, 5, 3};
-  Grid3D<float, ZOrderLayout> g(e);
+  Grid3D<float, GeneralizedMortonLayout> g(e);
   g.fill_from([](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
     return static_cast<float>(i) - 2.0f * static_cast<float>(j) + 0.5f * static_cast<float>(k);
   });
   const auto path = temp_dir() / "zorder.bov";
   data::save_bov(path, data::to_raw(g));
 
-  Grid3D<float, ZOrderLayout> back(e);
+  Grid3D<float, GeneralizedMortonLayout> back(e);
   data::from_raw(data::load_bov(path), back);
   g.for_each_index([&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
     ASSERT_EQ(back.at(i, j, k), g.at(i, j, k));

@@ -70,7 +70,7 @@ TEST(DiffReport, PinsFirstDivergentVoxelAcrossLayouts) {
   a.fill_from([](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
     return static_cast<float>(i + 10 * j + 100 * k);
   });
-  auto z = core::convert_layout<core::ZOrderLayout>(a);
+  auto z = core::convert_layout<core::GeneralizedMortonLayout>(a);
 
   // Identical contents compare clean under the strictest tier.
   const auto clean = verify::compare_grids(a, z, verify::Tolerance::bit_identical(), "clean");

@@ -19,10 +19,10 @@ namespace threads = sfcvis::threads;
 
 using core::ArrayOrderLayout;
 using core::Extents3D;
+using core::GeneralizedMortonLayout;
 using core::Grid3D;
 using core::HilbertLayout;
 using core::TiledLayout;
-using core::ZOrderLayout;
 using filters::BilateralParams;
 using filters::LoopOrder;
 using filters::PencilAxis;
@@ -199,7 +199,7 @@ TEST_P(BilateralConfigSweep, AllLayoutsMatchReference) {
   const Extents3D e{11, 9, 7};
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
-  const auto src_z = core::convert_layout<ZOrderLayout>(src);
+  const auto src_z = core::convert_layout<GeneralizedMortonLayout>(src);
   const auto src_t = core::convert_layout<TiledLayout>(src);
   const auto src_h = core::convert_layout<HilbertLayout>(src);
 
@@ -255,7 +255,7 @@ TEST(BilateralTraced, ProducesSameResultAndCounts) {
 
 TEST(BilateralTraced, DeterministicCounters) {
   const Extents3D e{10, 10, 10};
-  Grid3D<float, ZOrderLayout> src(e);
+  Grid3D<float, GeneralizedMortonLayout> src(e);
   fill_noisy_step(src);
   auto run = [&] {
     memsim::Hierarchy h(memsim::tiny_test_platform(), 4);
@@ -275,7 +275,7 @@ TEST(BilateralTraced, ZOrderReducesEscapesInAgainstGrainConfig) {
   const Extents3D e = Extents3D::cube(24);
   Grid3D<float, ArrayOrderLayout> src_a(e);
   fill_noisy_step(src_a);
-  const auto src_z = core::convert_layout<ZOrderLayout>(src_a);
+  const auto src_z = core::convert_layout<GeneralizedMortonLayout>(src_a);
   const BilateralParams params{2, 1.5f, 0.15f, PencilAxis::kZ, LoopOrder::kZYX};
 
   Grid3D<float, ArrayOrderLayout> dst(e);
@@ -297,7 +297,7 @@ TEST(BilateralZSweep, MatchesReferenceOnBothLayouts) {
   const Extents3D e{10, 9, 7};
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
-  const auto src_z = core::convert_layout<ZOrderLayout>(src);
+  const auto src_z = core::convert_layout<GeneralizedMortonLayout>(src);
   const BilateralParams params{1, 1.5f, 0.15f};
   Grid3D<float, ArrayOrderLayout> expected(e), got(e);
   filters::bilateral_reference(src, expected, params.radius, params.sigma_spatial,
@@ -311,7 +311,7 @@ TEST(BilateralZSweep, MatchesReferenceOnBothLayouts) {
 
 TEST(BilateralZSweep, TracedMatchesAndIsDeterministic) {
   const Extents3D e{8, 8, 8};
-  Grid3D<float, ZOrderLayout> src(e);
+  Grid3D<float, GeneralizedMortonLayout> src(e);
   fill_noisy_step(src);
   const BilateralParams params{1, 1.5f, 0.15f};
   auto run = [&] {
@@ -387,7 +387,7 @@ TEST(Gaussian, GatherSimdMatchesDirect) {
   const Extents3D e{17, 11, 13};
   Grid3D<float, ArrayOrderLayout> src(e), direct(e), gathered(e), gathered_z(e);
   fill_noisy_step(src);
-  const auto src_z = core::convert_layout<ZOrderLayout>(src);
+  const auto src_z = core::convert_layout<GeneralizedMortonLayout>(src);
   exec::ExecutionContext pool(2);
   for (unsigned radius : {1u, 2u, 3u}) {
     filters::gaussian_convolve(src, direct, radius, 1.4f, pool);
@@ -414,7 +414,7 @@ TEST(Gaussian, WorksOnZOrderSource) {
   const Extents3D e{9, 9, 9};
   Grid3D<float, ArrayOrderLayout> src(e), from_a(e), from_z(e);
   fill_noisy_step(src);
-  const auto src_z = core::convert_layout<ZOrderLayout>(src);
+  const auto src_z = core::convert_layout<GeneralizedMortonLayout>(src);
   exec::ExecutionContext pool(2);
   filters::gaussian_convolve(src, from_a, 1, 1.0f, pool);
   filters::gaussian_convolve(src_z, from_z, 1, 1.0f, pool);

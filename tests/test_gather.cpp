@@ -11,6 +11,7 @@
 #include "sfcvis/core/gather.hpp"
 #include "sfcvis/core/grid.hpp"
 #include "sfcvis/core/layout.hpp"
+#include "sfcvis/core/morton.hpp"
 
 namespace core = sfcvis::core;
 
@@ -126,21 +127,21 @@ TEST(GatherRow, ArrayOrderAnisotropic) {
 
 TEST(GatherRow, ZOrderCubePow2) {
   // Padded curve is cubic: exercises the incremental-Morton run walker.
-  core::Grid3D<float, core::ZOrderLayout> g(core::Extents3D::cube(8));
+  core::Grid3D<float, core::GeneralizedMortonLayout> g(core::Extents3D::cube(8));
   fill_coded(g);
   expect_all_rows_match(g);
 }
 
 TEST(GatherRow, ZOrderNonPow2Cube) {
   // 9^3 pads to 16^3 — still cubic, but rows cross padding holes.
-  core::Grid3D<float, core::ZOrderLayout> g(core::Extents3D::cube(9));
+  core::Grid3D<float, core::GeneralizedMortonLayout> g(core::Extents3D::cube(9));
   fill_coded(g);
   expect_all_rows_match(g);
 }
 
 TEST(GatherRow, ZOrderAnisotropic) {
   // Padded axes differ: exercises the per-axis deposit-table walker.
-  core::Grid3D<float, core::ZOrderLayout> g(core::Extents3D{11, 6, 9});
+  core::Grid3D<float, core::GeneralizedMortonLayout> g(core::Extents3D{11, 6, 9});
   fill_coded(g);
   expect_all_rows_match(g);
 }
@@ -195,13 +196,13 @@ TEST(GatherRow, TiledNonPow2AnisotropicBlockBoundaries) {
 TEST(GatherRow, ZOrderNonPow2AnisotropicBlockBoundaries) {
   // Same shape on the anisotropic Z-order tables: padded axis widths differ
   // (64/32/16), so boundary crossings differ per axis.
-  core::Grid3D<float, core::ZOrderLayout> g(core::Extents3D{37, 21, 13});
+  core::Grid3D<float, core::GeneralizedMortonLayout> g(core::Extents3D{37, 21, 13});
   fill_coded(g);
   expect_rows_match_at_block_boundaries(g, 8);
 }
 
 TEST(GatherRow, SingleVoxelGrid) {
-  core::Grid3D<float, core::ZOrderLayout> g(core::Extents3D{1, 1, 1});
+  core::Grid3D<float, core::GeneralizedMortonLayout> g(core::Extents3D{1, 1, 1});
   g.at(0, 0, 0) = 42.0f;
   float out = 0.0f;
   core::gather_row(g, core::Axis3::kX, 0, 0, 0, 1, &out);

@@ -1,6 +1,6 @@
 // Tests for the generalized-Morton layout family (core/gmorton.hpp):
 // pattern parsing/validation, the degeneracy pins (canonical string ==
-// kZOrder indices, "zz..yy..xx" == row-major, tiled generator ==
+// Z-order indices, "zz..yy..xx" == row-major, tiled generator ==
 // TiledLayout on pow2 shapes), codec round-trips, masked ripple-add
 // stepping, gather_row equivalence, and cache-key salting.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "sfcvis/core/gather.hpp"
 #include "sfcvis/core/gmorton.hpp"
 #include "sfcvis/core/layout.hpp"
+#include "sfcvis/core/morton.hpp"
 #include "sfcvis/core/volume.hpp"
 
 namespace core = sfcvis::core;
@@ -23,7 +24,6 @@ using core::GeneralizedMortonLayout;
 using core::GMortonTables;
 using core::InterleavePattern;
 using core::TiledLayout;
-using core::ZOrderLayout;
 
 namespace {
 
@@ -36,6 +36,27 @@ const Extents3D kShapes[] = {
     Extents3D{1, 1, 1},    // degenerate
     Extents3D{100, 1, 1},  // 1D-like
 };
+
+/// Independent reference for the canonical (Z-order) mapping: walk the
+/// bit-planes from the LSB up and, within a plane, emit the x, y, z bits
+/// in turn, skipping axes whose padded extent has run out of bits.
+std::uint64_t naive_zorder_index(const Extents3D& e, std::uint32_t i, std::uint32_t j,
+                                 std::uint32_t k) {
+  const Extents3D p = core::padded_pow2(e);
+  const unsigned bits[3] = {core::log2_pow2(p.nx), core::log2_pow2(p.ny),
+                            core::log2_pow2(p.nz)};
+  const std::uint32_t c[3] = {i, j, k};
+  std::uint64_t index = 0;
+  unsigned out = 0;
+  for (unsigned plane = 0; plane < core::kMortonMaxBits3D; ++plane) {
+    for (unsigned axis = 0; axis < 3; ++axis) {
+      if (plane < bits[axis]) {
+        index |= std::uint64_t{(c[axis] >> plane) & 1u} << out++;
+      }
+    }
+  }
+  return index;
+}
 
 /// A deterministic scrambled (but valid) pattern for `e`: canonical
 /// characters shuffled with a fixed-seed Fisher-Yates.
@@ -129,16 +150,21 @@ TEST(InterleaveHash, DistinguishesPatterns) {
 // ---------------------------------------------------------------------------
 
 TEST(GMortonDegeneracy, CanonicalPatternMatchesZOrderEverywhere) {
+  // Two references independent of the tables: the magic-bits Morton codec
+  // on cubic pow2 shapes, and the naive bit-plane encoder on every shape.
   for (const Extents3D& e : kShapes) {
-    const ZOrderLayout z(e);
     const GeneralizedMortonLayout g(e);  // default = canonical
-    ASSERT_EQ(g.required_capacity(), z.required_capacity());
+    ASSERT_EQ(g.required_capacity(), core::padded_pow2(e).size());
+    const bool cubic_pow2 = e.is_pow2() && e.nx == e.ny && e.ny == e.nz;
     for (std::uint32_t k = 0; k < e.nz; ++k) {
       for (std::uint32_t j = 0; j < e.ny; ++j) {
         for (std::uint32_t i = 0; i < e.nx; ++i) {
-          ASSERT_EQ(g.index(i, j, k), z.index(i, j, k))
+          ASSERT_EQ(g.index(i, j, k), naive_zorder_index(e, i, j, k))
               << "(" << i << "," << j << "," << k << ") in " << e.nx << "x" << e.ny << "x"
               << e.nz;
+          if (cubic_pow2) {
+            ASSERT_EQ(g.index(i, j, k), core::morton_encode_3d(i, j, k));
+          }
         }
       }
     }
@@ -275,8 +301,11 @@ TEST(GMortonCodec, GatherRowMatchesDirectReads) {
 TEST(GMortonVolumeFacade, VariantIndexMatchesKindEnum) {
   for (const core::LayoutKind kind : core::kAllLayoutKinds) {
     const core::AnyVolume v = core::make_volume(kind, Extents3D::cube(4));
-    EXPECT_EQ(v.kind(), kind);
-    EXPECT_STREQ(v.layout_name(), core::to_string(kind));
+    // An unpatterned gmorton request is the canonical pattern: z-order.
+    const core::LayoutKind want =
+        kind == core::LayoutKind::kGMorton ? core::LayoutKind::kZOrder : kind;
+    EXPECT_EQ(v.kind(), want);
+    EXPECT_STREQ(v.layout_name(), core::to_string(want));
   }
 }
 
@@ -313,7 +342,7 @@ TEST(GMortonVolumeFacade, ConvertToRoundTripsContents) {
 }
 
 TEST(GMortonCacheSalt, ZeroForFixedLayoutsPatternHashForGMorton) {
-  EXPECT_EQ(core::layout_cache_salt(ZOrderLayout(Extents3D::cube(4))), 0u);
+  EXPECT_EQ(core::layout_cache_salt(TiledLayout(Extents3D::cube(4))), 0u);
   EXPECT_EQ(core::layout_cache_salt(ArrayOrderLayout(Extents3D::cube(4))), 0u);
   const Extents3D e = Extents3D::cube(4);
   const GeneralizedMortonLayout a(e, "zyxzyx");

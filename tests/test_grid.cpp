@@ -11,10 +11,10 @@ namespace core = sfcvis::core;
 
 using core::ArrayOrderLayout;
 using core::Extents3D;
+using core::GeneralizedMortonLayout;
 using core::Grid3D;
 using core::HilbertLayout;
 using core::TiledLayout;
-using core::ZOrderLayout;
 
 namespace {
 
@@ -29,7 +29,8 @@ float tag(std::uint32_t i, std::uint32_t j, std::uint32_t k) {
 template <class L>
 class GridTypedTest : public ::testing::Test {};
 
-using AllLayouts = ::testing::Types<ArrayOrderLayout, ZOrderLayout, TiledLayout, HilbertLayout>;
+using AllLayouts =
+    ::testing::Types<ArrayOrderLayout, GeneralizedMortonLayout, TiledLayout, HilbertLayout>;
 TYPED_TEST_SUITE(GridTypedTest, AllLayouts);
 
 TYPED_TEST(GridTypedTest, FillAndReadBack) {
@@ -74,7 +75,7 @@ TYPED_TEST(GridTypedTest, StorageIsCacheLineAligned) {
 TEST(GridConvert, ArrayToZPreservesContents) {
   Grid3D<float, ArrayOrderLayout> a(Extents3D{16, 8, 4});
   a.fill_from(tag);
-  const auto z = core::convert_layout<ZOrderLayout>(a);
+  const auto z = core::convert_layout<GeneralizedMortonLayout>(a);
   a.for_each_index([&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
     ASSERT_EQ(z.at(i, j, k), tag(i, j, k));
   });
@@ -83,7 +84,7 @@ TEST(GridConvert, ArrayToZPreservesContents) {
 TEST(GridConvert, RoundTripThroughAllLayouts) {
   Grid3D<float, ArrayOrderLayout> a(Extents3D{9, 5, 6});
   a.fill_from(tag);
-  const auto z = core::convert_layout<ZOrderLayout>(a);
+  const auto z = core::convert_layout<GeneralizedMortonLayout>(a);
   const auto t = core::convert_layout<TiledLayout>(z);
   const auto h = core::convert_layout<HilbertLayout>(t);
   const auto back = core::convert_layout<ArrayOrderLayout>(h);
@@ -124,14 +125,14 @@ struct RecordingSink {
 
 static_assert(core::AccessSink<RecordingSink>);
 static_assert(core::ReadView3D<core::PlainView<float, ArrayOrderLayout>>);
-static_assert(core::ReadView3D<core::TracedView<float, ZOrderLayout, RecordingSink>>);
+static_assert(core::ReadView3D<core::TracedView<float, GeneralizedMortonLayout, RecordingSink>>);
 
 }  // namespace
 
 TEST(PlainView, ForwardsReads) {
-  Grid3D<float, ZOrderLayout> g(Extents3D::cube(8));
+  Grid3D<float, GeneralizedMortonLayout> g(Extents3D::cube(8));
   g.fill_from(tag);
-  const core::PlainView<float, ZOrderLayout> v(g);
+  const core::PlainView<float, GeneralizedMortonLayout> v(g);
   EXPECT_EQ(v.at(1, 2, 3), tag(1, 2, 3));
   EXPECT_EQ(v.at_clamped(-1, 2, 3), tag(0, 2, 3));
   EXPECT_EQ(v.extents(), g.extents());
@@ -141,12 +142,12 @@ TEST(TracedView, RecordsEveryAccessRebasedToSyntheticOrigin) {
   // Reported addresses are kTracedBase + the element's byte offset in the
   // grid's storage — never the real heap address, so the modeled counters
   // cannot depend on where the allocator happened to place the volume.
-  Grid3D<float, ZOrderLayout> g(Extents3D::cube(8));
+  Grid3D<float, GeneralizedMortonLayout> g(Extents3D::cube(8));
   g.fill_from(tag);
   RecordingSink sink;
-  const core::TracedView<float, ZOrderLayout, RecordingSink> v(g, sink);
+  const core::TracedView<float, GeneralizedMortonLayout, RecordingSink> v(g, sink);
   constexpr std::uint64_t base =
-      core::TracedView<float, ZOrderLayout, RecordingSink>::kTracedBase;
+      core::TracedView<float, GeneralizedMortonLayout, RecordingSink>::kTracedBase;
 
   EXPECT_EQ(v.at(3, 4, 5), tag(3, 4, 5));
   EXPECT_EQ(v.at(0, 0, 0), tag(0, 0, 0));
@@ -165,7 +166,7 @@ TEST(TracedView, AddressDeltaReflectsLayout) {
   // The traced stream must expose layout locality: a y-step in array order
   // jumps nx*sizeof(float) bytes; in Z-order (8-cube) it jumps 2 elements.
   Grid3D<float, ArrayOrderLayout> a(Extents3D::cube(8));
-  Grid3D<float, ZOrderLayout> z(Extents3D::cube(8));
+  Grid3D<float, GeneralizedMortonLayout> z(Extents3D::cube(8));
   RecordingSink sa, sz;
   const core::TracedView va(a, sa);
   const core::TracedView vz(z, sz);

@@ -32,7 +32,7 @@ TEST(IndexerTest, ArrayOrderMatchesLayout) {
 TEST(IndexerTest, ZOrderMatchesLayout) {
   const Extents3D e{24, 12, 6};
   const Indexer idx(Order::kZ, e);
-  const core::ZOrderLayout layout(e);
+  const core::GeneralizedMortonLayout layout(e);
   for (std::uint32_t k = 0; k < e.nz; ++k) {
     for (std::uint32_t j = 0; j < e.ny; ++j) {
       for (std::uint32_t i = 0; i < e.nx; ++i) {

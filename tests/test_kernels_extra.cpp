@@ -23,8 +23,8 @@ namespace threads = sfcvis::threads;
 
 using core::ArrayOrderLayout;
 using core::Extents3D;
+using core::GeneralizedMortonLayout;
 using core::Grid3D;
-using core::ZOrderLayout;
 
 // ---------------------------------------------------------------------------
 // Median filter
@@ -90,7 +90,7 @@ TEST(Median, LayoutTransparent) {
   src.fill_from([](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
     return static_cast<float>((i * 31 + j * 17 + k * 7) % 23);
   });
-  const auto src_z = core::convert_layout<ZOrderLayout>(src);
+  const auto src_z = core::convert_layout<GeneralizedMortonLayout>(src);
   exec::ExecutionContext pool(3);
   filters::median_filter(src, from_a, 2, pool);
   filters::median_filter(src_z, from_z, 2, pool);
@@ -231,7 +231,7 @@ TEST(RenderModes, ShadingPreservesLayoutTransparency) {
   const Extents3D e = Extents3D::cube(16);
   Grid3D<float, ArrayOrderLayout> ga(e);
   data::fill_marschner_lobb(ga);
-  const auto gz = core::convert_layout<ZOrderLayout>(ga);
+  const auto gz = core::convert_layout<GeneralizedMortonLayout>(ga);
   exec::ExecutionContext pool(2);
   const auto tf = render::TransferFunction::grayscale(0.0f, 1.0f);
   render::RenderConfig config{32, 32, 16, 0.6f, 0.98f};
@@ -291,7 +291,7 @@ TEST(MarschnerLobb, HasRadialRipples) {
 TEST(MarschnerLobb, FillIsLayoutAgnostic) {
   const Extents3D e{16, 16, 16};
   Grid3D<float, ArrayOrderLayout> a(e);
-  Grid3D<float, ZOrderLayout> z(e);
+  Grid3D<float, GeneralizedMortonLayout> z(e);
   data::fill_marschner_lobb(a);
   data::fill_marschner_lobb(z);
   a.for_each_index([&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {

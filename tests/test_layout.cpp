@@ -1,6 +1,6 @@
-// Tests for the layout policies (src/sfcvis/core/layout.hpp,
-// zorder_tables.*): bijectivity, capacity, padding, and the locality
-// ordering the paper relies on.
+// Tests for the layout policies (src/sfcvis/core/layout.hpp; Z-order is the
+// canonical gmorton.hpp pattern): bijectivity, capacity, padding, and the
+// locality ordering the paper relies on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +18,6 @@ using core::Extents3D;
 using core::GeneralizedMortonLayout;
 using core::HilbertLayout;
 using core::TiledLayout;
-using core::ZOrderLayout;
 
 // ---------------------------------------------------------------------------
 // Typed bijectivity / bounds tests across all layout policies
@@ -27,8 +26,8 @@ using core::ZOrderLayout;
 template <class L>
 class LayoutTypedTest : public ::testing::Test {};
 
-using AllLayouts = ::testing::Types<ArrayOrderLayout, ZOrderLayout, TiledLayout,
-                                    HilbertLayout, GeneralizedMortonLayout>;
+using AllLayouts =
+    ::testing::Types<ArrayOrderLayout, TiledLayout, HilbertLayout, GeneralizedMortonLayout>;
 TYPED_TEST_SUITE(LayoutTypedTest, AllLayouts);
 
 TYPED_TEST(LayoutTypedTest, InjectiveAndInBoundsOnCube) {
@@ -105,7 +104,7 @@ TEST(ArrayOrder, NoPaddingEver) {
 
 TEST(ZOrder, MatchesMortonOnPow2Cube) {
   const Extents3D e = Extents3D::cube(32);
-  const ZOrderLayout layout(e);
+  const GeneralizedMortonLayout layout(e);
   for (std::uint32_t k = 0; k < e.nz; ++k) {
     for (std::uint32_t j = 0; j < e.ny; ++j) {
       for (std::uint32_t i = 0; i < e.nx; ++i) {
@@ -116,12 +115,12 @@ TEST(ZOrder, MatchesMortonOnPow2Cube) {
 }
 
 TEST(ZOrder, CubeCapacityEqualsSize) {
-  const ZOrderLayout layout(Extents3D::cube(64));
+  const GeneralizedMortonLayout layout(Extents3D::cube(64));
   EXPECT_EQ(layout.required_capacity(), 64u * 64 * 64);
 }
 
 TEST(ZOrder, PadsNonPow2PerAxis) {
-  const ZOrderLayout layout(Extents3D{5, 9, 17});
+  const GeneralizedMortonLayout layout(Extents3D{5, 9, 17});
   // Padded to 8 x 16 x 32.
   EXPECT_EQ(layout.required_capacity(), 8u * 16 * 32);
 }
@@ -130,7 +129,7 @@ TEST(ZOrder, AnisotropicIsCompactBijection) {
   // 32x8x2 padded extents: a full bijection onto [0, 512), i.e. the
   // anisotropic generator wastes nothing beyond pow2 padding.
   const Extents3D e{32, 8, 2};
-  const ZOrderLayout layout(e);
+  const GeneralizedMortonLayout layout(e);
   ASSERT_EQ(layout.required_capacity(), e.size());
   std::vector<bool> seen(e.size(), false);
   for (std::uint32_t k = 0; k < e.nz; ++k) {
@@ -147,7 +146,7 @@ TEST(ZOrder, AnisotropicIsCompactBijection) {
 
 TEST(ZOrder, DecodeInvertsIndex) {
   const Extents3D e{16, 32, 8};
-  const ZOrderLayout layout(e);
+  const GeneralizedMortonLayout layout(e);
   for (std::uint32_t k = 0; k < e.nz; ++k) {
     for (std::uint32_t j = 0; j < e.ny; ++j) {
       for (std::uint32_t i = 0; i < e.nx; ++i) {
@@ -161,7 +160,8 @@ TEST(ZOrder, DecodeInvertsIndex) {
 TEST(ZOrder, AdditionEqualsOrProperty) {
   // The per-axis deposited patterns are disjoint, so index() may combine
   // them with + (as the unified Indexer does) or with | interchangeably.
-  const core::ZOrderTables tables(Extents3D{16, 16, 16});
+  const Extents3D e{16, 16, 16};
+  const core::GMortonTables tables(e, core::InterleavePattern::canonical(e));
   for (std::uint32_t i = 0; i < 16; ++i) {
     for (std::uint32_t j = 0; j < 16; ++j) {
       for (std::uint32_t k = 0; k < 16; ++k) {
@@ -175,13 +175,14 @@ TEST(ZOrder, AdditionEqualsOrProperty) {
 }
 
 TEST(ZOrder, BitPositionsAreAPermutation) {
-  const core::ZOrderTables tables(Extents3D{16, 8, 4});  // 4+3+2 = 9 bits
+  const Extents3D e{16, 8, 4};  // 4+3+2 = 9 bits
+  const core::InterleavePattern pattern = core::InterleavePattern::canonical(e);
   std::vector<bool> used(9, false);
   const unsigned bits[3] = {4, 3, 2};
   for (unsigned axis = 0; axis < 3; ++axis) {
-    EXPECT_EQ(tables.axis_bits(axis), bits[axis]);
+    EXPECT_EQ(pattern.axis_bits(axis), bits[axis]);
     for (unsigned b = 0; b < bits[axis]; ++b) {
-      const unsigned pos = tables.bit_position(axis, b);
+      const unsigned pos = pattern.bit_position(axis, b);
       ASSERT_LT(pos, 9u);
       EXPECT_FALSE(used[pos]);
       used[pos] = true;
@@ -190,8 +191,8 @@ TEST(ZOrder, BitPositionsAreAPermutation) {
 }
 
 TEST(ZOrder, CopiesShareTables) {
-  const ZOrderLayout a(Extents3D::cube(32));
-  const ZOrderLayout b = a;  // cheap copy into per-thread kernel state
+  const GeneralizedMortonLayout a(Extents3D::cube(32));
+  const GeneralizedMortonLayout b = a;  // cheap copy into per-thread kernel state
   EXPECT_EQ(&a.tables(), &b.tables());
   EXPECT_EQ(a.index(3, 5, 7), b.index(3, 5, 7));
 }
@@ -289,7 +290,7 @@ TEST(Locality, ZOrderBeatsArrayOrderOnYAndZSteps) {
   const std::uint32_t n = 32;
   const Extents3D e = Extents3D::cube(n);
   const ArrayOrderLayout a(e);
-  const ZOrderLayout z(e);
+  const GeneralizedMortonLayout z(e);
   // Array order: every y- or z-step lands on a different cache line.
   // Z-order escapes a line on only half of those steps (at the price of
   // slightly more frequent escapes on x-steps).
@@ -311,7 +312,7 @@ TEST(Locality, ZOrderIsAxisSymmetricOnCubes) {
   // of 16; under Z-order (line = 2x2x4-element brick) it is 1/4 : 1/2, a
   // factor of 2.
   const std::uint32_t n = 32;
-  const ZOrderLayout z(Extents3D::cube(n));
+  const GeneralizedMortonLayout z(Extents3D::cube(n));
   const double zx = crossing_fraction(z, 0, n, kLineElems);
   const double zy = crossing_fraction(z, 1, n, kLineElems);
   const double zz = crossing_fraction(z, 2, n, kLineElems);

@@ -10,8 +10,6 @@
 
 #include "sfcvis/exec/execution_context.hpp"
 #include "sfcvis/core/grid.hpp"
-#include "sfcvis/core/morton.hpp"
-#include "sfcvis/core/zquery.hpp"
 #include "sfcvis/data/combustion.hpp"
 #include "sfcvis/memsim/platforms.hpp"
 #include "sfcvis/render/camera.hpp"
@@ -19,6 +17,7 @@
 #include "sfcvis/render/raycast.hpp"
 #include "sfcvis/render/transfer.hpp"
 #include "sfcvis/threads/pool.hpp"
+#include "sfcvis/verify/fuzz.hpp"
 
 namespace core = sfcvis::core;
 namespace exec = sfcvis::exec;
@@ -27,11 +26,12 @@ namespace memsim = sfcvis::memsim;
 namespace render = sfcvis::render;
 namespace threads = sfcvis::threads;
 namespace trace = sfcvis::trace;
+namespace verify = sfcvis::verify;
 
 using core::ArrayOrderLayout;
 using core::Extents3D;
+using core::GeneralizedMortonLayout;
 using core::Grid3D;
-using core::ZOrderLayout;
 using render::CellCoord;
 using render::Image;
 using render::MacrocellGrid;
@@ -41,6 +41,11 @@ using render::TransferFunction;
 using render::ValueRange;
 
 namespace {
+
+/// A non-canonical 32^3 pattern whose low 9 output bits hold bit-planes
+/// 0-2 of every axis (8^3 row-major tiles): it passes blocks_contiguous(3),
+/// so 8^3 macrocells take the linear-scan build like Z-order does.
+constexpr const char* kTunedTiles8 = "xyzxyzzzzyyyxxx";
 
 /// Deterministic pseudo-random fill (splitmix-style hash of the index).
 template <core::Layout3D L>
@@ -175,21 +180,35 @@ TEST(Macrocell, MinMaxMatchesBruteForceArrayOrder) {
 }
 
 TEST(Macrocell, MinMaxMatchesBruteForceZOrderFastPath) {
-  Grid3D<float, ZOrderLayout> g(Extents3D{32, 32, 32});
+  Grid3D<float, GeneralizedMortonLayout> g(Extents3D{32, 32, 32});
   fill_noise(g, 4);
   expect_grid_matches_brute(g, 8);  // pow2 block: contiguous-run fast path
   expect_grid_matches_brute(g, 4);
+
+  Grid3D<float, GeneralizedMortonLayout> tuned(
+      GeneralizedMortonLayout(Extents3D{32, 32, 32}, kTunedTiles8));
+  ASSERT_FALSE(tuned.layout().canonical());
+  ASSERT_TRUE(tuned.layout().tables().blocks_contiguous(3));
+  fill_noise(tuned, 4);
+  expect_grid_matches_brute(tuned, 8);  // fast path on a tuned pattern
+  expect_grid_matches_brute(tuned, 4);  // predicate false: generic path
 }
 
 TEST(Macrocell, MinMaxMatchesBruteForceZOrderGenericPath) {
-  Grid3D<float, ZOrderLayout> g(Extents3D{24, 20, 28});  // padded zorder extents
+  Grid3D<float, GeneralizedMortonLayout> g(Extents3D{24, 20, 28});  // padded zorder extents
   fill_noise(g, 5);
   expect_grid_matches_brute(g, 8);  // edge blocks exercise the fallback
   expect_grid_matches_brute(g, 3);  // non-pow2 block: generic path everywhere
+
+  Grid3D<float, GeneralizedMortonLayout> tuned(
+      GeneralizedMortonLayout(Extents3D{24, 20, 28}, kTunedTiles8));
+  fill_noise(tuned, 5);
+  expect_grid_matches_brute(tuned, 8);
+  expect_grid_matches_brute(tuned, 3);
 }
 
 TEST(Macrocell, ParallelBuildMatchesSerial) {
-  Grid3D<float, ZOrderLayout> g(Extents3D{32, 32, 32});
+  Grid3D<float, GeneralizedMortonLayout> g(Extents3D{32, 32, 32});
   fill_noise(g, 6);
   exec::ExecutionContext pool(4);
   const MacrocellGrid serial = MacrocellGrid::build(g, 8);
@@ -206,36 +225,15 @@ TEST(Macrocell, ParallelBuildMatchesSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// Morton block ranges / contiguity predicate
+// Contiguity predicate
 // ---------------------------------------------------------------------------
-
-TEST(Macrocell, MortonBlockRangeCoversBlock) {
-  // For an aligned 2^b cube under plain Morton interleave, the range is
-  // [encode(corner), encode(corner) + 8^b).
-  const auto r = core::morton_block_range_3d(2, 1, 3, 2);  // block (8,4,12), b=2
-  EXPECT_EQ(r.base, core::morton_encode_3d(8, 4, 12));
-  EXPECT_EQ(r.length, 64u);
-  std::vector<std::uint64_t> codes;
-  for (std::uint32_t z = 12; z < 16; ++z) {
-    for (std::uint32_t y = 4; y < 8; ++y) {
-      for (std::uint32_t x = 8; x < 12; ++x) {
-        codes.push_back(core::morton_encode_3d(x, y, z));
-      }
-    }
-  }
-  std::sort(codes.begin(), codes.end());
-  for (std::size_t n = 0; n < codes.size(); ++n) {
-    EXPECT_EQ(codes[n], r.base + n);
-  }
-}
 
 TEST(Macrocell, ZorderBlocksContiguousMatchesStorage) {
   // The predicate must agree with the ground truth: enumerate the storage
   // indices of an aligned block and check they form a contiguous run.
-  const auto check = [](const Extents3D& e, unsigned block_log2) {
-    Grid3D<float, ZOrderLayout> g(e);
-    const bool claim =
-        core::zorder_blocks_contiguous(g.layout().tables(), block_log2);
+  const auto check = [](const GeneralizedMortonLayout& layout, unsigned block_log2) {
+    const Extents3D& e = layout.extents();
+    const bool claim = layout.tables().blocks_contiguous(block_log2);
     const std::uint32_t b = 1u << block_log2;
     bool all_contiguous = true;
     for (std::uint32_t z0 = 0; z0 + b <= e.nz && all_contiguous; z0 += b) {
@@ -245,7 +243,7 @@ TEST(Macrocell, ZorderBlocksContiguousMatchesStorage) {
           for (std::uint32_t z = z0; z < z0 + b; ++z) {
             for (std::uint32_t y = y0; y < y0 + b; ++y) {
               for (std::uint32_t x = x0; x < x0 + b; ++x) {
-                idx.push_back(g.layout().index(x, y, z));
+                idx.push_back(layout.index(x, y, z));
               }
             }
           }
@@ -259,16 +257,36 @@ TEST(Macrocell, ZorderBlocksContiguousMatchesStorage) {
       }
     }
     EXPECT_EQ(claim, all_contiguous) << "extents " << e.nx << "x" << e.ny << "x" << e.nz
+                                     << " pattern " << layout.pattern().str()
                                      << " block_log2 " << block_log2;
     return claim;
   };
   // Cubic pow2 extents: standard interleave is contiguous at any b.
-  EXPECT_TRUE(check(Extents3D{16, 16, 16}, 2));
-  EXPECT_TRUE(check(Extents3D{32, 32, 32}, 3));
+  EXPECT_TRUE(check(GeneralizedMortonLayout(Extents3D{16, 16, 16}), 2));
+  EXPECT_TRUE(check(GeneralizedMortonLayout(Extents3D{32, 32, 32}), 3));
   // Whatever anisotropic padding produces, predicate and ground truth must
   // agree (the value itself is layout-defined).
-  check(Extents3D{32, 8, 8}, 2);
-  check(Extents3D{8, 32, 16}, 3);
+  check(GeneralizedMortonLayout(Extents3D{32, 8, 8}), 2);
+  check(GeneralizedMortonLayout(Extents3D{8, 32, 16}), 3);
+  // Random interleave patterns, drawn like the fuzzer draws them: tuned
+  // volumes take the linear-scan build whenever the predicate holds, so it
+  // is checked on both outcomes.
+  verify::SplitMix64 rng(13);
+  unsigned held = 0, failed = 0;
+  for (unsigned rep = 0; rep < 16; ++rep) {
+    for (const Extents3D& e : {Extents3D{16, 16, 16}, Extents3D{32, 8, 8}, Extents3D{8, 16, 32}}) {
+      for (const unsigned block_log2 : {1u, 2u}) {
+        const GeneralizedMortonLayout layout(e, verify::random_interleave(e, rng));
+        if (check(layout, block_log2)) {
+          ++held;
+        } else {
+          ++failed;
+        }
+      }
+    }
+  }
+  EXPECT_GT(held, 0u);
+  EXPECT_GT(failed, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -362,7 +380,7 @@ TEST(MacrocellRender, CompositeIdenticalArrayOrder) {
 }
 
 TEST(MacrocellRender, CompositeIdenticalZOrder) {
-  expect_accelerated_render_identical<ZOrderLayout>(RenderMode::kComposite, false);
+  expect_accelerated_render_identical<GeneralizedMortonLayout>(RenderMode::kComposite, false);
 }
 
 TEST(MacrocellRender, MipIdenticalArrayOrder) {
@@ -370,7 +388,7 @@ TEST(MacrocellRender, MipIdenticalArrayOrder) {
 }
 
 TEST(MacrocellRender, MipIdenticalZOrder) {
-  expect_accelerated_render_identical<ZOrderLayout>(RenderMode::kMip, false);
+  expect_accelerated_render_identical<GeneralizedMortonLayout>(RenderMode::kMip, false);
 }
 
 TEST(MacrocellRender, ShadedIdenticalArrayOrder) {
@@ -378,7 +396,7 @@ TEST(MacrocellRender, ShadedIdenticalArrayOrder) {
 }
 
 TEST(MacrocellRender, ShadedIdenticalZOrder) {
-  expect_accelerated_render_identical<ZOrderLayout>(RenderMode::kComposite, true);
+  expect_accelerated_render_identical<GeneralizedMortonLayout>(RenderMode::kComposite, true);
 }
 
 TEST(MacrocellRender, BlockSizesAgree) {
@@ -433,7 +451,7 @@ TEST(MacrocellRender, MipTakesSampleOnSpanShorterThanStep) {
 // ---------------------------------------------------------------------------
 
 TEST(MacrocellRender, TracedSkippingReducesAccessesImageIdentical) {
-  Grid3D<float, ZOrderLayout> volume(Extents3D{32, 32, 32});
+  Grid3D<float, GeneralizedMortonLayout> volume(Extents3D{32, 32, 32});
   data::fill_combustion(volume);
   const TransferFunction tf = TransferFunction::flame();
 

@@ -375,7 +375,7 @@ TEST(HierarchyIntegration, AgainstTheGrainSweepFavoursZOrder) {
   // produce fewer fills from beyond the tiny L2 than the array-order copy.
   const core::Extents3D e = core::Extents3D::cube(32);
   core::Grid3D<float, core::ArrayOrderLayout> ga(e);
-  core::Grid3D<float, core::ZOrderLayout> gz(e);
+  core::Grid3D<float, core::GeneralizedMortonLayout> gz(e);
 
   auto sweep = [&](const auto& grid) {
     Hierarchy h(memsim::tiny_test_platform(), 1);
@@ -478,7 +478,7 @@ TEST(Tlb, AgainstTheGrainSweepThrashesTlbOnlyUnderArrayOrder) {
   spec.tlb_entries = 8;
   const core::Extents3D e = core::Extents3D::cube(32);
   core::Grid3D<float, core::ArrayOrderLayout> ga(e);
-  core::Grid3D<float, core::ZOrderLayout> gz(e);
+  core::Grid3D<float, core::GeneralizedMortonLayout> gz(e);
   auto sweep = [&](const auto& grid) {
     Hierarchy h(spec, 1);
     auto sink = h.sink(0);

@@ -23,15 +23,6 @@ std::uint64_t naive_encode_3d(std::uint32_t x, std::uint32_t y, std::uint32_t z)
   return m;
 }
 
-std::uint64_t naive_encode_2d(std::uint32_t x, std::uint32_t y) {
-  std::uint64_t m = 0;
-  for (unsigned b = 0; b < core::kMortonMaxBits2D; ++b) {
-    m |= (static_cast<std::uint64_t>((x >> b) & 1u)) << (2 * b);
-    m |= (static_cast<std::uint64_t>((y >> b) & 1u)) << (2 * b + 1);
-  }
-  return m;
-}
-
 std::vector<std::uint32_t> interesting_coords() {
   return {0u,    1u,      2u,      3u,          7u,      8u,          15u,     16u,
           31u,   255u,    256u,    511u,        512u,    1023u,       4095u,   65535u,
@@ -101,37 +92,12 @@ TEST(Morton3D, BijectiveOnSmallCube) {
   }
 }
 
-TEST(Morton2D, KnownValuesAndNaive) {
-  EXPECT_EQ(core::morton_encode_2d(0, 0), 0u);
-  EXPECT_EQ(core::morton_encode_2d(1, 0), 0b01u);
-  EXPECT_EQ(core::morton_encode_2d(0, 1), 0b10u);
-  EXPECT_EQ(core::morton_encode_2d(3, 5), naive_encode_2d(3, 5));
-  for (std::uint32_t x : interesting_coords()) {
-    for (std::uint32_t y : interesting_coords()) {
-      EXPECT_EQ(core::morton_encode_2d(x, y), naive_encode_2d(x, y));
-    }
-  }
-}
-
-TEST(Morton2D, RoundTripRandomFullRange) {
-  std::mt19937 rng(43);
-  std::uniform_int_distribution<std::uint32_t> dist;  // full 32-bit range
-  for (int n = 0; n < 20000; ++n) {
-    const std::uint32_t x = dist(rng), y = dist(rng);
-    const auto c = core::morton_decode_2d(core::morton_encode_2d(x, y));
-    EXPECT_EQ(c, (core::MortonCoord2D{x, y}));
-  }
-}
-
 TEST(MortonBits, PartCompactAreInverse) {
   std::mt19937 rng(44);
   std::uniform_int_distribution<std::uint32_t> d21(0, (1u << 21) - 1);
-  std::uniform_int_distribution<std::uint32_t> d32;
   for (int n = 0; n < 10000; ++n) {
     const std::uint32_t v3 = d21(rng);
     EXPECT_EQ(core::compact_bits_3(core::part_bits_3(v3)), v3);
-    const std::uint32_t v2 = d32(rng);
-    EXPECT_EQ(core::compact_bits_2(core::part_bits_2(v2)), v2);
   }
 }
 
@@ -164,15 +130,6 @@ TEST(MortonLut, DecodeMatchesMagicBits3D) {
   for (int n = 0; n < 20000; ++n) {
     const std::uint64_t m = dist(rng);
     EXPECT_EQ(core::morton_decode_3d_lut(m), core::morton_decode_3d(m));
-  }
-}
-
-TEST(MortonLut, MatchesMagicBits2D) {
-  std::mt19937 rng(48);
-  std::uniform_int_distribution<std::uint32_t> dist;
-  for (int n = 0; n < 20000; ++n) {
-    const std::uint32_t x = dist(rng), y = dist(rng);
-    EXPECT_EQ(core::morton_encode_2d_lut(x, y), core::morton_encode_2d(x, y));
   }
 }
 
@@ -259,8 +216,6 @@ TEST(MortonConstexpr, UsableAtCompileTime) {
                  (((3ull >> 1) & 1) << 3) | (((1ull >> 1) & 1) << 4) | (((2ull >> 1) & 1) << 5)));
   static_assert(core::morton_decode_3d(core::morton_encode_3d(5, 6, 7)) ==
                 core::MortonCoord3D{5, 6, 7});
-  static_assert(core::morton_decode_2d(core::morton_encode_2d(1000, 2000)) ==
-                core::MortonCoord2D{1000, 2000});
   SUCCEED();
 }
 

@@ -49,7 +49,7 @@ TEST_P(LayoutExtentsSweep, AllLayoutsBijectiveWithinCapacity) {
     EXPECT_GE(layout.required_capacity(), e.size());
   };
   check(core::ArrayOrderLayout(e));
-  check(core::ZOrderLayout(e));
+  check(core::GeneralizedMortonLayout(e));
   check(core::TiledLayout(e));
   check(core::HilbertLayout(e));
 }
@@ -59,7 +59,7 @@ TEST_P(LayoutExtentsSweep, IndexerAgreesWithLayouts) {
   const core::Indexer ia(core::Order::kArray, e);
   const core::Indexer iz(core::Order::kZ, e);
   const core::ArrayOrderLayout la(e);
-  const core::ZOrderLayout lz(e);
+  const core::GeneralizedMortonLayout lz(e);
   for (std::uint32_t k = 0; k < e.nz; ++k) {
     for (std::uint32_t j = 0; j < e.ny; ++j) {
       for (std::uint32_t i = 0; i < e.nx; ++i) {
@@ -75,7 +75,7 @@ TEST_P(LayoutExtentsSweep, ZOrderPaddingIsTight) {
   // never more (the anisotropic generator is compact).
   const Extents3D e = GetParam();
   const auto p = core::padded_pow2(e);
-  EXPECT_EQ(core::ZOrderLayout(e).required_capacity(), p.size());
+  EXPECT_EQ(core::GeneralizedMortonLayout(e).required_capacity(), p.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -22,8 +22,8 @@ namespace threads = sfcvis::threads;
 
 using core::ArrayOrderLayout;
 using core::Extents3D;
+using core::GeneralizedMortonLayout;
 using core::Grid3D;
-using core::ZOrderLayout;
 using render::Camera;
 using render::Image;
 using render::Projection;
@@ -327,7 +327,7 @@ TEST(Raycast, LayoutTransparencyPixelExact) {
   const Extents3D e = Extents3D::cube(24);
   Grid3D<float, ArrayOrderLayout> ga(e);
   data::fill_combustion(ga);
-  const auto gz = core::convert_layout<ZOrderLayout>(ga);
+  const auto gz = core::convert_layout<GeneralizedMortonLayout>(ga);
   exec::ExecutionContext pool(2);
   const RenderConfig config{48, 48, 16, 0.6f, 0.98f};
   const auto tf = TransferFunction::flame();
@@ -385,7 +385,7 @@ TEST(Raycast, ViewpointSensitivityIsArrayOrderSpecific) {
   const Extents3D e = Extents3D::cube(32);
   Grid3D<float, ArrayOrderLayout> ga(e);
   data::fill_combustion(ga);
-  const auto gz = core::convert_layout<ZOrderLayout>(ga);
+  const auto gz = core::convert_layout<GeneralizedMortonLayout>(ga);
   const auto tf = TransferFunction::flame();
   const RenderConfig config{48, 48, 16, 0.75f, 1.1f};
 

@@ -92,8 +92,10 @@ TEST(MakeVolume, KindAndNameMatchRequest) {
   const Extents3D e{12, 7, 5};
   for (const auto kind : core::kAllLayoutKinds) {
     const AnyVolume v = core::make_volume(kind, e);
-    EXPECT_EQ(v.kind(), kind);
-    EXPECT_STREQ(v.layout_name(), core::to_string(kind));
+    // An unpatterned gmorton request is the canonical pattern: z-order.
+    const LayoutKind want = kind == LayoutKind::kGMorton ? LayoutKind::kZOrder : kind;
+    EXPECT_EQ(v.kind(), want);
+    EXPECT_STREQ(v.layout_name(), core::to_string(want));
     EXPECT_EQ(v.extents().nx, e.nx);
     EXPECT_EQ(v.size(), e.size());
   }
@@ -104,7 +106,7 @@ TEST(MakeVolume, CapacitiesMatchDirectLayouts) {
   EXPECT_EQ(core::make_volume(LayoutKind::kArray, e).capacity(),
             core::ArrayOrderLayout(e).required_capacity());
   EXPECT_EQ(core::make_volume(LayoutKind::kZOrder, e).capacity(),
-            core::ZOrderLayout(e).required_capacity());
+            core::GeneralizedMortonLayout(e).required_capacity());
   EXPECT_EQ(core::make_volume(LayoutKind::kHilbert, e).capacity(),
             core::HilbertLayout(e).required_capacity());
   core::VolumeOpts opts;
@@ -113,14 +115,21 @@ TEST(MakeVolume, CapacitiesMatchDirectLayouts) {
             core::TiledLayout(e, 4).required_capacity());
 }
 
-TEST(AnyVolume, VariantIndexMatchesKindEnum) {
-  // kind() is static_cast of the variant index; this ordering is the one
-  // invariant a facade refactor could silently break.
-  const Extents3D e = Extents3D::cube(4);
-  EXPECT_EQ(core::make_volume(LayoutKind::kArray, e).kind(), LayoutKind::kArray);
-  EXPECT_EQ(core::make_volume(LayoutKind::kZOrder, e).kind(), LayoutKind::kZOrder);
-  EXPECT_EQ(core::make_volume(LayoutKind::kTiled, e).kind(), LayoutKind::kTiled);
-  EXPECT_EQ(core::make_volume(LayoutKind::kHilbert, e).kind(), LayoutKind::kHilbert);
+TEST(AnyVolume, KindOfGMortonVolumeFollowsItsPattern) {
+  // Z-order is the canonical generalized-Morton pattern: a gmorton volume
+  // reports z-order exactly when its pattern is canonical for its extents.
+  const Extents3D e{12, 7, 5};
+  const AnyVolume canonical{core::GMortonVolume(core::GeneralizedMortonLayout(e))};
+  EXPECT_EQ(canonical.kind(), LayoutKind::kZOrder);
+  EXPECT_STREQ(canonical.layout_name(), "z-order");
+  core::VolumeOpts opts;
+  opts.interleave = core::InterleavePattern::canonical(e).str();
+  EXPECT_EQ(core::make_volume(LayoutKind::kGMorton, e, opts).kind(), LayoutKind::kZOrder);
+
+  const AnyVolume tuned{core::GMortonVolume(
+      core::GeneralizedMortonLayout(e, core::InterleavePattern::array_order(e)))};
+  EXPECT_EQ(tuned.kind(), LayoutKind::kGMorton);
+  EXPECT_STREQ(tuned.layout_name(), "gmorton");
 }
 
 TEST(AnyVolume, FillAndAtAgreeAcrossLayouts) {
@@ -141,9 +150,9 @@ TEST(AnyVolume, FillAndAtAgreeAcrossLayouts) {
 
 TEST(AnyVolume, AsReturnsConcreteGridOrThrows) {
   AnyVolume v = core::make_volume(LayoutKind::kZOrder, Extents3D::cube(8));
-  EXPECT_NO_THROW((void)v.as<core::ZOrderLayout>());
+  EXPECT_NO_THROW((void)v.as<core::GeneralizedMortonLayout>());
   EXPECT_THROW((void)v.as<core::ArrayOrderLayout>(), std::bad_variant_access);
-  auto& grid = v.as<core::ZOrderLayout>();
+  auto& grid = v.as<core::GeneralizedMortonLayout>();
   grid.at(1, 2, 3) = 7.0f;
   EXPECT_EQ(v.at(1, 2, 3), 7.0f);
 }
@@ -160,7 +169,7 @@ TEST(AnyVolume, ConvertToPreservesContentsAcrossAllKinds) {
   src.fill_from(field);
   for (const auto kind : core::kAllLayoutKinds) {
     const AnyVolume dst = src.convert_to(kind);
-    EXPECT_EQ(dst.kind(), kind);
+    EXPECT_EQ(dst.kind(), kind == LayoutKind::kGMorton ? LayoutKind::kZOrder : kind);
     for (std::uint32_t k = 0; k < e.nz; ++k) {
       for (std::uint32_t j = 0; j < e.ny; ++j) {
         for (std::uint32_t i = 0; i < e.nx; ++i) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Layout-dispatch gate: the five concrete Grid3D<float, ...Layout>
+# Layout-dispatch gate: the four concrete Grid3D<float, ...Layout>
 # instantiations may only be spelled inside src/sfcvis/core/ (the
 # AnyVolume facade — the single dispatch point) and tests/. Everything
 # else must go through core::AnyVolume / core::make_volume, or stay
@@ -9,7 +9,7 @@
 set -u
 
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
-pattern='Grid3D<float,[[:space:]]*(sfcvis::)?(core::)?(ArrayOrder|ZOrder|Tiled|Hilbert|GeneralizedMorton)Layout'
+pattern='Grid3D<float,[[:space:]]*(sfcvis::)?(core::)?(ArrayOrder|Tiled|Hilbert|GeneralizedMorton)Layout'
 
 violations=$(grep -rnE "$pattern" \
   "$root/src" "$root/bench" "$root/examples" "$root/tools" 2>/dev/null \
