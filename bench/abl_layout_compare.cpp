@@ -20,7 +20,7 @@
 //   otherwise             a deterministic tuner::quick_search per workload.
 // A fourth table, abl_layout_tuned_cycles.csv, restates the tuned row's
 // memsim columns against canonical Z-order — fully deterministic, so
-// tools/bench_gate.py gates it ("lower": the tuned layout must keep
+// `tools/sfcreport.py gate` gates it ("lower": the tuned layout must keep
 // beating, or at least matching, canonical Z on modeled cost).
 #include "common.hpp"
 #include "sfcvis/filters/bilateral.hpp"
@@ -201,9 +201,9 @@ int main(int argc, char** argv) {
 
   // Deterministic gate table: the tuned layout against canonical Z-order on
   // the memsim columns only (wall clock never gates). Both cells per row
-  // should stay <= ~1.0; bench_gate.py fails the build if either drifts up
-  // past the threshold — i.e. if a code change makes the tuned layout stop
-  // paying for itself.
+  // should stay <= ~1.0; `sfcreport.py gate` fails the build if either
+  // drifts up past the threshold — i.e. if a code change makes the tuned
+  // layout stop paying for itself.
   bench_util::ResultTable tuned_table(
       "tuned gmorton vs canonical z-order  [deterministic; < 1.00 = tuned wins]",
       {"bilateral", "volrend"}, {"modeled cycles", "L2 escapes"});

@@ -6,7 +6,7 @@
 // cache-line utilization, and the exact-vs-SHARDS sampling error. Every
 // cell is a pure function of (layout, kernel) — TracedView rebases
 // addresses to a synthetic origin — so all tables are bit-stable and
-// bench_gate.py gates them like the memsim tables.
+// `sfcreport.py gate` gates them like the memsim tables.
 //
 //   abl_locality [--size=N] [--trace-items=N] [--threads-model=N]
 //                [--sample-log2=K] [--quick] [--csv-dir=...] [--report-out=...]

@@ -14,8 +14,8 @@
 //   --trace-out=PATH  write a Chrome trace-event JSON (Perfetto-loadable);
 //                     implies --trace
 //   --report-out=PATH write the machine-readable run report JSON (consumed
-//                     by tools/trace_summary.py and tools/bench_gate.py
-//                     --from-report); implies --trace
+//                     by tools/sfcreport.py, whose `gate` reads every gated
+//                     table from it); implies --trace
 //
 // Output: the same tables as the paper's figures — scaled relative
 // differences (Eq. 4), positive = Z-order better.

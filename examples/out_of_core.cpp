@@ -15,7 +15,7 @@
 // Without --in, a --size^3 MRI phantom is packed to a temp file first
 // (tools/brick_pack does the same for real data). With --report-out, the
 // run report carries the brick-cache section that
-// tools/trace_summary.py --validate --require-brick-cache checks in CI.
+// `tools/sfcreport.py validate --require brick-cache` checks in CI.
 #include <cstdio>
 #include <filesystem>
 

@@ -294,7 +294,7 @@ inline void run_job(ExecutionContext& ctx, KernelJob job) {
 /// call (per volume) into the trace metrics registry as "bricked.*"
 /// counters — cache_hit, cache_miss, evictions, overflow_bricks,
 /// prefetch_issued, prefetch_hits — so run reports carry a brick-cache
-/// section alongside the kernel counters (tools/trace_summary.py renders
+/// section alongside the kernel counters (tools/sfcreport.py summarizes
 /// and validates it). Core stays leaf: the volume only exposes the drained
 /// deltas; the registry write happens here in the exec layer. Returns the
 /// drained delta report (fallback strings ride along) for direct

@@ -20,8 +20,8 @@
 // hit/miss delta attributed to its prep+run window. Records flow three
 // ways: the bounded records() buffer here, aggregate "exec.job*" metrics
 // counters, and — when a TraceSession is active — the run report's
-// always-present "jobs" section (trace_summary.py validates it;
-// --require-jobs gates on it).
+// always-present "jobs" section (`sfcreport.py validate` checks it;
+// `--require jobs` gates on it).
 //
 // Double-submit policy (pinned, tests/test_jobs.cpp): a second job
 // writing the same output while one is queued is REJECTED at submit

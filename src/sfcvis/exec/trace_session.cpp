@@ -74,10 +74,10 @@ TraceSession::TraceSession(std::string trace_out, std::string report_out, bool f
     perfmon::OpenFailure failure;
     topdown_ = perfmon::TopDownCounters::open(&failure);
     if (topdown_) {
-      topdown_source_ = "perf_events";
+      sections_.topdown.source = "perf_events";
       topdown_->start();
     } else {
-      topdown_source_ = failure.message;
+      sections_.topdown.source = failure.message;
     }
   }
 }
@@ -87,6 +87,18 @@ TraceSession::~TraceSession() { finish(); }
 TraceSession*& TraceSession::current() noexcept {
   static TraceSession* session = nullptr;
   return session;
+}
+
+void TraceSession::add_locality(trace::LocalityProfile profile) {
+  sections_.locality.available = true;
+  sections_.locality.source = "locality profiler (traced replay)";
+  sections_.locality.profiles.push_back(std::move(profile));
+}
+
+void TraceSession::add_job(trace::JobReportEntry entry) {
+  sections_.jobs.available = true;
+  sections_.jobs.source = "exec::JobGraph dispatch accounting";
+  sections_.jobs.jobs.push_back(std::move(entry));
 }
 
 void TraceSession::finish() {
@@ -103,26 +115,11 @@ void TraceSession::finish() {
   const trace::TraceSnapshot snap = tracer.snapshot();
   const trace::MetricsSnapshot metrics = tracer.metrics_snapshot();
   tracer.disable();
-  trace::TopDownReport topdown;
-  topdown.source = topdown_source_;
   if (topdown_) {
-    topdown.available = true;
-    topdown.reading = topdown_->stop();
+    sections_.topdown.available = true;
+    sections_.topdown.reading = topdown_->stop();
     topdown_.reset();
   }
-  trace::LocalityReport locality;
-  locality.available = !locality_profiles_.empty();
-  locality.source = locality.available
-                        ? "locality profiler (traced replay)"
-                        : "no locality profiles published by this run";
-  locality.profiles = std::move(locality_profiles_);
-  locality_profiles_.clear();
-  trace::JobsReport jobs;
-  jobs.available = !job_entries_.empty();
-  jobs.source = jobs.available ? "exec::JobGraph dispatch accounting"
-                               : "no KernelJob ran while this session was active";
-  jobs.jobs = std::move(job_entries_);
-  job_entries_.clear();
   if (!trace_out_.empty()) {
     if (trace::write_text_file(trace_out_, trace::chrome_trace_json(snap))) {
       std::printf("[trace] %s (%llu spans, %s)\n", trace_out_.c_str(),
@@ -133,12 +130,10 @@ void TraceSession::finish() {
     }
   }
   if (!report_out_.empty()) {
-    if (trace::write_text_file(
-            report_out_,
-            trace::run_report_json(snap, metrics, tables_, &topdown, &locality, &jobs))) {
+    if (trace::write_text_file(report_out_, trace::run_report_json(snap, metrics, sections_))) {
       std::printf("[trace] %s (%zu tables, %zu locality profiles, %zu jobs)\n",
-                  report_out_.c_str(), tables_.size(), locality.profiles.size(),
-                  jobs.jobs.size());
+                  report_out_.c_str(), sections_.tables.size(),
+                  sections_.locality.profiles.size(), sections_.jobs.jobs.size());
     } else {
       std::fprintf(stderr, "[trace] failed to write %s\n", report_out_.c_str());
     }

@@ -16,7 +16,6 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "sfcvis/perfmon/perf_events.hpp"
 #include "sfcvis/trace/export.hpp"
@@ -35,18 +34,16 @@ class TraceSession {
   [[nodiscard]] bool active() const noexcept { return active_; }
 
   /// Records a table for the run report.
-  void add_table(trace::ReportTable table) { tables_.push_back(std::move(table)); }
+  void add_table(trace::ReportTable table) { sections_.tables.push_back(std::move(table)); }
 
   /// Records a locality profile (reuse-distance histograms + MRCs) for
   /// the run report's always-present "locality" section.
-  void add_locality(trace::LocalityProfile profile) {
-    locality_profiles_.push_back(std::move(profile));
-  }
+  void add_locality(trace::LocalityProfile profile);
 
   /// Records one finished job for the run report's always-present "jobs"
   /// section (exec::JobGraph publishes every completed job here while a
   /// session is active).
-  void add_job(trace::JobReportEntry entry) { job_entries_.push_back(std::move(entry)); }
+  void add_job(trace::JobReportEntry entry);
 
   /// Stops tracing and writes the export files once (also run by the
   /// destructor; calling early lets a run flush before its exit path).
@@ -59,14 +56,13 @@ class TraceSession {
   std::string trace_out_;
   std::string report_out_;
   bool active_ = false;
-  std::vector<trace::ReportTable> tables_;
-  std::vector<trace::LocalityProfile> locality_profiles_;
-  std::vector<trace::JobReportEntry> job_entries_;
+  /// What the run report carries beyond the trace; sections nobody filled
+  /// stay unavailable with their default reason.
+  trace::RunReportSections sections_;
   /// Whole-run top-down counters, opened (inherit-enabled, so pool
   /// workers spawned later are covered) while the session is active;
   /// the open failure is reported in the run report otherwise.
   std::optional<perfmon::TopDownCounters> topdown_;
-  std::string topdown_source_;
 };
 
 }  // namespace sfcvis::exec

@@ -158,9 +158,7 @@ std::string chrome_trace_json(const TraceSnapshot& snap) {
 }
 
 std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& metrics,
-                            const std::vector<ReportTable>& tables,
-                            const TopDownReport* topdown, const LocalityReport* locality,
-                            const JobsReport* jobs) {
+                            const RunReportSections& sections) {
   // Aggregate spans into phases (ordered by name, then tag, for a stable
   // report) and sum depth-0 deltas: nested spans are contained in their
   // parents, so only top-level spans sum to the whole-run totals.
@@ -220,15 +218,15 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
 
   // Top-down slot breakdown — always present; unavailable runs record why
   // (the reported-fallback idiom), so consumers can rely on the key.
+  const TopDownReport& topdown = sections.topdown;
   w.key("topdown");
   w.begin_object();
   w.key("available");
-  w.value(topdown != nullptr && topdown->available);
+  w.value(topdown.available);
   w.key("source");
-  w.value(topdown == nullptr ? "top-down counters not requested by this run"
-                             : topdown->source);
-  if (topdown != nullptr && topdown->available) {
-    const auto& r = topdown->reading;
+  w.value(topdown.source);
+  if (topdown.available) {
+    const auto& r = topdown.reading;
     w.key("cycles");
     w.value(r.cycles);
     w.key("instructions");
@@ -260,38 +258,34 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
   w.key("locality");
   w.begin_object();
   w.key("available");
-  w.value(locality != nullptr && locality->available);
+  w.value(sections.locality.available);
   w.key("source");
-  w.value(locality == nullptr
-              ? "no locality profiler ran (see tools/locality_report or bench/abl_locality)"
-              : locality->source);
+  w.value(sections.locality.source);
   w.key("profiles");
   w.begin_array();
-  if (locality != nullptr) {
-    for (const LocalityProfile& p : locality->profiles) {
-      w.begin_object();
-      w.key("kernel");
-      w.value(p.kernel);
-      w.key("layout");
-      w.value(p.layout);
-      w.key("accesses");
-      w.value(p.accesses);
-      w.key("bytes");
-      w.value(p.bytes);
-      w.key("line");
-      locality_granularity_object(w, p.line);
-      w.key("page");
-      locality_granularity_object(w, p.page);
-      w.key("sample_rate_log2");
-      w.value(std::uint64_t{p.sample_rate_log2});
-      w.key("sampled");
-      if (p.sampled_available) {
-        locality_granularity_object(w, p.sampled);
-      } else {
-        w.null();
-      }
-      w.end_object();
+  for (const LocalityProfile& p : sections.locality.profiles) {
+    w.begin_object();
+    w.key("kernel");
+    w.value(p.kernel);
+    w.key("layout");
+    w.value(p.layout);
+    w.key("accesses");
+    w.value(p.accesses);
+    w.key("bytes");
+    w.value(p.bytes);
+    w.key("line");
+    locality_granularity_object(w, p.line);
+    w.key("page");
+    locality_granularity_object(w, p.page);
+    w.key("sample_rate_log2");
+    w.value(std::uint64_t{p.sample_rate_log2});
+    w.key("sampled");
+    if (p.sampled_available) {
+      locality_granularity_object(w, p.sampled);
+    } else {
+      w.null();
     }
+    w.end_object();
   }
   w.end_array();
   w.end_object();
@@ -301,34 +295,32 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
   w.key("jobs");
   w.begin_object();
   w.key("available");
-  w.value(jobs != nullptr && jobs->available);
+  w.value(sections.jobs.available);
   w.key("source");
-  w.value(jobs == nullptr ? "no job graph ran while tracing (exec::JobGraph)" : jobs->source);
+  w.value(sections.jobs.source);
   w.key("jobs");
   w.begin_array();
-  if (jobs != nullptr) {
-    for (const JobReportEntry& j : jobs->jobs) {
-      w.begin_object();
-      w.key("id");
-      w.value(j.id);
-      w.key("kernel");
-      w.value(j.kernel);
-      w.key("state");
-      w.value(j.state);
-      w.key("tiles");
-      w.value(j.tiles);
-      w.key("tiles_run");
-      w.value(j.tiles_run);
-      w.key("queue_wait_ns");
-      w.value(j.queue_wait_ns);
-      w.key("run_ns");
-      w.value(j.run_ns);
-      w.key("structure_cache_hits");
-      w.value(j.structure_cache_hits);
-      w.key("structure_cache_misses");
-      w.value(j.structure_cache_misses);
-      w.end_object();
-    }
+  for (const JobReportEntry& j : sections.jobs.jobs) {
+    w.begin_object();
+    w.key("id");
+    w.value(j.id);
+    w.key("kernel");
+    w.value(j.kernel);
+    w.key("state");
+    w.value(j.state);
+    w.key("tiles");
+    w.value(j.tiles);
+    w.key("tiles_run");
+    w.value(j.tiles_run);
+    w.key("queue_wait_ns");
+    w.value(j.queue_wait_ns);
+    w.key("run_ns");
+    w.value(j.run_ns);
+    w.key("structure_cache_hits");
+    w.value(j.structure_cache_hits);
+    w.key("structure_cache_misses");
+    w.value(j.structure_cache_misses);
+    w.end_object();
   }
   w.end_array();
   w.end_object();
@@ -514,7 +506,7 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
 
   w.key("tables");
   w.begin_array();
-  for (const auto& t : tables) {
+  for (const auto& t : sections.tables) {
     w.begin_object();
     w.key("name");
     w.value(t.name);

@@ -6,7 +6,7 @@
 //    chrome://tracing for a visual timeline; per-span hardware counter
 //    deltas ride along in each event's "args".
 //  * run_report_json — the machine-readable run report consumed by
-//    tools/trace_summary.py and tools/bench_gate.py: per-phase span
+//    tools/sfcreport.py (validate, summarize, diff, gate): per-phase span
 //    aggregates with per-thread breakdown and load imbalance, the merged
 //    metrics registry, and any bench result tables. This replaces the
 //    bespoke per-bench stats printers as the diffable artifact of a run.
@@ -37,7 +37,8 @@ struct ReportTable {
 /// reported-fallback idiom — absence is a recorded fact, never silence).
 struct TopDownReport {
   bool available = false;
-  std::string source;  ///< "perf_events" or the open-failure explanation
+  /// "perf_events", or why the counters are missing.
+  std::string source = "top-down counters not requested by this run";
   perfmon::TopDownReading reading{};
 };
 
@@ -86,7 +87,7 @@ struct LocalityProfile {
 /// and `source` says why.
 struct LocalityReport {
   bool available = false;
-  std::string source;
+  std::string source = "no locality profiles published by this run";
   std::vector<LocalityProfile> profiles;
 };
 
@@ -110,8 +111,17 @@ struct JobReportEntry {
 /// why.
 struct JobsReport {
   bool available = false;
-  std::string source;
+  std::string source = "no KernelJob ran while this session was active";
   std::vector<JobReportEntry> jobs;
+};
+
+/// Everything a run report carries beyond the trace and metrics snapshots.
+/// A default-constructed member is an unavailable section with its reason.
+struct RunReportSections {
+  std::vector<ReportTable> tables;
+  TopDownReport topdown;
+  LocalityReport locality;
+  JobsReport jobs;
 };
 
 /// Chrome trace-event JSON (Perfetto-loadable). Spans become "X" events;
@@ -120,15 +130,11 @@ struct JobsReport {
 
 /// The run report: versioned JSON with hw-counter provenance, per-phase
 /// aggregates (phase = span name + tag), per-thread values, the metrics
-/// registry, `tables`, the top-down slot breakdown, the locality section,
-/// and the per-job dispatch section (`topdown` / `locality` / `jobs` may
-/// be null — the sections are then emitted as unavailable).
+/// registry, and `sections`: result tables, the top-down slot breakdown,
+/// the locality section and the per-job dispatch section.
 [[nodiscard]] std::string run_report_json(const TraceSnapshot& snap,
                                           const MetricsSnapshot& metrics,
-                                          const std::vector<ReportTable>& tables = {},
-                                          const TopDownReport* topdown = nullptr,
-                                          const LocalityReport* locality = nullptr,
-                                          const JobsReport* jobs = nullptr);
+                                          const RunReportSections& sections = {});
 
 /// Writes `contents` to `path`; false (with intact errno) on failure.
 bool write_text_file(const std::string& path, std::string_view contents);

@@ -281,7 +281,7 @@ void expect_flushed_report(const std::string& path) {
   EXPECT_NE(json.find("\"name\":\"flush_test\""), std::string::npos);
   if (std::system("python3 -c 'import json' > /dev/null 2>&1") == 0) {
     const std::string cmd = std::string("python3 \"") + SFCVIS_TOOLS_DIR +
-                            "/trace_summary.py\" --validate \"" + path + "\"";
+                            "/sfcreport.py\" validate \"" + path + "\"";
     EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
   }
   std::error_code ec;

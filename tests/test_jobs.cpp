@@ -464,7 +464,7 @@ bool identical(const render::Image& a, const render::Image& b) {
 /// The replay contract of one job builder: the native run and a replay
 /// write the same output bit for bit, two replays give the same counters,
 /// a capped replay records exactly its cap as done (what
-/// trace_summary.py --validate requires of a jobs entry), and no replay
+/// `sfcreport.py validate` requires of a jobs entry), and no replay
 /// creates a worker pool.
 template <class Build, class MakeOut>
 void expect_replay_contract(const std::string& what, const Build& build,

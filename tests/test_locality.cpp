@@ -15,7 +15,7 @@
 //    AnyVolume backends (array, tiled, z-order, hilbert, gmorton,
 //    bricked);
 //  * published profiles land in the run report's "locality" section and
-//    pass tools/trace_summary.py --validate --require-locality.
+//    pass tools/sfcreport.py validate --require locality.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -2,8 +2,8 @@
 // nesting and ordering, ring wraparound accounting, the zero-cost
 // disabled path, the reported (never silent) hardware-counter fallback,
 // cross-thread metric merging, and both exporters — including a pass
-// through the Python validator (tools/trace_summary.py --validate), the
-// same check CI's trace-smoke job runs.
+// through the Python validator (tools/sfcreport.py validate), the same
+// check CI's trace-smoke job runs.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -293,8 +293,10 @@ TEST(TraceExport, RunReportCarriesPhasesMetricsAndTables) {
   table.rows = {"r0"};
   table.cols = {"c0", "c1"};
   table.cells = {{1.0, 2.0}};
+  trace::RunReportSections sections;
+  sections.tables = {table};
   const std::string json =
-      trace::run_report_json(tracer.snapshot(), tracer.metrics_snapshot(), {table});
+      trace::run_report_json(tracer.snapshot(), tracer.metrics_snapshot(), sections);
   for (const char* needle :
        {"\"sfcvis_run_report\":1", "\"hw_counters\":", "\"phases\":[",
         "\"name\":\"test.report\"", "\"tag\":\"tag\"",
@@ -332,7 +334,7 @@ TEST(TraceExport, PythonValidatorAcceptsBothExports) {
   ASSERT_TRUE(trace::write_text_file(report_path, trace::run_report_json(snap, metrics)));
 
   const std::string cmd = std::string("python3 \"") + SFCVIS_TOOLS_DIR +
-                          "/trace_summary.py\" --validate \"" + trace_path + "\" \"" +
+                          "/sfcreport.py\" validate \"" + trace_path + "\" \"" +
                           report_path + "\"";
   EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
   std::filesystem::remove(trace_path);

@@ -8,8 +8,8 @@
 //
 // "tuned" in --layouts resolves to the tuner's deterministic quick-search
 // winner for the kernel/shape. With --report-out the profiles also land in
-// the run report's "locality" section (tools/trace_summary.py summarizes
-// and validates it; tools/report_diff.py diffs two such reports).
+// the run report's "locality" section (tools/sfcreport.py summarizes and
+// validates it, and diffs two such reports).
 #include <cstdio>
 #include <string>
 #include <vector>
