@@ -31,6 +31,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -221,6 +222,10 @@ class BrickedView {
     return *fetch(clamp_axis(i, extents_.nx), clamp_axis(j, extents_.ny),
                   clamp_axis(k, extents_.nz), nullptr);
   }
+  [[nodiscard]] std::array<float, 8> cell(std::int64_t i, std::int64_t j,
+                                          std::int64_t k) const noexcept {
+    return cell_by_taps<float>(*this, i, j, k);
+  }
 
   /// Releases every pinned brick (also run by the destructor).
   void reset() noexcept {
@@ -360,6 +365,10 @@ class BrickedTracedView : private BrickedView {
     const auto cj = clamp_to(j, e.ny);
     const auto ck = clamp_to(k, e.nz);
     return at(ci, cj, ck);
+  }
+  [[nodiscard]] std::array<float, 8> cell(std::int64_t i, std::int64_t j,
+                                          std::int64_t k) const {
+    return cell_by_taps<float>(*this, i, j, k);
   }
 
   [[nodiscard]] SinkT& sink() const noexcept { return *sink_; }

@@ -235,6 +235,17 @@ class GeneralizedMortonLayout {
     return tables_->index(i, j, k);
   }
 
+  /// Per-axis terms of index(): the deposit-table entries.
+  [[nodiscard]] std::size_t x_offset(std::uint32_t i) const noexcept {
+    return static_cast<std::size_t>(tables_->axis_entry(0, i));
+  }
+  [[nodiscard]] std::size_t y_offset(std::uint32_t j) const noexcept {
+    return static_cast<std::size_t>(tables_->axis_entry(1, j));
+  }
+  [[nodiscard]] std::size_t z_offset(std::uint32_t k) const noexcept {
+    return static_cast<std::size_t>(tables_->axis_entry(2, k));
+  }
+
   [[nodiscard]] const Extents3D& extents() const noexcept { return extents_; }
   [[nodiscard]] std::size_t required_capacity() const noexcept {
     return tables_ ? tables_->capacity() : 0;

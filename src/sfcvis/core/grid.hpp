@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <functional>
@@ -72,6 +73,40 @@ class Grid3D {
     const auto cj = static_cast<std::uint32_t>(std::clamp<std::int64_t>(j, 0, e.ny - 1));
     const auto ck = static_cast<std::uint32_t>(std::clamp<std::int64_t>(k, 0, e.nz - 1));
     return data_[layout_.index(ci, cj, ck)];
+  }
+
+  /// Border-clamped 2x2x2 cell load: the eight values at_clamped returns
+  /// for (i | i+1, j | j+1, k | k+1), in the order c000, c100, c010, c110,
+  /// c001, c101, c011, c111 (x fastest) — the trilinear stencil. The six
+  /// coordinates are clamped once; on a SeparableLayout each becomes its
+  /// per-axis offset once (the paper's Sec. III-C tables), so the eight
+  /// indices cost eight adds. Other layouts index the eight corners.
+  /// Forced inline, so the packet raycaster's per-lane calls compile to
+  /// straight-line loads.
+  [[nodiscard, gnu::always_inline]] std::array<T, 8> cell_clamped(
+      std::int64_t i, std::int64_t j, std::int64_t k) const noexcept {
+    const auto& e = layout_.extents();
+    const auto clamp = [](std::int64_t v, std::uint32_t n) {
+      return static_cast<std::uint32_t>(std::clamp<std::int64_t>(v, 0, n - 1));
+    };
+    const std::uint32_t i0 = clamp(i, e.nx), i1 = clamp(i + 1, e.nx);
+    const std::uint32_t j0 = clamp(j, e.ny), j1 = clamp(j + 1, e.ny);
+    const std::uint32_t k0 = clamp(k, e.nz), k1 = clamp(k + 1, e.nz);
+    const T* d = data_.data();
+    if constexpr (SeparableLayout<LayoutT>) {
+      const std::size_t x0 = layout_.x_offset(i0), x1 = layout_.x_offset(i1);
+      const std::size_t y0 = layout_.y_offset(j0), y1 = layout_.y_offset(j1);
+      const std::size_t z0 = layout_.z_offset(k0), z1 = layout_.z_offset(k1);
+      const std::size_t s00 = y0 + z0, s10 = y1 + z0, s01 = y0 + z1, s11 = y1 + z1;
+      return {d[x0 + s00], d[x1 + s00], d[x0 + s10], d[x1 + s10],
+              d[x0 + s01], d[x1 + s01], d[x0 + s11], d[x1 + s11]};
+    } else {
+      const auto load = [&](std::uint32_t ci, std::uint32_t cj, std::uint32_t ck) {
+        return d[layout_.index(ci, cj, ck)];
+      };
+      return {load(i0, j0, k0), load(i1, j0, k0), load(i0, j1, k0), load(i1, j1, k0),
+              load(i0, j0, k1), load(i1, j0, k1), load(i0, j1, k1), load(i1, j1, k1)};
+    }
   }
 
   [[nodiscard]] const LayoutT& layout() const noexcept { return layout_; }

@@ -38,6 +38,18 @@ concept Layout3D = requires(const L layout, std::uint32_t c) {
   { L::name() } -> std::convertible_to<std::string_view>;
 };
 
+/// A Layout3D whose index is a sum of per-axis terms:
+/// index(i, j, k) == x_offset(i) + y_offset(j) + z_offset(k). These are the
+/// paper's per-axis offset tables (Sec. III-C: A-order i + yoffset[j] +
+/// zoffset[k], Z-order xtab[i] | ytab[j] | ztab[k]); Grid3D::cell_clamped
+/// uses them to address a 2x2x2 cell with six axis terms and eight adds.
+template <class L>
+concept SeparableLayout = Layout3D<L> && requires(const L layout, std::uint32_t c) {
+  { layout.x_offset(c) } -> std::same_as<std::size_t>;
+  { layout.y_offset(c) } -> std::same_as<std::size_t>;
+  { layout.z_offset(c) } -> std::same_as<std::size_t>;
+};
+
 // ---------------------------------------------------------------------------
 // Array order (row-major)
 // ---------------------------------------------------------------------------
@@ -52,6 +64,15 @@ class ArrayOrderLayout {
                                   std::uint32_t k) const noexcept {
     return i + static_cast<std::size_t>(extents_.nx) *
                    (j + static_cast<std::size_t>(extents_.ny) * k);
+  }
+
+  /// Per-axis terms of index(): i, j*nx and k*nx*ny.
+  [[nodiscard]] std::size_t x_offset(std::uint32_t i) const noexcept { return i; }
+  [[nodiscard]] std::size_t y_offset(std::uint32_t j) const noexcept {
+    return static_cast<std::size_t>(extents_.nx) * j;
+  }
+  [[nodiscard]] std::size_t z_offset(std::uint32_t k) const noexcept {
+    return static_cast<std::size_t>(extents_.nx) * extents_.ny * k;
   }
 
   [[nodiscard]] const Extents3D& extents() const noexcept { return extents_; }
@@ -91,15 +112,25 @@ class TiledLayout {
   /// is then two cache lines wide in x).
   explicit TiledLayout(const Extents3D& e, std::uint32_t b = 8) : TiledLayout(e, b, b, b) {}
 
+  /// (tile << tile_bits) + within-tile offset, with tile and within-tile
+  /// offset both row-major: a sum of one term per axis.
   [[nodiscard]] std::size_t index(std::uint32_t i, std::uint32_t j,
                                   std::uint32_t k) const noexcept {
-    const std::uint32_t ti = i >> lbx_, tj = j >> lby_, tk = k >> lbz_;
-    const std::uint32_t li = i & (bx_ - 1), lj = j & (by_ - 1), lk = k & (bz_ - 1);
-    const std::size_t tile =
-        ti + static_cast<std::size_t>(tiles_x_) * (tj + static_cast<std::size_t>(tiles_y_) * tk);
-    const std::size_t within =
-        li + (static_cast<std::size_t>(lj) << lbx_) + (static_cast<std::size_t>(lk) << (lbx_ + lby_));
-    return (tile << (lbx_ + lby_ + lbz_)) + within;
+    return x_offset(i) + y_offset(j) + z_offset(k);
+  }
+
+  /// Per-axis terms of index(): each axis's tile step plus its in-tile step.
+  [[nodiscard]] std::size_t x_offset(std::uint32_t i) const noexcept {
+    return (static_cast<std::size_t>(i >> lbx_) << (lbx_ + lby_ + lbz_)) + (i & (bx_ - 1));
+  }
+  [[nodiscard]] std::size_t y_offset(std::uint32_t j) const noexcept {
+    return ((static_cast<std::size_t>(tiles_x_) * (j >> lby_)) << (lbx_ + lby_ + lbz_)) +
+           (static_cast<std::size_t>(j & (by_ - 1)) << lbx_);
+  }
+  [[nodiscard]] std::size_t z_offset(std::uint32_t k) const noexcept {
+    return ((static_cast<std::size_t>(tiles_x_) * tiles_y_ * (k >> lbz_))
+            << (lbx_ + lby_ + lbz_)) +
+           (static_cast<std::size_t>(k & (bz_ - 1)) << (lbx_ + lby_));
   }
 
   [[nodiscard]] const Extents3D& extents() const noexcept { return extents_; }
@@ -158,5 +189,9 @@ static_assert(Layout3D<ArrayOrderLayout>);
 static_assert(Layout3D<GeneralizedMortonLayout>);
 static_assert(Layout3D<TiledLayout>);
 static_assert(Layout3D<HilbertLayout>);
+static_assert(SeparableLayout<ArrayOrderLayout>);
+static_assert(SeparableLayout<GeneralizedMortonLayout>);
+static_assert(SeparableLayout<TiledLayout>);
+static_assert(!SeparableLayout<HilbertLayout>);
 
 }  // namespace sfcvis::core

@@ -16,6 +16,7 @@
 // array-order buffer in both configurations.
 #pragma once
 
+#include <array>
 #include <concepts>
 #include <cstdint>
 #include <memory>
@@ -71,11 +72,29 @@ class PlainView {
                                     std::int64_t k) const noexcept {
     return grid_->at_clamped(i, j, k);
   }
+  /// Border-clamped 2x2x2 cell: Grid3D::cell_clamped.
+  [[nodiscard, gnu::always_inline]] std::array<T, 8> cell(std::int64_t i, std::int64_t j,
+                                                          std::int64_t k) const noexcept {
+    return grid_->cell_clamped(i, j, k);
+  }
   [[nodiscard]] const Extents3D& extents() const noexcept { return grid_->extents(); }
 
  private:
   const Grid3D<T, LayoutT>* grid_;
 };
+
+/// The cell load of the traced and out-of-core views: eight at_clamped
+/// reads in Grid3D::cell_clamped's corner order, so every access stream
+/// (modeled cache, locality profile, brick cache) is the one eight
+/// separate reads produce.
+template <class T, class View>
+[[nodiscard]] std::array<T, 8> cell_by_taps(const View& view, std::int64_t i, std::int64_t j,
+                                            std::int64_t k) {
+  return {view.at_clamped(i, j, k),         view.at_clamped(i + 1, j, k),
+          view.at_clamped(i, j + 1, k),     view.at_clamped(i + 1, j + 1, k),
+          view.at_clamped(i, j, k + 1),     view.at_clamped(i + 1, j, k + 1),
+          view.at_clamped(i, j + 1, k + 1), view.at_clamped(i + 1, j + 1, k + 1)};
+}
 
 /// Read view that reports every element access to an AccessSink, as a byte
 /// address rebased to a fixed synthetic origin: the reported address is
@@ -107,6 +126,9 @@ class TracedView {
     sink_->access(kTracedBase + (reinterpret_cast<std::uint64_t>(&ref) - base_), sizeof(T));
     return ref;
   }
+  [[nodiscard]] std::array<T, 8> cell(std::int64_t i, std::int64_t j, std::int64_t k) const {
+    return cell_by_taps<T>(*this, i, j, k);
+  }
   [[nodiscard]] const Extents3D& extents() const noexcept { return grid_->extents(); }
 
   [[nodiscard]] SinkT& sink() const noexcept { return *sink_; }
@@ -117,11 +139,13 @@ class TracedView {
   std::uint64_t base_;
 };
 
-/// A read view usable by the kernels.
+/// A read view usable by the kernels. cell(i, j, k) is the border-clamped
+/// 2x2x2 cell (Grid3D::cell_clamped's values and corner order).
 template <class V>
 concept ReadView3D = requires(const V view, std::uint32_t c, std::int64_t s) {
   { view.at(c, c, c) };
   { view.at_clamped(s, s, s) };
+  { view.cell(s, s, s) };
   { view.extents() } -> std::convertible_to<Extents3D>;
 };
 

@@ -1,6 +1,7 @@
 #include "sfcvis/render/raycast.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -11,6 +12,13 @@ void validate_packet_size(std::uint32_t packet_size) {
   if (packet_size != 1 && packet_size != 4 && packet_size != 8) {
     throw std::invalid_argument("RenderConfig::packet_size must be 1, 4 or 8 (got " +
                                 std::to_string(packet_size) + ")");
+  }
+}
+
+void validate_step(float step) {
+  if (!(std::isfinite(step) && step > 0.0f)) {
+    throw std::invalid_argument("RenderConfig::step must be finite and positive (got " +
+                                std::to_string(step) + ")");
   }
 }
 

@@ -80,6 +80,11 @@ struct RenderConfig {
 /// Throws std::invalid_argument unless `packet_size` is 1, 4 or 8.
 void validate_packet_size(std::uint32_t packet_size);
 
+/// Throws std::invalid_argument unless `step` is finite and positive: a
+/// step <= 0 never advances a ray past its exit, and an infinite one makes
+/// t_enter + 0 * step NaN.
+void validate_step(float step);
+
 /// Per-ray traversal statistics (skip-rate accounting; plain counters so
 /// the hot path stays atomic-free). The parallel drivers keep one of
 /// these per tile on the worker's stack and fold it into the trace
@@ -136,28 +141,20 @@ inline void fold_ray_stats(const RayStats& s, std::uint64_t tiles = 1) {
 
 /// Trilinear reconstruction at continuous voxel position `p` (voxel-center
 /// convention: sample n lies at coordinate n). Out-of-range lattice
-/// neighbours clamp to the border.
+/// neighbours clamp to the border. The 8 neighbours arrive as one cell
+/// load (view.cell, corners c000, c100, ..., c111).
 template <core::ReadView3D View>
 [[nodiscard]] float sample_trilinear(const View& view, Vec3 p) {
   const float fx = std::floor(p.x), fy = std::floor(p.y), fz = std::floor(p.z);
-  const auto i = static_cast<std::int64_t>(fx);
-  const auto j = static_cast<std::int64_t>(fy);
-  const auto k = static_cast<std::int64_t>(fz);
+  const auto c = view.cell(static_cast<std::int64_t>(fx), static_cast<std::int64_t>(fy),
+                           static_cast<std::int64_t>(fz));
   const float tx = p.x - fx, ty = p.y - fy, tz = p.z - fz;
 
   auto lerp = [](float a, float b, float t) { return a + (b - a) * t; };
-  const float c000 = view.at_clamped(i, j, k);
-  const float c100 = view.at_clamped(i + 1, j, k);
-  const float c010 = view.at_clamped(i, j + 1, k);
-  const float c110 = view.at_clamped(i + 1, j + 1, k);
-  const float c001 = view.at_clamped(i, j, k + 1);
-  const float c101 = view.at_clamped(i + 1, j, k + 1);
-  const float c011 = view.at_clamped(i, j + 1, k + 1);
-  const float c111 = view.at_clamped(i + 1, j + 1, k + 1);
-  const float c00 = lerp(c000, c100, tx);
-  const float c10 = lerp(c010, c110, tx);
-  const float c01 = lerp(c001, c101, tx);
-  const float c11 = lerp(c011, c111, tx);
+  const float c00 = lerp(c[0], c[1], tx);
+  const float c10 = lerp(c[2], c[3], tx);
+  const float c01 = lerp(c[4], c[5], tx);
+  const float c11 = lerp(c[6], c[7], tx);
   return lerp(lerp(c00, c10, ty), lerp(c01, c11, ty), tz);
 }
 
@@ -217,7 +214,11 @@ namespace detail {
 
 /// Casts one ray. kComposite: classify each sample with the transfer
 /// function and composite front to back with opacity correction for the
-/// step size (optionally headlight-shaded by the local gradient).
+/// step size (optionally headlight-shaded by the local gradient). A sample
+/// that classifies to alpha exactly 0 skips all three: its corrected alpha
+/// 1 - pow(1, step) is +0, and compositing it adds +-0 to accumulators
+/// that are never -0, so the skip is bitwise exact (it needs the finite
+/// colours TransferFunction enforces: inf * 0 would be NaN).
 /// kMip: classify the maximum sample along the ray; at least one sample
 /// (at t_enter) is always taken on a hit, so a span shorter than one step
 /// still classifies a real field value, never the -FLT_MAX sentinel.
@@ -308,6 +309,9 @@ template <core::ReadView3D View>
     const Vec3 position = detail::sample_position(ray, t);
     const float value = sample_trilinear(view, position);
     Rgba sample = tf.sample(value);
+    if (sample.a == 0.0f) {
+      return out.a < config.early_termination;
+    }
     if (config.shade && sample.a > 0.0f) {
       // Headlight Lambertian: light arrives along the viewing ray.
       const Vec3 normal = gradient_trilinear(view, position);
@@ -457,6 +461,7 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
                                           const MacrocellGrid* cells = nullptr,
                                           bool collect_stats = false, Views views = {}) {
   validate_packet_size(config.packet_size);
+  validate_step(config.step);
   const TileDecomposition tiles(config.image_width, config.image_height, config.tile_size);
   using View = decltype(views(volume, 0U));
   // Per-run state resolved in job.prepare: the macrocell grid (cache

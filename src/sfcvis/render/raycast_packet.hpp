@@ -17,7 +17,8 @@
 //    operator-for-operator, so FP contraction makes the same fuse/no-fuse
 //    choices as the scalar build (see core/simd.hpp's determinism notes).
 //    Per-lane transcendentals (TransferFunction::sample, std::pow opacity
-//    correction, std::max MIP peaks) stay scalar.
+//    correction, std::max MIP peaks) stay scalar; transparent lanes skip
+//    the pow exactly where trace_ray skips a transparent sample.
 // Lanes whose ray missed the box or already terminated are masked out of
 // every composite update with select(), so they never see speculative
 // arithmetic — inactive-lane garbage cannot leak into live pixels.
@@ -39,9 +40,10 @@ namespace sfcvis::render::packet_detail {
 
 /// Trilinear reconstruction of K lanes at once. Positions arrive as
 /// per-lane scalars (already computed with the scalar ray.at expression);
-/// the 8 clamped lattice loads stay per lane (layout lookups are scalar
-/// address math), the lerp chain is packed and mirrors sample_trilinear
-/// term for term. Inactive lanes load nothing and reconstruct 0.
+/// each lane loads its cell with one view.cell call (layout lookups are
+/// scalar address math), the lerp chain is packed and mirrors
+/// sample_trilinear term for term. Inactive lanes load nothing and
+/// reconstruct 0.
 template <int K, core::ReadView3D View>
 [[nodiscard]] inline simd::vfloat<K> packet_trilinear(const View& view,
                                                       const std::array<float, K>& px,
@@ -58,29 +60,23 @@ template <int K, core::ReadView3D View>
   const auto ax = fx.to_array();
   const auto ay = fy.to_array();
   const auto az = fz.to_array();
-  std::array<float, K> c000{}, c100{}, c010{}, c110{};
-  std::array<float, K> c001{}, c101{}, c011{}, c111{};
+  std::array<std::array<float, K>, 8> corners{};  // [corner][lane]
   for (int l = 0; l < K; ++l) {
     if (((active >> l) & 1u) == 0) {
       continue;
     }
-    const auto i = static_cast<std::int64_t>(ax[l]);
-    const auto j = static_cast<std::int64_t>(ay[l]);
-    const auto k = static_cast<std::int64_t>(az[l]);
-    c000[l] = view.at_clamped(i, j, k);
-    c100[l] = view.at_clamped(i + 1, j, k);
-    c010[l] = view.at_clamped(i, j + 1, k);
-    c110[l] = view.at_clamped(i + 1, j + 1, k);
-    c001[l] = view.at_clamped(i, j, k + 1);
-    c101[l] = view.at_clamped(i + 1, j, k + 1);
-    c011[l] = view.at_clamped(i, j + 1, k + 1);
-    c111[l] = view.at_clamped(i + 1, j + 1, k + 1);
+    const auto c = view.cell(static_cast<std::int64_t>(ax[l]), static_cast<std::int64_t>(ay[l]),
+                             static_cast<std::int64_t>(az[l]));
+    for (int n = 0; n < 8; ++n) {
+      corners[n][l] = c[n];
+    }
   }
+  const auto corner = [&](int n) { return VF::from_array(corners[n]); };
   const auto lerp = [](VF a, VF b, VF t) { return a + (b - a) * t; };
-  const VF c00 = lerp(VF::from_array(c000), VF::from_array(c100), tx);
-  const VF c10 = lerp(VF::from_array(c010), VF::from_array(c110), tx);
-  const VF c01 = lerp(VF::from_array(c001), VF::from_array(c101), tx);
-  const VF c11 = lerp(VF::from_array(c011), VF::from_array(c111), tx);
+  const VF c00 = lerp(corner(0), corner(1), tx);
+  const VF c10 = lerp(corner(2), corner(3), tx);
+  const VF c01 = lerp(corner(4), corner(5), tx);
+  const VF c11 = lerp(corner(6), corner(7), tx);
   return lerp(lerp(c00, c10, ty), lerp(c01, c11, ty), tz);
 }
 
@@ -179,9 +175,10 @@ template <int K, core::ReadView3D View>
     }
   }
   // Opacity correction stays per-lane scalar (std::pow has no vector
-  // counterpart with matching rounding).
+  // counterpart with matching rounding). Transparent lanes skip it: their
+  // alpha stays 0 and composites to a bitwise no-op, as in trace_ray.
   for (int l = 0; l < K; ++l) {
-    if (((active >> l) & 1u) != 0) {
+    if (((active >> l) & 1u) != 0 && sa[l] != 0.0f) {
       sa[l] = 1.0f - std::pow(1.0f - sa[l], config.step);
     }
   }

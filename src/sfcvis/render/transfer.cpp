@@ -27,6 +27,16 @@ TransferFunction::TransferFunction(std::vector<TransferPoint> points)
                       [](const auto& a, const auto& b) { return a.value < b.value; })) {
     throw std::invalid_argument("TransferFunction: control points must be sorted by value");
   }
+  for (const auto& p : points_) {
+    const Rgba& c = p.color;
+    if (!std::isfinite(p.value) || !std::isfinite(c.r) || !std::isfinite(c.g) ||
+        !std::isfinite(c.b)) {
+      throw std::invalid_argument("TransferFunction: values and colours must be finite");
+    }
+    if (!(c.a >= 0.0f && c.a <= 1.0f)) {
+      throw std::invalid_argument("TransferFunction: alpha must lie in [0, 1]");
+    }
+  }
   build_opacity_envelope();
 }
 

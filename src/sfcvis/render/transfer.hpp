@@ -18,8 +18,11 @@ struct TransferPoint {
 /// Piecewise-linear color/opacity map over scalar values.
 class TransferFunction {
  public:
-  /// Control points must be sorted by value (validated; throws
-  /// std::invalid_argument otherwise). At least one point is required.
+  /// Control points must be sorted by value, with finite values and
+  /// colours and alpha in [0, 1] (validated; throws std::invalid_argument
+  /// otherwise). At least one point is required. Finite colours keep the
+  /// renderer's skip of transparent samples exact (inf * 0 is NaN), and
+  /// alpha <= 1 keeps the opacity correction's pow base non-negative.
   explicit TransferFunction(std::vector<TransferPoint> points);
 
   /// Linearly interpolated RGBA at `value`; clamps outside the range.

@@ -1,9 +1,14 @@
 // Tests for the raycasting volume renderer and its components.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "sfcvis/exec/execution_context.hpp"
 #include "sfcvis/data/combustion.hpp"
@@ -130,6 +135,27 @@ TEST(Transfer, InterpolatesAndClamps) {
 TEST(Transfer, RejectsUnsortedOrEmpty) {
   EXPECT_THROW(TransferFunction({}), std::invalid_argument);
   EXPECT_THROW(TransferFunction({{1.0f, {}}, {0.0f, {}}}), std::invalid_argument);
+}
+
+TEST(Transfer, RejectsNonFiniteOrAlphaOutsideUnitRange) {
+  constexpr float inf = std::numeric_limits<float>::infinity();
+  constexpr float nan = std::numeric_limits<float>::quiet_NaN();
+  const auto one = [](float value, Rgba color) {
+    return TransferFunction({{0.0f, {}}, {value, color}});
+  };
+  EXPECT_THROW(one(inf, {}), std::invalid_argument);
+  EXPECT_THROW(one(nan, {}), std::invalid_argument);
+  EXPECT_THROW(TransferFunction({{-inf, {}}, {1.0f, {}}}), std::invalid_argument);
+  EXPECT_THROW(one(1.0f, {inf, 0, 0, 0.5f}), std::invalid_argument);
+  EXPECT_THROW(one(1.0f, {0, -inf, 0, 0.5f}), std::invalid_argument);
+  EXPECT_THROW(one(1.0f, {0, 0, nan, 0.5f}), std::invalid_argument);
+  EXPECT_THROW(one(1.0f, {0, 0, 0, 1.5f}), std::invalid_argument);
+  EXPECT_THROW(one(1.0f, {0, 0, 0, -0.25f}), std::invalid_argument);
+  EXPECT_THROW(one(1.0f, {0, 0, 0, nan}), std::invalid_argument);
+  EXPECT_THROW(one(1.0f, {0, 0, 0, inf}), std::invalid_argument);
+  // The closed range and colours outside [0, 1] stay legal.
+  EXPECT_NO_THROW(one(1.0f, {2.0f, -1.0f, 0, 1.0f}));
+  EXPECT_NO_THROW(one(1.0f, {0, 0, 0, 0.0f}));
 }
 
 TEST(Transfer, FlameMapIsMonotoneInOpacity) {
@@ -542,4 +568,185 @@ TEST(RayPackets, RejectsInvalidPacketSize) {
   EXPECT_THROW(render::raycast_parallel(g, render::orbit_camera(0, 8, 8, 8, 8),
                                         TransferFunction::flame(), config, pool),
                std::invalid_argument);
+}
+
+TEST(Raycast, RejectsNonPositiveOrNonFiniteStep) {
+  // A step <= 0 never carries t past t_exit (the render would not
+  // return); an infinite one samples at t_enter + 0 * inf = NaN.
+  Grid3D<float, ArrayOrderLayout> g(Extents3D::cube(8));
+  exec::ExecutionContext pool(1);
+  for (const float step : {0.0f, -0.5f, std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity()}) {
+    EXPECT_THROW(render::validate_step(step), std::invalid_argument) << step;
+    RenderConfig config{8, 8, 8, step, 0.98f};
+    EXPECT_THROW(render::raycast_parallel(g, render::orbit_camera(0, 8, 8, 8, 8),
+                                          TransferFunction::flame(), config, pool),
+                 std::invalid_argument)
+        << step;
+  }
+  EXPECT_NO_THROW(render::validate_step(0.5f));
+  EXPECT_NO_THROW(render::validate_step(std::numeric_limits<float>::denorm_min()));
+}
+
+// ---------------------------------------------------------------------------
+// Reference compositor
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The dense compositor before the cell load and the transparent-sample
+/// skip: eight at_clamped reads per trilinear sample, and tf.sample, the
+/// opacity pow and the composite on every sample. Sample positions, the
+/// lighting scale and the composite use the renderer's own helpers.
+template <class View>
+float reference_trilinear(const View& view, Vec3 p) {
+  const float fx = std::floor(p.x), fy = std::floor(p.y), fz = std::floor(p.z);
+  const auto i = static_cast<std::int64_t>(fx);
+  const auto j = static_cast<std::int64_t>(fy);
+  const auto k = static_cast<std::int64_t>(fz);
+  const float tx = p.x - fx, ty = p.y - fy, tz = p.z - fz;
+  auto lerp = [](float a, float b, float t) { return a + (b - a) * t; };
+  const float c000 = view.at_clamped(i, j, k);
+  const float c100 = view.at_clamped(i + 1, j, k);
+  const float c010 = view.at_clamped(i, j + 1, k);
+  const float c110 = view.at_clamped(i + 1, j + 1, k);
+  const float c001 = view.at_clamped(i, j, k + 1);
+  const float c101 = view.at_clamped(i + 1, j, k + 1);
+  const float c011 = view.at_clamped(i, j + 1, k + 1);
+  const float c111 = view.at_clamped(i + 1, j + 1, k + 1);
+  const float c00 = lerp(c000, c100, tx);
+  const float c10 = lerp(c010, c110, tx);
+  const float c01 = lerp(c001, c101, tx);
+  const float c11 = lerp(c011, c111, tx);
+  return lerp(lerp(c00, c10, ty), lerp(c01, c11, ty), tz);
+}
+
+template <class View>
+Rgba reference_ray(const View& view, const Ray& ray, const TransferFunction& tf,
+                   const RenderConfig& config) {
+  const auto& e = view.extents();
+  const Vec3 lo{-0.5f, -0.5f, -0.5f};
+  const Vec3 hi{static_cast<float>(e.nx) - 0.5f, static_cast<float>(e.ny) - 0.5f,
+                static_cast<float>(e.nz) - 0.5f};
+  const auto span = render::intersect_box(ray, lo, hi);
+  Rgba out;
+  if (!span) {
+    return out;
+  }
+  for (std::uint64_t n = 0;; ++n) {
+    const float t = render::detail::sample_param(span->first, n, config.step);
+    if (t > span->second) {
+      break;
+    }
+    const Vec3 p = render::detail::sample_position(ray, t);
+    Rgba sample = tf.sample(reference_trilinear(view, p));
+    if (config.shade && sample.a > 0.0f) {
+      const Vec3 normal{
+          0.5f * (reference_trilinear(view, Vec3{p.x + 1, p.y, p.z}) -
+                  reference_trilinear(view, Vec3{p.x - 1, p.y, p.z})),
+          0.5f * (reference_trilinear(view, Vec3{p.x, p.y + 1, p.z}) -
+                  reference_trilinear(view, Vec3{p.x, p.y - 1, p.z})),
+          0.5f * (reference_trilinear(view, Vec3{p.x, p.y, p.z + 1}) -
+                  reference_trilinear(view, Vec3{p.x, p.y, p.z - 1})),
+      };
+      const float lit = render::detail::headlight_scale(normal, ray.dir, config.ambient);
+      sample.r *= lit;
+      sample.g *= lit;
+      sample.b *= lit;
+    }
+    sample.a = 1.0f - std::pow(1.0f - sample.a, config.step);
+    out.composite_under(sample);
+    if (!(out.a < config.early_termination)) {
+      break;
+    }
+  }
+  return out;
+}
+
+/// Random piecewise-linear map whose points alternate in pairs between
+/// transparent bands (alpha exactly 0, random tint) and random opacity.
+TransferFunction random_banded_tf(std::mt19937& rng) {
+  std::uniform_real_distribution<float> u(0.0f, 1.0f);
+  std::vector<render::TransferPoint> points;
+  const int count = 4 + static_cast<int>(rng() % 5);
+  float value = -0.1f;
+  for (int p = 0; p < count; ++p) {
+    value += 0.05f + 0.3f * u(rng);
+    const bool clear = (p / 2) % 2 == 0;
+    points.push_back({value, {u(rng), u(rng), u(rng), clear ? 0.0f : u(rng)}});
+  }
+  return TransferFunction(points);
+}
+
+std::array<std::uint32_t, 4> bits(const Rgba& c) {
+  return {std::bit_cast<std::uint32_t>(c.r), std::bit_cast<std::uint32_t>(c.g),
+          std::bit_cast<std::uint32_t>(c.b), std::bit_cast<std::uint32_t>(c.a)};
+}
+
+}  // namespace
+
+TEST(Raycast, MatchesDenseReferenceCompositorBitExact) {
+  // trace_ray and the 4/8-ray packets, dense and with macrocells, on array
+  // order and Z-order, must reproduce the reference bit for bit — the cell
+  // load and the transparent-sample skip change no output bit. An
+  // early_termination of 0 stops every ray after its first sample, so a
+  // transparent first sample pins the skip path's return value.
+  std::mt19937 rng(1234);
+  std::uniform_real_distribution<float> noise(-0.05f, 0.05f);
+  const Extents3D e{23, 17, 13};
+  for (int trial = 0; trial < 4; ++trial) {
+    Grid3D<float, ArrayOrderLayout> ga(e);
+    const float fi = 0.2f + 0.1f * static_cast<float>(trial);
+    ga.fill_from([&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
+      return 0.5f + 0.45f * std::sin(fi * static_cast<float>(i) + 0.3f * static_cast<float>(j)) *
+                        std::cos(0.35f * static_cast<float>(k)) +
+             noise(rng);
+    });
+    const auto gz = core::convert_layout<GeneralizedMortonLayout>(ga);
+    const core::PlainView va(ga);
+    const core::PlainView vz(gz);
+    const auto tf = random_banded_tf(rng);
+    const auto cells = render::MacrocellGrid::build(ga, 4);
+    const auto cam = render::orbit_camera(static_cast<unsigned>(2 * trial + 1), 8, 23, 17, 13);
+    for (const bool shade : {false, true}) {
+      for (const float early : {0.0f, 0.5f, 0.98f, 1.0f}) {
+        RenderConfig config{24, 20, 12, 0.35f + 0.2f * static_cast<float>(trial), early};
+        config.shade = shade;
+        std::vector<Rgba> want;
+        for (std::uint32_t y = 0; y < config.image_height; ++y) {
+          for (std::uint32_t x = 0; x < config.image_width; ++x) {
+            want.push_back(reference_ray(
+                va, cam.ray_for_pixel(x, y, config.image_width, config.image_height), tf,
+                config));
+          }
+        }
+        const TileDecomposition tiles(config.image_width, config.image_height,
+                                      config.tile_size);
+        for (const std::uint32_t packet : {1u, 4u, 8u}) {
+          for (const bool macro : {false, true}) {
+            for (const bool zorder : {false, true}) {
+              RenderConfig run = config;
+              run.packet_size = packet;
+              Image img(config.image_width, config.image_height);
+              for (std::size_t t = 0; t < tiles.count(); ++t) {
+                if (zorder) {
+                  render::render_tile(vz, cam, tf, run, img, tiles.bounds(t),
+                                      macro ? &cells : nullptr);
+                } else {
+                  render::render_tile(va, cam, tf, run, img, tiles.bounds(t),
+                                      macro ? &cells : nullptr);
+                }
+              }
+              for (std::size_t p = 0; p < want.size(); ++p) {
+                ASSERT_EQ(bits(img.pixels()[p]), bits(want[p]))
+                    << "trial " << trial << " shade " << shade << " early " << early
+                    << " packet " << packet << " macrocells " << macro << " zorder "
+                    << zorder << " pixel " << p;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
