@@ -1,16 +1,13 @@
 // Ablation F: work-assignment strategies for the renderer.
 //
-// The paper justifies raw threads over OpenMP by the superiority of the
-// dynamic worker-pool model for raycasting, whose tile costs are wildly
-// uneven (empty-space tiles finish early, flame-sheet tiles are slow).
-// This bench measures the identical render under four schedulers:
+// The paper justifies raw threads by the superiority of the dynamic
+// worker-pool model for raycasting, whose tile costs are wildly uneven
+// (empty-space tiles finish early, flame-sheet tiles are slow). This bench
+// measures the identical render under the pool's two schedulers:
 //   pool static   — round-robin pencil-style assignment,
-//   pool dynamic  — the worker-pool model (the paper's best),
-//   omp static    — #pragma omp for schedule(static),
-//   omp dynamic   — #pragma omp for schedule(dynamic, 1).
+//   pool dynamic  — the worker-pool model (the paper's best).
 #include "common.hpp"
 #include "sfcvis/render/raycast.hpp"
-#include "sfcvis/threads/omp_executor.hpp"
 
 int main(int argc, char** argv) {
   using namespace sfcvis;
@@ -22,8 +19,7 @@ int main(int argc, char** argv) {
   const unsigned reps = opts.get_u32("reps", 3);
 
   std::printf("== Ablation F: scheduler comparison (renderer, %u threads) ==\n", nthreads);
-  std::printf("volume %u^3, image %ux%u; OpenMP %s\n\n", size, image, image,
-              threads::openmp_available() ? "available" : "NOT available (omp rows skipped)");
+  std::printf("volume %u^3, image %ux%u\n\n", size, image, image);
 
   const bench::VolumePair pair = bench::make_combustion_pair(size);
   const auto tf = render::TransferFunction::flame();
@@ -41,25 +37,13 @@ int main(int argc, char** argv) {
   };
 
   threads::Pool pool(nthreads);
-  std::vector<std::string> rows;
-  std::vector<double> times;
-
-  rows.push_back("pool static");
-  times.push_back(bench_util::min_time_of(
-      reps, [&] { threads::parallel_for_static(pool, tiles.count(), tile_job); }));
-  rows.push_back("pool dynamic");
-  times.push_back(bench_util::min_time_of(
-      reps, [&] { threads::parallel_for_dynamic(pool, tiles.count(), tile_job); }));
-  if (threads::openmp_available()) {
-    rows.push_back("omp static");
-    times.push_back(bench_util::min_time_of(reps, [&] {
-      (void)threads::parallel_for_omp_static(nthreads, tiles.count(), tile_job);
-    }));
-    rows.push_back("omp dynamic");
-    times.push_back(bench_util::min_time_of(reps, [&] {
-      (void)threads::parallel_for_omp_dynamic(nthreads, tiles.count(), tile_job);
-    }));
-  }
+  const std::vector<std::string> rows = {"pool static", "pool dynamic"};
+  const double times[] = {
+      bench_util::min_time_of(
+          reps, [&] { threads::parallel_for_static(pool, tiles.count(), tile_job); }),
+      bench_util::min_time_of(
+          reps, [&] { threads::parallel_for_dynamic(pool, tiles.count(), tile_job); }),
+  };
 
   bench_util::ResultTable table("render wall time by scheduler", rows,
                                 {"seconds", "vs pool dynamic"});

@@ -36,8 +36,8 @@ int main() {
               a_idx.getIndex(3, 5, 7), z_idx.getIndex(3, 5, 7));
 
   // -- 3a. Bilateral filter (structured access). ---------------------------
-  // The ExecutionContext owns the thread count, backend (pthread pool or
-  // OpenMP via SFCVIS_BACKEND=openmp), and scheduling for every kernel.
+  // The ExecutionContext owns the thread count, the pthread worker pool and
+  // scheduling for every kernel.
   core::ArrayVolume denoised(extents);
   exec::ExecutionContext ctx(4);
   const filters::BilateralParams params{/*radius=*/2, /*sigma_spatial=*/1.5f,

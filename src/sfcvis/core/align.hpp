@@ -1,31 +1,13 @@
-// Cache-line constants, an aligned allocator, and the allocation policy
-// grid storage is placed with.
-//
-// The policy layer exists because layout is only half of the memory story
-// on multi-core platforms: at 512^3 a volume spans hundreds of megabytes,
-// where TLB reach (transparent huge pages) and page placement (first-touch
-// NUMA policy) both move the needle. Grid3D allocates through
-// AlignedBuffer, which applies a MemoryPolicy and records what actually
-// happened in an AllocReport — requesting huge pages on a kernel with THP
-// disabled is a *reported* fallback, never an error, mirroring the
-// perfmon::OpenFailure pattern.
+// Cache-line constant and the aligned buffer grid storage lives in.
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
-#include <string>
 #include <type_traits>
 #include <utility>
-
-#if defined(__linux__)
-#include <cerrno>
-#include <sys/mman.h>
-#endif
 
 namespace sfcvis::core {
 
@@ -33,120 +15,20 @@ namespace sfcvis::core {
 /// Ivy Bridge and KNC — use 64-byte lines, as does the memsim default).
 inline constexpr std::size_t kCacheLineBytes = 64;
 
-/// Transparent-huge-page size the policy aligns to (x86-64 / AArch64 2 MiB
-/// PMD pages — the granularity madvise(MADV_HUGEPAGE) promotes at).
-inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
-
-/// Minimal std-compatible allocator returning storage aligned to `Align`.
-template <class T, std::size_t Align>
-class AlignedAllocator {
- public:
-  using value_type = T;
-  static_assert((Align & (Align - 1)) == 0, "alignment must be a power of two");
-  static_assert(Align >= alignof(T));
-
-  AlignedAllocator() = default;
-  template <class U>
-  AlignedAllocator(const AlignedAllocator<U, Align>&) noexcept {}
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    if (n > std::numeric_limits<std::size_t>::max() / sizeof(T)) {
-      throw std::bad_alloc();
-    }
-    void* p = ::operator new(n * sizeof(T), std::align_val_t{Align});
-    return static_cast<T*>(p);
-  }
-
-  void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t{Align});
-  }
-
-  template <class U>
-  struct rebind {
-    using other = AlignedAllocator<U, Align>;
-  };
-
-  friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) { return true; }
-};
-
-/// How a buffer's pages are obtained and initialized. Both knobs are
-/// requests: what actually happened is recorded in the AllocReport.
-struct MemoryPolicy {
-  /// Align to 2 MiB and madvise(MADV_HUGEPAGE) the range, so the kernel
-  /// backs it with transparent huge pages where it can (fewer TLB misses
-  /// on the multi-hundred-megabyte volumes of the paper's scale).
-  bool huge_pages = false;
-  /// Value-initialize the storage from the executing thread set instead of
-  /// the allocating thread, so on NUMA systems each worker's pages land on
-  /// its own node (classic first-touch placement). Requires a
-  /// FirstTouchFn; without one the request falls back to serial init.
-  bool first_touch = false;
-  /// Byte budget for out-of-core brick caches opened through this policy
-  /// (exec::ExecutionContext::open_bricked). 0 = mmap the brick file and
-  /// let the page cache decide; > 0 = a streamed LRU cache of that many
-  /// bytes. Ignored by in-core grid allocations.
-  std::size_t brick_cache_bytes = 0;
-};
-
-/// Parallel initialization hook: invoked as fn(count, touch) and must call
-/// touch(begin, end) exactly once for a set of disjoint ranges covering
-/// [0, count) — each from whichever thread should own those pages.
-/// exec::ExecutionContext::first_touch_fn() supplies the standard
-/// implementation (one contiguous range per worker).
-using FirstTouchFn =
-    std::function<void(std::size_t, const std::function<void(std::size_t, std::size_t)>&)>;
-
-/// What an AlignedBuffer allocation actually did, mirroring the perfmon
-/// OpenFailure idiom: requests that cannot be honoured degrade with a
-/// recorded reason instead of failing.
-struct AllocReport {
-  bool huge_pages_requested = false;
-  bool huge_pages_applied = false;
-  bool first_touch_requested = false;
-  bool first_touch_applied = false;
-  int error = 0;        ///< errno from madvise when it failed, else 0
-  std::string message;  ///< human-readable fallback reason, empty if none
-
-  /// True when huge pages were asked for but could not be applied.
-  [[nodiscard]] bool huge_page_fallback() const noexcept {
-    return huge_pages_requested && !huge_pages_applied;
-  }
-};
-
-/// Human-readable reason for a failed madvise(MADV_HUGEPAGE), following
-/// perfmon::describe_open_error.
-[[nodiscard]] inline std::string describe_madvise_error(int error) {
-  switch (error) {
-    case 0:
-      return "";
-#if defined(__linux__)
-    case EINVAL:
-      return "madvise(MADV_HUGEPAGE) rejected (EINVAL): transparent huge pages "
-             "are disabled in this kernel (check /sys/kernel/mm/transparent_hugepage/enabled)";
-    case ENOMEM:
-      return "madvise(MADV_HUGEPAGE) rejected (ENOMEM): address range not mapped";
-#endif
-    default:
-      return "madvise(MADV_HUGEPAGE) failed (errno " + std::to_string(error) + ")";
-  }
-}
-
-/// Owning aligned storage with MemoryPolicy placement — the allocation
-/// backend of Grid3D. Elements are value-initialized (zeroed for floats),
-/// either serially or through the policy's first-touch hook; the
-/// constructor never throws for policy reasons (see AllocReport).
+/// Owning cache-line-aligned storage — the allocation backend of Grid3D.
+/// Every element, layout padding included, is value-initialized (zeroed
+/// for floats) on the allocating thread.
 template <class T>
 class AlignedBuffer {
  public:
   AlignedBuffer() = default;
 
-  explicit AlignedBuffer(std::size_t count, const MemoryPolicy& policy = {},
-                         const FirstTouchFn& first_touch = {}) {
-    allocate(count, policy, first_touch);
-  }
+  /// Throws std::bad_alloc when count * sizeof(T) does not fit in size_t
+  /// or the allocation fails.
+  explicit AlignedBuffer(std::size_t count) { allocate(count); }
 
   AlignedBuffer(const AlignedBuffer& other) {
-    allocate(other.size_, other.policy_, {});
+    allocate(other.size_);
     if (size_ != 0) {
       std::memcpy(static_cast<void*>(data_), static_cast<const void*>(other.data_),
                   size_ * sizeof(T));
@@ -154,13 +36,7 @@ class AlignedBuffer {
   }
 
   AlignedBuffer(AlignedBuffer&& other) noexcept
-      : data_(std::exchange(other.data_, nullptr)),
-        size_(std::exchange(other.size_, 0)),
-        align_(std::exchange(other.align_, kCacheLineBytes)),
-        policy_(std::exchange(other.policy_, {})),
-        report_(std::move(other.report_)) {
-    other.report_ = AllocReport{};
-  }
+      : data_(std::exchange(other.data_, nullptr)), size_(std::exchange(other.size_, 0)) {}
 
   AlignedBuffer& operator=(const AlignedBuffer& other) {
     if (this != &other) {
@@ -175,10 +51,6 @@ class AlignedBuffer {
       release();
       data_ = std::exchange(other.data_, nullptr);
       size_ = std::exchange(other.size_, 0);
-      align_ = std::exchange(other.align_, kCacheLineBytes);
-      policy_ = std::exchange(other.policy_, {});
-      report_ = std::move(other.report_);
-      other.report_ = AllocReport{};
     }
     return *this;
   }
@@ -190,68 +62,29 @@ class AlignedBuffer {
   [[nodiscard]] const T* data() const noexcept { return data_; }
   [[nodiscard]] T& operator[](std::size_t i) noexcept { return data_[i]; }
   [[nodiscard]] const T& operator[](std::size_t i) const noexcept { return data_[i]; }
-  [[nodiscard]] const MemoryPolicy& policy() const noexcept { return policy_; }
-  [[nodiscard]] const AllocReport& report() const noexcept { return report_; }
 
  private:
   static_assert(std::is_trivially_destructible_v<T>,
                 "AlignedBuffer holds grid scalars (no per-element destruction)");
 
-  void allocate(std::size_t count, const MemoryPolicy& policy,
-                const FirstTouchFn& first_touch) {
-    policy_ = policy;
-    report_ = AllocReport{};
-    report_.huge_pages_requested = policy.huge_pages;
-    report_.first_touch_requested = policy.first_touch;
+  void allocate(std::size_t count) {
     if (count == 0) {
       return;
     }
+    // Without this check count * sizeof(T) wraps to a small allocation that
+    // the value-initialization below would overrun.
     if (count > std::numeric_limits<std::size_t>::max() / sizeof(T)) {
       throw std::bad_alloc();
     }
-    const std::size_t bytes = count * sizeof(T);
-    const bool want_huge = policy.huge_pages && bytes >= kHugePageBytes;
-    align_ = want_huge ? kHugePageBytes : kCacheLineBytes;
-    data_ = static_cast<T*>(::operator new(bytes, std::align_val_t{align_}));
+    data_ = static_cast<T*>(
+        ::operator new(count * sizeof(T), std::align_val_t{kCacheLineBytes}));
     size_ = count;
-    if (policy.huge_pages) {
-      apply_huge_pages(bytes, want_huge);
-    }
-    // Value-initialize every element, from the worker set when the policy
-    // asks for first-touch and a hook is available (so the pages fault in
-    // on the threads that will use them), serially otherwise. Padding is
-    // part of the range either way — a grid's padding stays zeroed.
-    if (policy.first_touch && first_touch) {
-      first_touch(count, [this](std::size_t begin, std::size_t end) {
-        std::uninitialized_value_construct(data_ + begin, data_ + end);
-      });
-      report_.first_touch_applied = true;
-    } else {
-      std::uninitialized_value_construct_n(data_, count);
-    }
-  }
-
-  void apply_huge_pages(std::size_t bytes, bool want_huge) {
-    if (!want_huge) {
-      report_.message = "buffer smaller than one huge page (" +
-                        std::to_string(bytes) + " bytes); using cache-line alignment";
-      return;
-    }
-#if defined(__linux__)
-    if (::madvise(static_cast<void*>(data_), bytes, MADV_HUGEPAGE) == 0) {
-      report_.huge_pages_applied = true;
-    } else {
-      report_.error = errno;
-      report_.message = describe_madvise_error(report_.error);
-    }
-#else
-    report_.message = "transparent huge pages unavailable on this platform";
-#endif
+    std::uninitialized_value_construct_n(data_, count);
   }
 
   void release() noexcept {
     if (data_ != nullptr) {
-      ::operator delete(static_cast<void*>(data_), std::align_val_t{align_});
+      ::operator delete(static_cast<void*>(data_), std::align_val_t{kCacheLineBytes});
       data_ = nullptr;
       size_ = 0;
     }
@@ -259,9 +92,6 @@ class AlignedBuffer {
 
   T* data_ = nullptr;
   std::size_t size_ = 0;
-  std::size_t align_ = kCacheLineBytes;
-  MemoryPolicy policy_{};
-  AllocReport report_{};
 };
 
 }  // namespace sfcvis::core

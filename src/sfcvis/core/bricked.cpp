@@ -62,7 +62,6 @@ struct BrickedVolume::Impl {
   unsigned shift = 0;
   std::size_t elems = 0;
   std::uint64_t salt = 0;
-  AllocReport report;  ///< open-time outcome (mmap fallback, degraded budget)
   float origin = 0.0f; ///< data() sentinel — identity, not storage
 
   // --- file ---
@@ -449,12 +448,10 @@ BrickedVolume BrickedVolume::open(const std::string& path, const BrickOpenOption
     } else {
       impl->degrade = "mmap failed (errno " + std::to_string(errno) +
                       "); falling back to a streamed brick cache";
-      impl->report.message = impl->degrade;
       budget = std::min(kFallbackCacheBytes, payload_bytes);
     }
 #else
     impl->degrade = "mmap unavailable on this platform; using a streamed brick cache";
-    impl->report.message = impl->degrade;
     budget = std::min(kFallbackCacheBytes, payload_bytes);
 #endif
   } else if (budget == 0) {
@@ -469,7 +466,6 @@ BrickedVolume BrickedVolume::open(const std::string& path, const BrickOpenOption
       impl->degrade = "brick cache budget (" + std::to_string(budget) +
                       " bytes) below one brick (" + std::to_string(brick_bytes) +
                       " bytes); degraded to a single slot";
-      impl->report.message = impl->degrade;
     }
     slot_count = std::min(slot_count, impl->codes.size());
     impl->slot_count = static_cast<std::uint32_t>(slot_count);
@@ -506,11 +502,6 @@ float* BrickedVolume::data() noexcept {
 const float* BrickedVolume::data() const noexcept {
   assert(impl_ != nullptr);
   return &impl_->origin;
-}
-
-const AllocReport& BrickedVolume::alloc_report() const noexcept {
-  assert(impl_ != nullptr);
-  return impl_->report;
 }
 
 const BrickFileInfo& BrickedVolume::info() const noexcept {

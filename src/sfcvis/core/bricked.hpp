@@ -11,12 +11,12 @@
 //    evicted least-recently-used. An optional prefetch thread loads the
 //    next bricks along the file's curve order behind every demand miss.
 //
-// Degrade-don't-fail throughout, mirroring AllocReport / perfmon::
-// OpenFailure: an mmap refusal falls back to streaming with the reason
-// recorded, a budget below one brick still runs (one slot + a recorded
-// degrade message), an IO error mid-stream yields a zeroed brick and a
-// sticky io_error string — never a crash. Only a structurally corrupt
-// file (bad magic/size) throws, at open(), with the path and the defect.
+// Degrade-don't-fail throughout, mirroring perfmon::OpenFailure: an mmap
+// refusal falls back to streaming with the reason recorded, a budget below
+// one brick still runs (one slot + a recorded degrade message), an IO
+// error mid-stream yields a zeroed brick and a sticky io_error string —
+// never a crash. Only a structurally corrupt file (bad magic/size) throws,
+// at open(), with the path and the defect.
 //
 // Stencil and gather paths that cross brick boundaries locate the
 // neighbouring brick with the constant-amortized masked ripple-add SFC
@@ -38,13 +38,20 @@
 #include <string>
 #include <vector>
 
-#include "sfcvis/core/align.hpp"
 #include "sfcvis/core/brick_file.hpp"
 #include "sfcvis/core/gather.hpp"
 #include "sfcvis/core/morton.hpp"
 #include "sfcvis/core/traced_view.hpp"
 
 namespace sfcvis::core {
+
+/// How an exec::ExecutionContext opens out-of-core volumes
+/// (ExecOptions::memory, ExecutionContext::open_bricked).
+struct MemoryPolicy {
+  /// Brick-cache budget in bytes. 0 = mmap the brick file and let the page
+  /// cache decide; > 0 = a streamed LRU cache of that many bytes.
+  std::size_t brick_cache_bytes = 0;
+};
 
 /// Open-time knobs for BrickedVolume::open.
 struct BrickOpenOptions {
@@ -112,9 +119,6 @@ class BrickedVolume {
   /// single contiguous buffer, so this points at a one-float sentinel.
   [[nodiscard]] float* data() noexcept;
   [[nodiscard]] const float* data() const noexcept;
-  /// The open-time placement outcome (mmap fallback, degraded budget), in
-  /// the same reported-fallback shape as grid allocations.
-  [[nodiscard]] const AllocReport& alloc_report() const noexcept;
 
   /// Serial-convenience element access (spot checks, copy_from, the
   /// AnyVolume facade). Never fails: an IO error yields the recorded-error

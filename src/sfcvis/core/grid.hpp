@@ -8,7 +8,6 @@
 #include <array>
 #include <cassert>
 #include <cstddef>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -37,12 +36,6 @@ class Grid3D {
   /// Allocates a zero-initialized grid with the given layout.
   explicit Grid3D(LayoutT layout)
       : layout_(std::move(layout)), data_(layout_.required_capacity()) {}
-
-  /// Allocates with an explicit placement policy (huge pages, first-touch
-  /// initialization). What was actually applied is in alloc_report().
-  Grid3D(LayoutT layout, const MemoryPolicy& policy, const FirstTouchFn& first_touch = {})
-      : layout_(std::move(layout)),
-        data_(layout_.required_capacity(), policy, first_touch) {}
 
   /// Convenience: construct the layout from extents.
   explicit Grid3D(const Extents3D& e) : Grid3D(LayoutT(e)) {}
@@ -118,9 +111,6 @@ class Grid3D {
   /// views, which must know the base address to model cache behaviour.
   [[nodiscard]] T* data() noexcept { return data_.data(); }
   [[nodiscard]] const T* data() const noexcept { return data_.data(); }
-
-  /// What the allocation actually did (huge-page / first-touch outcome).
-  [[nodiscard]] const AllocReport& alloc_report() const noexcept { return data_.report(); }
 
   /// Invokes fn(i, j, k) for every logical element in array-order
   /// (x fastest). Iteration order is independent of the storage layout.

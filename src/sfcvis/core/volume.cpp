@@ -96,23 +96,18 @@ LayoutSpec parse_layout_spec(std::string_view spec) {
 AnyVolume make_volume(LayoutKind kind, const Extents3D& extents, const VolumeOpts& opts) {
   switch (kind) {
     case LayoutKind::kArray:
-      return AnyVolume(
-          ArrayVolume(ArrayOrderLayout(extents), opts.memory, opts.first_touch));
+      return AnyVolume(ArrayVolume(ArrayOrderLayout(extents)));
     case LayoutKind::kZOrder:
-      return AnyVolume(
-          GMortonVolume(GeneralizedMortonLayout(extents), opts.memory, opts.first_touch));
+      return AnyVolume(GMortonVolume(GeneralizedMortonLayout(extents)));
     case LayoutKind::kTiled:
-      return AnyVolume(
-          TiledVolume(TiledLayout(extents, opts.tile), opts.memory, opts.first_touch));
+      return AnyVolume(TiledVolume(TiledLayout(extents, opts.tile)));
     case LayoutKind::kHilbert:
-      return AnyVolume(
-          HilbertVolume(HilbertLayout(extents), opts.memory, opts.first_touch));
+      return AnyVolume(HilbertVolume(HilbertLayout(extents)));
     case LayoutKind::kGMorton: {
       const InterleavePattern pattern =
           opts.interleave.empty() ? InterleavePattern::canonical(extents)
                                   : InterleavePattern(opts.interleave, extents);
-      return AnyVolume(GMortonVolume(GeneralizedMortonLayout(extents, pattern), opts.memory,
-                                     opts.first_touch));
+      return AnyVolume(GMortonVolume(GeneralizedMortonLayout(extents, pattern)));
     }
     case LayoutKind::kBricked:
       throw std::invalid_argument(

@@ -51,10 +51,8 @@ using GMortonVolume = Grid3D<float, GeneralizedMortonLayout>;
 
 /// Construction knobs for make_volume.
 struct VolumeOpts {
-  std::uint32_t tile = 8;        ///< tiled-layout block edge (pow2)
-  std::string interleave;        ///< gmorton pattern; empty = canonical
-  MemoryPolicy memory{};         ///< placement policy (huge pages, first-touch)
-  FirstTouchFn first_touch{};    ///< parallel-init hook when memory.first_touch
+  std::uint32_t tile = 8;  ///< tiled-layout block edge (pow2)
+  std::string interleave;  ///< gmorton pattern; empty = canonical
 };
 
 /// A float volume in any of the in-core layouts or the out-of-core
@@ -124,9 +122,6 @@ class AnyVolume {
   [[nodiscard]] const float* data() const noexcept {
     return visit([](const auto& g) { return g.data(); });
   }
-  [[nodiscard]] const AllocReport& alloc_report() const noexcept {
-    return visit([](const auto& g) -> const AllocReport& { return g.alloc_report(); });
-  }
   [[nodiscard]] float& at(std::uint32_t i, std::uint32_t j, std::uint32_t k) noexcept {
     return visit([&](auto& g) -> float& { return g.at(i, j, k); });
   }
@@ -150,7 +145,7 @@ class AnyVolume {
   }
 
   /// Same contents re-laid-out as `kind` (layout conversion through the
-  /// facade); opts supplies the tile size and placement policy.
+  /// facade); opts supplies the tile size and gmorton pattern.
   [[nodiscard]] AnyVolume convert_to(LayoutKind kind, const VolumeOpts& opts = {}) const;
 
  private:

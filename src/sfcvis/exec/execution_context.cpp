@@ -1,7 +1,6 @@
 #include "sfcvis/exec/execution_context.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -14,36 +13,8 @@ const char* to_string(Backend backend) noexcept {
   switch (backend) {
     case Backend::kPool:
       return "pool";
-    case Backend::kOpenMP:
-      return "openmp";
   }
   return "?";
-}
-
-Backend parse_backend(std::string_view name) {
-  if (name == "pool" || name == "pthread" || name == "pthreads") {
-    return Backend::kPool;
-  }
-  if (name == "openmp" || name == "omp") {
-    return Backend::kOpenMP;
-  }
-  throw std::invalid_argument("unknown backend: " + std::string(name));
-}
-
-Backend default_backend() noexcept {
-  static const Backend backend = [] {
-    const char* env = std::getenv("SFCVIS_BACKEND");
-    if (env != nullptr && *env != '\0') {
-      try {
-        return parse_backend(env);
-      } catch (const std::invalid_argument&) {
-        std::fprintf(stderr,
-                     "[exec] ignoring unknown SFCVIS_BACKEND=%s (want pool|openmp)\n", env);
-      }
-    }
-    return Backend::kPool;
-  }();
-  return backend;
 }
 
 namespace {
@@ -76,19 +47,11 @@ ExecutionContext::ExecutionContext(unsigned num_threads, threads::Affinity affin
 
 ExecutionContext::ExecutionContext(const ExecOptions& opts, bool replay)
     : num_threads_(resolve_threads(opts.threads)),
-      requested_backend_(opts.backend),
-      active_backend_(opts.backend),
       affinity_(opts.affinity),
-      chunks_per_thread_(std::max<std::size_t>(1, opts.chunks_per_thread)),
       replay_(replay),
       memory_(opts.memory) {
   if (opts.threads == 0 && num_threads_ == 1 && std::thread::hardware_concurrency() == 0) {
     backend_note_ = "hardware concurrency unknown; using 1 thread";
-  }
-  if (requested_backend_ == Backend::kOpenMP && !threads::openmp_available()) {
-    active_backend_ = Backend::kPool;
-    backend_note_ = "OpenMP requested but this build has no OpenMP runtime; "
-                    "falling back to the pthread pool";
   }
   if (!opts.trace_out.empty() || !opts.report_out.empty() || opts.trace) {
     trace_session_ =
@@ -114,7 +77,6 @@ ExecutionContext::~ExecutionContext() = default;
 ExecutionContext make_replay_context(unsigned threads) {
   ExecOptions opts;
   opts.threads = threads;
-  opts.backend = Backend::kPool;
   opts.layout_registry.clear();
   return ExecutionContext(opts, /*replay=*/true);
 }
@@ -139,10 +101,6 @@ void ExecutionContext::parallel_static(
     for_each_replayed(num_items, fn);
     return;
   }
-  if (active_backend_ == Backend::kOpenMP &&
-      threads::parallel_for_omp_static(num_threads_, num_items, fn)) {
-    return;
-  }
   threads::parallel_for_static(pool(), num_items, fn);
 }
 
@@ -152,49 +110,15 @@ void ExecutionContext::parallel_dynamic(
     for_each_replayed(num_items, fn);
     return;
   }
-  if (active_backend_ == Backend::kOpenMP &&
-      threads::parallel_for_omp_dynamic(num_threads_, num_items, fn)) {
-    return;
-  }
   threads::parallel_for_dynamic(pool(), num_items, fn);
 }
 
 std::size_t ExecutionContext::curve_chunks(std::size_t logical_size,
                                            std::size_t padded_capacity) const noexcept {
+  constexpr std::size_t kChunksPerThread = 8;
   return std::max<std::size_t>(
-      1, num_threads_ * chunks_per_thread_ * padded_capacity /
+      1, num_threads_ * kChunksPerThread * padded_capacity /
              std::max<std::size_t>(1, logical_size));
-}
-
-core::FirstTouchFn ExecutionContext::first_touch_fn() {
-  return [this](std::size_t count,
-                const std::function<void(std::size_t, std::size_t)>& touch) {
-    if (count == 0) {
-      return;
-    }
-    const std::size_t per = (count + num_threads_ - 1) / num_threads_;
-    parallel_static(num_threads_, [&](std::size_t t, unsigned) {
-      const std::size_t begin = t * per;
-      const std::size_t end = std::min(count, begin + per);
-      if (begin < end) {
-        touch(begin, end);
-      }
-    });
-  };
-}
-
-core::AnyVolume ExecutionContext::make_volume(core::LayoutKind kind,
-                                              const core::Extents3D& extents,
-                                              std::uint32_t tile,
-                                              std::string_view interleave) {
-  core::VolumeOpts opts;
-  opts.tile = tile;
-  opts.interleave = std::string(interleave);
-  opts.memory = memory_;
-  if (memory_.first_touch) {
-    opts.first_touch = first_touch_fn();
-  }
-  return core::make_volume(kind, extents, opts);
 }
 
 ResolvedLayout ExecutionContext::resolve_layout(std::string_view kernel,

@@ -1,31 +1,23 @@
 // ExecutionContext: the single dispatch point for how a kernel runs.
 //
-// Every kernel driver used to take a raw threads::Pool& and carry its own
-// copy of backend choice, chunk decomposition, and stats plumbing. The
-// context owns those decisions instead:
+// Every kernel runs one way: on the paper's pthread worker pool (Sec. III),
+// created on first use. The context owns the decisions around it:
 //
-//   * backend   — the paper's pthread worker pool (Sec. III) or the OpenMP
-//                 executor (bench/abl_scheduler re-examines the paper's
-//                 pthreads-over-OpenMP claim); selectable per context or
-//                 process-wide via the SFCVIS_BACKEND environment variable.
-//                 Falls back to the pool, with a recorded reason, when the
-//                 build has no OpenMP runtime.
 //   * threads   — worker count and affinity (compact pinning per the
 //                 paper's Ivy Bridge setup).
 //   * chunking  — the curve-sweep chunk decomposition shared by the
 //                 zsweep drivers.
-//   * memory    — the core::MemoryPolicy volumes allocated through the
-//                 context get, plus the first-touch hook that faults pages
-//                 in on the worker set.
+//   * memory    — the brick-cache budget of out-of-core volumes opened
+//                 through the context (open_bricked).
 //   * caches    — a StructureCache of derived acceleration structures
 //                 (macrocell grids), so repeated renders of one volume
 //                 stop rebuilding them per call.
 //   * tracing   — an optional owned TraceSession when constructed with
 //                 trace outputs.
 //
-// Outputs are backend-invariant: both backends run the same per-item
-// work with disjoint writes, so pool and OpenMP runs are bit-identical
-// (tests/test_parity.cpp pins this).
+// Outputs do not depend on the item-to-thread assignment: every kernel
+// runs the same per-item work with disjoint writes, so thread count and
+// schedule never change a result (tests/test_properties.cpp pins this).
 #pragma once
 
 #include <cstddef>
@@ -43,38 +35,31 @@
 #include "sfcvis/exec/layout_registry.hpp"
 #include "sfcvis/exec/structure_cache.hpp"
 #include "sfcvis/exec/trace_session.hpp"
-#include "sfcvis/threads/omp_executor.hpp"
 #include "sfcvis/threads/pool.hpp"
 #include "sfcvis/threads/schedulers.hpp"
 
 namespace sfcvis::exec {
 
-/// Which runtime executes parallel regions.
+/// Which runtime executes parallel regions: only the pthread worker pool.
+/// The enum, to_string, ExecOptions::backend and active_backend() remain
+/// because the end-to-end bench (bench/e2e) pins and reports the backend
+/// by these names.
 enum class Backend : std::uint8_t {
   kPool = 0,  ///< persistent pthread worker pool (threads::Pool)
-  kOpenMP,    ///< OpenMP parallel-for executor (threads/omp_executor.hpp)
 };
 
 [[nodiscard]] const char* to_string(Backend backend) noexcept;
-
-/// Parses "pool" / "openmp" (also "omp"); throws std::invalid_argument.
-[[nodiscard]] Backend parse_backend(std::string_view name);
-
-/// Process default: SFCVIS_BACKEND=pool|openmp when set (unknown values
-/// are ignored with a warning to stderr, once), else kPool.
-[[nodiscard]] Backend default_backend() noexcept;
 
 /// Full construction knobs; the common cases use the two-argument
 /// ExecutionContext constructors instead.
 struct ExecOptions {
   unsigned threads = 0;  ///< worker count; 0 = hardware concurrency
-  Backend backend = default_backend();
+  Backend backend = Backend::kPool;
   threads::Affinity affinity = threads::Affinity::kNone;
-  std::size_t chunks_per_thread = 8;  ///< curve-sweep decomposition factor
-  core::MemoryPolicy memory{};        ///< policy for make_volume()
-  std::string trace_out;              ///< Chrome trace JSON path ("" = off)
-  std::string report_out;             ///< run-report JSON path ("" = off)
-  bool trace = false;                 ///< enable spans without export files
+  core::MemoryPolicy memory{};  ///< brick-cache budget for open_bricked()
+  std::string trace_out;        ///< Chrome trace JSON path ("" = off)
+  std::string report_out;       ///< run-report JSON path ("" = off)
+  bool trace = false;           ///< enable spans without export files
   /// Tuned-layout registry JSON path; "" = $SFCVIS_LAYOUT_REGISTRY (and
   /// when that is unset too, resolve_layout always reports a fallback).
   std::string layout_registry = default_layout_registry_path();
@@ -96,7 +81,7 @@ struct ResolvedLayout {
 
 class ExecutionContext {
  public:
-  /// Pool-vs-OpenMP per the process default, no pinning.
+  /// `num_threads` workers (0 = hardware concurrency), no pinning.
   explicit ExecutionContext(unsigned num_threads);
   ExecutionContext(unsigned num_threads, threads::Affinity affinity);
   explicit ExecutionContext(const ExecOptions& opts) : ExecutionContext(opts, false) {}
@@ -105,14 +90,14 @@ class ExecutionContext {
   ~ExecutionContext();
 
   [[nodiscard]] unsigned size() const noexcept { return num_threads_; }
-  [[nodiscard]] Backend backend() const noexcept { return requested_backend_; }
-  /// Backend actually in use after availability fallback.
-  [[nodiscard]] Backend active_backend() const noexcept { return active_backend_; }
-  /// Why active_backend() differs from backend(); empty when it doesn't.
+  /// The backend in use (always the pool).
+  [[nodiscard]] Backend active_backend() const noexcept { return Backend::kPool; }
+  /// Why size() is not what was asked for ("hardware concurrency unknown"
+  /// when threads = 0 could not be resolved); empty otherwise.
   [[nodiscard]] const std::string& backend_note() const noexcept { return backend_note_; }
   [[nodiscard]] threads::Affinity affinity() const noexcept { return affinity_; }
-  /// True when the pool backend pinned every worker (false before the pool
-  /// is first used, and always false under OpenMP).
+  /// True when the pool pinned every worker (false before the pool is
+  /// first used).
   [[nodiscard]] bool affinity_applied() const noexcept {
     return pool_ != nullptr && pool_->affinity_applied();
   }
@@ -121,11 +106,8 @@ class ExecutionContext {
   [[nodiscard]] bool has_pool() const noexcept { return pool_ != nullptr; }
   /// True for a make_replay_context() context.
   [[nodiscard]] bool replaying() const noexcept { return replay_; }
-  [[nodiscard]] std::size_t chunks_per_thread() const noexcept { return chunks_per_thread_; }
-  [[nodiscard]] const core::MemoryPolicy& memory_policy() const noexcept { return memory_; }
 
-  /// The underlying pthread pool, created on first use (also serves as the
-  /// fallback when an OpenMP dispatch reports unavailable at runtime).
+  /// The underlying pthread pool, created on first use.
   [[nodiscard]] threads::Pool& pool();
 
   /// Cache of derived structures (macrocell grids) keyed on volume identity.
@@ -133,7 +115,7 @@ class ExecutionContext {
 
   /// The job queue every kernel driver dispatches through (created on
   /// first use): drivers build an exec::KernelJob and submit it here, and
-  /// the graph schedules curve-ordered tiles onto this context's backend
+  /// the graph schedules curve-ordered tiles onto this context's pool
   /// with per-job trace/metrics attribution (see exec/job_graph.hpp).
   [[nodiscard]] JobGraph& jobs();
 
@@ -144,15 +126,13 @@ class ExecutionContext {
   // -- Parallel dispatch ----------------------------------------------------
   // fn(item, tid) with tid < size(); items are executed exactly once with
   // disjoint-write semantics expected from callers, so results do not
-  // depend on the backend's item-to-thread assignment.
+  // depend on the item-to-thread assignment.
 
-  /// Static assignment (the paper's round-robin pencil model on the pool;
-  /// schedule(static) under OpenMP).
+  /// Static assignment (the paper's round-robin pencil model).
   void parallel_static(std::size_t num_items,
                        const std::function<void(std::size_t, unsigned)>& fn);
 
-  /// Dynamic work queue (the paper's raycaster worker pool; schedule
-  /// (dynamic, 1) under OpenMP).
+  /// Dynamic work queue (the paper's raycaster worker pool).
   void parallel_dynamic(std::size_t num_items,
                         const std::function<void(std::size_t, unsigned)>& fn);
 
@@ -160,27 +140,19 @@ class ExecutionContext {
   /// before its first item, then fn(state, item, tid) for each owned item.
   template <class MakeState, class Fn>
   void parallel_static_state(std::size_t num_items, MakeState&& make, Fn&& fn) {
-    if (replay_ || active_backend_ == Backend::kOpenMP) {
+    if (replay_) {
       using State = std::decay_t<decltype(make(0U))>;
-      // One slot per worker (OpenMP thread number or replay worker),
-      // lazily constructed before that worker's first item; under OpenMP
-      // each slot is only ever touched by its own thread within the single
-      // parallel region.
+      // One slot per replay worker, lazily constructed before that
+      // worker's first item.
       std::vector<std::optional<State>> states(num_threads_);
-      const auto run_item = [&](std::size_t item, unsigned tid) {
+      for_each_replayed(num_items, [&](std::size_t item, unsigned tid) {
         auto& slot = states[tid];
         if (!slot) {
           slot.emplace(make(tid));
         }
         fn(*slot, item, tid);
-      };
-      if (replay_) {
-        for_each_replayed(num_items, run_item);
-        return;
-      }
-      if (threads::parallel_for_omp_static(num_threads_, num_items, run_item)) {
-        return;
-      }
+      });
+      return;
     }
     threads::parallel_for_static_state(pool(), num_items, make, fn);
   }
@@ -188,35 +160,14 @@ class ExecutionContext {
   // -- Decomposition & memory ----------------------------------------------
 
   /// Chunk count for a curve sweep over a padded index space: targets
-  /// roughly size()/chunks_per_thread() *logical* voxels per chunk even
-  /// when much of the padded curve is holes.
+  /// 8 chunks per worker, sized in *logical* voxels, even when much of the
+  /// padded curve is holes.
   [[nodiscard]] std::size_t curve_chunks(std::size_t logical_size,
                                          std::size_t padded_capacity) const noexcept;
 
-  /// First-touch hook for core::AlignedBuffer: splits [0, count) into one
-  /// contiguous range per worker and touches each from that worker. The
-  /// returned function captures `this` and must not outlive the context.
-  [[nodiscard]] core::FirstTouchFn first_touch_fn();
-
-  /// Allocates a volume under this context's memory policy, with
-  /// first-touch initialization on this context's workers when the policy
-  /// asks for it. `interleave` selects the generalized-Morton pattern when
-  /// kind == kGMorton (empty = canonical).
-  [[nodiscard]] core::AnyVolume make_volume(core::LayoutKind kind,
-                                            const core::Extents3D& extents,
-                                            std::uint32_t tile = 8,
-                                            std::string_view interleave = {});
-
-  /// make_volume for a resolve_layout() answer.
-  [[nodiscard]] core::AnyVolume make_volume(const ResolvedLayout& resolved,
-                                            const core::Extents3D& extents,
-                                            std::uint32_t tile = 8) {
-    return make_volume(resolved.kind, extents, tile, resolved.interleave);
-  }
-
   /// Opens a packed brick file (core::pack_brick_file / tools/brick_pack)
   /// as an out-of-core volume under this context's memory policy:
-  /// memory_policy().brick_cache_bytes == 0 maps the file, > 0 streams it
+  /// ExecOptions::memory.brick_cache_bytes == 0 maps the file, > 0 streams it
   /// through an LRU brick cache of that byte budget. `prefetch_depth`
   /// bricks ahead of each demand miss are loaded asynchronously along the
   /// file's Morton order (0 disables the prefetch thread). Throws
@@ -259,11 +210,8 @@ class ExecutionContext {
   }
 
   unsigned num_threads_;
-  Backend requested_backend_;
-  Backend active_backend_;
   std::string backend_note_;
   threads::Affinity affinity_;
-  std::size_t chunks_per_thread_;
   bool replay_;
   core::MemoryPolicy memory_{};
   std::unique_ptr<threads::Pool> pool_;

@@ -2,7 +2,7 @@
 //
 // Scheduling model: one FIFO. run_all() / run(id) drain the queue one job
 // at a time on the calling thread — each job is internally parallel (its
-// tiles go to the context's pool/OpenMP backend), so draining serially
+// tiles go to the context's worker pool), so draining serially
 // preserves the bit-identity contract of the direct driver calls this
 // replaces while still letting queued jobs share StructureCache entries
 // hoisted into their prep stages.

@@ -663,9 +663,9 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
   // of peak RSS at 512^3) is gone; padded positions decode-and-skip. Each
   // work item is still a compact curve brick. The chunk decomposition is
   // the context's (curve_chunks scales by the padding ratio so the
-  // *logical* voxels per chunk stays at roughly size / (threads *
-  // chunks_per_thread) even when much of the padded curve is holes —
-  // 48^3 pads to 64^3: 58% padding).
+  // *logical* voxels per chunk stays at roughly size / (threads * 8) even
+  // when much of the padded curve is holes — 48^3 pads to 64^3: 58%
+  // padding).
   auto tables = std::make_shared<const core::GMortonTables>(
       e, core::InterleavePattern::canonical(e));
   const std::size_t cap = tables->capacity();

@@ -5,12 +5,12 @@
 //  * WorkQueue        — the raycaster's best strategy: a dynamic worker
 //    pool where each thread pops the next image tile when free.
 //
-// Both strategies also provide a *deterministic replay order* used by the
+// StaticRoundRobin also provides a *deterministic replay order* used by the
 // memsim counter runs: the items paired with their owning simulated thread,
 // interleaved round-by-round, so a single real thread can replay the access
-// streams that N logical threads would produce. (For WorkQueue the replay
-// assumes uniform progress — the same assumption behind round-robin — which
-// is documented in DESIGN.md.)
+// streams that N logical threads would produce. (Dynamic-queue work is
+// replayed the same way, assuming uniform progress, as documented in
+// DESIGN.md.)
 #pragma once
 
 #include <atomic>
@@ -37,19 +37,6 @@ class StaticRoundRobin {
   StaticRoundRobin(std::size_t num_items, unsigned num_threads)
       : num_items_(num_items), num_threads_(num_threads) {}
 
-  [[nodiscard]] unsigned owner(std::size_t item) const noexcept {
-    return static_cast<unsigned>(item % num_threads_);
-  }
-
-  /// Items owned by `tid`, in execution order.
-  [[nodiscard]] std::vector<std::size_t> items_for(unsigned tid) const {
-    std::vector<std::size_t> items;
-    for (std::size_t i = tid; i < num_items_; i += num_threads_) {
-      items.push_back(i);
-    }
-    return items;
-  }
-
   /// Round-by-round interleaved (item, tid) sequence for counter replay.
   [[nodiscard]] std::vector<Assignment> replay_order() const {
     std::vector<Assignment> order;
@@ -61,9 +48,6 @@ class StaticRoundRobin {
     }
     return order;
   }
-
-  [[nodiscard]] std::size_t num_items() const noexcept { return num_items_; }
-  [[nodiscard]] unsigned num_threads() const noexcept { return num_threads_; }
 
  private:
   std::size_t num_items_;
@@ -84,10 +68,6 @@ class WorkQueue {
     }
     return std::nullopt;
   }
-
-  void reset() noexcept { next_.store(0, std::memory_order_relaxed); }
-
-  [[nodiscard]] std::size_t num_items() const noexcept { return num_items_; }
 
  private:
   std::atomic<std::size_t> next_{0};

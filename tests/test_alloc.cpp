@@ -1,25 +1,17 @@
-// core/align.hpp allocation policy: alignment, value-initialization
-// (padding included), transparent-huge-page requests with reported
-// fallback, and the first-touch hook — the memory layer of the paper's
-// "layout is only half the story" argument.
+// core/align.hpp AlignedBuffer: cache-line alignment, value-initialization
+// (padding included), the byte-count overflow check, copy and move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
+#include <new>
 
 #include "sfcvis/core/align.hpp"
 #include "sfcvis/core/volume.hpp"
-
-#if defined(__linux__)
-#include <cerrno>
-#endif
 
 namespace {
 
 using namespace sfcvis;
 using core::AlignedBuffer;
-using core::AllocReport;
-using core::MemoryPolicy;
 
 bool is_aligned(const void* p, std::size_t align) {
   return reinterpret_cast<std::uintptr_t>(p) % align == 0;
@@ -32,11 +24,6 @@ TEST(AlignedBufferTest, DefaultPolicyIsCacheLineAlignedAndZeroed) {
   for (std::size_t n = 0; n < buf.size(); ++n) {
     ASSERT_EQ(buf[n], 0.0f) << "element " << n;
   }
-  const AllocReport& report = buf.report();
-  EXPECT_FALSE(report.huge_pages_requested);
-  EXPECT_FALSE(report.huge_page_fallback());
-  EXPECT_EQ(report.error, 0);
-  EXPECT_TRUE(report.message.empty());
 }
 
 TEST(AlignedBufferTest, EveryFacadeVolumeIsCacheLineAligned) {
@@ -58,98 +45,12 @@ TEST(AlignedBufferTest, PaddingIsValueInitialized) {
   }
 }
 
-TEST(AlignedBufferTest, SmallHugePageRequestFallsBackWithReason) {
-  MemoryPolicy policy;
-  policy.huge_pages = true;
-  const AlignedBuffer<float> buf(1024, policy);  // 4 KiB << 2 MiB
-  const AllocReport& report = buf.report();
-  EXPECT_TRUE(report.huge_pages_requested);
-  EXPECT_FALSE(report.huge_pages_applied);
-  EXPECT_TRUE(report.huge_page_fallback());
-  EXPECT_NE(report.message.find("smaller than one huge page"), std::string::npos)
-      << report.message;
-  // The fallback is still a working cache-line-aligned, zeroed buffer.
-  EXPECT_TRUE(is_aligned(buf.data(), core::kCacheLineBytes));
-  EXPECT_EQ(buf[0], 0.0f);
-}
-
-TEST(AlignedBufferTest, LargeHugePageRequestAlignsAndReports) {
-  MemoryPolicy policy;
-  policy.huge_pages = true;
-  const std::size_t count = core::kHugePageBytes / sizeof(float);  // exactly 2 MiB
-  const AlignedBuffer<float> buf(count, policy);
-  const AllocReport& report = buf.report();
-  EXPECT_TRUE(report.huge_pages_requested);
-  // Large enough → the buffer is huge-page aligned regardless of whether
-  // madvise succeeded.
-  EXPECT_TRUE(is_aligned(buf.data(), core::kHugePageBytes));
-  // Mirrors the perfmon::OpenFailure idiom: either the request applied, or
-  // the report says why it did not.
-  if (report.huge_pages_applied) {
-    EXPECT_EQ(report.error, 0);
-    EXPECT_TRUE(report.message.empty());
-  } else {
-    EXPECT_TRUE(report.huge_page_fallback());
-    EXPECT_FALSE(report.message.empty());
-  }
-  for (std::size_t n = 0; n < count; n += 4096) {
-    ASSERT_EQ(buf[n], 0.0f) << "element " << n;
-  }
-}
-
-TEST(AlignedBufferTest, DescribeMadviseErrorMapsKnownCodes) {
-  EXPECT_TRUE(core::describe_madvise_error(0).empty());
-#if defined(__linux__)
-  EXPECT_NE(core::describe_madvise_error(EINVAL).find("EINVAL"), std::string::npos);
-  EXPECT_NE(core::describe_madvise_error(EINVAL).find("transparent huge pages"),
-            std::string::npos);
-  EXPECT_NE(core::describe_madvise_error(ENOMEM).find("ENOMEM"), std::string::npos);
-#endif
-  EXPECT_NE(core::describe_madvise_error(9999).find("errno 9999"), std::string::npos);
-}
-
-TEST(AlignedBufferTest, FirstTouchHookRunsAndContentsStayZero) {
-  MemoryPolicy policy;
-  policy.first_touch = true;
-  int calls = 0;
-  const core::FirstTouchFn hook =
-      [&](std::size_t count,
-          const std::function<void(std::size_t, std::size_t)>& touch) {
-        ++calls;
-        const std::size_t half = count / 2;
-        touch(0, half);
-        touch(half, count);
-      };
-  const AlignedBuffer<float> buf(257, policy, hook);
-  EXPECT_EQ(calls, 1);
-  const AllocReport& report = buf.report();
-  EXPECT_TRUE(report.first_touch_requested);
-  EXPECT_TRUE(report.first_touch_applied);
-  for (std::size_t n = 0; n < buf.size(); ++n) {
-    ASSERT_EQ(buf[n], 0.0f) << "element " << n;
-  }
-}
-
-TEST(AlignedBufferTest, FirstTouchWithoutHookFallsBackToSerialInit) {
-  MemoryPolicy policy;
-  policy.first_touch = true;
-  const AlignedBuffer<float> buf(128, policy);
-  EXPECT_TRUE(buf.report().first_touch_requested);
-  EXPECT_FALSE(buf.report().first_touch_applied);
-  for (std::size_t n = 0; n < buf.size(); ++n) {
-    ASSERT_EQ(buf[n], 0.0f);
-  }
-}
-
-TEST(AlignedBufferTest, FacadeExposesPolicyReport) {
-  core::VolumeOpts opts;
-  opts.memory.huge_pages = true;
-  const core::AnyVolume v =
-      core::make_volume(core::LayoutKind::kArray, core::Extents3D::cube(8), opts);
-  // 8^3 floats is far below a huge page: the facade surfaces the same
-  // reported fallback the raw buffer gives.
-  EXPECT_TRUE(v.alloc_report().huge_page_fallback());
-  EXPECT_FALSE(v.alloc_report().message.empty());
+TEST(AlignedBufferTest, OverflowingCountThrowsBadAlloc) {
+  // count * sizeof(float) does not fit in size_t: the buffer must refuse
+  // instead of allocating the wrapped byte count and zeroing past its end.
+  EXPECT_THROW((AlignedBuffer<float>(SIZE_MAX / 2)), std::bad_alloc);
+  // This count wraps to a 4-byte allocation without the check.
+  EXPECT_THROW((AlignedBuffer<float>(SIZE_MAX / sizeof(float) + 2)), std::bad_alloc);
 }
 
 TEST(AlignedBufferTest, CopyAndMovePreserveContentsAndAlignment) {

@@ -1,44 +1,30 @@
-// exec::ExecutionContext: backend selection, dispatch coverage, curve
-// decomposition, the structure cache, and policy-driven allocation — the
-// contract every migrated kernel driver now leans on.
+// exec::ExecutionContext: dispatch coverage, curve decomposition and the
+// structure cache — the contract every migrated kernel driver leans on.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
-#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sfcvis/core/volume.hpp"
 #include "sfcvis/exec/execution_context.hpp"
 #include "sfcvis/exec/structure_cache.hpp"
 #include "sfcvis/exec/trace_session.hpp"
-#include "sfcvis/threads/omp_executor.hpp"
 #include "sfcvis/trace/export.hpp"
 
 namespace {
 
 using namespace sfcvis;
 using exec::Backend;
-using exec::ExecOptions;
 using exec::ExecutionContext;
 
 TEST(Backend, ToStringAndParseRoundTrip) {
   EXPECT_STREQ(exec::to_string(Backend::kPool), "pool");
-  EXPECT_STREQ(exec::to_string(Backend::kOpenMP), "openmp");
-  EXPECT_EQ(exec::parse_backend("pool"), Backend::kPool);
-  EXPECT_EQ(exec::parse_backend("pthreads"), Backend::kPool);
-  EXPECT_EQ(exec::parse_backend("openmp"), Backend::kOpenMP);
-  EXPECT_EQ(exec::parse_backend("omp"), Backend::kOpenMP);
-  EXPECT_THROW((void)exec::parse_backend("tbb"), std::invalid_argument);
-  EXPECT_THROW((void)exec::parse_backend(""), std::invalid_argument);
 }
 
 TEST(ExecutionContextTest, ResolvesThreadCount) {
@@ -97,11 +83,8 @@ TEST(ExecutionContextTest, StaticStateMakesAtMostOneStatePerWorker) {
 }
 
 TEST(ExecutionContextTest, CurveChunksScalesWithPaddingRatio) {
-  ExecOptions opts;
-  opts.threads = 3;
-  opts.chunks_per_thread = 8;
-  ExecutionContext ctx(opts);
-  // Unpadded curve: threads * chunks_per_thread chunks.
+  ExecutionContext ctx(3);
+  // Unpadded curve: 8 chunks per thread.
   EXPECT_EQ(ctx.curve_chunks(1000, 1000), 24U);
   // Half the padded curve is holes: twice the chunks keeps the *logical*
   // work per chunk on target.
@@ -109,64 +92,6 @@ TEST(ExecutionContextTest, CurveChunksScalesWithPaddingRatio) {
   // Degenerate inputs clamp to at least one chunk.
   EXPECT_EQ(ctx.curve_chunks(1, 0), 1U);
   EXPECT_GE(ctx.curve_chunks(0, 64), 1U);
-}
-
-TEST(ExecutionContextTest, FirstTouchFnCoversRangeExactlyOnce) {
-  ExecutionContext ctx(3);
-  const core::FirstTouchFn fn = ctx.first_touch_fn();
-  const std::size_t count = 1013;  // prime: uneven split across 3 workers
-  std::mutex mu;
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  fn(count, [&](std::size_t begin, std::size_t end) {
-    const std::lock_guard<std::mutex> lock(mu);
-    ranges.emplace_back(begin, end);
-  });
-  std::sort(ranges.begin(), ranges.end());
-  std::size_t covered = 0;
-  for (const auto& [begin, end] : ranges) {
-    EXPECT_EQ(begin, covered) << "gap or overlap before " << begin;
-    EXPECT_GT(end, begin);
-    covered = end;
-  }
-  EXPECT_EQ(covered, count);
-}
-
-TEST(ExecutionContextTest, MakeVolumeAppliesContextMemoryPolicy) {
-  ExecOptions opts;
-  opts.threads = 2;
-  opts.memory.first_touch = true;
-  ExecutionContext ctx(opts);
-  const core::AnyVolume v = ctx.make_volume(core::LayoutKind::kZOrder,
-                                            core::Extents3D{20, 7, 5});
-  const core::AllocReport& report = v.alloc_report();
-  EXPECT_TRUE(report.first_touch_requested);
-  EXPECT_TRUE(report.first_touch_applied);
-  // First-touch is a placement detail: contents are still value-initialized,
-  // padding included.
-  for (std::size_t n = 0; n < v.capacity(); ++n) {
-    ASSERT_EQ(v.data()[n], 0.0f) << "element " << n;
-  }
-}
-
-TEST(ExecutionContextTest, OpenMPRequestHonouredOrReportedFallback) {
-  ExecOptions opts;
-  opts.threads = 2;
-  opts.backend = Backend::kOpenMP;
-  ExecutionContext ctx(opts);
-  EXPECT_EQ(ctx.backend(), Backend::kOpenMP);
-  if (threads::openmp_available()) {
-    EXPECT_EQ(ctx.active_backend(), Backend::kOpenMP);
-    EXPECT_TRUE(ctx.backend_note().empty());
-  } else {
-    EXPECT_EQ(ctx.active_backend(), Backend::kPool);
-    EXPECT_FALSE(ctx.backend_note().empty());
-  }
-  // Dispatch works either way.
-  std::atomic<std::size_t> sum{0};
-  ctx.parallel_static(100, [&](std::size_t item, unsigned) {
-    sum.fetch_add(item, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(sum.load(), 4950U);
 }
 
 TEST(ExecutionContextTest, AffinityRequestIsRecorded) {

@@ -3,7 +3,6 @@
 // Pins the contracts the migration to schedulable jobs introduced:
 //  * queued job dispatch is bit-identical to the synchronous driver calls
 //    (every kernel family, every volume backend incl. out-of-core);
-//  * pool and OpenMP backends produce identical per-job records;
 //  * cancellation (pre-start and mid-run), the REJECTED double-submit
 //    policy, zero-tile jobs;
 //  * queued back-to-back macrocell renders share one StructureCache entry
@@ -35,19 +34,7 @@
 #include "sfcvis/filters/median.hpp"
 #include "sfcvis/render/macrocell.hpp"
 #include "sfcvis/render/raycast.hpp"
-#include "sfcvis/threads/omp_executor.hpp"
 #include "sfcvis/verify/diff.hpp"
-
-// Uninstrumented libgomp barriers are invisible to TSan, so OpenMP-backend
-// runs report false races (same pre-existing situation as the BackendParity
-// suite); the OpenMP leg of this suite skips under TSan.
-#if defined(__SANITIZE_THREAD__)
-#define SFCVIS_TEST_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SFCVIS_TEST_TSAN 1
-#endif
-#endif
 
 namespace {
 
@@ -67,10 +54,9 @@ float field(std::uint32_t i, std::uint32_t j, std::uint32_t k) {
          0.002f * static_cast<float>(k);
 }
 
-ExecutionContext make_ctx(unsigned threads, exec::Backend backend = exec::Backend::kPool) {
+ExecutionContext make_ctx(unsigned threads) {
   exec::ExecOptions opts;
   opts.threads = threads;
-  opts.backend = backend;
   opts.layout_registry.clear();
   return ExecutionContext(opts);
 }
@@ -319,48 +305,6 @@ TEST(JobParity, OutOfCoreBrickedBackendMatchesInMemory) {
                             "gradient [bricked vs in-memory]");
   EXPECT_TRUE(report.ok) << report.to_string();
   std::filesystem::remove(path);
-}
-
-// -----------------------------------------------------------------------------
-// Pool-vs-OpenMP per-job attribution parity
-
-TEST(JobParity, PoolAndOpenMpRecordsAgree) {
-  if (!threads::openmp_available()) {
-    GTEST_SKIP() << "no OpenMP runtime in this build";
-  }
-#ifdef SFCVIS_TEST_TSAN
-  GTEST_SKIP() << "libgomp is uninstrumented under TSan (known false positives)";
-#endif
-  const Extents3D e = Extents3D::cube(12);
-  AnyVolume src = core::make_volume(LayoutKind::kHilbert, e);
-  src.fill_from(field);
-  filters::BilateralParams params;
-  params.radius = 1;
-  std::vector<exec::JobRecord> per_backend[2];
-  ArrayVolume outputs[2] = {ArrayVolume(e), ArrayVolume(e)};
-  const exec::Backend backends[2] = {exec::Backend::kPool, exec::Backend::kOpenMP};
-  for (int b = 0; b < 2; ++b) {
-    auto ctx = make_ctx(3, backends[b]);
-    ArrayVolume grad(e);
-    filters::gradient_magnitude(src, grad, ctx);
-    filters::bilateral_parallel(src, outputs[b], params, ctx);
-    per_backend[b] = ctx.jobs().records();
-  }
-  ASSERT_EQ(per_backend[0].size(), per_backend[1].size());
-  for (std::size_t n = 0; n < per_backend[0].size(); ++n) {
-    const auto& pool_r = per_backend[0][n];
-    const auto& omp_r = per_backend[1][n];
-    EXPECT_EQ(pool_r.kernel, omp_r.kernel);
-    EXPECT_EQ(pool_r.tiles, omp_r.tiles);
-    EXPECT_EQ(pool_r.tiles_run, omp_r.tiles_run);
-    EXPECT_EQ(pool_r.state, omp_r.state);
-    EXPECT_EQ(pool_r.structure_cache_hits, omp_r.structure_cache_hits);
-    EXPECT_EQ(pool_r.structure_cache_misses, omp_r.structure_cache_misses);
-  }
-  const auto report = verify::compare_grids(outputs[0], outputs[1],
-                                            verify::Tolerance::bit_identical(),
-                                            "bilateral [pool vs openmp job records]");
-  EXPECT_TRUE(report.ok) << report.to_string();
 }
 
 // -----------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -70,21 +71,33 @@ TEST(PoolTest, RunIsABarrier) {
 
 TEST(RoundRobin, OwnerCycles) {
   const StaticRoundRobin rr(10, 3);
-  EXPECT_EQ(rr.owner(0), 0u);
-  EXPECT_EQ(rr.owner(1), 1u);
-  EXPECT_EQ(rr.owner(2), 2u);
-  EXPECT_EQ(rr.owner(3), 0u);
-  EXPECT_EQ(rr.owner(9), 0u);
+  const auto order = rr.replay_order();
+  ASSERT_EQ(order.size(), 10u);
+  for (std::size_t n = 0; n < order.size(); ++n) {
+    EXPECT_EQ(order[n].item, n);
+  }
+  EXPECT_EQ(order[0].tid, 0u);
+  EXPECT_EQ(order[1].tid, 1u);
+  EXPECT_EQ(order[2].tid, 2u);
+  EXPECT_EQ(order[3].tid, 0u);
+  EXPECT_EQ(order[9].tid, 0u);
 }
 
 TEST(RoundRobin, ItemsForPartitionAllItems) {
+  // Thread t's items are t, t+4, t+8, ... in execution order, and the
+  // threads together cover every item once.
   const StaticRoundRobin rr(11, 4);
+  std::vector<std::vector<std::size_t>> per_thread(4);
+  for (const auto& a : rr.replay_order()) {
+    EXPECT_EQ(a.tid, a.item % 4);
+    per_thread[a.tid].push_back(a.item);
+  }
   std::set<std::size_t> all;
   std::size_t count = 0;
   for (unsigned t = 0; t < 4; ++t) {
-    for (const auto item : rr.items_for(t)) {
-      EXPECT_EQ(rr.owner(item), t);
-      all.insert(item);
+    for (std::size_t n = 0; n < per_thread[t].size(); ++n) {
+      EXPECT_EQ(per_thread[t][n], t + 4 * n);
+      all.insert(per_thread[t][n]);
       ++count;
     }
   }
@@ -114,8 +127,11 @@ TEST(RoundRobin, ReplayOrderCoversEachItemOnce) {
 
 TEST(RoundRobin, MoreThreadsThanItems) {
   const StaticRoundRobin rr(2, 8);
-  EXPECT_EQ(rr.replay_order().size(), 2u);
-  EXPECT_TRUE(rr.items_for(5).empty());
+  const auto order = rr.replay_order();
+  EXPECT_EQ(order.size(), 2u);
+  for (const auto& a : order) {
+    EXPECT_LT(a.tid, 2u);  // threads 2..7 own nothing
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -133,12 +149,15 @@ TEST(WorkQueueTest, PopsEachItemOnceSerial) {
 }
 
 TEST(WorkQueueTest, ResetRefills) {
+  // A queue is one-shot: drained stays drained, and each parallel region
+  // starts over with a fresh queue that hands out item 0 first.
   WorkQueue q(2);
   (void)q.pop();
   (void)q.pop();
   EXPECT_FALSE(q.pop().has_value());
-  q.reset();
-  EXPECT_TRUE(q.pop().has_value());
+  EXPECT_FALSE(q.pop().has_value());
+  WorkQueue fresh(2);
+  EXPECT_EQ(fresh.pop(), std::optional<std::size_t>{0});
 }
 
 TEST(WorkQueueTest, ConcurrentPopsAreExactlyOnce) {
@@ -227,50 +246,6 @@ TEST(ParallelFor, ZeroItemsIsANoOp) {
   EXPECT_EQ(calls, 0);
 }
 
-// ---------------------------------------------------------------------------
-// OpenMP executor (optional backend)
-// ---------------------------------------------------------------------------
-
-#include "sfcvis/threads/omp_executor.hpp"
-
-TEST(OmpExecutor, AvailabilityIsConsistent) {
-  EXPECT_EQ(threads::openmp_available(), threads::openmp_available());
-  if (threads::openmp_available()) {
-    EXPECT_GE(threads::openmp_max_threads(), 1u);
-  } else {
-    EXPECT_EQ(threads::openmp_max_threads(), 0u);
-  }
-}
-
-TEST(OmpExecutor, StaticVisitsAllItemsOnce) {
-  if (!threads::openmp_available()) {
-    GTEST_SKIP() << "built without OpenMP";
-  }
-  const std::size_t n = 4000;
-  std::vector<std::atomic<int>> visits(n);
-  ASSERT_TRUE(threads::parallel_for_omp_static(4, n, [&](std::size_t item, unsigned) {
-    visits[item].fetch_add(1);
-  }));
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(visits[i].load(), 1);
-  }
-}
-
-TEST(OmpExecutor, DynamicVisitsAllItemsOnce) {
-  if (!threads::openmp_available()) {
-    GTEST_SKIP() << "built without OpenMP";
-  }
-  const std::size_t n = 4000;
-  std::vector<std::atomic<int>> visits(n);
-  ASSERT_TRUE(threads::parallel_for_omp_dynamic(4, n, [&](std::size_t item, unsigned tid) {
-    EXPECT_LT(tid, 4u);
-    visits[item].fetch_add(1);
-  }));
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(visits[i].load(), 1);
-  }
-}
-
 TEST(ParallelForState, VisitsAllItemsWithStaticOwnership) {
   Pool pool(3);
   const std::size_t n = 100;
@@ -329,7 +304,8 @@ TEST(ParallelForState, IdleWorkersConstructNoState) {
 }
 
 TEST(ParallelForState, StatePersistsAcrossItemsOfOneWorker) {
-  // Each worker's state accumulates its item count; matches items_for().
+  // Each worker's state accumulates its item count; worker t owns the
+  // items t, t+3, t+6, ... below n.
   Pool pool(3);
   const std::size_t n = 31;
   std::vector<int> counts(3, -1);
@@ -338,14 +314,12 @@ TEST(ParallelForState, StatePersistsAcrossItemsOfOneWorker) {
       pool, n, [](unsigned) { return 0; },
       [&](int& state, std::size_t item, unsigned tid) {
         ++state;
-        const threads::StaticRoundRobin rr(n, 3);
-        if (item == rr.items_for(tid).back()) {
+        if (item + 3 >= n) {  // the worker's last item
           const std::lock_guard<std::mutex> lock(mu);
           counts[tid] = state;
         }
       });
-  const threads::StaticRoundRobin rr(n, 3);
   for (unsigned t = 0; t < 3; ++t) {
-    EXPECT_EQ(counts[t], static_cast<int>(rr.items_for(t).size()));
+    EXPECT_EQ(counts[t], static_cast<int>((n - t + 2) / 3));
   }
 }

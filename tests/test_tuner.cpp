@@ -173,7 +173,9 @@ TEST(ExecutionContext, ResolveLayoutReturnsTunedEntry) {
   EXPECT_NE(hit.note.find("tuned layout for"), std::string::npos) << hit.note;
 
   // The resolved answer must build a working volume of the tuned layout.
-  core::AnyVolume v = ctx.make_volume(hit, {16, 16, 16});
+  core::VolumeOpts vopts;
+  vopts.interleave = hit.interleave;
+  core::AnyVolume v = core::make_volume(hit.kind, {16, 16, 16}, vopts);
   EXPECT_EQ(v.kind(), core::LayoutKind::kGMorton);
   EXPECT_EQ(v.as<core::GeneralizedMortonLayout>().layout().pattern().str(),
             "zyxzyxzzyyxx");

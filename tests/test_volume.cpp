@@ -195,13 +195,4 @@ TEST(AnyVolume, CopyFromAnyLayoutPair) {
   }
 }
 
-TEST(AnyVolume, DefaultAllocReportIsInert) {
-  const AnyVolume v = core::make_volume(LayoutKind::kArray, Extents3D::cube(8));
-  const core::AllocReport& report = v.alloc_report();
-  EXPECT_FALSE(report.huge_pages_requested);
-  EXPECT_FALSE(report.first_touch_requested);
-  EXPECT_FALSE(report.huge_page_fallback());
-  EXPECT_TRUE(report.message.empty());
-}
-
 }  // namespace

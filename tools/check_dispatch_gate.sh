@@ -7,9 +7,10 @@
 #     src/sfcvis/threads/ (their home). Every kernel driver must go through
 #     an exec::KernelJob (filters/kernels_common.hpp builders) or, for
 #     structure builds, the ctx.parallel_* methods — never the free
-#     functions. bench/abl_scheduler.cpp is allowlisted: it deliberately
-#     benchmarks the raw pool/OpenMP primitives against each other
-#     (DESIGN.md Sec. 6).
+#     functions. bench/abl_scheduler.cpp is allowlisted: it times the raw
+#     pool schedulers, static vs dynamic, on uneven render tiles, without
+#     job-graph overhead (the paper's Sec. III scheduling claim; DESIGN.md
+#     Sec. 12).
 #  2. make_traced_view may only appear under src/sfcvis/core/, where its
 #     overloads and the core::traced_views factory live. A counter run is
 #     the kernel's own job replayed with core::traced_views through
@@ -43,7 +44,7 @@ check() {
   fi
 }
 
-check 'parallel_for(_static(_state)?|_dynamic|_omp_static|_omp_dynamic)?[[:space:]]*\(' \
+check 'parallel_for(_static(_state)?|_dynamic)?[[:space:]]*\(' \
   "direct threads::parallel_for* calls outside src/sfcvis/exec/ and src/sfcvis/threads/ — build an exec::KernelJob and submit it through ExecutionContext::jobs() (or use the ctx.parallel_* methods for structure builds):" \
   src/sfcvis/exec/ src/sfcvis/threads/ bench/abl_scheduler.cpp:
 check 'make_traced_view' \
