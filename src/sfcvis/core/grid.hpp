@@ -74,7 +74,7 @@ class Grid3D {
   /// coordinates are clamped once; on a SeparableLayout each becomes its
   /// per-axis offset once (the paper's Sec. III-C tables), so the eight
   /// indices cost eight adds. Other layouts index the eight corners.
-  /// Forced inline, so the packet raycaster's per-lane calls compile to
+  /// Forced inline, so trace_ray's per-sample calls compile to
   /// straight-line loads.
   [[nodiscard, gnu::always_inline]] std::array<T, 8> cell_clamped(
       std::int64_t i, std::int64_t j, std::int64_t k) const noexcept {

@@ -1,25 +1,24 @@
-// One width-agnostic SIMD vector abstraction for the explicit kernels.
+// One native-width SIMD vector type for the explicit filter tap loops.
 //
-// The hot loops (bilateral/gaussian tap loops over gather-ring scratch,
-// the ray-packet raycaster) used to lean on autovectorization via
-// `#pragma omp simd`; this header gives them explicit lanes instead. The
-// instruction set is selected at configure time from the compiler's
-// target macros and reported at runtime through active_isa() — the same
-// "reported fallback" idiom as perfmon (perf counters) and alloc (THP):
-// every build works, and tells you which path it took.
+// The bilateral and Gaussian tap loops over gather-ring scratch used to
+// lean on autovectorization via `#pragma omp simd`; this header gives them
+// explicit lanes instead. The instruction set is selected at configure
+// time from the compiler's target macros and reported at runtime through
+// active_isa() — the same "reported fallback" idiom as perfmon (perf
+// counters) and alloc (THP): every build works, and tells you which path
+// it took.
 //
-//   AVX-512F  -> native 16-lane (widths 4/8 ride on SSE/AVX registers)
-//   AVX2+FMA  -> native 8-lane  (width 4 on SSE, width 16 as two 8s)
-//   NEON(A64) -> native 4-lane  (widths 8/16 composed from 4s)
-//   otherwise -> scalar lane loops (also forced by SFCVIS_SIMD_FORCE_SCALAR,
-//                the CMake option CI uses to keep the fallback green)
+//   AVX-512F  -> 16 lanes
+//   AVX2+FMA  ->  8 lanes
+//   NEON(A64) ->  4 lanes
+//   otherwise ->  4 scalar lane loops (e.g. the x86-64 baseline that
+//                 -DSFCVIS_NATIVE_ARCH=OFF compiles for)
 //
-// Three types per width N in {4, 8, 16}: vfloat<N> (f32 lanes), vint<N>
-// (i32 lanes, conversions + the exponent-field shift fast_exp_neg needs),
-// vmask<N> (per-lane booleans from comparisons; blends, movemask bits).
-// Widths the ISA lacks are composed from two half-width vectors, so every
-// width exists on every build and kernels pick lanes per call site
-// (kNativeLanes for throughput loops, the packet size for ray packets).
+// Each build defines one width, kNativeLanes, and three types at it:
+// vfloat<N> (f32 lanes), vint<N> (i32 lanes: the conversions and the
+// exponent-field shift fast_exp_neg needs) and vmask<N> (per-lane booleans
+// from comparisons, consumed by select). The ops are exactly the ones the
+// tap loops call.
 //
 // Determinism contract (what the differential fuzz relies on):
 //  * Arithmetic ops use the compiler's built-in vector operators, NOT
@@ -27,45 +26,31 @@
 //    decisions to vector-extension expressions as to scalar ones, so
 //    `a + b * c` contracts (or not) exactly like the scalar kernels it
 //    mirrors — per-lane results are bit-identical to scalar code of the
-//    same expression shape, on every ISA. fmadd() is the explicitly
-//    fused op for call sites that *want* FMA regardless of flags.
-//  * vmin/vmax mirror std::min/std::max semantics — select on (a < b) —
-//    instead of the x86 minps/maxps NaN/-0 quirks.
-//  * vfloor/vsqrt are the IEEE operations (bit-equal to std::floor /
-//    std::sqrt); reduce_add sums lanes sequentially 0..N-1.
+//    same expression shape, on every ISA.
+//  * reduce_add sums lanes sequentially 0..N-1.
 //  * fast_exp_neg reproduces filters::fast_exp_neg lane-exactly (same
 //    constants, same expression shapes; pinned by tests/test_simd.cpp).
 #pragma once
 
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 
-#if defined(SFCVIS_SIMD_FORCE_SCALAR)
-#define SFCVIS_SIMD_ISA_SCALAR 1
-#elif defined(__AVX512F__)
+#if defined(__AVX512F__)
 #define SFCVIS_SIMD_ISA_AVX512 1
+#include <immintrin.h>
 #elif defined(__AVX2__) && defined(__FMA__)
 #define SFCVIS_SIMD_ISA_AVX2 1
+#include <immintrin.h>
 #elif defined(__ARM_NEON) || defined(__ARM_NEON__)
 #define SFCVIS_SIMD_ISA_NEON 1
-#else
-#define SFCVIS_SIMD_ISA_SCALAR 1
-#endif
-
-#if defined(SFCVIS_SIMD_ISA_AVX512) || defined(SFCVIS_SIMD_ISA_AVX2)
-#define SFCVIS_SIMD_X86 1
-#include <immintrin.h>
-#endif
-#if defined(SFCVIS_SIMD_ISA_NEON)
 #include <arm_neon.h>
 #endif
 
 namespace sfcvis::simd {
 
-/// Lane count of the widest native vector on this build — the width the
-/// throughput loops (filter taps) should instantiate.
+/// Lane count of this build's vector types — the width the tap loops
+/// instantiate.
 #if defined(SFCVIS_SIMD_ISA_AVX512)
 inline constexpr int kNativeLanes = 16;
 #elif defined(SFCVIS_SIMD_ISA_AVX2)
@@ -83,8 +68,6 @@ inline constexpr int kNativeLanes = 4;
   return "avx2";
 #elif defined(SFCVIS_SIMD_ISA_NEON)
   return "neon";
-#elif defined(SFCVIS_SIMD_FORCE_SCALAR)
-  return "scalar (forced)";
 #else
   return "scalar";
 #endif
@@ -97,116 +80,142 @@ struct vint;
 template <int N>
 struct vmask;
 
-#if defined(SFCVIS_SIMD_X86)
-namespace detail {
-/// -1/0 staircase for building tail masks: &kTailMask32[16 - n] reads n
-/// all-ones lanes followed by zeros (n <= 8 consumers: SSE/AVX maskload).
-alignas(64) inline constexpr std::int32_t kTailMask32[24] = {
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, 0,  0,  0,  0,  0,  0,  0,  0};
-}  // namespace detail
-#endif
-
-// ---------------------------------------------------------------------------
-// Width 4 — SSE / NEON / scalar lane loops
-// ---------------------------------------------------------------------------
-
-#if defined(SFCVIS_SIMD_X86)
+#if defined(SFCVIS_SIMD_ISA_AVX512)
 
 template <>
-struct vmask<4> {
-  __m128 raw;
-  [[nodiscard]] static vmask from_bits(unsigned b) noexcept {
-    const __m128i bit = _mm_setr_epi32(1, 2, 4, 8);
-    const __m128i v = _mm_set1_epi32(static_cast<int>(b));
-    return {_mm_castsi128_ps(
-        _mm_cmpeq_epi32(_mm_and_si128(v, bit), bit))};
-  }
-  friend unsigned to_bits(vmask m) noexcept {
-    return static_cast<unsigned>(_mm_movemask_ps(m.raw));
-  }
-  friend bool any(vmask m) noexcept { return to_bits(m) != 0; }
-  friend bool all(vmask m) noexcept { return to_bits(m) == 0xFu; }
-  friend vmask operator&(vmask a, vmask b) noexcept { return {_mm_and_ps(a.raw, b.raw)}; }
-  friend vmask operator|(vmask a, vmask b) noexcept { return {_mm_or_ps(a.raw, b.raw)}; }
-  /// a & ~b
-  friend vmask andnot(vmask a, vmask b) noexcept { return {_mm_andnot_ps(b.raw, a.raw)}; }
+struct vmask<16> {
+  __mmask16 raw;
 };
 
 template <>
-struct vint<4> {
-  __m128i raw;
-  [[nodiscard]] static vint broadcast(std::int32_t v) noexcept { return {_mm_set1_epi32(v)}; }
-  [[nodiscard]] std::array<std::int32_t, 4> to_array() const noexcept {
-    alignas(16) std::array<std::int32_t, 4> out;
-    _mm_store_si128(reinterpret_cast<__m128i*>(out.data()), raw);
-    return out;
+struct vint<16> {
+  __m512i raw;
+  [[nodiscard]] static vint broadcast(std::int32_t v) noexcept {
+    return {_mm512_set1_epi32(v)};
   }
-  friend vint operator+(vint a, vint b) noexcept { return {_mm_add_epi32(a.raw, b.raw)}; }
+  friend vint operator+(vint a, vint b) noexcept { return {_mm512_add_epi32(a.raw, b.raw)}; }
   friend vint operator<<(vint a, int count) noexcept {
-    return {_mm_sll_epi32(a.raw, _mm_cvtsi32_si128(count))};
+    return {_mm512_maskz_sll_epi32(static_cast<__mmask16>(0xFFFF), a.raw,
+                                   _mm_cvtsi32_si128(count))};
   }
 };
 
 template <>
-struct vfloat<4> {
-  __m128 raw;
-  static constexpr int kLanes = 4;
-  [[nodiscard]] static vfloat zero() noexcept { return {_mm_setzero_ps()}; }
-  [[nodiscard]] static vfloat broadcast(float v) noexcept { return {_mm_set1_ps(v)}; }
-  [[nodiscard]] static vfloat loadu(const float* p) noexcept { return {_mm_loadu_ps(p)}; }
-  /// Lanes [0, n) from p, remaining lanes zero (n in [0, 4]).
+struct vfloat<16> {
+  __m512 raw;
+  [[nodiscard]] static vfloat zero() noexcept { return {_mm512_setzero_ps()}; }
+  [[nodiscard]] static vfloat broadcast(float v) noexcept { return {_mm512_set1_ps(v)}; }
+  [[nodiscard]] static vfloat loadu(const float* p) noexcept { return {_mm512_loadu_ps(p)}; }
+  /// Lanes [0, n) from p, remaining lanes zero (n in [0, 16]).
   [[nodiscard]] static vfloat loadu_masked(const float* p, int n) noexcept {
-    const __m128i m = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(detail::kTailMask32 + (16 - n)));
-    return {_mm_maskload_ps(p, m)};
+    const auto m = static_cast<__mmask16>((1u << n) - 1u);
+    return {_mm512_maskz_loadu_ps(m, p)};
   }
-  [[nodiscard]] static vfloat from_array(const std::array<float, 4>& a) noexcept {
-    return loadu(a.data());
-  }
-  void storeu(float* p) const noexcept { _mm_storeu_ps(p, raw); }
-  [[nodiscard]] std::array<float, 4> to_array() const noexcept {
-    alignas(16) std::array<float, 4> out;
-    _mm_store_ps(out.data(), raw);
+  [[nodiscard]] std::array<float, 16> to_array() const noexcept {
+    alignas(64) std::array<float, 16> out;
+    _mm512_store_ps(out.data(), raw);
     return out;
   }
   // Built-in vector operators: contraction-consistent with scalar code.
   friend vfloat operator+(vfloat a, vfloat b) noexcept { return {a.raw + b.raw}; }
   friend vfloat operator-(vfloat a, vfloat b) noexcept { return {a.raw - b.raw}; }
   friend vfloat operator*(vfloat a, vfloat b) noexcept { return {a.raw * b.raw}; }
-  friend vfloat operator/(vfloat a, vfloat b) noexcept { return {a.raw / b.raw}; }
   friend vfloat operator-(vfloat a) noexcept {
-    return {_mm_xor_ps(a.raw, _mm_set1_ps(-0.0f))};
+    return {_mm512_castsi512_ps(_mm512_xor_si512(
+        _mm512_castps_si512(a.raw), _mm512_set1_epi32(INT32_C(0x80000000))))};
   }
-  friend vmask<4> lt(vfloat a, vfloat b) noexcept { return {_mm_cmplt_ps(a.raw, b.raw)}; }
-  friend vmask<4> le(vfloat a, vfloat b) noexcept { return {_mm_cmple_ps(a.raw, b.raw)}; }
-  friend vmask<4> gt(vfloat a, vfloat b) noexcept { return {_mm_cmpgt_ps(a.raw, b.raw)}; }
-  friend vmask<4> ge(vfloat a, vfloat b) noexcept { return {_mm_cmpge_ps(a.raw, b.raw)}; }
+  friend vmask<16> lt(vfloat a, vfloat b) noexcept {
+    return {_mm512_cmp_ps_mask(a.raw, b.raw, _CMP_LT_OQ)};
+  }
+  friend vmask<16> gt(vfloat a, vfloat b) noexcept {
+    return {_mm512_cmp_ps_mask(a.raw, b.raw, _CMP_GT_OQ)};
+  }
   /// m ? a : b, per lane.
-  friend vfloat select(vmask<4> m, vfloat a, vfloat b) noexcept {
-    return {_mm_blendv_ps(b.raw, a.raw, m.raw)};
+  friend vfloat select(vmask<16> m, vfloat a, vfloat b) noexcept {
+    return {_mm512_mask_blend_ps(m.raw, b.raw, a.raw)};
   }
-  friend vfloat vabs(vfloat a) noexcept {
-    return {_mm_andnot_ps(_mm_set1_ps(-0.0f), a.raw)};
+  friend vint<16> trunc_to_int(vfloat a) noexcept {
+    return {_mm512_maskz_cvttps_epi32(static_cast<__mmask16>(0xFFFF), a.raw)};
   }
-  friend vfloat vsqrt(vfloat a) noexcept { return {_mm_sqrt_ps(a.raw)}; }
-  friend vfloat vfloor(vfloat a) noexcept { return {_mm_floor_ps(a.raw)}; }
-  /// Explicitly fused a*b + c (use mul_add for contraction-following).
-  friend vfloat fmadd(vfloat a, vfloat b, vfloat c) noexcept {
-    return {_mm_fmadd_ps(a.raw, b.raw, c.raw)};
-  }
-  friend vint<4> trunc_to_int(vfloat a) noexcept { return {_mm_cvttps_epi32(a.raw)}; }
 };
 
-inline vfloat<4> to_float(vint<4> v) noexcept { return {_mm_cvtepi32_ps(v.raw)}; }
-inline vfloat<4> float_bits(vint<4> v) noexcept { return {_mm_castsi128_ps(v.raw)}; }
-inline vfloat<4> gather(const float* base, vint<4> idx) noexcept {
-  return {_mm_i32gather_ps(base, idx.raw, 4)};
+inline vfloat<16> to_float(vint<16> v) noexcept {
+  return {_mm512_maskz_cvtepi32_ps(static_cast<__mmask16>(0xFFFF), v.raw)};
 }
-/// m ? base[idx] : src, per lane; masked-off lanes perform no load.
-inline vfloat<4> gather_masked(const float* base, vint<4> idx, vmask<4> m,
-                               vfloat<4> src) noexcept {
-  return {_mm_mask_i32gather_ps(src.raw, base, idx.raw, m.raw, 4)};
+inline vfloat<16> float_bits(vint<16> v) noexcept { return {_mm512_castsi512_ps(v.raw)}; }
+inline vfloat<16> gather(const float* base, vint<16> idx) noexcept {
+  return {_mm512_mask_i32gather_ps(_mm512_setzero_ps(),
+                                   static_cast<__mmask16>(0xFFFF), idx.raw,
+                                   base, 4)};
+}
+
+#elif defined(SFCVIS_SIMD_ISA_AVX2)
+
+namespace detail {
+/// -1/0 staircase for building tail masks: &kTailMask32[8 - n] reads n
+/// all-ones lanes followed by zeros.
+alignas(64) inline constexpr std::int32_t kTailMask32[16] = {
+    -1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0};
+}  // namespace detail
+
+template <>
+struct vmask<8> {
+  __m256 raw;
+};
+
+template <>
+struct vint<8> {
+  __m256i raw;
+  [[nodiscard]] static vint broadcast(std::int32_t v) noexcept {
+    return {_mm256_set1_epi32(v)};
+  }
+  friend vint operator+(vint a, vint b) noexcept { return {_mm256_add_epi32(a.raw, b.raw)}; }
+  friend vint operator<<(vint a, int count) noexcept {
+    return {_mm256_sll_epi32(a.raw, _mm_cvtsi32_si128(count))};
+  }
+};
+
+template <>
+struct vfloat<8> {
+  __m256 raw;
+  [[nodiscard]] static vfloat zero() noexcept { return {_mm256_setzero_ps()}; }
+  [[nodiscard]] static vfloat broadcast(float v) noexcept { return {_mm256_set1_ps(v)}; }
+  [[nodiscard]] static vfloat loadu(const float* p) noexcept { return {_mm256_loadu_ps(p)}; }
+  /// Lanes [0, n) from p, remaining lanes zero (n in [0, 8]).
+  [[nodiscard]] static vfloat loadu_masked(const float* p, int n) noexcept {
+    const __m256i m = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(detail::kTailMask32 + (8 - n)));
+    return {_mm256_maskload_ps(p, m)};
+  }
+  [[nodiscard]] std::array<float, 8> to_array() const noexcept {
+    alignas(32) std::array<float, 8> out;
+    _mm256_store_ps(out.data(), raw);
+    return out;
+  }
+  // Built-in vector operators: contraction-consistent with scalar code.
+  friend vfloat operator+(vfloat a, vfloat b) noexcept { return {a.raw + b.raw}; }
+  friend vfloat operator-(vfloat a, vfloat b) noexcept { return {a.raw - b.raw}; }
+  friend vfloat operator*(vfloat a, vfloat b) noexcept { return {a.raw * b.raw}; }
+  friend vfloat operator-(vfloat a) noexcept {
+    return {_mm256_xor_ps(a.raw, _mm256_set1_ps(-0.0f))};
+  }
+  friend vmask<8> lt(vfloat a, vfloat b) noexcept {
+    return {_mm256_cmp_ps(a.raw, b.raw, _CMP_LT_OQ)};
+  }
+  friend vmask<8> gt(vfloat a, vfloat b) noexcept {
+    return {_mm256_cmp_ps(a.raw, b.raw, _CMP_GT_OQ)};
+  }
+  /// m ? a : b, per lane.
+  friend vfloat select(vmask<8> m, vfloat a, vfloat b) noexcept {
+    return {_mm256_blendv_ps(b.raw, a.raw, m.raw)};
+  }
+  friend vint<8> trunc_to_int(vfloat a) noexcept { return {_mm256_cvttps_epi32(a.raw)}; }
+};
+
+inline vfloat<8> to_float(vint<8> v) noexcept { return {_mm256_cvtepi32_ps(v.raw)}; }
+inline vfloat<8> float_bits(vint<8> v) noexcept { return {_mm256_castsi256_ps(v.raw)}; }
+inline vfloat<8> gather(const float* base, vint<8> idx) noexcept {
+  return {_mm256_i32gather_ps(base, idx.raw, 4)};
 }
 
 #elif defined(SFCVIS_SIMD_ISA_NEON)
@@ -214,30 +223,12 @@ inline vfloat<4> gather_masked(const float* base, vint<4> idx, vmask<4> m,
 template <>
 struct vmask<4> {
   uint32x4_t raw;
-  [[nodiscard]] static vmask from_bits(unsigned b) noexcept {
-    const uint32x4_t bit = {1u, 2u, 4u, 8u};
-    return {vtstq_u32(vdupq_n_u32(b), bit)};
-  }
-  friend unsigned to_bits(vmask m) noexcept {
-    const uint32x4_t bit = {1u, 2u, 4u, 8u};
-    return vaddvq_u32(vandq_u32(m.raw, bit));
-  }
-  friend bool any(vmask m) noexcept { return vmaxvq_u32(m.raw) != 0; }
-  friend bool all(vmask m) noexcept { return vminvq_u32(m.raw) != 0; }
-  friend vmask operator&(vmask a, vmask b) noexcept { return {vandq_u32(a.raw, b.raw)}; }
-  friend vmask operator|(vmask a, vmask b) noexcept { return {vorrq_u32(a.raw, b.raw)}; }
-  friend vmask andnot(vmask a, vmask b) noexcept { return {vbicq_u32(a.raw, b.raw)}; }
 };
 
 template <>
 struct vint<4> {
   int32x4_t raw;
   [[nodiscard]] static vint broadcast(std::int32_t v) noexcept { return {vdupq_n_s32(v)}; }
-  [[nodiscard]] std::array<std::int32_t, 4> to_array() const noexcept {
-    std::array<std::int32_t, 4> out;
-    vst1q_s32(out.data(), raw);
-    return out;
-  }
   friend vint operator+(vint a, vint b) noexcept { return {vaddq_s32(a.raw, b.raw)}; }
   friend vint operator<<(vint a, int count) noexcept {
     return {vshlq_s32(a.raw, vdupq_n_s32(count))};
@@ -247,10 +238,10 @@ struct vint<4> {
 template <>
 struct vfloat<4> {
   float32x4_t raw;
-  static constexpr int kLanes = 4;
   [[nodiscard]] static vfloat zero() noexcept { return {vdupq_n_f32(0.0f)}; }
   [[nodiscard]] static vfloat broadcast(float v) noexcept { return {vdupq_n_f32(v)}; }
   [[nodiscard]] static vfloat loadu(const float* p) noexcept { return {vld1q_f32(p)}; }
+  /// Lanes [0, n) from p, remaining lanes zero (n in [0, 4]).
   [[nodiscard]] static vfloat loadu_masked(const float* p, int n) noexcept {
     std::array<float, 4> tmp{};
     for (int i = 0; i < n; ++i) {
@@ -258,32 +249,21 @@ struct vfloat<4> {
     }
     return loadu(tmp.data());
   }
-  [[nodiscard]] static vfloat from_array(const std::array<float, 4>& a) noexcept {
-    return loadu(a.data());
-  }
-  void storeu(float* p) const noexcept { vst1q_f32(p, raw); }
   [[nodiscard]] std::array<float, 4> to_array() const noexcept {
     std::array<float, 4> out;
     vst1q_f32(out.data(), raw);
     return out;
   }
+  // Built-in vector operators: contraction-consistent with scalar code.
   friend vfloat operator+(vfloat a, vfloat b) noexcept { return {a.raw + b.raw}; }
   friend vfloat operator-(vfloat a, vfloat b) noexcept { return {a.raw - b.raw}; }
   friend vfloat operator*(vfloat a, vfloat b) noexcept { return {a.raw * b.raw}; }
-  friend vfloat operator/(vfloat a, vfloat b) noexcept { return {a.raw / b.raw}; }
   friend vfloat operator-(vfloat a) noexcept { return {vnegq_f32(a.raw)}; }
   friend vmask<4> lt(vfloat a, vfloat b) noexcept { return {vcltq_f32(a.raw, b.raw)}; }
-  friend vmask<4> le(vfloat a, vfloat b) noexcept { return {vcleq_f32(a.raw, b.raw)}; }
   friend vmask<4> gt(vfloat a, vfloat b) noexcept { return {vcgtq_f32(a.raw, b.raw)}; }
-  friend vmask<4> ge(vfloat a, vfloat b) noexcept { return {vcgeq_f32(a.raw, b.raw)}; }
+  /// m ? a : b, per lane.
   friend vfloat select(vmask<4> m, vfloat a, vfloat b) noexcept {
     return {vbslq_f32(m.raw, a.raw, b.raw)};
-  }
-  friend vfloat vabs(vfloat a) noexcept { return {vabsq_f32(a.raw)}; }
-  friend vfloat vsqrt(vfloat a) noexcept { return {vsqrtq_f32(a.raw)}; }
-  friend vfloat vfloor(vfloat a) noexcept { return {vrndmq_f32(a.raw)}; }
-  friend vfloat fmadd(vfloat a, vfloat b, vfloat c) noexcept {
-    return {vfmaq_f32(c.raw, a.raw, b.raw)};
   }
   friend vint<4> trunc_to_int(vfloat a) noexcept { return {vcvtq_s32_f32(a.raw)}; }
 };
@@ -291,21 +271,10 @@ struct vfloat<4> {
 inline vfloat<4> to_float(vint<4> v) noexcept { return {vcvtq_f32_s32(v.raw)}; }
 inline vfloat<4> float_bits(vint<4> v) noexcept { return {vreinterpretq_f32_s32(v.raw)}; }
 inline vfloat<4> gather(const float* base, vint<4> idx) noexcept {
-  const auto ia = idx.to_array();
+  std::array<std::int32_t, 4> ia;
+  vst1q_s32(ia.data(), idx.raw);
   const std::array<float, 4> out{base[ia[0]], base[ia[1]], base[ia[2]], base[ia[3]]};
-  return vfloat<4>::from_array(out);
-}
-inline vfloat<4> gather_masked(const float* base, vint<4> idx, vmask<4> m,
-                               vfloat<4> src) noexcept {
-  const auto ia = idx.to_array();
-  auto out = src.to_array();
-  const unsigned bits = to_bits(m);
-  for (int l = 0; l < 4; ++l) {
-    if ((bits >> l) & 1u) {
-      out[static_cast<std::size_t>(l)] = base[ia[static_cast<std::size_t>(l)]];
-    }
-  }
-  return vfloat<4>::from_array(out);
+  return vfloat<4>::loadu(out.data());
 }
 
 #else  // scalar lane loops
@@ -313,46 +282,6 @@ inline vfloat<4> gather_masked(const float* base, vint<4> idx, vmask<4> m,
 template <>
 struct vmask<4> {
   std::array<std::uint32_t, 4> raw;  ///< 0 or ~0 per lane
-  [[nodiscard]] static vmask from_bits(unsigned b) noexcept {
-    vmask m{};
-    for (int i = 0; i < 4; ++i) {
-      m.raw[static_cast<std::size_t>(i)] = ((b >> i) & 1u) != 0 ? ~0u : 0u;
-    }
-    return m;
-  }
-  friend unsigned to_bits(vmask m) noexcept {
-    unsigned b = 0;
-    for (int i = 0; i < 4; ++i) {
-      b |= (m.raw[static_cast<std::size_t>(i)] != 0 ? 1u : 0u) << i;
-    }
-    return b;
-  }
-  friend bool any(vmask m) noexcept { return to_bits(m) != 0; }
-  friend bool all(vmask m) noexcept { return to_bits(m) == 0xFu; }
-  friend vmask operator&(vmask a, vmask b) noexcept {
-    vmask r{};
-    for (int i = 0; i < 4; ++i) {
-      const auto s = static_cast<std::size_t>(i);
-      r.raw[s] = a.raw[s] & b.raw[s];
-    }
-    return r;
-  }
-  friend vmask operator|(vmask a, vmask b) noexcept {
-    vmask r{};
-    for (int i = 0; i < 4; ++i) {
-      const auto s = static_cast<std::size_t>(i);
-      r.raw[s] = a.raw[s] | b.raw[s];
-    }
-    return r;
-  }
-  friend vmask andnot(vmask a, vmask b) noexcept {
-    vmask r{};
-    for (int i = 0; i < 4; ++i) {
-      const auto s = static_cast<std::size_t>(i);
-      r.raw[s] = a.raw[s] & ~b.raw[s];
-    }
-    return r;
-  }
 };
 
 template <>
@@ -361,20 +290,17 @@ struct vint<4> {
   [[nodiscard]] static vint broadcast(std::int32_t v) noexcept {
     return {{v, v, v, v}};
   }
-  [[nodiscard]] std::array<std::int32_t, 4> to_array() const noexcept { return raw; }
   friend vint operator+(vint a, vint b) noexcept {
     vint r{};
-    for (int i = 0; i < 4; ++i) {
-      const auto s = static_cast<std::size_t>(i);
-      r.raw[s] = a.raw[s] + b.raw[s];
+    for (std::size_t i = 0; i < 4; ++i) {
+      r.raw[i] = a.raw[i] + b.raw[i];
     }
     return r;
   }
   friend vint operator<<(vint a, int count) noexcept {
     vint r{};
-    for (int i = 0; i < 4; ++i) {
-      const auto s = static_cast<std::size_t>(i);
-      r.raw[s] = a.raw[s] << count;
+    for (std::size_t i = 0; i < 4; ++i) {
+      r.raw[i] = a.raw[i] << count;
     }
     return r;
   }
@@ -390,26 +316,18 @@ struct vint<4> {
 template <>
 struct vfloat<4> {
   std::array<float, 4> raw;
-  static constexpr int kLanes = 4;
   [[nodiscard]] static vfloat zero() noexcept { return {{0.0f, 0.0f, 0.0f, 0.0f}}; }
   [[nodiscard]] static vfloat broadcast(float v) noexcept { return {{v, v, v, v}}; }
   [[nodiscard]] static vfloat loadu(const float* p) noexcept {
     return {{p[0], p[1], p[2], p[3]}};
   }
+  /// Lanes [0, n) from p, remaining lanes zero (n in [0, 4]).
   [[nodiscard]] static vfloat loadu_masked(const float* p, int n) noexcept {
     vfloat r = zero();
     for (int i = 0; i < n; ++i) {
       r.raw[static_cast<std::size_t>(i)] = p[i];
     }
     return r;
-  }
-  [[nodiscard]] static vfloat from_array(const std::array<float, 4>& a) noexcept {
-    return {a};
-  }
-  void storeu(float* p) const noexcept {
-    for (std::size_t i = 0; i < 4; ++i) {
-      p[i] = raw[i];
-    }
   }
   [[nodiscard]] std::array<float, 4> to_array() const noexcept { return raw; }
   friend vfloat operator+(vfloat a, vfloat b) noexcept {
@@ -421,9 +339,6 @@ struct vfloat<4> {
   friend vfloat operator*(vfloat a, vfloat b) noexcept {
     SFCVIS_SIMD_LANEWISE(r, a.raw[q_] * b.raw[q_]);
   }
-  friend vfloat operator/(vfloat a, vfloat b) noexcept {
-    SFCVIS_SIMD_LANEWISE(r, a.raw[q_] / b.raw[q_]);
-  }
   friend vfloat operator-(vfloat a) noexcept { SFCVIS_SIMD_LANEWISE(r, -a.raw[q_]); }
   friend vmask<4> lt(vfloat a, vfloat b) noexcept {
     vmask<4> m{};
@@ -432,27 +347,10 @@ struct vfloat<4> {
     }
     return m;
   }
-  friend vmask<4> le(vfloat a, vfloat b) noexcept {
-    vmask<4> m{};
-    for (std::size_t i = 0; i < 4; ++i) {
-      m.raw[i] = a.raw[i] <= b.raw[i] ? ~0u : 0u;
-    }
-    return m;
-  }
   friend vmask<4> gt(vfloat a, vfloat b) noexcept { return lt(b, a); }
-  friend vmask<4> ge(vfloat a, vfloat b) noexcept { return le(b, a); }
+  /// m ? a : b, per lane.
   friend vfloat select(vmask<4> m, vfloat a, vfloat b) noexcept {
     SFCVIS_SIMD_LANEWISE(r, m.raw[q_] != 0 ? a.raw[q_] : b.raw[q_]);
-  }
-  friend vfloat vabs(vfloat a) noexcept { SFCVIS_SIMD_LANEWISE(r, std::fabs(a.raw[q_])); }
-  friend vfloat vsqrt(vfloat a) noexcept {
-    SFCVIS_SIMD_LANEWISE(r, std::sqrt(a.raw[q_]));
-  }
-  friend vfloat vfloor(vfloat a) noexcept {
-    SFCVIS_SIMD_LANEWISE(r, std::floor(a.raw[q_]));
-  }
-  friend vfloat fmadd(vfloat a, vfloat b, vfloat c) noexcept {
-    SFCVIS_SIMD_LANEWISE(r, std::fma(a.raw[q_], b.raw[q_], c.raw[q_]));
   }
   friend vint<4> trunc_to_int(vfloat a) noexcept {
     vint<4> r{};
@@ -484,423 +382,8 @@ inline vfloat<4> gather(const float* base, vint<4> idx) noexcept {
   }
   return r;
 }
-inline vfloat<4> gather_masked(const float* base, vint<4> idx, vmask<4> m,
-                               vfloat<4> src) noexcept {
-  vfloat<4> r = src;
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (m.raw[i] != 0) {
-      r.raw[i] = base[idx.raw[i]];
-    }
-  }
-  return r;
-}
 
-#endif  // width-4 backends
-
-// ---------------------------------------------------------------------------
-// Width 8 — AVX native, else two width-4 halves
-// ---------------------------------------------------------------------------
-
-#if defined(SFCVIS_SIMD_X86)
-
-template <>
-struct vmask<8> {
-  __m256 raw;
-  [[nodiscard]] static vmask from_bits(unsigned b) noexcept {
-    const __m256i bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-    const __m256i v = _mm256_set1_epi32(static_cast<int>(b));
-    return {_mm256_castsi256_ps(
-        _mm256_cmpeq_epi32(_mm256_and_si256(v, bit), bit))};
-  }
-  friend unsigned to_bits(vmask m) noexcept {
-    return static_cast<unsigned>(_mm256_movemask_ps(m.raw));
-  }
-  friend bool any(vmask m) noexcept { return to_bits(m) != 0; }
-  friend bool all(vmask m) noexcept { return to_bits(m) == 0xFFu; }
-  friend vmask operator&(vmask a, vmask b) noexcept { return {_mm256_and_ps(a.raw, b.raw)}; }
-  friend vmask operator|(vmask a, vmask b) noexcept { return {_mm256_or_ps(a.raw, b.raw)}; }
-  friend vmask andnot(vmask a, vmask b) noexcept { return {_mm256_andnot_ps(b.raw, a.raw)}; }
-};
-
-template <>
-struct vint<8> {
-  __m256i raw;
-  [[nodiscard]] static vint broadcast(std::int32_t v) noexcept {
-    return {_mm256_set1_epi32(v)};
-  }
-  [[nodiscard]] std::array<std::int32_t, 8> to_array() const noexcept {
-    alignas(32) std::array<std::int32_t, 8> out;
-    _mm256_store_si256(reinterpret_cast<__m256i*>(out.data()), raw);
-    return out;
-  }
-  friend vint operator+(vint a, vint b) noexcept { return {_mm256_add_epi32(a.raw, b.raw)}; }
-  friend vint operator<<(vint a, int count) noexcept {
-    return {_mm256_sll_epi32(a.raw, _mm_cvtsi32_si128(count))};
-  }
-};
-
-template <>
-struct vfloat<8> {
-  __m256 raw;
-  static constexpr int kLanes = 8;
-  [[nodiscard]] static vfloat zero() noexcept { return {_mm256_setzero_ps()}; }
-  [[nodiscard]] static vfloat broadcast(float v) noexcept { return {_mm256_set1_ps(v)}; }
-  [[nodiscard]] static vfloat loadu(const float* p) noexcept { return {_mm256_loadu_ps(p)}; }
-  [[nodiscard]] static vfloat loadu_masked(const float* p, int n) noexcept {
-    const __m256i m = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(detail::kTailMask32 + (16 - n)));
-    return {_mm256_maskload_ps(p, m)};
-  }
-  [[nodiscard]] static vfloat from_array(const std::array<float, 8>& a) noexcept {
-    return loadu(a.data());
-  }
-  void storeu(float* p) const noexcept { _mm256_storeu_ps(p, raw); }
-  [[nodiscard]] std::array<float, 8> to_array() const noexcept {
-    alignas(32) std::array<float, 8> out;
-    _mm256_store_ps(out.data(), raw);
-    return out;
-  }
-  friend vfloat operator+(vfloat a, vfloat b) noexcept { return {a.raw + b.raw}; }
-  friend vfloat operator-(vfloat a, vfloat b) noexcept { return {a.raw - b.raw}; }
-  friend vfloat operator*(vfloat a, vfloat b) noexcept { return {a.raw * b.raw}; }
-  friend vfloat operator/(vfloat a, vfloat b) noexcept { return {a.raw / b.raw}; }
-  friend vfloat operator-(vfloat a) noexcept {
-    return {_mm256_xor_ps(a.raw, _mm256_set1_ps(-0.0f))};
-  }
-  friend vmask<8> lt(vfloat a, vfloat b) noexcept {
-    return {_mm256_cmp_ps(a.raw, b.raw, _CMP_LT_OQ)};
-  }
-  friend vmask<8> le(vfloat a, vfloat b) noexcept {
-    return {_mm256_cmp_ps(a.raw, b.raw, _CMP_LE_OQ)};
-  }
-  friend vmask<8> gt(vfloat a, vfloat b) noexcept {
-    return {_mm256_cmp_ps(a.raw, b.raw, _CMP_GT_OQ)};
-  }
-  friend vmask<8> ge(vfloat a, vfloat b) noexcept {
-    return {_mm256_cmp_ps(a.raw, b.raw, _CMP_GE_OQ)};
-  }
-  friend vfloat select(vmask<8> m, vfloat a, vfloat b) noexcept {
-    return {_mm256_blendv_ps(b.raw, a.raw, m.raw)};
-  }
-  friend vfloat vabs(vfloat a) noexcept {
-    return {_mm256_andnot_ps(_mm256_set1_ps(-0.0f), a.raw)};
-  }
-  friend vfloat vsqrt(vfloat a) noexcept { return {_mm256_sqrt_ps(a.raw)}; }
-  friend vfloat vfloor(vfloat a) noexcept { return {_mm256_floor_ps(a.raw)}; }
-  friend vfloat fmadd(vfloat a, vfloat b, vfloat c) noexcept {
-    return {_mm256_fmadd_ps(a.raw, b.raw, c.raw)};
-  }
-  friend vint<8> trunc_to_int(vfloat a) noexcept { return {_mm256_cvttps_epi32(a.raw)}; }
-};
-
-inline vfloat<8> to_float(vint<8> v) noexcept { return {_mm256_cvtepi32_ps(v.raw)}; }
-inline vfloat<8> float_bits(vint<8> v) noexcept { return {_mm256_castsi256_ps(v.raw)}; }
-inline vfloat<8> gather(const float* base, vint<8> idx) noexcept {
-  return {_mm256_i32gather_ps(base, idx.raw, 4)};
-}
-inline vfloat<8> gather_masked(const float* base, vint<8> idx, vmask<8> m,
-                               vfloat<8> src) noexcept {
-  return {_mm256_mask_i32gather_ps(src.raw, base, idx.raw, m.raw, 4)};
-}
-
-#endif  // AVX-native width 8
-
-// ---------------------------------------------------------------------------
-// Composed widths: pairs of half-width vectors. The primary templates
-// cover every width the active ISA does not provide natively (8 and 16 on
-// NEON/scalar, 16 on AVX2); lane semantics are inherited from the halves.
-// ---------------------------------------------------------------------------
-
-template <int N>
-struct vmask {
-  static_assert(N == 8 || N == 16, "supported widths: 4, 8, 16");
-  using half = vmask<N / 2>;
-  half lo, hi;
-  [[nodiscard]] static vmask from_bits(unsigned b) noexcept {
-    return {half::from_bits(b & ((1u << (N / 2)) - 1u)), half::from_bits(b >> (N / 2))};
-  }
-  friend unsigned to_bits(vmask m) noexcept {
-    return to_bits(m.lo) | (to_bits(m.hi) << (N / 2));
-  }
-  friend bool any(vmask m) noexcept { return any(m.lo) || any(m.hi); }
-  friend bool all(vmask m) noexcept { return all(m.lo) && all(m.hi); }
-  friend vmask operator&(vmask a, vmask b) noexcept {
-    return {a.lo & b.lo, a.hi & b.hi};
-  }
-  friend vmask operator|(vmask a, vmask b) noexcept {
-    return {a.lo | b.lo, a.hi | b.hi};
-  }
-  friend vmask andnot(vmask a, vmask b) noexcept {
-    return {andnot(a.lo, b.lo), andnot(a.hi, b.hi)};
-  }
-};
-
-template <int N>
-struct vint {
-  static_assert(N == 8 || N == 16, "supported widths: 4, 8, 16");
-  using half = vint<N / 2>;
-  half lo, hi;
-  [[nodiscard]] static vint broadcast(std::int32_t v) noexcept {
-    return {half::broadcast(v), half::broadcast(v)};
-  }
-  [[nodiscard]] std::array<std::int32_t, N> to_array() const noexcept {
-    std::array<std::int32_t, N> out;
-    const auto a = lo.to_array();
-    const auto b = hi.to_array();
-    for (std::size_t i = 0; i < N / 2; ++i) {
-      out[i] = a[i];
-      out[i + N / 2] = b[i];
-    }
-    return out;
-  }
-  friend vint operator+(vint a, vint b) noexcept {
-    return {a.lo + b.lo, a.hi + b.hi};
-  }
-  friend vint operator<<(vint a, int count) noexcept {
-    return {a.lo << count, a.hi << count};
-  }
-};
-
-template <int N>
-struct vfloat {
-  static_assert(N == 8 || N == 16, "supported widths: 4, 8, 16");
-  using half = vfloat<N / 2>;
-  half lo, hi;
-  static constexpr int kLanes = N;
-  [[nodiscard]] static vfloat zero() noexcept { return {half::zero(), half::zero()}; }
-  [[nodiscard]] static vfloat broadcast(float v) noexcept {
-    return {half::broadcast(v), half::broadcast(v)};
-  }
-  [[nodiscard]] static vfloat loadu(const float* p) noexcept {
-    return {half::loadu(p), half::loadu(p + N / 2)};
-  }
-  [[nodiscard]] static vfloat loadu_masked(const float* p, int n) noexcept {
-    if (n <= N / 2) {
-      return {half::loadu_masked(p, n), half::zero()};
-    }
-    return {half::loadu(p), half::loadu_masked(p + N / 2, n - N / 2)};
-  }
-  [[nodiscard]] static vfloat from_array(const std::array<float, N>& a) noexcept {
-    return loadu(a.data());
-  }
-  void storeu(float* p) const noexcept {
-    lo.storeu(p);
-    hi.storeu(p + N / 2);
-  }
-  [[nodiscard]] std::array<float, N> to_array() const noexcept {
-    std::array<float, N> out;
-    storeu(out.data());
-    return out;
-  }
-  friend vfloat operator+(vfloat a, vfloat b) noexcept {
-    return {a.lo + b.lo, a.hi + b.hi};
-  }
-  friend vfloat operator-(vfloat a, vfloat b) noexcept {
-    return {a.lo - b.lo, a.hi - b.hi};
-  }
-  friend vfloat operator*(vfloat a, vfloat b) noexcept {
-    return {a.lo * b.lo, a.hi * b.hi};
-  }
-  friend vfloat operator/(vfloat a, vfloat b) noexcept {
-    return {a.lo / b.lo, a.hi / b.hi};
-  }
-  friend vfloat operator-(vfloat a) noexcept { return {-a.lo, -a.hi}; }
-  friend vmask<N> lt(vfloat a, vfloat b) noexcept {
-    return {lt(a.lo, b.lo), lt(a.hi, b.hi)};
-  }
-  friend vmask<N> le(vfloat a, vfloat b) noexcept {
-    return {le(a.lo, b.lo), le(a.hi, b.hi)};
-  }
-  friend vmask<N> gt(vfloat a, vfloat b) noexcept {
-    return {gt(a.lo, b.lo), gt(a.hi, b.hi)};
-  }
-  friend vmask<N> ge(vfloat a, vfloat b) noexcept {
-    return {ge(a.lo, b.lo), ge(a.hi, b.hi)};
-  }
-  friend vfloat select(vmask<N> m, vfloat a, vfloat b) noexcept {
-    return {select(m.lo, a.lo, b.lo), select(m.hi, a.hi, b.hi)};
-  }
-  friend vfloat vabs(vfloat a) noexcept { return {vabs(a.lo), vabs(a.hi)}; }
-  friend vfloat vsqrt(vfloat a) noexcept { return {vsqrt(a.lo), vsqrt(a.hi)}; }
-  friend vfloat vfloor(vfloat a) noexcept { return {vfloor(a.lo), vfloor(a.hi)}; }
-  friend vfloat fmadd(vfloat a, vfloat b, vfloat c) noexcept {
-    return {fmadd(a.lo, b.lo, c.lo), fmadd(a.hi, b.hi, c.hi)};
-  }
-  friend vint<N> trunc_to_int(vfloat a) noexcept {
-    return {trunc_to_int(a.lo), trunc_to_int(a.hi)};
-  }
-};
-
-// Composed-width overloads of the vint-argument free functions. Plain
-// function templates (not hidden friends): without a vfloat argument ADL
-// could never find them inside the struct, and for native widths the
-// non-template overloads above win overload resolution, so these only
-// instantiate for genuinely composed widths.
-template <int N>
-[[nodiscard]] inline vfloat<N> to_float(vint<N> v) noexcept {
-  return {to_float(v.lo), to_float(v.hi)};
-}
-template <int N>
-[[nodiscard]] inline vfloat<N> float_bits(vint<N> v) noexcept {
-  return {float_bits(v.lo), float_bits(v.hi)};
-}
-template <int N>
-[[nodiscard]] inline vfloat<N> gather(const float* base, vint<N> idx) noexcept {
-  return {gather(base, idx.lo), gather(base, idx.hi)};
-}
-template <int N>
-[[nodiscard]] inline vfloat<N> gather_masked(const float* base, vint<N> idx,
-                                             vmask<N> m, vfloat<N> src) noexcept {
-  return {gather_masked(base, idx.lo, m.lo, src.lo),
-          gather_masked(base, idx.hi, m.hi, src.hi)};
-}
-
-// ---------------------------------------------------------------------------
-// Width 16 — AVX-512F native (otherwise the composed primary above)
-// ---------------------------------------------------------------------------
-
-#if defined(SFCVIS_SIMD_ISA_AVX512)
-
-template <>
-struct vmask<16> {
-  __mmask16 raw;
-  [[nodiscard]] static vmask from_bits(unsigned b) noexcept {
-    return {static_cast<__mmask16>(b)};
-  }
-  friend unsigned to_bits(vmask m) noexcept { return m.raw; }
-  friend bool any(vmask m) noexcept { return m.raw != 0; }
-  friend bool all(vmask m) noexcept { return m.raw == 0xFFFFu; }
-  friend vmask operator&(vmask a, vmask b) noexcept {
-    return {static_cast<__mmask16>(a.raw & b.raw)};
-  }
-  friend vmask operator|(vmask a, vmask b) noexcept {
-    return {static_cast<__mmask16>(a.raw | b.raw)};
-  }
-  friend vmask andnot(vmask a, vmask b) noexcept {
-    return {static_cast<__mmask16>(a.raw & static_cast<__mmask16>(~b.raw))};
-  }
-};
-
-template <>
-struct vint<16> {
-  __m512i raw;
-  [[nodiscard]] static vint broadcast(std::int32_t v) noexcept {
-    return {_mm512_set1_epi32(v)};
-  }
-  [[nodiscard]] std::array<std::int32_t, 16> to_array() const noexcept {
-    alignas(64) std::array<std::int32_t, 16> out;
-    _mm512_store_si512(out.data(), raw);
-    return out;
-  }
-  friend vint operator+(vint a, vint b) noexcept { return {_mm512_add_epi32(a.raw, b.raw)}; }
-  friend vint operator<<(vint a, int count) noexcept {
-    return {_mm512_maskz_sll_epi32(static_cast<__mmask16>(0xFFFF), a.raw,
-                                   _mm_cvtsi32_si128(count))};
-  }
-};
-
-template <>
-struct vfloat<16> {
-  __m512 raw;
-  static constexpr int kLanes = 16;
-  [[nodiscard]] static vfloat zero() noexcept { return {_mm512_setzero_ps()}; }
-  [[nodiscard]] static vfloat broadcast(float v) noexcept { return {_mm512_set1_ps(v)}; }
-  [[nodiscard]] static vfloat loadu(const float* p) noexcept { return {_mm512_loadu_ps(p)}; }
-  [[nodiscard]] static vfloat loadu_masked(const float* p, int n) noexcept {
-    const auto m = static_cast<__mmask16>((1u << n) - 1u);
-    return {_mm512_maskz_loadu_ps(m, p)};
-  }
-  [[nodiscard]] static vfloat from_array(const std::array<float, 16>& a) noexcept {
-    return loadu(a.data());
-  }
-  void storeu(float* p) const noexcept { _mm512_storeu_ps(p, raw); }
-  [[nodiscard]] std::array<float, 16> to_array() const noexcept {
-    alignas(64) std::array<float, 16> out;
-    _mm512_store_ps(out.data(), raw);
-    return out;
-  }
-  friend vfloat operator+(vfloat a, vfloat b) noexcept { return {a.raw + b.raw}; }
-  friend vfloat operator-(vfloat a, vfloat b) noexcept { return {a.raw - b.raw}; }
-  friend vfloat operator*(vfloat a, vfloat b) noexcept { return {a.raw * b.raw}; }
-  friend vfloat operator/(vfloat a, vfloat b) noexcept { return {a.raw / b.raw}; }
-  friend vfloat operator-(vfloat a) noexcept {
-    return {_mm512_castsi512_ps(_mm512_xor_si512(
-        _mm512_castps_si512(a.raw), _mm512_set1_epi32(INT32_C(0x80000000))))};
-  }
-  friend vmask<16> lt(vfloat a, vfloat b) noexcept {
-    return {_mm512_cmp_ps_mask(a.raw, b.raw, _CMP_LT_OQ)};
-  }
-  friend vmask<16> le(vfloat a, vfloat b) noexcept {
-    return {_mm512_cmp_ps_mask(a.raw, b.raw, _CMP_LE_OQ)};
-  }
-  friend vmask<16> gt(vfloat a, vfloat b) noexcept {
-    return {_mm512_cmp_ps_mask(a.raw, b.raw, _CMP_GT_OQ)};
-  }
-  friend vmask<16> ge(vfloat a, vfloat b) noexcept {
-    return {_mm512_cmp_ps_mask(a.raw, b.raw, _CMP_GE_OQ)};
-  }
-  friend vfloat select(vmask<16> m, vfloat a, vfloat b) noexcept {
-    return {_mm512_mask_blend_ps(m.raw, b.raw, a.raw)};
-  }
-  friend vfloat vabs(vfloat a) noexcept {
-    // Explicit sign-bit clear; _mm512_abs_ps & friends route through
-    // undefined-passthrough builtins that trip -Wmaybe-uninitialized.
-    return {_mm512_castsi512_ps(_mm512_and_si512(
-        _mm512_castps_si512(a.raw), _mm512_set1_epi32(INT32_C(0x7FFFFFFF))))};
-  }
-  friend vfloat vsqrt(vfloat a) noexcept {
-    return {_mm512_maskz_sqrt_ps(static_cast<__mmask16>(0xFFFF), a.raw)};
-  }
-  friend vfloat vfloor(vfloat a) noexcept {
-    return {_mm512_maskz_roundscale_ps(static_cast<__mmask16>(0xFFFF), a.raw,
-                                       _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC)};
-  }
-  friend vfloat fmadd(vfloat a, vfloat b, vfloat c) noexcept {
-    return {_mm512_fmadd_ps(a.raw, b.raw, c.raw)};
-  }
-  friend vint<16> trunc_to_int(vfloat a) noexcept {
-    return {_mm512_maskz_cvttps_epi32(static_cast<__mmask16>(0xFFFF), a.raw)};
-  }
-};
-
-inline vfloat<16> to_float(vint<16> v) noexcept {
-  return {_mm512_maskz_cvtepi32_ps(static_cast<__mmask16>(0xFFFF), v.raw)};
-}
-inline vfloat<16> float_bits(vint<16> v) noexcept { return {_mm512_castsi512_ps(v.raw)}; }
-inline vfloat<16> gather(const float* base, vint<16> idx) noexcept {
-  return {_mm512_mask_i32gather_ps(_mm512_setzero_ps(),
-                                   static_cast<__mmask16>(0xFFFF), idx.raw,
-                                   base, 4)};
-}
-inline vfloat<16> gather_masked(const float* base, vint<16> idx, vmask<16> m,
-                                vfloat<16> src) noexcept {
-  return {_mm512_mask_i32gather_ps(src.raw, m.raw, idx.raw, base, 4)};
-}
-
-#endif  // AVX-512 width 16
-
-// ---------------------------------------------------------------------------
-// Width-agnostic helpers
-// ---------------------------------------------------------------------------
-
-/// std::min semantics per lane: (b < a) ? b : a (not x86 minps).
-template <class VF>
-[[nodiscard]] inline VF vmin(VF a, VF b) noexcept {
-  return select(lt(b, a), b, a);
-}
-
-/// std::max semantics per lane: (a < b) ? b : a (not x86 maxps).
-template <class VF>
-[[nodiscard]] inline VF vmax(VF a, VF b) noexcept {
-  return select(lt(a, b), b, a);
-}
-
-/// a*b + c with the compiler's contraction rules (fuses exactly when the
-/// equivalent scalar expression would) — the op bit-identical kernels use.
-template <class VF>
-[[nodiscard]] inline VF mul_add(VF a, VF b, VF c) noexcept {
-  return a * b + c;
-}
+#endif  // backends
 
 /// Sequential lane sum (lane 0 first — one documented order on every ISA).
 template <int N>

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 namespace sfcvis::data {
 namespace {
@@ -73,6 +74,14 @@ RawVolume load_bov(const std::filesystem::path& header_path) {
   if (data_file.empty() || out.extents.empty()) {
     throw std::runtime_error("load_bov: missing DATA_FILE or DATA_SIZE in " +
                              header_path.string());
+  }
+  // Bound each axis before sizing the payload: unchecked, the product of
+  // three header values can wrap size_t.
+  try {
+    core::validate_extents(out.extents);
+  } catch (const std::invalid_argument& err) {
+    throw std::runtime_error("load_bov: bad DATA_SIZE in " + header_path.string() + ": " +
+                             err.what());
   }
 
   const auto payload = header_path.parent_path() / data_file;

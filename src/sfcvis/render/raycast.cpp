@@ -8,13 +8,6 @@
 
 namespace sfcvis::render {
 
-void validate_packet_size(std::uint32_t packet_size) {
-  if (packet_size != 1 && packet_size != 4 && packet_size != 8) {
-    throw std::invalid_argument("RenderConfig::packet_size must be 1, 4 or 8 (got " +
-                                std::to_string(packet_size) + ")");
-  }
-}
-
 void validate_step(float step) {
   if (!(std::isfinite(step) && step > 0.0f)) {
     throw std::invalid_argument("RenderConfig::step must be finite and positive (got " +
@@ -54,8 +47,8 @@ std::optional<std::pair<float, float>> intersect_box(const Ray& ray, Vec3 lo,
 
 namespace detail {
 
-// Out of line on purpose — see the header: one compiled body means the
-// scalar and packet traversals see identical FP-contraction choices.
+// Out of line on purpose — see the header: one compiled body means every
+// trace_ray instantiation sees identical FP-contraction choices.
 float sample_param(float t_enter, std::uint64_t n, float step) noexcept {
   return t_enter + static_cast<float>(n) * step;
 }

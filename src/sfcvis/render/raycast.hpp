@@ -68,17 +68,10 @@ struct RenderConfig {
   /// keep their exact access streams; images are identical either way.
   bool use_macrocells = false;
   std::uint32_t macrocell_size = 8;  ///< macrocell edge length, in voxels
-  /// Rays traversed together per tile row: 1 (scalar trace_ray), 4 or 8
-  /// (explicit-SIMD packets, see raycast_packet.hpp). Packet renders are
-  /// bit-identical to scalar ones — per-lane control flow and sample
-  /// positions use the scalar expressions, only the reconstruction /
-  /// compositing arithmetic is packed (verify/ fuzzes the equivalence).
-  /// Other values throw std::invalid_argument from the render drivers.
+  /// Ignored: every value renders with trace_ray, and the field stays only
+  /// because the end-to-end benchmark (bench/e2e) still sets it.
   std::uint32_t packet_size = 1;
 };
-
-/// Throws std::invalid_argument unless `packet_size` is 1, 4 or 8.
-void validate_packet_size(std::uint32_t packet_size);
 
 /// Throws std::invalid_argument unless `step` is finite and positive: a
 /// step <= 0 never advances a ray past its exit, and an infinite one makes
@@ -196,8 +189,9 @@ namespace detail {
 /// Parameter and world position of sample n, compiled exactly once (out
 /// of line in raycast.cpp): with -ffp-contract=fast the compiler may fuse
 /// t_enter + n*step (and ray.at's origin + dir*t) into an FMA in one
-/// inlining context and not in another, and the scalar and packet
-/// traversals must agree bitwise on where a ray samples. One definition
+/// inlining context and not in another, and every trace_ray instantiation
+/// — the dense and macrocell loops, over the plain, traced and bricked
+/// views — must agree bitwise on where a ray samples. One definition
 /// means one contraction choice for every caller.
 [[nodiscard]] float sample_param(float t_enter, std::uint64_t n, float step) noexcept;
 [[nodiscard]] Vec3 sample_position(const Ray& ray, float t) noexcept;
@@ -244,7 +238,7 @@ template <core::ReadView3D View>
   const float t_exit = span->second;
   const float step = config.step;
   // Sample n lies at t_enter + n*step — the same expression on every path,
-  // which is what makes dense, macrocell and packet renders bit-identical.
+  // which is what makes dense and macrocell renders bit-identical.
   const auto t_of = [&](std::uint64_t n) {
     return detail::sample_param(t_enter, n, step);
   };
@@ -382,31 +376,12 @@ template <core::ReadView3D View>
   return out;
 }
 
-}  // namespace sfcvis::render
-
-// Internal: packet traversal built on trace_ray's helpers (must follow
-// trace_ray — the remainder pixels of a packet row reuse it).
-#include "sfcvis/render/raycast_packet.hpp"  // IWYU pragma: keep
-
-namespace sfcvis::render {
-
 /// Renders one image tile, accumulating per-ray stats into `stats` (a
 /// tile-local struct on the caller's stack — never shared across threads).
-/// config.packet_size routes rows through the K-wide packet traversal.
 template <core::ReadView3D View>
 void render_tile(const View& view, const Camera& camera, const TransferFunction& tf,
                  const RenderConfig& config, Image& image, const Tile& tile,
                  const MacrocellGrid* cells = nullptr, RayStats* stats = nullptr) {
-  if (config.packet_size == 4) {
-    packet_detail::render_tile_packets<4>(view, camera, tf, config, image, tile, cells,
-                                          stats);
-    return;
-  }
-  if (config.packet_size == 8) {
-    packet_detail::render_tile_packets<8>(view, camera, tf, config, image, tile, cells,
-                                          stats);
-    return;
-  }
   for (std::uint32_t y = tile.y0; y < tile.y1; ++y) {
     for (std::uint32_t x = tile.x0; x < tile.x1; ++x) {
       const Ray ray = camera.ray_for_pixel(x, y, image.width(), image.height());
@@ -460,7 +435,6 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
                                           const RenderConfig& config, Image& image,
                                           const MacrocellGrid* cells = nullptr,
                                           bool collect_stats = false, Views views = {}) {
-  validate_packet_size(config.packet_size);
   validate_step(config.step);
   const TileDecomposition tiles(config.image_width, config.image_height, config.tile_size);
   using View = decltype(views(volume, 0U));

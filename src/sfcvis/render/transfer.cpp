@@ -41,7 +41,9 @@ TransferFunction::TransferFunction(std::vector<TransferPoint> points)
 }
 
 Rgba TransferFunction::sample(float value) const noexcept {
-  if (value <= points_.front().value) {
+  // Written so NaN takes the first branch: it fails every comparison, and
+  // the segment scan below would run past a one-point table.
+  if (!(value > points_.front().value)) {
     return points_.front().color;
   }
   if (value >= points_.back().value) {
@@ -63,7 +65,7 @@ Rgba TransferFunction::sample(float value) const noexcept {
 }
 
 float TransferFunction::alpha_at(float value) const noexcept {
-  if (value <= points_.front().value) {
+  if (!(value > points_.front().value)) {  // NaN included, as in sample()
     return points_.front().color.a;
   }
   if (value >= points_.back().value) {

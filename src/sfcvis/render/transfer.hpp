@@ -25,7 +25,8 @@ class TransferFunction {
   /// alpha <= 1 keeps the opacity correction's pow base non-negative.
   explicit TransferFunction(std::vector<TransferPoint> points);
 
-  /// Linearly interpolated RGBA at `value`; clamps outside the range.
+  /// Linearly interpolated RGBA at `value`; clamps outside the range. NaN
+  /// maps to the first control point's colour.
   [[nodiscard]] Rgba sample(float value) const noexcept;
 
   /// Conservative upper bound on the opacity the transfer function assigns

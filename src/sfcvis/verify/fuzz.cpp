@@ -502,27 +502,6 @@ void fuzz_raycast(FuzzSummary& summary, const VolumeSet& vols, SplitMix64& rng,
          compare_images(base, render::raycast_parallel(vols.bricked, camera, tf, cfg, pool),
                         Tolerance::bit_identical(),
                         label.str() + " [macrocells on vs off, bricked]"));
-
-  // Ray packets must reproduce the scalar traversal bit-for-bit in every
-  // mode drawn above (composite/MIP, shaded or not): per-lane control flow
-  // and sample positions reuse the scalar expressions (raycast_packet.hpp),
-  // so any divergence — dense or through the macrocell DDA — is a bug.
-  for (const std::uint32_t packet : {4u, 8u}) {
-    cfg.packet_size = packet;
-    std::ostringstream plabel;
-    plabel << label.str() << " packet" << packet;
-    cfg.use_macrocells = false;
-    record(summary,
-           compare_images(base, render::raycast_parallel(vols.array, camera, tf, cfg, pool),
-                          Tolerance::bit_identical(), plabel.str() + " [dense, array]"));
-    record(summary,
-           compare_images(base, render::raycast_parallel(vols.hilbert, camera, tf, cfg, pool),
-                          Tolerance::bit_identical(), plabel.str() + " [dense, hilbert]"));
-    cfg.use_macrocells = true;
-    record(summary,
-           compare_images(base, render::raycast_parallel(vols.zorder, camera, tf, cfg, pool),
-                          Tolerance::bit_identical(), plabel.str() + " [macrocell, z-order]"));
-  }
 }
 
 }  // namespace
@@ -655,12 +634,8 @@ FuzzSummary run_metamorphic_case(std::uint64_t seed, const FuzzOptions& opts) {
 
   // Macrocell skipping must be an identity at every orbit viewpoint — the
   // skip geometry changes with the view direction, the image must not.
-  // Half the seeds run this loop through the packet raycaster, so the
-  // identity is also exercised lane-desynchronized.
   cfg.shade = rng.chance(30);
   cfg.macrocell_size = rng.chance(50) ? 4u : 8u;
-  cfg.packet_size = rng.chance(50) ? (rng.chance(50) ? 4u : 8u) : 1u;
-  desc << " packet=" << cfg.packet_size;
   const auto zvolume = core::convert_layout<core::GeneralizedMortonLayout>(volume);
   for (unsigned vp = 0; vp < 8; ++vp) {
     const render::Camera camera = render::orbit_camera(

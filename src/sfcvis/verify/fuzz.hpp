@@ -11,10 +11,8 @@
 //    golden tests never visit (cf. Walker & Skjellum, arXiv:2307.07828,
 //    on layout bugs at irregular shapes and block boundaries);
 //  * acceleration structures (macrocell DDA on/off): bit-identical;
-//  * explicit-SIMD paths — 4/8-wide ray packets against the scalar
-//    traversal (bit-identical, dense and macrocell) and the bilateral
-//    SIMD tap loops against their scalar twins (reassociation-only ulp
-//    tier);
+//  * the explicit-SIMD bilateral tap loops against their scalar twins
+//    (reassociation-only ulp tier);
 //  * approximate kernel modes (gather fast-exp, range LUT) against the
 //    serial reference: the documented absolute tiers.
 //

@@ -3,9 +3,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <numeric>
+#include <string>
 
 #include "sfcvis/data/combustion.hpp"
 #include "sfcvis/data/noise.hpp"
@@ -227,6 +230,19 @@ std::filesystem::path temp_dir() {
   return dir;
 }
 
+/// Writes `<name>.bov` declaring `data_size` beside a zero-filled
+/// `<name>.raw` of `payload_bytes`; returns the header path.
+std::filesystem::path write_bov_files(const std::string& name, const std::string& data_size,
+                                      std::uintmax_t payload_bytes) {
+  const auto header = temp_dir() / (name + ".bov");
+  const auto raw = temp_dir() / (name + ".raw");
+  std::ofstream(header) << "DATA_FILE: " << raw.filename().string()
+                        << "\nDATA_SIZE: " << data_size << "\nDATA_FORMAT: FLOAT\n";
+  std::ofstream(raw, std::ios::binary).close();
+  std::filesystem::resize_file(raw, payload_bytes);
+  return header;
+}
+
 }  // namespace
 
 TEST(VolumeIO, SaveLoadRoundTrip) {
@@ -291,4 +307,18 @@ TEST(VolumeIO, TruncatedPayloadThrows) {
   raw.replace_extension(".raw");
   std::filesystem::resize_file(raw, 10);
   EXPECT_THROW(data::load_bov(path), std::runtime_error);
+}
+
+TEST(VolumeIO, DataSizeWrappingSizeTThrows) {
+  // 769546 * 494770 * 48448661 wraps size_t to 4: unchecked, this 16-byte
+  // payload loads as a volume whose extents claim ~1.8e19 voxels.
+  EXPECT_THROW(data::load_bov(write_bov_files("wrap", "769546 494770 48448661", 16)),
+               std::runtime_error);
+}
+
+TEST(VolumeIO, DataSizeAxisAbove2To21Throws) {
+  // Payload complete for the header, so only the per-axis limit rejects it.
+  EXPECT_THROW(
+      data::load_bov(write_bov_files("wide", "4194304 1 1", 4194304 * sizeof(float))),
+      std::runtime_error);
 }

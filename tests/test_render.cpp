@@ -39,6 +39,15 @@ using render::TileDecomposition;
 using render::TransferFunction;
 using render::Vec3;
 
+namespace {
+
+std::array<std::uint32_t, 4> bits(const Rgba& c) {
+  return {std::bit_cast<std::uint32_t>(c.r), std::bit_cast<std::uint32_t>(c.g),
+          std::bit_cast<std::uint32_t>(c.b), std::bit_cast<std::uint32_t>(c.a)};
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Vec3 / Ray
 // ---------------------------------------------------------------------------
@@ -130,6 +139,18 @@ TEST(Transfer, InterpolatesAndClamps) {
   const Rgba mid = tf.sample(0.5f);
   EXPECT_FLOAT_EQ(mid.r, 0.5f);
   EXPECT_FLOAT_EQ(mid.a, 0.25f);
+}
+
+TEST(Transfer, NanSamplesAsFirstControlPoint) {
+  // NaN fails every comparison: unguarded, a one-point table's segment scan
+  // reads past its end, and a longer table returns a NaN colour.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const TransferFunction one(
+      std::vector<render::TransferPoint>{{0.5f, {0.25f, 0.5f, 0.75f, 0.125f}}});
+  const TransferFunction flame = TransferFunction::flame();
+  for (const TransferFunction* tf : {&one, &flame}) {
+    EXPECT_EQ(bits(tf->sample(nan)), bits(tf->sample(tf->points().front().value)));
+  }
 }
 
 TEST(Transfer, RejectsUnsortedOrEmpty) {
@@ -468,108 +489,6 @@ TEST(ImageIO, ThrowsOnBadPath) {
   EXPECT_THROW(render::write_ppm("/nonexistent_dir_xyz/out.ppm", img), std::runtime_error);
 }
 
-// ---------------------------------------------------------------------------
-// Ray packets
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Every pixel of a packet render must be bit-identical to the scalar
-// render: packets change only how rays are batched, never the per-ray
-// sample positions or arithmetic (the fuzz harness widens this check to
-// all layouts and seeds; this is the fast deterministic slice).
-void expect_packets_bit_identical(const RenderConfig& scalar_config) {
-  Grid3D<float, ArrayOrderLayout> g(Extents3D::cube(32));
-  sfcvis::data::fill_combustion(g);
-  exec::ExecutionContext pool(2);
-  const auto tf = TransferFunction::flame();
-  const auto cam = render::orbit_camera(1, 8, 32, 32, 32);
-  const Image base = render::raycast_parallel(g, cam, tf, scalar_config, pool);
-  for (std::uint32_t k : {4u, 8u}) {
-    RenderConfig packet_config = scalar_config;
-    packet_config.packet_size = k;
-    const Image img = render::raycast_parallel(g, cam, tf, packet_config, pool);
-    ASSERT_EQ(img.pixels().size(), base.pixels().size());
-    for (std::size_t p = 0; p < base.pixels().size(); ++p) {
-      ASSERT_EQ(img.pixels()[p], base.pixels()[p])
-          << "pixel " << p << " packet_size " << k;
-    }
-  }
-}
-
-}  // namespace
-
-TEST(RayPackets, CompositeMatchesScalarBitExact) {
-  RenderConfig config{48, 48, 16, 0.6f, 0.98f};
-  expect_packets_bit_identical(config);
-}
-
-TEST(RayPackets, ShadedMatchesScalarBitExact) {
-  RenderConfig config{48, 48, 16, 0.6f, 0.98f};
-  config.shade = true;
-  expect_packets_bit_identical(config);
-  config.use_macrocells = true;
-  config.macrocell_size = 8;
-  expect_packets_bit_identical(config);
-}
-
-TEST(RayPackets, MipMatchesScalarBitExact) {
-  RenderConfig config{48, 48, 16, 0.6f, 0.98f};
-  config.mode = render::RenderMode::kMip;
-  expect_packets_bit_identical(config);
-  config.use_macrocells = true;
-  expect_packets_bit_identical(config);
-}
-
-TEST(RayPackets, OddTileWidthsUseScalarRemainder) {
-  // 13-wide tiles exercise the mixed packet/scalar row split.
-  RenderConfig config{39, 26, 13, 0.7f, 0.9f};
-  expect_packets_bit_identical(config);
-}
-
-TEST(RayPackets, StatsMatchScalarCounts) {
-  Grid3D<float, ArrayOrderLayout> g(Extents3D::cube(32));
-  sfcvis::data::fill_combustion(g);
-  const auto tf = TransferFunction::flame();
-  const auto cam = render::orbit_camera(2, 8, 32, 32, 32);
-  RenderConfig config{32, 32, 16, 0.6f, 0.98f};
-  config.use_macrocells = true;
-  const auto cells = render::MacrocellGrid::build(g, config.macrocell_size);
-  const core::PlainView view(g);
-  const render::TileDecomposition tiles(config.image_width, config.image_height,
-                                        config.tile_size);
-  render::RayStats scalar_stats, packet_stats;
-  Image scalar_img(config.image_width, config.image_height);
-  Image packet_img(config.image_width, config.image_height);
-  RenderConfig packet_config = config;
-  packet_config.packet_size = 8;
-  for (std::size_t t = 0; t < tiles.count(); ++t) {
-    render::render_tile(view, cam, tf, config, scalar_img, tiles.bounds(t), &cells,
-                        &scalar_stats);
-    render::render_tile(view, cam, tf, packet_config, packet_img, tiles.bounds(t), &cells,
-                        &packet_stats);
-  }
-  EXPECT_EQ(packet_stats.samples_taken, scalar_stats.samples_taken);
-  EXPECT_EQ(packet_stats.samples_skipped, scalar_stats.samples_skipped);
-  EXPECT_EQ(packet_stats.cells_visited, scalar_stats.cells_visited);
-  EXPECT_EQ(packet_stats.cells_skipped, scalar_stats.cells_skipped);
-}
-
-TEST(RayPackets, RejectsInvalidPacketSize) {
-  EXPECT_THROW(render::validate_packet_size(3), std::invalid_argument);
-  EXPECT_THROW(render::validate_packet_size(16), std::invalid_argument);
-  EXPECT_NO_THROW(render::validate_packet_size(1));
-  EXPECT_NO_THROW(render::validate_packet_size(4));
-  EXPECT_NO_THROW(render::validate_packet_size(8));
-  Grid3D<float, ArrayOrderLayout> g(Extents3D::cube(8));
-  exec::ExecutionContext pool(1);
-  RenderConfig config{8, 8, 8, 0.5f, 0.98f};
-  config.packet_size = 3;
-  EXPECT_THROW(render::raycast_parallel(g, render::orbit_camera(0, 8, 8, 8, 8),
-                                        TransferFunction::flame(), config, pool),
-               std::invalid_argument);
-}
-
 TEST(Raycast, RejectsNonPositiveOrNonFiniteStep) {
   // A step <= 0 never carries t past t_exit (the render would not
   // return); an infinite one samples at t_enter + 0 * inf = NaN.
@@ -678,16 +597,11 @@ TransferFunction random_banded_tf(std::mt19937& rng) {
   return TransferFunction(points);
 }
 
-std::array<std::uint32_t, 4> bits(const Rgba& c) {
-  return {std::bit_cast<std::uint32_t>(c.r), std::bit_cast<std::uint32_t>(c.g),
-          std::bit_cast<std::uint32_t>(c.b), std::bit_cast<std::uint32_t>(c.a)};
-}
-
 }  // namespace
 
 TEST(Raycast, MatchesDenseReferenceCompositorBitExact) {
-  // trace_ray and the 4/8-ray packets, dense and with macrocells, on array
-  // order and Z-order, must reproduce the reference bit for bit — the cell
+  // trace_ray, dense and with macrocells, on array order and Z-order, must
+  // reproduce the reference bit for bit — the cell
   // load and the transparent-sample skip change no output bit. An
   // early_termination of 0 stops every ray after its first sample, so a
   // transparent first sample pins the skip path's return value.
@@ -722,27 +636,22 @@ TEST(Raycast, MatchesDenseReferenceCompositorBitExact) {
         }
         const TileDecomposition tiles(config.image_width, config.image_height,
                                       config.tile_size);
-        for (const std::uint32_t packet : {1u, 4u, 8u}) {
-          for (const bool macro : {false, true}) {
-            for (const bool zorder : {false, true}) {
-              RenderConfig run = config;
-              run.packet_size = packet;
-              Image img(config.image_width, config.image_height);
-              for (std::size_t t = 0; t < tiles.count(); ++t) {
-                if (zorder) {
-                  render::render_tile(vz, cam, tf, run, img, tiles.bounds(t),
-                                      macro ? &cells : nullptr);
-                } else {
-                  render::render_tile(va, cam, tf, run, img, tiles.bounds(t),
-                                      macro ? &cells : nullptr);
-                }
+        for (const bool macro : {false, true}) {
+          for (const bool zorder : {false, true}) {
+            Image img(config.image_width, config.image_height);
+            for (std::size_t t = 0; t < tiles.count(); ++t) {
+              if (zorder) {
+                render::render_tile(vz, cam, tf, config, img, tiles.bounds(t),
+                                    macro ? &cells : nullptr);
+              } else {
+                render::render_tile(va, cam, tf, config, img, tiles.bounds(t),
+                                    macro ? &cells : nullptr);
               }
-              for (std::size_t p = 0; p < want.size(); ++p) {
-                ASSERT_EQ(bits(img.pixels()[p]), bits(want[p]))
-                    << "trial " << trial << " shade " << shade << " early " << early
-                    << " packet " << packet << " macrocells " << macro << " zorder "
-                    << zorder << " pixel " << p;
-              }
+            }
+            for (std::size_t p = 0; p < want.size(); ++p) {
+              ASSERT_EQ(bits(img.pixels()[p]), bits(want[p]))
+                  << "trial " << trial << " shade " << shade << " early " << early
+                  << " macrocells " << macro << " zorder " << zorder << " pixel " << p;
             }
           }
         }
