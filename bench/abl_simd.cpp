@@ -1,16 +1,15 @@
-// Ablation G: explicit SIMD — the bilateral vector tap loops.
+// Ablation G: explicit SIMD.
 //
-// The bilateral gather fast path runs its range/spatial tap loops through
-// vfloat batches at the build's native width (core/simd.hpp,
-// BilateralParams::simd_taps). This bench times scalar vs simd taps per
-// layout (advisory wall clock). It also counts the samples a shaded
-// composite raycast over macrocells takes per layout — the configuration
-// the paper's volrend figures use — as a *deterministic* gated table: the
-// count depends only on the traversal, so any drift is a traversal change,
-// not noise.
+// The bilateral gather fast path runs its tap loop through vfloat batches
+// at the build's native width (core/simd.hpp); the bench reports which ISA
+// the build selected. Its one table counts the samples a shaded composite
+// raycast over macrocells takes per layout — the configuration the paper's
+// volrend figures use — as a *deterministic* gated table: the count
+// depends only on the traversal, so any drift is a traversal change, not
+// noise. The measured tap-loop tiers are recorded in EXPERIMENTS.md
+// (Ablation G).
 #include "common.hpp"
 #include "sfcvis/core/simd.hpp"
-#include "sfcvis/filters/bilateral.hpp"
 #include "sfcvis/render/raycast.hpp"
 
 namespace {
@@ -30,13 +29,11 @@ int main(int argc, char** argv) {
   const std::uint32_t size = opts.get_u32("size", quick ? 32 : 128);
   const std::uint32_t image = opts.get_u32("image", quick ? 64 : 256);
   const unsigned nthreads = opts.get_u32("threads", 4);
-  const unsigned reps = opts.get_u32("reps", quick ? 1 : 3);
-  const std::uint32_t radius = opts.get_u32("radius", 1);
 
   const auto platform = memsim::ivybridge();
   bench::print_preamble("Ablation G: explicit SIMD (vector tap loops)", size, platform);
-  std::printf("simd: active ISA %s  |  image %ux%u  |  threads %u  |  reps (min-of) %u\n\n",
-              simd::active_isa(), image, image, nthreads, reps);
+  std::printf("simd: active ISA %s  |  image %ux%u  |  threads %u\n\n", simd::active_isa(),
+              image, image, nthreads);
 
   exec::ExecutionContext pool(nthreads);
   const bench::VolumePair pair = bench::make_combustion_pair(size);
@@ -64,30 +61,7 @@ int main(int argc, char** argv) {
   }
   bench::emit_table(ray_samples, opts, "abl_simd_samples.csv", 0);
 
-  // --- Bilateral: scalar vs simd tap loops ----------------------------
-  std::snprintf(title, sizeof(title), "bilateral gather wall seconds, %u^3 r%u (min of %u)",
-                size, radius, reps);
-  bench_util::ResultTable bi_ms(title, layout_rows, {"scalar taps", "simd taps", "speedup"});
-  core::ArrayVolume dst(core::Extents3D::cube(size));
-  for (std::size_t row = 0; row < layout_rows.size(); ++row) {
-    const core::AnyVolume& volume = row == 0 ? pair.array : pair.z;
-    filters::BilateralParams params;
-    params.radius = radius;
-    params.use_gather = true;
-    params.simd_taps = false;
-    const double scalar = bench_util::min_time_of(
-        reps, [&] { filters::bilateral_parallel(volume, dst, params, pool); });
-    params.simd_taps = true;
-    const double simd = bench_util::min_time_of(
-        reps, [&] { filters::bilateral_parallel(volume, dst, params, pool); });
-    bi_ms.set(row, 0, scalar);
-    bi_ms.set(row, 1, simd);
-    bi_ms.set(row, 2, scalar / simd);
-  }
-  bench::emit_table(bi_ms, opts, "abl_simd_bilateral_ms.csv", 4);
-
-  std::printf("reading: the speedup column shows the explicit-SIMD tap-loop gain per\n"
-              "layout; the samples table is deterministic and gated. Run with\n"
+  std::printf("reading: the samples table is deterministic and gated. Run with\n"
               "--report-out= to also record the top-down slot breakdown for the whole\n"
               "sweep.\n");
   return 0;

@@ -1,12 +1,11 @@
-// One native-width SIMD vector type for the explicit filter tap loops.
+// One native-width SIMD vector type for the explicit bilateral tap loop.
 //
-// The bilateral and Gaussian tap loops over gather-ring scratch used to
-// lean on autovectorization via `#pragma omp simd`; this header gives them
-// explicit lanes instead. The instruction set is selected at configure
-// time from the compiler's target macros and reported at runtime through
-// active_isa() — the same "reported fallback" idiom as perfmon (perf
-// counters) and alloc (THP): every build works, and tells you which path
-// it took.
+// The bilateral filter's fast_exp tap loop over its sliding-window ring
+// scratch (filters/bilateral.hpp, detail::simd_tap_planes) runs on these
+// explicit lanes. The instruction set is selected at configure time from the
+// compiler's target macros and reported at runtime through active_isa() —
+// the same "reported fallback" idiom as perfmon (perf counters) and alloc
+// (THP): every build works, and tells you which path it took.
 //
 //   AVX-512F  -> 16 lanes
 //   AVX2+FMA  ->  8 lanes
@@ -15,10 +14,10 @@
 //                 -DSFCVIS_NATIVE_ARCH=OFF compiles for)
 //
 // Each build defines one width, kNativeLanes, and three types at it:
-// vfloat<N> (f32 lanes), vint<N> (i32 lanes: the conversions and the
+// vfloat<N> (f32 lanes), vint<N> (i32 lanes: the truncation and the
 // exponent-field shift fast_exp_neg needs) and vmask<N> (per-lane booleans
-// from comparisons, consumed by select). The ops are exactly the ones the
-// tap loops call.
+// from the lt comparison, consumed by select). The ops are exactly the ones
+// the tap loop calls.
 //
 // Determinism contract (what the differential fuzz relies on):
 //  * Arithmetic ops use the compiler's built-in vector operators, NOT
@@ -49,8 +48,8 @@
 
 namespace sfcvis::simd {
 
-/// Lane count of this build's vector types — the width the tap loops
-/// instantiate.
+/// Lane count of this build's vector types — the width the tap loop
+/// instantiates.
 #if defined(SFCVIS_SIMD_ISA_AVX512)
 inline constexpr int kNativeLanes = 16;
 #elif defined(SFCVIS_SIMD_ISA_AVX2)
@@ -127,9 +126,6 @@ struct vfloat<16> {
   friend vmask<16> lt(vfloat a, vfloat b) noexcept {
     return {_mm512_cmp_ps_mask(a.raw, b.raw, _CMP_LT_OQ)};
   }
-  friend vmask<16> gt(vfloat a, vfloat b) noexcept {
-    return {_mm512_cmp_ps_mask(a.raw, b.raw, _CMP_GT_OQ)};
-  }
   /// m ? a : b, per lane.
   friend vfloat select(vmask<16> m, vfloat a, vfloat b) noexcept {
     return {_mm512_mask_blend_ps(m.raw, b.raw, a.raw)};
@@ -139,15 +135,7 @@ struct vfloat<16> {
   }
 };
 
-inline vfloat<16> to_float(vint<16> v) noexcept {
-  return {_mm512_maskz_cvtepi32_ps(static_cast<__mmask16>(0xFFFF), v.raw)};
-}
 inline vfloat<16> float_bits(vint<16> v) noexcept { return {_mm512_castsi512_ps(v.raw)}; }
-inline vfloat<16> gather(const float* base, vint<16> idx) noexcept {
-  return {_mm512_mask_i32gather_ps(_mm512_setzero_ps(),
-                                   static_cast<__mmask16>(0xFFFF), idx.raw,
-                                   base, 4)};
-}
 
 #elif defined(SFCVIS_SIMD_ISA_AVX2)
 
@@ -202,9 +190,6 @@ struct vfloat<8> {
   friend vmask<8> lt(vfloat a, vfloat b) noexcept {
     return {_mm256_cmp_ps(a.raw, b.raw, _CMP_LT_OQ)};
   }
-  friend vmask<8> gt(vfloat a, vfloat b) noexcept {
-    return {_mm256_cmp_ps(a.raw, b.raw, _CMP_GT_OQ)};
-  }
   /// m ? a : b, per lane.
   friend vfloat select(vmask<8> m, vfloat a, vfloat b) noexcept {
     return {_mm256_blendv_ps(b.raw, a.raw, m.raw)};
@@ -212,11 +197,7 @@ struct vfloat<8> {
   friend vint<8> trunc_to_int(vfloat a) noexcept { return {_mm256_cvttps_epi32(a.raw)}; }
 };
 
-inline vfloat<8> to_float(vint<8> v) noexcept { return {_mm256_cvtepi32_ps(v.raw)}; }
 inline vfloat<8> float_bits(vint<8> v) noexcept { return {_mm256_castsi256_ps(v.raw)}; }
-inline vfloat<8> gather(const float* base, vint<8> idx) noexcept {
-  return {_mm256_i32gather_ps(base, idx.raw, 4)};
-}
 
 #elif defined(SFCVIS_SIMD_ISA_NEON)
 
@@ -260,7 +241,6 @@ struct vfloat<4> {
   friend vfloat operator*(vfloat a, vfloat b) noexcept { return {a.raw * b.raw}; }
   friend vfloat operator-(vfloat a) noexcept { return {vnegq_f32(a.raw)}; }
   friend vmask<4> lt(vfloat a, vfloat b) noexcept { return {vcltq_f32(a.raw, b.raw)}; }
-  friend vmask<4> gt(vfloat a, vfloat b) noexcept { return {vcgtq_f32(a.raw, b.raw)}; }
   /// m ? a : b, per lane.
   friend vfloat select(vmask<4> m, vfloat a, vfloat b) noexcept {
     return {vbslq_f32(m.raw, a.raw, b.raw)};
@@ -268,14 +248,7 @@ struct vfloat<4> {
   friend vint<4> trunc_to_int(vfloat a) noexcept { return {vcvtq_s32_f32(a.raw)}; }
 };
 
-inline vfloat<4> to_float(vint<4> v) noexcept { return {vcvtq_f32_s32(v.raw)}; }
 inline vfloat<4> float_bits(vint<4> v) noexcept { return {vreinterpretq_f32_s32(v.raw)}; }
-inline vfloat<4> gather(const float* base, vint<4> idx) noexcept {
-  std::array<std::int32_t, 4> ia;
-  vst1q_s32(ia.data(), idx.raw);
-  const std::array<float, 4> out{base[ia[0]], base[ia[1]], base[ia[2]], base[ia[3]]};
-  return vfloat<4>::loadu(out.data());
-}
 
 #else  // scalar lane loops
 
@@ -347,7 +320,6 @@ struct vfloat<4> {
     }
     return m;
   }
-  friend vmask<4> gt(vfloat a, vfloat b) noexcept { return lt(b, a); }
   /// m ? a : b, per lane.
   friend vfloat select(vmask<4> m, vfloat a, vfloat b) noexcept {
     SFCVIS_SIMD_LANEWISE(r, m.raw[q_] != 0 ? a.raw[q_] : b.raw[q_]);
@@ -363,23 +335,9 @@ struct vfloat<4> {
 
 #undef SFCVIS_SIMD_LANEWISE
 
-inline vfloat<4> to_float(vint<4> v) noexcept {
-  vfloat<4> r{};
-  for (std::size_t i = 0; i < 4; ++i) {
-    r.raw[i] = static_cast<float>(v.raw[i]);
-  }
-  return r;
-}
 inline vfloat<4> float_bits(vint<4> v) noexcept {
   vfloat<4> r{};
   std::memcpy(r.raw.data(), v.raw.data(), sizeof(r.raw));
-  return r;
-}
-inline vfloat<4> gather(const float* base, vint<4> idx) noexcept {
-  vfloat<4> r{};
-  for (std::size_t i = 0; i < 4; ++i) {
-    r.raw[i] = base[idx.raw[i]];
-  }
   return r;
 }
 
@@ -398,7 +356,7 @@ template <int N>
 
 /// exp(-u) for u >= 0 — the vector twin of filters::fast_exp_neg, same
 /// constants and expression shapes, so every lane is bit-identical to the
-/// scalar call (tests/test_simd.cpp pins this across the LUT domain).
+/// scalar call (tests/test_simd.cpp pins this over u in [0, 130]).
 /// Do not pass negative or NaN u.
 template <int N>
 [[nodiscard]] inline vfloat<N> fast_exp_neg(vfloat<N> u) noexcept {

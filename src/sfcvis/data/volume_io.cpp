@@ -1,8 +1,10 @@
 #include "sfcvis/data/volume_io.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace sfcvis::data {
 namespace {
@@ -88,6 +90,16 @@ RawVolume load_bov(const std::filesystem::path& header_path) {
   std::ifstream raw(payload, std::ios::binary);
   if (!raw) {
     throw std::runtime_error("load_bov: cannot open " + payload.string());
+  }
+  // Check the payload holds DATA_SIZE samples before allocating them, so a
+  // valid but huge DATA_SIZE beside a short file fails here instead of
+  // zero-filling gigabytes first. Compare element counts: the byte count
+  // can overflow size_t.
+  std::error_code ec;
+  const std::uintmax_t payload_bytes = std::filesystem::file_size(payload, ec);
+  if (ec || payload_bytes / sizeof(float) < out.extents.size()) {
+    throw std::runtime_error("load_bov: payload " + payload.string() +
+                             " is unreadable or holds fewer samples than DATA_SIZE");
   }
   out.samples.resize(out.extents.size());
   raw.read(reinterpret_cast<char*>(out.samples.data()),

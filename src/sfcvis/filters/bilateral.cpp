@@ -21,30 +21,15 @@ BilateralWeights::BilateralWeights(unsigned radius, float sigma_spatial)
   }
 }
 
-BilateralWeights::BilateralWeights(const BilateralParams& params)
-    : BilateralWeights(params.radius, params.sigma_spatial) {
-  if (params.use_range_lut) {
-    build_range_lut(params.sigma_range);
-  }
-}
-
-void BilateralWeights::build_range_lut(float sigma_range, unsigned bins) {
-  const float inv2sr2 = 1.0f / (2.0f * sigma_range * sigma_range);
-  range_lut_.resize(bins + 2);
-  for (unsigned b = 0; b <= bins; ++b) {
-    const float u = kRangeLutMaxU * static_cast<float>(b) / static_cast<float>(bins);
-    range_lut_[b] = std::exp(-u);
-  }
-  range_lut_[bins + 1] = range_lut_[bins];  // pad so clamped x = bins interpolates
-  lut_u_scale_ = inv2sr2 * static_cast<float>(bins) / kRangeLutMaxU;
-  lut_max_x_ = static_cast<float>(bins);
+void validate_sigmas(const BilateralParams& params) {
+  detail::require_finite_falloff(params.sigma_spatial, "bilateral sigma_spatial");
+  detail::require_finite_falloff(params.sigma_range, "bilateral sigma_range");
 }
 
 void BilateralGatherScratch::prepare(const BilateralWeights& weights, PencilAxis pencil) {
   const int r = static_cast<int>(weights.radius());
   width = 2 * weights.radius() + 1;
   plane_size = width * width;
-  axis = pencil;
   // Latch the tracing flag once per parallel region: the per-gather check
   // stays a cached bool and untraced runs take the nullptr path.
   collect_run_stats = trace::span_tracing_enabled();

@@ -24,6 +24,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sfcvis/core/gather.hpp"
@@ -32,7 +34,6 @@
 #include "sfcvis/core/traced_view.hpp"
 #include "sfcvis/core/volume.hpp"
 #include "sfcvis/exec/execution_context.hpp"
-#include "sfcvis/filters/fastmath.hpp"
 #include "sfcvis/filters/kernels_common.hpp"
 #include "sfcvis/memsim/hierarchy.hpp"
 #include "sfcvis/trace/trace.hpp"
@@ -49,42 +50,32 @@ struct BilateralParams {
   LoopOrder order = LoopOrder::kXYZ;
   /// Sliding-window gather fast path (bilateral_parallel only): stencil
   /// planes are gathered once into contiguous per-worker scratch and the
-  /// tap loops run dense. Off by default so the paper-figure drivers and
-  /// the traced counter runs keep the per-voxel access stream the study
-  /// measures; bench/abl_stencil_gather quantifies the speedup.
+  /// tap loops run dense. Off by default because traced counter runs need
+  /// the per-voxel access stream the study measures (the gather reads
+  /// storage past the view); bench/abl_stencil_gather quantifies the
+  /// speedup.
   bool use_gather = false;
-  /// Gather path only: evaluate the photometric exp with the vectorizable
-  /// fast_exp_neg approximation (output within 1e-5 of exact). With
-  /// fast_exp = false and use_range_lut = false the gather path performs
-  /// tap arithmetic in the exact kernels' order — bit-identical output.
+  /// Gather path only, picks one of its two tap loops. true: explicit SIMD
+  /// over the scratch planes (core/simd.hpp, width simd::kNativeLanes,
+  /// masked tails) with the vector fast_exp_neg as the photometric exp;
+  /// lane-strided partial sums are reduced once per voxel, and output
+  /// stays within 1e-5 of exact. false: the exact mode, a scalar loop with
+  /// the exact kernels' per-tap arithmetic (bit-identical where the tap
+  /// order matches, see bilateral_pencil_gather) — the reference the fast
+  /// mode is checked against.
   bool fast_exp = true;
-  /// Gather path only: replace the photometric exp with the quantized LUT
-  /// in BilateralWeights (1024 bins, linear interpolation). Cheaper than
-  /// fast_exp on hardware without SIMD exp throughput; looser error bound
-  /// (see BilateralWeights::build_range_lut).
+  /// No code reads the next two fields. They stay only because the
+  /// end-to-end benchmark (bench/e2e/e2e.cpp) assigns them and changes
+  /// only with the benchmark; delete them together with those assignments.
   bool use_range_lut = false;
-  /// Gather path, fast_exp/LUT modes only: run the tap loops as explicit
-  /// SIMD over the scratch planes (core/simd.hpp — width simd::kNativeLanes,
-  /// masked tails, vector fast_exp_neg / LUT gathers) instead of relying on
-  /// autovectorization of the `#pragma omp simd` loops. Per-tap arithmetic
-  /// is unchanged; only the tap-sum accumulation order differs (lane-strided
-  /// partial sums reduced once per voxel), which stays well inside the fast
-  /// path's existing 1e-5 output tolerance. The exact mode ignores this knob
-  /// — its bit-identity contract requires the scalar loop. Off leaves the
-  /// autovectorized loops as the measured baseline (bench/abl_simd).
   bool simd_taps = true;
 };
 
 /// Precomputed geometric weights for one stencil radius/sigma: the g(i,ibar)
-/// table of the paper's Eq. 3, indexed by stencil offset. Optionally also
-/// carries the quantized photometric LUT of BilateralParams::use_range_lut.
+/// table of the paper's Eq. 3, indexed by stencil offset.
 class BilateralWeights {
  public:
   BilateralWeights(unsigned radius, float sigma_spatial);
-
-  /// Builds weights for a full parameter set: spatial table always, range
-  /// LUT when params.use_range_lut is set.
-  explicit BilateralWeights(const BilateralParams& params);
 
   [[nodiscard]] unsigned radius() const noexcept { return radius_; }
 
@@ -97,50 +88,21 @@ class BilateralWeights {
     return table_[ix + width * (iy + width * iz)];
   }
 
-  /// Raw spatial table, offset (dx, dy, dz) -> ((dz+r)*W + (dy+r))*W + dx+r.
-  [[nodiscard]] const std::vector<float>& spatial_table() const noexcept { return table_; }
-
   /// Photometric weight c(i, ibar) for an intensity difference.
   [[nodiscard]] static float range(float diff, float inv_two_sigma_r_sq) noexcept {
     return std::exp(-diff * diff * inv_two_sigma_r_sq);
   }
 
-  /// Builds the quantized photometric LUT: exp(-u) sampled at `bins`+1
-  /// points of u = diff^2 / (2 sigma_r^2) over [0, kRangeLutMaxU], linearly
-  /// interpolated between samples and clamped to the tail value beyond.
-  /// Worst-case weight error is the interpolation bound (du^2)/8 ~ 3.1e-5
-  /// at 1024 bins plus the 1.1e-7 tail clamp; the output-level bound is
-  /// pinned by tests/test_bilateral_gather.cpp.
-  void build_range_lut(float sigma_range, unsigned bins = 1024);
-
-  [[nodiscard]] bool has_range_lut() const noexcept { return !range_lut_.empty(); }
-
-  /// LUT photometric weight; requires has_range_lut().
-  [[nodiscard]] float range_lut(float diff) const noexcept {
-    float x = diff * diff * lut_u_scale_;
-    x = x > lut_max_x_ ? lut_max_x_ : x;
-    const auto b = static_cast<std::uint32_t>(x);
-    const float f = x - static_cast<float>(b);
-    return range_lut_[b] + f * (range_lut_[b + 1] - range_lut_[b]);
-  }
-
-  /// Upper end of the quantized u = diff^2/(2 sigma_r^2) domain; weights
-  /// beyond it clamp to exp(-kRangeLutMaxU) ~ 1.1e-7.
-  static constexpr float kRangeLutMaxU = 16.0f;
-
-  /// Raw LUT pieces for the explicit-SIMD tap loop (vector twin of
-  /// range_lut(): clamp, truncate, two gathers, lerp). Require has_range_lut().
-  [[nodiscard]] const float* range_lut_data() const noexcept { return range_lut_.data(); }
-  [[nodiscard]] float range_lut_u_scale() const noexcept { return lut_u_scale_; }
-  [[nodiscard]] float range_lut_max_x() const noexcept { return lut_max_x_; }
-
  private:
   unsigned radius_;
   std::vector<float> table_;
-  std::vector<float> range_lut_;  ///< bins + 2 entries (interpolation pad)
-  float lut_u_scale_ = 0.0f;      ///< (1 / (2 sigma_r^2)) * bins / kRangeLutMaxU
-  float lut_max_x_ = 0.0f;        ///< bins, as float
 };
+
+/// Throws std::invalid_argument unless 1 / (2 sigma^2) is finite for both
+/// of `params`' sigmas. Zero, NaN, and sigmas whose square underflows fail
+/// that test; the centre tap would then compute 0 * inf = NaN and turn
+/// every output voxel into NaN.
+void validate_sigmas(const BilateralParams& params);
 
 /// Number of pencils a volume decomposes into along `axis`.
 [[nodiscard]] std::size_t pencil_count(const core::Extents3D& e, PencilAxis axis) noexcept;
@@ -164,8 +126,12 @@ struct PencilCoords {
 // Kernel (header template: shared by native and traced drivers)
 // ---------------------------------------------------------------------------
 
-/// Filters a single voxel. Border handling: clamp-to-edge.
-template <core::ReadView3D View>
+/// Filters a single voxel. Border handling: clamp-to-edge. kInterior
+/// promises that every stencil tap is in bounds (each coordinate in
+/// [r, n-1-r] on its axis), so neighbours index the view directly with no
+/// per-tap clamp branches; tap order and arithmetic are the same either
+/// way, so both variants give bit-identical results.
+template <bool kInterior = false, core::ReadView3D View>
 [[nodiscard]] float bilateral_voxel(const View& src, std::uint32_t i, std::uint32_t j,
                                     std::uint32_t k, const BilateralWeights& weights,
                                     float sigma_range, LoopOrder order) {
@@ -175,10 +141,19 @@ template <core::ReadView3D View>
   float sum = 0.0f;
   float norm = 0.0f;
 
+  // Keep `tap` free of nested lambdas: an immediately invoked one picking
+  // the read made GCC 12 compile `tap` out of line, a call per tap.
   auto tap = [&](int dx, int dy, int dz) {
-    const float sample = src.at_clamped(static_cast<std::int64_t>(i) + dx,
-                                        static_cast<std::int64_t>(j) + dy,
-                                        static_cast<std::int64_t>(k) + dz);
+    float sample = 0.0f;
+    if constexpr (kInterior) {
+      sample = src.at(static_cast<std::uint32_t>(static_cast<int>(i) + dx),
+                      static_cast<std::uint32_t>(static_cast<int>(j) + dy),
+                      static_cast<std::uint32_t>(static_cast<int>(k) + dz));
+    } else {
+      sample = src.at_clamped(static_cast<std::int64_t>(i) + dx,
+                              static_cast<std::int64_t>(j) + dy,
+                              static_cast<std::int64_t>(k) + dz);
+    }
     const float w = weights.spatial(dx, dy, dz) *
                     BilateralWeights::range(sample - center, inv2sr2);
     sum += w * sample;
@@ -206,58 +181,12 @@ template <core::ReadView3D View>
   return sum / norm;
 }
 
-/// Interior variant of bilateral_voxel: every stencil tap is known to be
-/// in bounds, so neighbours index the view directly — no per-tap clamp
-/// branches. Tap order and arithmetic match bilateral_voxel exactly, so
-/// the result is bit-identical; callers must guarantee the whole stencil
-/// fits (each coordinate in [r, n-1-r] on its axis).
-template <core::ReadView3D View>
-[[nodiscard]] float bilateral_voxel_interior(const View& src, std::uint32_t i,
-                                             std::uint32_t j, std::uint32_t k,
-                                             const BilateralWeights& weights,
-                                             float sigma_range, LoopOrder order) {
-  const int r = static_cast<int>(weights.radius());
-  const float inv2sr2 = 1.0f / (2.0f * sigma_range * sigma_range);
-  const float center = src.at(i, j, k);
-  float sum = 0.0f;
-  float norm = 0.0f;
-
-  auto tap = [&](int dx, int dy, int dz) {
-    const float sample = src.at(static_cast<std::uint32_t>(static_cast<int>(i) + dx),
-                                static_cast<std::uint32_t>(static_cast<int>(j) + dy),
-                                static_cast<std::uint32_t>(static_cast<int>(k) + dz));
-    const float w = weights.spatial(dx, dy, dz) *
-                    BilateralWeights::range(sample - center, inv2sr2);
-    sum += w * sample;
-    norm += w;
-  };
-
-  if (order == LoopOrder::kXYZ) {
-    for (int dz = -r; dz <= r; ++dz) {
-      for (int dy = -r; dy <= r; ++dy) {
-        for (int dx = -r; dx <= r; ++dx) {
-          tap(dx, dy, dz);
-        }
-      }
-    }
-  } else {
-    for (int dx = -r; dx <= r; ++dx) {
-      for (int dy = -r; dy <= r; ++dy) {
-        for (int dz = -r; dz <= r; ++dz) {
-          tap(dx, dy, dz);
-        }
-      }
-    }
-  }
-  return sum / norm;
-}
-
 /// Filters every voxel of one pencil into `dst` (array-order output).
 ///
 /// Pencils whose two fixed coordinates sit at least `radius` away from
 /// their borders split into three segments: clamped heads/tails of
-/// `radius` voxels each, and a branch-free interior that takes the
-/// bilateral_voxel_interior fast path. Border pencils (and pencils
+/// `radius` voxels each, and a branch-free interior that takes
+/// bilateral_voxel's kInterior variant. Border pencils (and pencils
 /// shorter than one full stencil) stay on the clamped kernel throughout.
 /// Output is bit-identical either way.
 template <core::ReadView3D View>
@@ -299,8 +228,8 @@ void bilateral_pencil(const View& src, core::ArrayVolume& dst,
   clamped_run(0, interior_begin);
   for (std::uint32_t t = interior_begin; t < interior_end; ++t) {
     const core::Coord3D v{v0.i + t * di, v0.j + t * dj, v0.k + t * dk};
-    dst.at(v.i, v.j, v.k) = bilateral_voxel_interior(src, v.i, v.j, v.k, weights,
-                                                     params.sigma_range, params.order);
+    dst.at(v.i, v.j, v.k) = bilateral_voxel<true>(src, v.i, v.j, v.k, weights,
+                                                  params.sigma_range, params.order);
   }
   clamped_run(interior_end, len);
 }
@@ -312,9 +241,9 @@ void bilateral_pencil(const View& src, core::ArrayVolume& dst,
 // by exactly one (2r+1)^2 plane, so a ring of W = 2r+1 contiguous scratch
 // planes turns W^3 layout lookups per voxel into one W^2 plane gather —
 // amortizing index cost by ~1/W — and the tap loops run over dense
-// unit-stride rows the compiler can vectorize. The plane gathers are the
-// only layout-aware step (core/gather.hpp: memcpy rows on array order,
-// incremental Morton stepping with run copies on Z-order).
+// unit-stride rows. The plane gathers are the only layout-aware step
+// (core/gather.hpp: memcpy rows on array order, incremental Morton
+// stepping with run copies on Z-order).
 
 /// Per-worker scratch of the gather fast path; allocate once per parallel
 /// region (threads::parallel_for_static_state), reuse across pencils.
@@ -326,7 +255,6 @@ struct BilateralGatherScratch {
 
   std::uint32_t width = 0;       ///< W = 2r + 1
   std::uint32_t plane_size = 0;  ///< W * W
-  PencilAxis axis = PencilAxis::kX;
   std::vector<float> ring;   ///< W planes of W*W samples, slot = s % W
   std::vector<float> wperm;  ///< spatial weights permuted to [dp][du][dv]
   /// Contiguous-run accounting of the plane gathers, merged into the
@@ -355,44 +283,25 @@ inline void fold_gather_run_stats(core::GatherRunStats& rs) {
   rs = core::GatherRunStats{};
 }
 
-/// Explicit-SIMD tap loops over one voxel's W ring planes (the vectorized
-/// twin of the `#pragma omp simd` loops in bilateral_pencil_gather). One
-/// vector accumulator pair is carried across all planes and reduced once;
-/// tails load via masked lanes whose weight slice reads exactly 0, so a
-/// masked lane contributes +0 to both sums — processing the tail wide is
-/// arithmetically identical to processing only the valid lanes. kLut
-/// selects the quantized-LUT photometric term (clamped before the index
-/// truncation, so masked-lane garbage can never gather out of bounds);
-/// otherwise the vector fast_exp_neg (lane-exact twin of the scalar one).
-template <bool kLut>
+/// Explicit-SIMD tap loops over one voxel's W ring planes (the fast_exp
+/// mode of bilateral_pencil_gather). One vector accumulator pair is carried
+/// across all planes and reduced once; tails load via masked lanes whose
+/// weight slice reads exactly 0, so a masked lane contributes +0 to both
+/// sums — processing the tail wide is arithmetically identical to
+/// processing only the valid lanes. The photometric term is the vector
+/// fast_exp_neg (lane-exact twin of the scalar one).
 [[nodiscard]] inline std::pair<float, float> simd_tap_planes(
     const float* ring, const float* wperm, std::uint32_t t, std::uint32_t r,
-    std::uint32_t W, std::uint32_t plane_sz, float center, float inv2sr2,
-    const BilateralWeights& weights) {
+    std::uint32_t W, std::uint32_t plane_sz, float center, float inv2sr2) {
   constexpr int N = simd::kNativeLanes;
   using VF = simd::vfloat<N>;
-  using VI = simd::vint<N>;
   const VF v_center = VF::broadcast(center);
   const VF v_inv2sr2 = VF::broadcast(inv2sr2);
-  const float* lut = kLut ? weights.range_lut_data() : nullptr;
-  const VF v_lut_scale = VF::broadcast(kLut ? weights.range_lut_u_scale() : 0.0f);
-  const VF v_lut_max = VF::broadcast(kLut ? weights.range_lut_max_x() : 0.0f);
   VF v_sum = VF::zero();
   VF v_norm = VF::zero();
   const auto taps = [&](VF sample, VF wspatial) {
     const VF d = sample - v_center;
-    VF w;
-    if constexpr (kLut) {
-      VF x = d * d * v_lut_scale;
-      x = select(gt(x, v_lut_max), v_lut_max, x);
-      const VI b = trunc_to_int(x);
-      const VF f = x - to_float(b);
-      const VF lo = gather(lut, b);
-      const VF hi = gather(lut, b + VI::broadcast(1));
-      w = wspatial * (lo + f * (hi - lo));
-    } else {
-      w = wspatial * simd::fast_exp_neg(d * d * v_inv2sr2);
-    }
+    const VF w = wspatial * simd::fast_exp_neg(d * d * v_inv2sr2);
     v_sum = v_sum + w * sample;
     v_norm = v_norm + w;
   };
@@ -417,11 +326,11 @@ template <bool kLut>
 /// the ring-buffer fast path; border voxels (and whole pencils too short
 /// or too close to a face for a full stencil) fall back to the clamped
 /// per-voxel kernel. Tap order is plane-major ([dp][du][dv]); with
-/// params.fast_exp and params.use_range_lut both off the arithmetic per
-/// tap matches the exact kernels', so output is bit-identical to
-/// bilateral_reference for (pz, xyz) and to bilateral_voxel's zyx order
-/// for (px, zyx); other configurations differ only by float reassociation
-/// of the tap sum (well under the 1e-5 test tolerance).
+/// params.fast_exp off the arithmetic per tap matches the exact kernels',
+/// so output is bit-identical to bilateral_reference for (pz, xyz) and to
+/// bilateral_voxel's zyx order for (px, zyx); other configurations differ
+/// only by float reassociation of the tap sum (well under the 1e-5 test
+/// tolerance).
 template <core::VolumeBackend VolT>
 void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
                              const BilateralWeights& weights,
@@ -484,11 +393,6 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
   }
 
   const float inv2sr2 = 1.0f / (2.0f * params.sigma_range * params.sigma_range);
-  const bool lut = params.use_range_lut && weights.has_range_lut();
-  const bool fast = params.fast_exp && !lut;
-  // Explicit SIMD applies to the approximate modes only; the exact mode's
-  // bit-identity contract needs the scalar tap order below.
-  const bool simd_taps = params.simd_taps && (fast || lut);
   const float* ring = scratch.ring.data();
   const float* wperm = scratch.wperm.data();
   for (std::uint32_t t = r; t < len - r; ++t) {
@@ -496,42 +400,18 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
       gather_plane(t + r);
     }
     const float center = ring[(t % W) * plane_sz + r * W + r];
-    if (simd_taps) {
-      const auto [sum, norm] =
-          lut ? detail::simd_tap_planes<true>(ring, wperm, t, r, W, plane_sz,
-                                              center, inv2sr2, weights)
-              : detail::simd_tap_planes<false>(ring, wperm, t, r, W, plane_sz,
-                                               center, inv2sr2, weights);
-      const core::Coord3D v{v0.i + t * di, v0.j + t * dj, v0.k + t * dk};
-      dst.at(v.i, v.j, v.k) = sum / norm;
-      continue;
-    }
     float sum = 0.0f;
     float norm = 0.0f;
-    // One flat loop per plane: scratch planes and their weight slices are
-    // both contiguous, so [du][dv] collapses to plane_sz iterations — same
-    // tap order (bit-identity preserved), ~W times fewer vector epilogues.
-    for (std::uint32_t dpi = 0; dpi < W; ++dpi) {
-      const float* plane = ring + ((t - r + dpi) % W) * plane_sz;
-      const float* wplane = wperm + dpi * plane_sz;
-      if (fast) {
-#pragma omp simd reduction(+ : sum, norm)
-        for (std::uint32_t q = 0; q < plane_sz; ++q) {
-          const float sample = plane[q];
-          const float d = sample - center;
-          const float w = wplane[q] * fast_exp_neg(d * d * inv2sr2);
-          sum += w * sample;
-          norm += w;
-        }
-      } else if (lut) {
-#pragma omp simd reduction(+ : sum, norm)
-        for (std::uint32_t q = 0; q < plane_sz; ++q) {
-          const float sample = plane[q];
-          const float w = wplane[q] * weights.range_lut(sample - center);
-          sum += w * sample;
-          norm += w;
-        }
-      } else {  // exact: same per-tap expressions as bilateral_voxel
+    if (params.fast_exp) {
+      std::tie(sum, norm) =
+          detail::simd_tap_planes(ring, wperm, t, r, W, plane_sz, center, inv2sr2);
+    } else {
+      // Exact: the same per-tap expressions as bilateral_voxel. Scratch
+      // planes and their weight slices are both contiguous, so [du][dv]
+      // collapses to one flat loop per plane in unchanged tap order.
+      for (std::uint32_t dpi = 0; dpi < W; ++dpi) {
+        const float* plane = ring + ((t - r + dpi) % W) * plane_sz;
+        const float* wplane = wperm + dpi * plane_sz;
         for (std::uint32_t q = 0; q < plane_sz; ++q) {
           const float sample = plane[q];
           const float w = wplane[q] * BilateralWeights::range(sample - center, inv2sr2);
@@ -566,7 +446,9 @@ void bilateral_reference(const core::ArrayVolume& src, core::ArrayVolume& dst,
 template <core::VolumeBackend VolT, class Views = core::ReadViews>
 [[nodiscard]] exec::KernelJob bilateral_job(const VolT& src, core::ArrayVolume& dst,
                                             const BilateralParams& params, Views views = {}) {
-  auto weights = std::make_shared<const BilateralWeights>(params);
+  validate_sigmas(params);
+  auto weights =
+      std::make_shared<const BilateralWeights>(params.radius, params.sigma_spatial);
   const std::size_t pencils = pencil_count(src.extents(), params.pencil);
   const VolT* src_p = &src;
   core::ArrayVolume* dst_p = &dst;
@@ -654,6 +536,7 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
                                                    const BilateralParams& params,
                                                    const exec::ExecutionContext& ctx,
                                                    Views views = {}) {
+  validate_sigmas(params);
   auto weights =
       std::make_shared<const BilateralWeights>(params.radius, params.sigma_spatial);
   const core::Extents3D e = src.extents();

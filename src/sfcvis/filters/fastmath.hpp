@@ -1,13 +1,15 @@
-// Vectorizable transcendental approximations for the filter fast paths.
+// Scalar exp(-u) approximation behind the bilateral fast_exp mode.
 //
-// The bilateral filter's photometric term costs one exp per stencil tap; a
-// scalar std::exp call there defeats SIMD and dominates the tap loop. The
-// approximation below is branch-free, uses only +,*,float<->int moves, and
-// rounds via the float magic-number trick, so compilers vectorize it inside
-// `#pragma omp simd` loops at any SIMD baseline (no SSE4.1 rounding insn
-// needed). Accuracy is driven by the gather fast path's contract: filter
-// output within 1e-5 of the exact kernel (tests/test_bilateral_gather.cpp
-// pins both the <1e-6 relative error here and the end-to-end bound).
+// The bilateral filter's photometric term costs one exp per stencil tap,
+// and a std::exp call there dominates the tap loop. The approximation
+// below is branch-free, uses only +,*,float<->int moves, and rounds via
+// the float magic-number trick, so it maps one-to-one onto vector lanes:
+// simd::fast_exp_neg (core/simd.hpp) is its lane-exact twin, which the
+// gather path's explicit-SIMD tap loop calls, and tests/test_simd.cpp
+// pins the two bit-for-bit. Accuracy is driven by the gather fast path's
+// contract: filter output within 1e-5 of the exact kernel
+// (tests/test_bilateral_gather.cpp pins both the <1e-6 relative error here
+// and the end-to-end bound).
 #pragma once
 
 #include <bit>

@@ -5,6 +5,7 @@
 namespace sfcvis::filters {
 
 std::vector<float> gaussian_kernel_1d(unsigned radius, float sigma) {
+  detail::require_finite_falloff(sigma, "gaussian sigma");
   std::vector<float> taps(2 * static_cast<std::size_t>(radius) + 1);
   const float inv2s2 = 1.0f / (2.0f * sigma * sigma);
   float norm = 0.0f;
@@ -17,35 +18,6 @@ std::vector<float> gaussian_kernel_1d(unsigned radius, float sigma) {
     t /= norm;
   }
   return taps;
-}
-
-void gaussian_separable(const core::ArrayVolume& src,
-                        core::ArrayVolume& dst, unsigned radius,
-                        float sigma) {
-  const auto taps = gaussian_kernel_1d(radius, sigma);
-  const int r = static_cast<int>(radius);
-  const auto& e = src.extents();
-  core::ArrayVolume tmp1(e), tmp2(e);
-
-  auto pass = [&](const auto& in, auto& out, int axis) {
-    for (std::uint32_t k = 0; k < e.nz; ++k) {
-      for (std::uint32_t j = 0; j < e.ny; ++j) {
-        for (std::uint32_t i = 0; i < e.nx; ++i) {
-          float sum = 0.0f;
-          for (int d = -r; d <= r; ++d) {
-            sum += taps[static_cast<std::size_t>(d + r)] *
-                   in.at_clamped(static_cast<std::int64_t>(i) + (axis == 0 ? d : 0),
-                                 static_cast<std::int64_t>(j) + (axis == 1 ? d : 0),
-                                 static_cast<std::int64_t>(k) + (axis == 2 ? d : 0));
-          }
-          out.at(i, j, k) = sum;
-        }
-      }
-    }
-  };
-  pass(src, tmp1, 0);
-  pass(tmp1, tmp2, 1);
-  pass(tmp2, dst, 2);
 }
 
 }  // namespace sfcvis::filters

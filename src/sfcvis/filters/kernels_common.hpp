@@ -11,6 +11,7 @@
 // through exec::JobGraph::replay.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -99,15 +100,28 @@ template <class Make, class Fn>
   return job;
 }
 
-/// The use_gather fast paths read storage through core::gather_row, not
-/// through the worker's view, so a traced view factory would silently
-/// miss those reads: the gather branches take the native factory only.
+/// The bilateral use_gather fast path reads storage through
+/// core::gather_row, not through the worker's view, so a traced view
+/// factory would silently miss those reads: the gather branch takes the
+/// native factory only.
 template <class Views>
 void require_native_views(const char* builder) {
   if constexpr (!std::is_same_v<Views, core::ReadViews>) {
     throw std::invalid_argument(std::string(builder) +
                                 ": use_gather reads storage through core::gather_row, "
                                 "bypassing the view factory; replay with use_gather off");
+  }
+}
+
+/// Throws std::invalid_argument naming `what` unless 1 / (2 sigma^2), the
+/// exponent scale of a Gaussian falloff, is finite. Zero, NaN, and sigmas
+/// whose square underflows fail; the centre tap of the stencil would then
+/// compute 0 * inf = NaN and turn every output voxel into NaN.
+inline void require_finite_falloff(float sigma, const char* what) {
+  if (!std::isfinite(1.0f / (2.0f * sigma * sigma))) {
+    throw std::invalid_argument(std::string(what) +
+                                ": 1 / (2 sigma^2) is not finite (sigma is zero, NaN "
+                                "or below ~1e-19 in magnitude)");
   }
 }
 

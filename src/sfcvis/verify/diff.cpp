@@ -31,9 +31,6 @@ std::string Tolerance::to_string() const {
     case Kind::kBitIdentical:
       out << "bit-identical";
       break;
-    case Kind::kUlps:
-      out << "ulps<=" << max_ulps;
-      break;
     case Kind::kAbsolute:
       out << "|diff|<=" << max_abs;
       break;

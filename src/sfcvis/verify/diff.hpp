@@ -8,10 +8,8 @@
 //
 //  * bit_identical — layouts and acceleration structures must never change
 //    the answer (paper Sec. III-C; macrocell skipping; exact gather mode).
-//  * ulps(n)       — reassociation-only differences (same taps, different
-//    summation order): a handful of ULPs, scale-free.
-//  * absolute(eps) — documented approximations (fast_exp_neg 1e-5, range
-//    LUT 5e-4) and geometry-perturbing metamorphic checks.
+//  * absolute(eps) — reassociated tap sums, the documented fast_exp_neg
+//    approximation (1e-5) and geometry-perturbing metamorphic checks.
 #pragma once
 
 #include <cmath>
@@ -30,18 +28,14 @@ namespace sfcvis::verify {
 
 /// How strictly two outputs must agree.
 struct Tolerance {
-  enum class Kind : std::uint8_t { kBitIdentical, kUlps, kAbsolute };
+  enum class Kind : std::uint8_t { kBitIdentical, kAbsolute };
 
   Kind kind = Kind::kBitIdentical;
-  std::uint64_t max_ulps = 0;
   float max_abs = 0.0f;
 
   [[nodiscard]] static constexpr Tolerance bit_identical() noexcept { return {}; }
-  [[nodiscard]] static constexpr Tolerance ulps(std::uint64_t n) noexcept {
-    return Tolerance{Kind::kUlps, n, 0.0f};
-  }
   [[nodiscard]] static constexpr Tolerance absolute(float eps) noexcept {
-    return Tolerance{Kind::kAbsolute, 0, eps};
+    return Tolerance{Kind::kAbsolute, eps};
   }
 
   /// True when `expected` and `actual` agree under this tier.
@@ -49,8 +43,6 @@ struct Tolerance {
     switch (kind) {
       case Kind::kBitIdentical:
         return ulp_distance(expected, actual) == 0;
-      case Kind::kUlps:
-        return ulp_distance(expected, actual) <= max_ulps;
       case Kind::kAbsolute:
         return std::abs(expected - actual) <= max_abs &&
                !std::isnan(expected - actual);

@@ -271,8 +271,6 @@ filters::BilateralParams draw_bilateral(SplitMix64& rng, bool quick) {
   p.order = rng.chance(50) ? filters::LoopOrder::kXYZ : filters::LoopOrder::kZYX;
   p.use_gather = rng.chance(60);
   p.fast_exp = rng.chance(50);
-  p.use_range_lut = rng.chance(40);
-  p.simd_taps = rng.chance(50);
   return p;
 }
 
@@ -281,19 +279,12 @@ filters::BilateralParams draw_bilateral(SplitMix64& rng, bool quick) {
 ///
 ///  * non-gather, xyz order: the same per-voxel expression — bit-identical.
 ///  * non-gather, zyx order: tap-sum reassociation only.
-///  * exact gather (no fast_exp, no LUT), (pz, xyz): plane-major tap order
+///  * exact gather (no fast_exp), (pz, xyz): plane-major tap order
 ///    coincides with xyz — bit-identical; other axes/orders reassociate.
-///  * gather + fast_exp: fast_exp_neg approximation on the range weight.
-///  * gather + LUT (LUT wins when both are set): per-weight error is the
-///    interpolation bound ~3.2e-5; with the normalizer >= the center tap's
-///    weight of 1 the output error is bounded by weight-error x taps.
+///  * gather + fast_exp: fast_exp_neg approximation on the range weight,
+///    summed in SIMD lane-strided partial sums.
 Tolerance bilateral_tier(const filters::BilateralParams& p) {
-  const float taps = static_cast<float>((2 * p.radius + 1) * (2 * p.radius + 1) *
-                                        (2 * p.radius + 1));
   if (p.use_gather) {
-    if (p.use_range_lut) {
-      return Tolerance::absolute(4.0e-5f * taps);
-    }
     if (p.fast_exp) {
       return Tolerance::absolute(5.0e-5f);
     }
@@ -315,13 +306,8 @@ std::string bilateral_label(const filters::BilateralParams& p) {
       << (p.order == filters::LoopOrder::kXYZ ? " xyz" : " zyx");
   if (p.use_gather) {
     out << " gather";
-    if (p.use_range_lut) {
-      out << "+lut";
-    } else if (p.fast_exp) {
+    if (p.fast_exp) {
       out << "+fastexp";
-    }
-    if (p.simd_taps && (p.fast_exp || p.use_range_lut)) {
-      out << "+simd";
     }
   }
   return out.str();
@@ -359,20 +345,6 @@ void fuzz_bilateral(FuzzSummary& summary, const VolumeSet& vols, SplitMix64& rng
                                  p.sigma_spatial, p.sigma_range);
     record(summary, compare_grids(reference, oracle, bilateral_tier(p),
                                   label + " [vs serial reference]"));
-
-    if (p.use_gather && (p.fast_exp || p.use_range_lut)) {
-      // SIMD tap loops against their scalar twins: identical weights and
-      // taps, vector partial sums — reassociation only, so a tight ulp
-      // tier rather than the looser approximation tiers above.
-      filters::BilateralParams scalar_p = p;
-      scalar_p.simd_taps = false;
-      filters::BilateralParams simd_p = p;
-      simd_p.simd_taps = true;
-      record(summary,
-             compare_grids(run_bilateral(vols.array, scalar_p, pool),
-                           run_bilateral(vols.array, simd_p, pool), Tolerance::ulps(32),
-                           label + " [simd vs scalar taps]"));
-    }
   }
 
   if (rng.chance(40)) {

@@ -11,10 +11,8 @@
 //    golden tests never visit (cf. Walker & Skjellum, arXiv:2307.07828,
 //    on layout bugs at irregular shapes and block boundaries);
 //  * acceleration structures (macrocell DDA on/off): bit-identical;
-//  * the explicit-SIMD bilateral tap loops against their scalar twins
-//    (reassociation-only ulp tier);
-//  * approximate kernel modes (gather fast-exp, range LUT) against the
-//    serial reference: the documented absolute tiers.
+//  * the approximate kernel mode (gather fast-exp, explicit-SIMD taps)
+//    against the serial reference: the documented absolute tier.
 //
 // run_metamorphic_case adds raycaster invariants that need no reference
 // implementation at all: mirroring the volume and the camera about the

@@ -118,14 +118,6 @@ std::vector<GoldenEntry> compute_goldens() {
     add("filters/bilateral-r1-gather-fastexp-16", grid_checksum(dst));
   }
   {
-    filters::BilateralParams params{1, 1.5f, 0.15f, filters::PencilAxis::kZ,
-                                    filters::LoopOrder::kXYZ};
-    params.use_gather = true;
-    params.use_range_lut = true;
-    filters::bilateral_parallel(src, dst, params, pool);
-    add("filters/bilateral-r1-gather-lut-16", grid_checksum(dst));
-  }
-  {
     filters::gaussian_convolve(src, dst, 2, 1.2f, pool);
     add("filters/gaussian-r2-16", grid_checksum(dst));
   }

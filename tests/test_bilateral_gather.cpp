@@ -1,7 +1,7 @@
 // Tests for the bilateral filter's sliding-window gather fast path
 // (filters/bilateral.hpp: BilateralParams::use_gather) and its supporting
-// pieces: fast_exp_neg, the quantized photometric LUT, and the degenerate
-// volume shapes where every driver must fall back to the clamped kernel.
+// pieces: fast_exp_neg and the degenerate volume shapes where every driver
+// must fall back to the clamped kernel.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -134,46 +134,6 @@ TEST(FastExp, HugeInputUnderflowsGracefully) {
 }
 
 // ---------------------------------------------------------------------------
-// Quantized photometric LUT
-// ---------------------------------------------------------------------------
-
-TEST(RangeLut, WeightLevelErrorBounded) {
-  const float sigma_r = 0.1f;
-  BilateralParams params;
-  params.sigma_range = sigma_r;
-  params.use_range_lut = true;
-  const filters::BilateralWeights w(params);
-  ASSERT_TRUE(w.has_range_lut());
-  const float inv2sr2 = 1.0f / (2.0f * sigma_r * sigma_r);
-  for (double diff = 0.0; diff <= 1.0; diff += 0.0004) {
-    const float d = static_cast<float>(diff);
-    const float exact = filters::BilateralWeights::range(d, inv2sr2);
-    const float lut = w.range_lut(d);
-    // Interpolation bound: (du^2)/8 = (16/1024)^2 / 8 ~ 3.05e-5, plus the
-    // exp(-16) ~ 1.1e-7 tail clamp.
-    ASSERT_NEAR(lut, exact, 4e-5f) << "diff=" << diff;
-  }
-}
-
-TEST(RangeLut, OnlyBuiltWhenRequested) {
-  BilateralParams params;
-  EXPECT_FALSE(filters::BilateralWeights(params).has_range_lut());
-  const filters::BilateralWeights plain(params.radius, params.sigma_spatial);
-  EXPECT_FALSE(plain.has_range_lut());
-  params.use_range_lut = true;
-  EXPECT_TRUE(filters::BilateralWeights(params).has_range_lut());
-}
-
-TEST(RangeLut, ParamsCtorMatchesSpatialTable) {
-  BilateralParams params;
-  params.radius = 2;
-  params.sigma_spatial = 1.7f;
-  const filters::BilateralWeights a(params);
-  const filters::BilateralWeights b(params.radius, params.sigma_spatial);
-  EXPECT_EQ(a.spatial_table(), b.spatial_table());
-}
-
-// ---------------------------------------------------------------------------
 // Gather fast path vs the exact kernels
 // ---------------------------------------------------------------------------
 
@@ -237,21 +197,6 @@ TEST(BilateralGather, FastExpWithinTolAllAxesAndLayouts) {
   }
 }
 
-TEST(BilateralGather, RangeLutOutputWithinLooseTol) {
-  const Extents3D e = Extents3D::cube(12);
-  Grid3D<float, ArrayOrderLayout> src(e);
-  fill_noisy_step(src);
-  Grid3D<float, ArrayOrderLayout> ref(e);
-  filters::bilateral_reference(src, ref, 2, 1.5f, 0.1f);
-
-  BilateralParams params;
-  params.radius = 2;
-  params.pencil = PencilAxis::kZ;
-  params.use_gather = true;
-  params.use_range_lut = true;
-  expect_grids_near(run_parallel(src, params), ref, 5e-4f);
-}
-
 TEST(BilateralGather, MatchesReferenceAcrossRadiiAndThreadCounts) {
   const Extents3D e = Extents3D::cube(11);
   Grid3D<float, ArrayOrderLayout> src(e);
@@ -274,11 +219,11 @@ TEST(BilateralGather, MatchesReferenceAcrossRadiiAndThreadCounts) {
 // ---------------------------------------------------------------------------
 
 TEST(BilateralGather, FullModeCombinationMatrix) {
-  // Sweeps gather x {exact, fast_exp, lut, fast_exp+lut} x all three pencil
-  // axes x both iteration orders, on both layouts — the combinations the
-  // targeted tests above only sample. Accuracy tiers vs the serial
-  // reference follow the documented contracts; cross-layout outputs must
-  // be bit-identical for every combination.
+  // Sweeps gather x {exact, fast_exp} x all three pencil axes x both
+  // iteration orders, on both layouts — the combinations the targeted
+  // tests above only sample. Accuracy tiers vs the serial reference follow
+  // the documented contracts; cross-layout outputs must be bit-identical
+  // for every combination.
   const Extents3D e{12, 11, 13};
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
@@ -290,53 +235,30 @@ TEST(BilateralGather, FullModeCombinationMatrix) {
   for (const PencilAxis axis : {PencilAxis::kX, PencilAxis::kY, PencilAxis::kZ}) {
     for (const LoopOrder order : {LoopOrder::kXYZ, LoopOrder::kZYX}) {
       for (const bool fast : {false, true}) {
-        for (const bool lut : {false, true}) {
-          BilateralParams params;
-          params.radius = 2;
-          params.pencil = axis;
-          params.order = order;
-          params.use_gather = true;
-          params.fast_exp = fast;
-          params.use_range_lut = lut;
-          SCOPED_TRACE(::testing::Message()
-                       << "axis=" << static_cast<int>(axis)
-                       << " order=" << static_cast<int>(order) << " fast=" << fast
-                       << " lut=" << lut);
+        BilateralParams params;
+        params.radius = 2;
+        params.pencil = axis;
+        params.order = order;
+        params.use_gather = true;
+        params.fast_exp = fast;
+        SCOPED_TRACE(::testing::Message()
+                     << "axis=" << static_cast<int>(axis)
+                     << " order=" << static_cast<int>(order) << " fast=" << fast);
 
-          const auto out = run_parallel(src, params);
-          const auto zout = run_parallel(zsrc, params);
-          expect_grids_identical(out, zout);  // layout transparency, always
+        const auto out = run_parallel(src, params);
+        const auto zout = run_parallel(zsrc, params);
+        expect_grids_identical(out, zout);  // layout transparency, always
 
-          if (lut) {
-            expect_grids_near(out, ref, 5e-4f);
-          } else if (fast) {
-            expect_grids_near(out, ref, 1e-5f);
-          } else if (axis == PencilAxis::kZ && order == LoopOrder::kXYZ) {
-            expect_grids_identical(out, ref);  // shared tap order: exact
-          } else {
-            expect_grids_near(out, ref, 1e-5f);  // reassociation only
-          }
+        if (fast) {
+          expect_grids_near(out, ref, 1e-5f);
+        } else if (axis == PencilAxis::kZ && order == LoopOrder::kXYZ) {
+          expect_grids_identical(out, ref);  // shared tap order: exact
+        } else {
+          expect_grids_near(out, ref, 1e-5f);  // reassociation only
         }
       }
     }
   }
-}
-
-TEST(BilateralGather, LutTakesPrecedenceOverFastExp) {
-  // With both approximations requested the kernel uses the LUT (fast_exp
-  // applies only when the LUT is off); the both-set configuration must be
-  // bit-identical to lut-only, not a third numeric behaviour.
-  const Extents3D e = Extents3D::cube(10);
-  Grid3D<float, ArrayOrderLayout> src(e);
-  fill_noisy_step(src);
-  BilateralParams params;
-  params.pencil = PencilAxis::kZ;
-  params.use_gather = true;
-  params.use_range_lut = true;
-  params.fast_exp = false;
-  const auto lut_only = run_parallel(src, params);
-  params.fast_exp = true;
-  expect_grids_identical(run_parallel(src, params), lut_only);
 }
 
 // ---------------------------------------------------------------------------

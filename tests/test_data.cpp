@@ -316,6 +316,14 @@ TEST(VolumeIO, DataSizeWrappingSizeTThrows) {
                std::runtime_error);
 }
 
+TEST(VolumeIO, HugeDataSizeWithShortPayloadThrows) {
+  // Every axis is at the 2^21 limit, so validate_extents passes; the
+  // 16-byte payload must be rejected before 2^63 samples are allocated
+  // (that resize threw std::length_error, not the documented error).
+  EXPECT_THROW(data::load_bov(write_bov_files("huge", "2097152 2097152 2097152", 16)),
+               std::runtime_error);
+}
+
 TEST(VolumeIO, DataSizeAxisAbove2To21Throws) {
   // Payload complete for the header, so only the per-axis limit rejects it.
   EXPECT_THROW(

@@ -52,8 +52,6 @@ TEST(Tolerance, Tiers) {
   const float one_up = std::nextafter(1.0f, 2.0f);
   EXPECT_TRUE(verify::Tolerance::bit_identical().accepts(1.0f, 1.0f));
   EXPECT_FALSE(verify::Tolerance::bit_identical().accepts(1.0f, one_up));
-  EXPECT_TRUE(verify::Tolerance::ulps(1).accepts(1.0f, one_up));
-  EXPECT_FALSE(verify::Tolerance::ulps(1).accepts(1.0f, std::nextafter(one_up, 2.0f)));
   EXPECT_TRUE(verify::Tolerance::absolute(0.1f).accepts(1.0f, 1.05f));
   EXPECT_FALSE(verify::Tolerance::absolute(0.1f).accepts(1.0f, 1.2f));
   const float nan = std::numeric_limits<float>::quiet_NaN();

@@ -486,7 +486,7 @@ TEST(TracedDrift, TracedReplayMatchesNativeOutputs) {
     expect_replay_contract(
         name + " gaussian",
         [&](ExecutionContext&, auto views, ArrayVolume& out) {
-          return filters::gaussian_job(src, out, 1, 1.0f, false, views);
+          return filters::gaussian_job(src, out, 1, 1.0f, views);
         },
         volume_out);
     expect_replay_contract(
@@ -516,9 +516,9 @@ TEST(TracedDrift, TracedReplayMatchesNativeOutputs) {
 }
 
 TEST(TracedDrift, GatherPathsRejectTracedViews) {
-  // The gather fast paths read storage through core::gather_row, past any
-  // view: a traced factory would silently drop those reads, so the
-  // builders refuse it. The native factory keeps the gather paths.
+  // The bilateral gather fast path reads storage through core::gather_row,
+  // past any view: a traced factory would silently drop those reads, so the
+  // builder refuses it. The native factory keeps the gather path.
   const Extents3D e = Extents3D::cube(8);
   AnyVolume src = core::make_volume(LayoutKind::kZOrder, e);
   src.fill_from(field);
@@ -528,10 +528,7 @@ TEST(TracedDrift, GatherPathsRejectTracedViews) {
   params.use_gather = true;
   EXPECT_THROW((void)filters::bilateral_job(src, dst, params, core::traced_views(h)),
                std::invalid_argument);
-  EXPECT_THROW((void)filters::gaussian_job(src, dst, 1, 1.0f, true, core::traced_views(h)),
-               std::invalid_argument);
   EXPECT_NO_THROW((void)filters::bilateral_job(src, dst, params));
-  EXPECT_NO_THROW((void)filters::gaussian_job(src, dst, 1, 1.0f, true));
 }
 
 }  // namespace

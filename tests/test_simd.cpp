@@ -1,5 +1,5 @@
 // Per-op tests for core/simd.hpp, the native-width vector layer under the
-// explicit filter tap loops. They run at simd::kNativeLanes on whatever
+// explicit bilateral tap loop. They run at simd::kNativeLanes on whatever
 // backend the build selected (AVX-512 / AVX2 / NEON / scalar, see
 // simd::active_isa()); the portable CI build pins the scalar backend.
 //
@@ -98,8 +98,7 @@ TEST(Simd, LaneArithmetic) {
 
 TEST(Simd, MaskAndSelect) {
   // Comparisons feed masks; select picks `a` exactly where the mask is set.
-  // ys sits below, on and above xs in turn, so every lane pattern differs
-  // between lt and gt and equal lanes set neither.
+  // ys sits below, on and above xs in turn, so equal lanes are covered too.
   const auto xs = iota_lanes(0.0f, 1.0f);
   Lanes ys;
   for (int i = 0; i < N; ++i) {
@@ -110,11 +109,9 @@ TEST(Simd, MaskAndSelect) {
   const VF ones = VF::broadcast(1.0f);
   const VF twos = VF::broadcast(2.0f);
   const auto lt_sel = select(lt(x, y), ones, twos).to_array();
-  const auto gt_sel = select(gt(x, y), ones, twos).to_array();
   for (int i = 0; i < N; ++i) {
     const auto s = static_cast<std::size_t>(i);
     EXPECT_EQ(lt_sel[s], xs[s] < ys[s] ? 1.0f : 2.0f) << "lt lane " << i;
-    EXPECT_EQ(gt_sel[s], xs[s] > ys[s] ? 1.0f : 2.0f) << "gt lane " << i;
   }
 }
 
@@ -147,63 +144,28 @@ TEST(Simd, LoadMaskedTails) {
 }
 
 TEST(Simd, IntConversions) {
-  // trunc_to_int truncates toward zero, like static_cast<int32>; the
-  // results are small enough that to_float reads them back exactly.
+  // vint add + shift + bit reinterpretation: the fast_exp_neg exponent
+  // construction 2^n, checked against the scalar bit_cast expression.
+  // Feeding it trunc_to_int of fractional lanes of both signs also checks
+  // truncation toward zero, like static_cast<int32>.
   Lanes xs;
   for (int i = 0; i < N; ++i) {
     xs[static_cast<std::size_t>(i)] =
         (static_cast<float>(i) - static_cast<float>(N) / 2.0f) * 1.75f;
   }
-  const auto ti = to_float(trunc_to_int(load(xs))).to_array();
-  for (int i = 0; i < N; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    EXPECT_EQ(ti[s], static_cast<float>(static_cast<std::int32_t>(xs[s]))) << "lane " << i;
-  }
-
-  const auto bi = to_float(VI::broadcast(-7)).to_array();
-  for (int i = 0; i < N; ++i) {
-    EXPECT_EQ(bi[static_cast<std::size_t>(i)], -7.0f);
-  }
-
-  // vint add + shift + bit reinterpretation: the fast_exp_neg exponent
-  // construction, checked against the scalar bit_cast expression.
-  const VI n = trunc_to_int(load(iota_lanes(-5.0f, 1.0f)));
+  const VI n = trunc_to_int(load(xs));
   const auto scale = float_bits((n + VI::broadcast(127)) << 23).to_array();
   for (int i = 0; i < N; ++i) {
     const auto s = static_cast<std::size_t>(i);
-    const auto ni = static_cast<std::int32_t>(-5 + i);
-    const float want =
-        std::bit_cast<float>(static_cast<std::uint32_t>(ni + 127) << 23);
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(scale[s]),
-              std::bit_cast<std::uint32_t>(want))
-        << "lane " << i;
+    const auto ni = static_cast<std::int32_t>(xs[s]);
+    const float want = std::bit_cast<float>(static_cast<std::uint32_t>(ni + 127) << 23);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(scale[s]), std::bit_cast<std::uint32_t>(want))
+        << "lane " << i << " x=" << xs[s];
   }
 
-  const auto tf = to_float(n).to_array();
+  const auto b = float_bits((VI::broadcast(-7) + VI::broadcast(127)) << 23).to_array();
   for (int i = 0; i < N; ++i) {
-    EXPECT_EQ(tf[static_cast<std::size_t>(i)], static_cast<float>(-5 + i));
-  }
-}
-
-TEST(Simd, GatherEdgeLanes) {
-  std::vector<float> table(64);
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    table[i] = static_cast<float>(i) * 1.25f + 0.125f;
-  }
-
-  // Indices hitting both ends of the table (edge lanes) and the middle,
-  // built through the float path (trunc) the way the kernels derive them.
-  std::array<std::int32_t, N> idx;
-  Lanes fidx;
-  for (int i = 0; i < N; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    idx[s] = (i == 0) ? 0 : (i == 1 ? 63 : (i * 7) % 64);
-    fidx[s] = static_cast<float>(idx[s]);
-  }
-  const auto got = gather(table.data(), trunc_to_int(load(fidx))).to_array();
-  for (int i = 0; i < N; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    EXPECT_EQ(got[s], table[static_cast<std::size_t>(idx[s])]) << "lane " << i;
+    EXPECT_EQ(b[static_cast<std::size_t>(i)], 0.0078125f);  // 2^-7
   }
 }
 
@@ -223,10 +185,11 @@ TEST(Simd, ReduceAddSequential) {
 }
 
 TEST(Simd, FastExpNegBitIdenticalToScalar) {
-  // Lane-exact twin of filters::fast_exp_neg: sweep the bilateral LUT
-  // domain u in [0, 16] densely, plus the far tail out to the underflow
-  // clamp. Bit-identity, not a tolerance — the SIMD/scalar differential
-  // fuzz depends on it.
+  // Lane-exact twin of filters::fast_exp_neg: sweep u in [0, 16], where
+  // bilateral range weights are non-negligible, densely, plus the far tail
+  // out to the underflow clamp. Bit-identity, not a tolerance: the
+  // accuracy bounds the FastExp tests pin on the scalar function must
+  // carry over to the vector tap loop unchanged.
   Lanes us;
   int lane = 0;
   auto flush = [&] {

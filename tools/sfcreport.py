@@ -117,7 +117,6 @@ BENCHES = {
         # Samples the shaded macrocell render takes are deterministic; any
         # growth means the traversal stopped skipping samples it used to.
         "abl_simd_samples.csv": "lower",
-        "abl_simd_bilateral_ms.csv": "advisory",
     },
     "abl_out_of_core": {
         # Deterministic LRU replay of a stencil sweep at working set =
