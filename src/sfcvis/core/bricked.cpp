@@ -554,8 +554,8 @@ void BrickedVolume::release_brick(std::uint32_t slot) const noexcept {
   impl_->release(slot);
 }
 
-float& BrickedVolume::at(std::uint32_t i, std::uint32_t j, std::uint32_t k) noexcept {
-  return const_cast<float&>(std::as_const(*this).at(i, j, k));
+float& BrickedVolume::at(std::uint32_t, std::uint32_t, std::uint32_t) {
+  throw_read_only("at");
 }
 
 const float& BrickedVolume::at(std::uint32_t i, std::uint32_t j,

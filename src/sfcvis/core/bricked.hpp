@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "sfcvis/core/align.hpp"
 #include "sfcvis/core/brick_file.hpp"
 #include "sfcvis/core/gather.hpp"
 #include "sfcvis/core/morton.hpp"
@@ -125,9 +126,10 @@ class BrickedVolume {
   /// zero value. The returned reference is only guaranteed while the next
   /// few at() calls stay within the last 8 distinct bricks — kernels and
   /// anything concurrent must use a BrickedView (make_read_view), which
-  /// pins bricks per worker. Writes through the non-const overload are
-  /// writes into cache and are discarded; the backend is read-only.
-  [[nodiscard]] float& at(std::uint32_t i, std::uint32_t j, std::uint32_t k) noexcept;
+  /// pins bricks per worker. The non-const overload, the writable one,
+  /// throws std::logic_error: the backend is read-only (a write would land
+  /// in the shared brick cache, or fault on the read-only map).
+  [[nodiscard]] float& at(std::uint32_t i, std::uint32_t j, std::uint32_t k);
   [[nodiscard]] const float& at(std::uint32_t i, std::uint32_t j,
                                 std::uint32_t k) const noexcept;
   [[nodiscard]] const float& at_clamped(std::int64_t i, std::int64_t j,
@@ -192,7 +194,12 @@ class BrickedVolume {
 /// construct, must not outlive its volume, and must not be shared between
 /// threads (each worker builds its own; the pins make the underlying
 /// bricks safe against concurrent eviction).
-class BrickedView {
+///
+/// A read of the brick the previous read touched compiles inline: a
+/// compare of the brick coordinates, the ring entry cur_ and the
+/// inner-offset LUT. Only a move to another brick calls out of line
+/// (seek: the Morton hop, the ring search, the pin).
+class alignas(kCacheLineBytes) BrickedView {
  public:
   explicit BrickedView(const BrickedVolume& volume)
       : vol_(&volume),
@@ -217,18 +224,38 @@ class BrickedView {
 
   [[nodiscard]] const Extents3D& extents() const noexcept { return extents_; }
 
-  [[nodiscard]] const float& at(std::uint32_t i, std::uint32_t j,
-                                std::uint32_t k) const noexcept {
+  [[nodiscard, gnu::always_inline]] const float& at(std::uint32_t i, std::uint32_t j,
+                                                    std::uint32_t k) const noexcept {
     return *fetch(i, j, k, nullptr);
   }
-  [[nodiscard]] const float& at_clamped(std::int64_t i, std::int64_t j,
-                                        std::int64_t k) const noexcept {
+  [[nodiscard, gnu::always_inline]] const float& at_clamped(std::int64_t i, std::int64_t j,
+                                                            std::int64_t k) const noexcept {
     return *fetch(clamp_axis(i, extents_.nx), clamp_axis(j, extents_.ny),
                   clamp_axis(k, extents_.nz), nullptr);
   }
-  [[nodiscard]] std::array<float, 8> cell(std::int64_t i, std::int64_t j,
-                                          std::int64_t k) const noexcept {
-    return cell_by_taps<float>(*this, i, j, k);
+  /// Border-clamped 2x2x2 cell (Grid3D::cell_clamped's values and corner
+  /// order). When the eight corners lie in one brick, the brick is resolved
+  /// once and the corners are read through the LUT; otherwise the cell is
+  /// eight at_clamped reads. The brick cache sees the same acquires either
+  /// way: of eight reads in one brick, the first would resolve the brick
+  /// and the other seven would find it at cur_.
+  [[nodiscard, gnu::always_inline]] std::array<float, 8> cell(std::int64_t i, std::int64_t j,
+                                                              std::int64_t k) const noexcept {
+    const std::uint32_t i0 = clamp_axis(i, extents_.nx), i1 = clamp_axis(i + 1, extents_.nx);
+    const std::uint32_t j0 = clamp_axis(j, extents_.ny), j1 = clamp_axis(j + 1, extents_.ny);
+    const std::uint32_t k0 = clamp_axis(k, extents_.nz), k1 = clamp_axis(k + 1, extents_.nz);
+    if ((((i0 ^ i1) | (j0 ^ j1) | (k0 ^ k1)) >> shift_) != 0) {
+      return cell_by_taps<float>(*this, i, j, k);
+    }
+    const float* b = brick(i0 >> shift_, j0 >> shift_, k0 >> shift_)->data;
+    const std::size_t x0 = i0 & mask_, x1 = i1 & mask_;
+    const std::size_t y0 = static_cast<std::size_t>(j0 & mask_) << shift_;
+    const std::size_t y1 = static_cast<std::size_t>(j1 & mask_) << shift_;
+    const std::size_t z0 = static_cast<std::size_t>(k0 & mask_) << (2 * shift_);
+    const std::size_t z1 = static_cast<std::size_t>(k1 & mask_) << (2 * shift_);
+    const std::size_t s00 = y0 + z0, s10 = y1 + z0, s01 = y0 + z1, s11 = y1 + z1;
+    return {b[lut_[x0 + s00]], b[lut_[x1 + s00]], b[lut_[x0 + s10]], b[lut_[x1 + s10]],
+            b[lut_[x0 + s01]], b[lut_[x1 + s01]], b[lut_[x0 + s11]], b[lut_[x1 + s11]]};
   }
 
   /// Releases every pinned brick (also run by the destructor).
@@ -247,12 +274,46 @@ class BrickedView {
   /// *synthetic* element index rank * edge^3 + inner_offset — a pure
   /// function of the file geometry, which the traced view turns into
   /// rebased byte addresses (bit-stable across runs and cache states).
-  [[nodiscard]] const float* fetch(std::uint32_t i, std::uint32_t j, std::uint32_t k,
-                                   std::uint64_t* synth) const noexcept {
+  [[nodiscard, gnu::always_inline]] const float* fetch(std::uint32_t i, std::uint32_t j,
+                                                       std::uint32_t k,
+                                                       std::uint64_t* synth) const noexcept {
     assert(extents_.contains(i, j, k));
-    const std::uint32_t bi = i >> shift_;
-    const std::uint32_t bj = j >> shift_;
-    const std::uint32_t bk = k >> shift_;
+    const Entry* e = brick(i >> shift_, j >> shift_, k >> shift_);
+    const std::size_t off =
+        lut_[(i & mask_) + (static_cast<std::size_t>(j & mask_) << shift_) +
+             (static_cast<std::size_t>(k & mask_) << (2 * shift_))];
+    if (synth != nullptr) {
+      *synth = e->rank * (std::size_t{1} << (3 * shift_)) + off;
+    }
+    return e->data + off;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t code = 0;
+    const float* data = nullptr;
+    std::uint32_t slot = BrickedVolume::kNoSlot;
+    std::uint64_t rank = 0;
+    bool valid = false;
+  };
+  static constexpr unsigned kEntries = 8;  ///< covers a 2x2x2 brick stencil corner
+
+  /// The ring entry of brick (bi, bj, bk). Invariant: while have_last_ is
+  /// set, entries_[cur_] is valid and holds last_code_, the brick at
+  /// (last_bx_, last_by_, last_bz_), so a read of that brick needs no
+  /// code, search or pin.
+  [[nodiscard, gnu::always_inline]] const Entry* brick(std::uint32_t bi, std::uint32_t bj,
+                                                       std::uint32_t bk) const noexcept {
+    if (have_last_ && bi == last_bx_ && bj == last_by_ && bk == last_bz_) [[likely]] {
+      return &entries_[cur_];
+    }
+    return seek(bi, bj, bk);
+  }
+
+  /// Moves to another brick: its code, by hopping from the previous one,
+  /// then its ring entry, pinning it on a ring miss.
+  [[nodiscard, gnu::noinline]] const Entry* seek(std::uint32_t bi, std::uint32_t bj,
+                                                 std::uint32_t bk) const noexcept {
     std::uint64_t code;
     if (have_last_) {
       // Constant-amortized SFC neighbour-finding on the brick grid: hop
@@ -279,29 +340,8 @@ class BrickedView {
     last_by_ = bj;
     last_bz_ = bk;
     last_code_ = code;
-
-    const Entry* e = &entries_[cur_];
-    if (!e->valid || e->code != code) {
-      e = find_or_pin(code);
-    }
-    const std::size_t off =
-        lut_[(i & mask_) + (static_cast<std::size_t>(j & mask_) << shift_) +
-             (static_cast<std::size_t>(k & mask_) << (2 * shift_))];
-    if (synth != nullptr) {
-      *synth = e->rank * (std::size_t{1} << (3 * shift_)) + off;
-    }
-    return e->data + off;
+    return find_or_pin(code);
   }
-
- private:
-  struct Entry {
-    std::uint64_t code = 0;
-    const float* data = nullptr;
-    std::uint32_t slot = BrickedVolume::kNoSlot;
-    std::uint64_t rank = 0;
-    bool valid = false;
-  };
-  static constexpr unsigned kEntries = 8;  ///< covers a 2x2x2 brick stencil corner
 
   [[nodiscard]] const Entry* find_or_pin(std::uint64_t code) const noexcept {
     for (unsigned n = 0; n < kEntries; ++n) {
@@ -338,6 +378,13 @@ class BrickedView {
   mutable std::uint64_t last_code_ = 0;
   mutable bool have_last_ = false;
 };
+// Workers' views sit back to back in one std::vector (raycast_job,
+// MacrocellGrid::build). A move to another brick writes the ring state at a
+// view's end (cur_ ... have_last_), and every read loads the fields at its
+// start (vol_ ... mask_), so two views sharing a cache line would bounce it
+// between their workers' cores.
+static_assert(alignof(BrickedView) == kCacheLineBytes,
+              "a worker's BrickedView must not share a cache line with the next worker's");
 
 /// Traced counterpart of BrickedView: reports each element read to the
 /// AccessSink at kTracedBase + synthetic element index * sizeof(float),

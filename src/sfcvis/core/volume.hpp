@@ -122,7 +122,9 @@ class AnyVolume {
   [[nodiscard]] const float* data() const noexcept {
     return visit([](const auto& g) { return g.data(); });
   }
-  [[nodiscard]] float& at(std::uint32_t i, std::uint32_t j, std::uint32_t k) noexcept {
+  /// Writable element access; throws std::logic_error on a bricked volume
+  /// (read-only, like fill_from and copy_from).
+  [[nodiscard]] float& at(std::uint32_t i, std::uint32_t j, std::uint32_t k) {
     return visit([&](auto& g) -> float& { return g.at(i, j, k); });
   }
   [[nodiscard]] const float& at(std::uint32_t i, std::uint32_t j,

@@ -1,16 +1,41 @@
 #include "sfcvis/render/camera.hpp"
 
+#include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 namespace sfcvis::render {
+
+namespace {
+
+bool finite(Vec3 v) noexcept {
+  return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
+}
+
+}  // namespace
 
 Camera::Camera(Vec3 eye, Vec3 target, Vec3 up, float vfov_deg, Projection projection,
                float ortho_half_height)
     : eye_(eye),
       ortho_half_height_(ortho_half_height),
       projection_(projection) {
+  if (!(finite(eye) && finite(target) && finite(up) && std::isfinite(vfov_deg) &&
+        std::isfinite(ortho_half_height))) {
+    throw std::invalid_argument(
+        "Camera: eye, target, up, vfov_deg and ortho_half_height must be finite");
+  }
+  // A zero forward or right vector would give every ray direction (0, 0, 0),
+  // whose box span is unbounded.
   forward_ = normalized(target - eye);
+  if (forward_ == Vec3{} || !finite(forward_)) {
+    throw std::invalid_argument(
+        "Camera: eye and target must be distinct (target - eye must normalize)");
+  }
   right_ = normalized(cross(forward_, up));
+  if (right_ == Vec3{} || !finite(right_)) {
+    throw std::invalid_argument(
+        "Camera: up must be non-zero and not parallel to the view direction");
+  }
   up_ = cross(right_, forward_);
   tan_half_fov_ = std::tan(vfov_deg * std::numbers::pi_v<float> / 360.0f);
 }

@@ -23,7 +23,9 @@ class Camera {
 
   /// Looks from `eye` toward `target` with `up` roughly up; `vfov_deg` is
   /// the vertical field of view (perspective) and `ortho_half_height` the
-  /// half-height of the orthographic window.
+  /// half-height of the orthographic window. Throws std::invalid_argument
+  /// when an argument is not finite, when eye == target, or when up is
+  /// parallel to the view direction.
   Camera(Vec3 eye, Vec3 target, Vec3 up, float vfov_deg, Projection projection,
          float ortho_half_height = 1.0f);
 

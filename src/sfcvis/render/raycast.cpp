@@ -17,10 +17,19 @@ void validate_step(float step) {
 
 std::optional<std::pair<float, float>> intersect_box(const Ray& ray, Vec3 lo,
                                                      Vec3 hi) noexcept {
-  float t0 = 0.0f;  // clip to the forward half of the ray
-  float t1 = std::numeric_limits<float>::max();
   const float o[3] = {ray.origin.x, ray.origin.y, ray.origin.z};
   const float d[3] = {ray.dir.x, ray.dir.y, ray.dir.z};
+  // A zero or non-finite direction, or a non-finite origin, has no
+  // bounded span: trace_ray would sample one point up to FLT_MAX times.
+  bool finite = true;
+  for (int axis = 0; axis < 3; ++axis) {
+    finite = finite && std::isfinite(o[axis]) && std::isfinite(d[axis]);
+  }
+  if (!finite || (d[0] == 0.0f && d[1] == 0.0f && d[2] == 0.0f)) {
+    return std::nullopt;
+  }
+  float t0 = 0.0f;  // clip to the forward half of the ray
+  float t1 = std::numeric_limits<float>::max();
   const float lov[3] = {lo.x, lo.y, lo.z};
   const float hiv[3] = {hi.x, hi.y, hi.z};
   for (int axis = 0; axis < 3; ++axis) {

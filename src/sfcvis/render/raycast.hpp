@@ -128,7 +128,8 @@ inline void fold_ray_stats(const RayStats& s, std::uint64_t tiles = 1) {
 }
 
 /// Slab-method ray/axis-aligned-box intersection; returns the [t_enter,
-/// t_exit] parameter interval clipped to t >= 0, or nullopt on a miss.
+/// t_exit] parameter interval clipped to t >= 0, or nullopt on a miss and
+/// for a ray with a non-finite origin or a zero or non-finite direction.
 [[nodiscard]] std::optional<std::pair<float, float>> intersect_box(const Ray& ray, Vec3 lo,
                                                                    Vec3 hi) noexcept;
 

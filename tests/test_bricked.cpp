@@ -19,6 +19,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sfcvis/core/brick_file.hpp"
@@ -528,12 +529,24 @@ TEST(BrickedFacade, KindParsesAndMakeVolumeRefuses) {
 
 TEST(BrickedFacade, AnyVolumeForwardsAndStaysReadOnly) {
   TempBrickFile file({16, 16, 8}, four_brick_opts());
+  // Writable access through either mode is a reported logic error. A write
+  // would fault on the read-only map, or land in the shared stream cache
+  // where later reads would return it.
+  for (const std::size_t cache : {std::size_t{0}, 2 * file.info.brick_bytes()}) {
+    BrickOpenOptions opts;
+    opts.cache_bytes = cache;  // 0 = mmap, else a two-slot stream cache
+    AnyVolume written{BrickedVolume::open(file.str(), opts)};
+    EXPECT_THROW((void)written.at(3, 0, 0), std::logic_error) << cache;
+    EXPECT_THROW((void)written.as_bricked().at(3, 0, 0), std::logic_error) << cache;
+    EXPECT_EQ(std::as_const(written).at(3, 0, 0), field(3, 0, 0)) << cache;
+  }
+
   AnyVolume vol{BrickedVolume::open(file.str())};
   EXPECT_EQ(vol.kind(), LayoutKind::kBricked);
   EXPECT_STREQ(vol.layout_name(), "bricked");
   EXPECT_EQ(vol.extents().nx, 16u);
   EXPECT_EQ(vol.size(), std::size_t{16 * 16 * 8});
-  EXPECT_EQ(vol.at(4, 9, 2), field(4, 9, 2));
+  EXPECT_EQ(std::as_const(vol).at(4, 9, 2), field(4, 9, 2));
   // data() is an identity sentinel, not element storage — but it must be
   // stable (StructureCache keys on it) and distinct per backend.
   EXPECT_NE(vol.data(), nullptr);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <filesystem>
@@ -18,6 +19,7 @@
 #include "sfcvis/core/grid.hpp"
 #include "sfcvis/core/traced_view.hpp"
 #include "sfcvis/core/volume.hpp"
+#include "sfcvis/verify/rng.hpp"
 
 namespace core = sfcvis::core;
 
@@ -36,12 +38,17 @@ float tag(std::uint32_t i, std::uint32_t j, std::uint32_t k) {
          1000000.0f * static_cast<float>(k);
 }
 
-/// Per-axis probe coordinates: below the volume, the low border, the
+/// Brick edge of the packed test volumes below.
+constexpr std::uint32_t kBrickEdge = 8;
+
+/// Per-axis probe coordinates: below the volume, the low border, the last
+/// voxel of the first brick (its +1 neighbour lies in the next brick), the
 /// interior, the last two voxels (n - 1 clamps its +1 neighbour) and past
-/// the end. Their product covers interior, face, edge and corner cells.
+/// the end. Their product covers interior, face, edge and corner cells,
+/// and cells that cross a brick face, edge or corner.
 std::vector<std::int64_t> probes(std::uint32_t n) {
   const auto m = static_cast<std::int64_t>(n);
-  return {-1, 0, m / 2, m - 2, m - 1, m + 2};
+  return {-1, 0, kBrickEdge - 1, m / 2, m - 2, m - 1, m + 2};
 }
 
 /// The eight reads a cell load replaces, spelled out in corner order.
@@ -179,7 +186,7 @@ struct TempBricks {
     core::AnyVolume src = core::make_volume(core::LayoutKind::kArray, e);
     src.fill_from(tag);
     core::BrickPackOptions opts;
-    opts.brick_edge = 8;
+    opts.brick_edge = kBrickEdge;
     opts.inner_kind = inner;
     core::pack_brick_file(path.string(), src, opts);
   }
@@ -191,13 +198,16 @@ struct TempBricks {
   TempBricks& operator=(const TempBricks&) = delete;
 };
 
+/// Byte budget of a 4-slot stream cache over the test files.
+constexpr std::size_t kFourBricks = std::size_t{4} * kBrickEdge * kBrickEdge * kBrickEdge * 4;
+
 }  // namespace
 
 TEST(CellLoad, BrickedViewsMatchEightTaps) {
   for (const Extents3D& e : {kOdd, kCube}) {
     for (const auto inner : {core::LayoutKind::kArray, core::LayoutKind::kZOrder}) {
       const TempBricks file(e, inner);
-      for (const std::size_t cache : {std::size_t{0}, std::size_t{4} * 8 * 8 * 8 * 4}) {
+      for (const std::size_t cache : {std::size_t{0}, kFourBricks}) {
         core::BrickOpenOptions opts;
         opts.cache_bytes = cache;  // 0 = mmap; else a 4-brick stream cache
         const auto vol = core::BrickedVolume::open(file.path.string(), opts);
@@ -221,6 +231,51 @@ TEST(CellLoad, BrickedViewsMatchEightTaps) {
         EXPECT_EQ(cell_sink.addrs, tap_sink.addrs) << what;
         EXPECT_FALSE(cell_sink.addrs.empty()) << what;
       }
+    }
+  }
+}
+
+TEST(CellLoad, BrickedCellKeepsTheBrickCacheStreamOfEightTaps) {
+  // Two opens of one file get two independent caches: one serves view.cell,
+  // the other the eight at_clamped reads, over the same cell sequence. A
+  // random walk with occasional jumps revisits bricks through the view's
+  // 8-entry ring and the 4-slot LRU alike, crossing brick faces on the way.
+  const TempBricks file(kOdd, core::LayoutKind::kZOrder);
+  for (const std::size_t cache : {std::size_t{0}, kFourBricks}) {
+    core::BrickOpenOptions opts;
+    opts.cache_bytes = cache;  // 0 = mmap, where every acquire counts a hit
+    opts.prefetch_depth = 0;
+    const auto cell_vol = core::BrickedVolume::open(file.path.string(), opts);
+    const auto taps_vol = core::BrickedVolume::open(file.path.string(), opts);
+    const auto cell_view = core::make_read_view(cell_vol);
+    const auto taps_view = core::make_read_view(taps_vol);
+    sfcvis::verify::SplitMix64 rng(20);
+    const auto coord = [&](std::uint32_t n) {
+      return static_cast<std::int64_t>(rng.below(n + 2)) - 1;  // [-1, n]
+    };
+    std::int64_t i = 0, j = 0, k = 0;
+    for (int step = 0; step < 4000; ++step) {
+      if (rng.chance(5)) {
+        i = coord(kOdd.nx);
+        j = coord(kOdd.ny);
+        k = coord(kOdd.nz);
+      } else {
+        i = std::clamp<std::int64_t>(i + static_cast<std::int64_t>(rng.below(5)) - 2, -1, kOdd.nx);
+        j = std::clamp<std::int64_t>(j + static_cast<std::int64_t>(rng.below(5)) - 2, -1, kOdd.ny);
+        k = std::clamp<std::int64_t>(k + static_cast<std::int64_t>(rng.below(5)) - 2, -1, kOdd.nz);
+      }
+      ASSERT_EQ(cell_view.cell(i, j, k), eight_taps(taps_view, i, j, k))
+          << "cache " << cache << " at " << i << "," << j << "," << k;
+    }
+    const core::BrickCacheReport a = cell_vol.cache_report();
+    const core::BrickCacheReport b = taps_vol.cache_report();
+    EXPECT_EQ(a.hits, b.hits) << cache;
+    EXPECT_EQ(a.misses, b.misses) << cache;
+    EXPECT_EQ(a.evictions, b.evictions) << cache;
+    EXPECT_EQ(a.overflow_bricks, b.overflow_bricks) << cache;
+    EXPECT_EQ(a.eviction_log, b.eviction_log) << cache;
+    if (cache != 0) {
+      EXPECT_GT(a.evictions, 0u) << "the walk must cycle the 4-slot cache";
     }
   }
 }

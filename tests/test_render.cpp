@@ -8,6 +8,7 @@
 #include <fstream>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "sfcvis/exec/execution_context.hpp"
@@ -111,6 +112,26 @@ TEST(IntersectBox, DiagonalRayHits) {
                                           Vec3{0, 0, 0}, Vec3{2, 2, 2});
   ASSERT_TRUE(span.has_value());
   EXPECT_LT(span->first, span->second);
+}
+
+TEST(IntersectBox, DegenerateRaysMiss) {
+  // A zero or non-finite direction, or a non-finite origin, has no bounded
+  // span. Without the check the slab loop returns [0, FLT_MAX] for a zero
+  // direction from inside the box and for a NaN origin, and trace_ray then
+  // samples one point until t reaches FLT_MAX.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const Vec3 lo{0, 0, 0}, hi{1, 1, 1};
+  const Ray bad[] = {
+      Ray{{0.5f, 0.5f, 0.5f}, {0, 0, 0}}, Ray{{nan, 0.5f, 0.5f}, {0, 0, 0}},
+      Ray{{nan, nan, nan}, {1, 0, 0}},    Ray{{-inf, 0.5f, 0.5f}, {1, 0, 0}},
+      Ray{{-5, 0.5f, 0.5f}, {inf, 0, 0}}, Ray{{-5, 0.5f, 0.5f}, {1, nan, 0}},
+  };
+  for (const Ray& ray : bad) {
+    EXPECT_FALSE(render::intersect_box(ray, lo, hi).has_value())
+        << ray.origin.x << "," << ray.origin.y << "," << ray.origin.z << " dir " << ray.dir.x
+        << "," << ray.dir.y << "," << ray.dir.z;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -261,6 +282,26 @@ TEST(CameraTest, OrthographicRaysAreParallel) {
   const Ray b = cam.ray_for_pixel(63, 63, 64, 64);
   EXPECT_EQ(a.dir, b.dir);
   EXPECT_NE(a.origin, b.origin);  // offset origins instead
+}
+
+TEST(CameraTest, RejectsDegenerateGeometry) {
+  // Each of these makes forward or right (0, 0, 0) or NaN: every ray would
+  // get a zero or NaN direction.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const auto persp = Projection::kPerspective;
+  EXPECT_THROW(Camera({1, 2, 3}, {1, 2, 3}, {0, 1, 0}, 40.0f, persp), std::invalid_argument);
+  EXPECT_THROW(Camera({nan, 0, 5}, {0, 0, 0}, {0, 1, 0}, 40.0f, persp), std::invalid_argument);
+  EXPECT_THROW(Camera({0, 0, 5}, {0, inf, 0}, {0, 1, 0}, 40.0f, persp), std::invalid_argument);
+  EXPECT_THROW(Camera({0, 0, 5}, {0, 0, 0}, {0, nan, 0}, 40.0f, persp), std::invalid_argument);
+  EXPECT_THROW(Camera({0, 0, 5}, {0, 0, 0}, {0, 1, 0}, nan, persp), std::invalid_argument);
+  EXPECT_THROW(Camera({0, 0, 5}, {0, 0, 0}, {0, 1, 0}, 40.0f, Projection::kOrthographic, inf),
+               std::invalid_argument);
+  // up parallel or antiparallel to the view direction, or zero.
+  EXPECT_THROW(Camera({0, 0, 5}, {0, 0, 0}, {0, 0, 1}, 40.0f, persp), std::invalid_argument);
+  EXPECT_THROW(Camera({0, 0, 5}, {0, 0, 0}, {0, 0, -3}, 40.0f, persp), std::invalid_argument);
+  EXPECT_THROW(Camera({0, 0, 5}, {0, 0, 0}, {0, 0, 0}, 40.0f, persp), std::invalid_argument);
+  EXPECT_NO_THROW(Camera({0, 0, 5}, {0, 0, 0}, {0, 1, 1}, 40.0f, persp));
 }
 
 TEST(CameraTest, OrbitViewpointGeometry) {
@@ -505,6 +546,20 @@ TEST(Raycast, RejectsNonPositiveOrNonFiniteStep) {
   }
   EXPECT_NO_THROW(render::validate_step(0.5f));
   EXPECT_NO_THROW(render::validate_step(std::numeric_limits<float>::denorm_min()));
+}
+
+TEST(Raycast, ZeroDirectionRayReturnsBackground) {
+  // Ray is a public aggregate, so a caller can build a ray no Camera makes.
+  Grid3D<float, ArrayOrderLayout> g(Extents3D::cube(8));
+  const core::PlainView view(g);
+  const Ray ray{{3.5f, 3.5f, 3.5f}, {0, 0, 0}};
+  // Checked first: where intersect_box accepts the ray, trace_ray does not return.
+  ASSERT_FALSE(render::intersect_box(ray, Vec3{-0.5f, -0.5f, -0.5f}, Vec3{7.5f, 7.5f, 7.5f}));
+  render::RayStats stats;
+  const Rgba c = render::trace_ray(view, ray, TransferFunction::flame(), RenderConfig{},
+                                   nullptr, &stats);
+  EXPECT_EQ(bits(c), bits(Rgba{}));
+  EXPECT_EQ(stats.samples_taken, 0u);
 }
 
 // ---------------------------------------------------------------------------
