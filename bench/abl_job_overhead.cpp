@@ -122,10 +122,7 @@ int main(int argc, char** argv) {
   std::printf("replay parity: counters identical, output bit-identical\n\n");
 
   // -- 2. Wall clock: gradient via job path vs raw ctx dispatch ------------
-  exec::ExecOptions eopts;
-  eopts.threads = nthreads;
-  eopts.layout_registry.clear();
-  exec::ExecutionContext ctx(eopts);
+  exec::ExecutionContext ctx(nthreads);
 
   core::ArrayVolume gdst(e);
   const double t_job = bench_util::min_time_of(
@@ -168,7 +165,7 @@ int main(int argc, char** argv) {
   render::Image img1(image, image);
   render::Image img2(image, image);
 
-  exec::ExecutionContext rctx(eopts);  // fresh context -> cold StructureCache
+  exec::ExecutionContext rctx(nthreads);  // fresh context -> cold StructureCache
   exec::JobGraph& graph = rctx.jobs();
   const exec::JobId id1 =
       graph.submit(render::raycast_job(cpair.z, camera, tf, rconfig, img1));

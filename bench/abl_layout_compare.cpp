@@ -13,11 +13,9 @@
 // order), plus the native wall time, which for Hilbert includes its
 // per-access index cost — the trade-off Reissmann et al. observed.
 //
-// The tuned row's interleave comes from, in order of precedence:
-//   --tuned=<pattern>     an explicit interleave (both workloads);
-//   --registry=<path>     ExecutionContext::resolve_layout() against a
-//                         tuned-layout registry (tools/layout_tuner output);
-//   otherwise             a deterministic tuner::quick_search per workload.
+// The tuned row's interleave comes from --tuned=<pattern> (both
+// workloads; tools/layout_tuner prints a winner as gmorton:<pattern>), or
+// otherwise from a deterministic tuner::quick_search per workload.
 // A fourth table, abl_layout_tuned_cycles.csv, restates the tuned row's
 // memsim columns against canonical Z-order — fully deterministic, so
 // `tools/sfcreport.py gate` gates it ("lower": the tuned layout must keep
@@ -101,9 +99,8 @@ void emit(const char* workload, const std::vector<std::pair<std::string, Metrics
 }
 
 /// The interleave pattern the tuned row uses for `kernel`, with a
-/// provenance line for the log. Precedence: --tuned, --registry (through
-/// ExecutionContext::resolve_layout, reporting its fallback note when the
-/// registry has no matching entry), deterministic quick_search.
+/// provenance line for the log: --tuned when given, else the deterministic
+/// quick_search.
 std::string tuned_pattern(const std::string& kernel, const core::Extents3D& e,
                           const bench_util::Options& opts) {
   const std::string explicit_pattern = opts.get_string("tuned", "");
@@ -111,19 +108,6 @@ std::string tuned_pattern(const std::string& kernel, const core::Extents3D& e,
     std::printf("tuned[%s]: \"%s\" (--tuned)\n", kernel.c_str(),
                 explicit_pattern.c_str());
     return explicit_pattern;
-  }
-  const std::string registry = opts.get_string("registry", "");
-  if (!registry.empty()) {
-    exec::ExecOptions eo;
-    eo.threads = 1;
-    eo.layout_registry = registry;
-    exec::ExecutionContext ctx(eo);
-    const exec::ResolvedLayout resolved = ctx.resolve_layout(kernel, e);
-    std::printf("tuned[%s]: %s\n", kernel.c_str(), resolved.note.c_str());
-    if (resolved.tuned) {
-      return resolved.interleave;
-    }
-    // Fall through to the deterministic search when the registry misses.
   }
   const tuner::TunerResult r = tuner::quick_search(kernel, e);
   std::printf("tuned[%s]: \"%s\" (quick_search, fitness %.0f vs canonical %.0f)\n",

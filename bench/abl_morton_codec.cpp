@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sfcvis/core/hilbert.hpp"
-#include "sfcvis/core/indexer.hpp"
 #include "sfcvis/core/layout.hpp"
 #include "sfcvis/core/morton.hpp"
 
@@ -91,28 +90,6 @@ void BM_ZOrderAxisTables(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(coords().size()));
 }
 BENCHMARK(BM_ZOrderAxisTables);
-
-void BM_IndexerUnifiedArray(benchmark::State& state) {
-  const core::Indexer idx(core::Order::kArray, core::Extents3D::cube(kN));
-  for (auto _ : state) {
-    for (const auto& c : coords()) {
-      benchmark::DoNotOptimize(idx.getIndex(c.i, c.j, c.k));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(coords().size()));
-}
-BENCHMARK(BM_IndexerUnifiedArray);
-
-void BM_IndexerUnifiedZ(benchmark::State& state) {
-  const core::Indexer idx(core::Order::kZ, core::Extents3D::cube(kN));
-  for (auto _ : state) {
-    for (const auto& c : coords()) {
-      benchmark::DoNotOptimize(idx.getIndex(c.i, c.j, c.k));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(coords().size()));
-}
-BENCHMARK(BM_IndexerUnifiedZ);
 
 void BM_HilbertEncode(benchmark::State& state) {
   for (auto _ : state) {

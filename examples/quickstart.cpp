@@ -1,14 +1,14 @@
 // Quickstart: the sfcvis public API in ~80 lines.
 //
 //   1. build a Z-order volume through the runtime facade and fill it,
-//   2. use the paper-style runtime Indexer (getIndex) directly,
+//   2. compute the paper's getIndex offsets with the layout policies,
 //   3. run the bilateral filter and the raycaster on it,
 //   4. collect memory-system counters with the cache simulator.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
-#include "sfcvis/core/indexer.hpp"
+#include "sfcvis/core/layout.hpp"
 #include "sfcvis/core/volume.hpp"
 #include "sfcvis/data/combustion.hpp"
 #include "sfcvis/exec/execution_context.hpp"
@@ -28,12 +28,13 @@ int main() {
   std::printf("volume: %ux%ux%u, layout=%s, capacity=%zu elements\n", extents.nx,
               extents.ny, extents.nz, volume.layout_name(), volume.capacity());
 
-  // -- 2. The paper's runtime indexing facade (Sec. III-C). ----------------
-  // Both orders cost three table loads + two adds; only the layout differs.
-  const core::Indexer a_idx(core::Order::kArray, extents);
-  const core::Indexer z_idx(core::Order::kZ, extents);
+  // -- 2. The paper's per-voxel offsets (Sec. III-C getIndex). -------------
+  // Both layouts split an offset into per-axis terms: i + j*nx + k*nx*ny
+  // for array order, three table loads + two adds for Z-order.
+  const core::ArrayOrderLayout a_layout(extents);
+  const core::GeneralizedMortonLayout z_layout(extents);
   std::printf("getIndex(3,5,7): array-order=%zu  z-order=%zu\n",
-              a_idx.getIndex(3, 5, 7), z_idx.getIndex(3, 5, 7));
+              a_layout.index(3, 5, 7), z_layout.index(3, 5, 7));
 
   // -- 3a. Bilateral filter (structured access). ---------------------------
   // The ExecutionContext owns the thread count, the pthread worker pool and

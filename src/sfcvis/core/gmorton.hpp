@@ -26,8 +26,8 @@
 //    stepping reuses the masked ripple-add idiom of core/morton.hpp on
 //    arbitrary patterns (Holzmüller, arXiv:1710.06384).
 //
-// tools/layout_tuner searches this family per (kernel, shape, machine);
-// exec::LayoutRegistry persists the winners.
+// tools/layout_tuner searches this family per (kernel, shape, machine)
+// and prints the winner as a layout spec, "gmorton:<pattern>".
 #pragma once
 
 #include <cstdint>
@@ -106,7 +106,7 @@ class InterleavePattern {
 };
 
 /// Stable 64-bit FNV-1a hash of an interleave string — the per-layout
-/// salt StructureCache keys and registry lookups mix in so two
+/// salt StructureCache keys mix in so two
 /// generalized-Morton volumes with different patterns never share a
 /// derived-structure entry.
 [[nodiscard]] constexpr std::uint64_t interleave_hash(std::string_view pattern) noexcept {

@@ -3,8 +3,7 @@
 //
 // The study design (paper Sec. III-C) requires that swapping the layout is
 // transparent to the kernels: all four policies satisfy the Layout3D
-// concept below, and kernels are templated on the policy (or use the
-// runtime Indexer facade in indexer.hpp).
+// concept below, and kernels are templated on the policy.
 //
 //  * ArrayOrderLayout        — classic row-major: the unpadded control.
 //  * GeneralizedMortonLayout — any per-axis bit interleave (core/gmorton.hpp);

@@ -1,8 +1,6 @@
 #include "sfcvis/exec/execution_context.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <stdexcept>
 #include <thread>
 
 #include "sfcvis/trace/trace.hpp"
@@ -29,11 +27,6 @@ unsigned resolve_threads(unsigned requested) {
 
 }  // namespace
 
-std::string ExecOptions::default_layout_registry_path() {
-  const char* env = std::getenv("SFCVIS_LAYOUT_REGISTRY");
-  return env != nullptr ? std::string(env) : std::string();
-}
-
 ExecutionContext::ExecutionContext(unsigned num_threads)
     : ExecutionContext(num_threads, threads::Affinity::kNone) {}
 
@@ -57,19 +50,6 @@ ExecutionContext::ExecutionContext(const ExecOptions& opts, bool replay)
     trace_session_ =
         std::make_unique<TraceSession>(opts.trace_out, opts.report_out, opts.trace);
   }
-  if (opts.layout_registry.empty()) {
-    layout_registry_note_ =
-        "no layout registry configured (set SFCVIS_LAYOUT_REGISTRY or "
-        "ExecOptions::layout_registry)";
-  } else {
-    try {
-      layout_registry_ = LayoutRegistry::load(opts.layout_registry);
-      layout_registry_note_ = "loaded " + std::to_string(layout_registry_.size()) +
-                              " tuned layout(s) from " + opts.layout_registry;
-    } catch (const std::runtime_error& ex) {
-      layout_registry_note_ = std::string("layout registry unavailable: ") + ex.what();
-    }
-  }
 }
 
 ExecutionContext::~ExecutionContext() = default;
@@ -77,7 +57,6 @@ ExecutionContext::~ExecutionContext() = default;
 ExecutionContext make_replay_context(unsigned threads) {
   ExecOptions opts;
   opts.threads = threads;
-  opts.layout_registry.clear();
   return ExecutionContext(opts, /*replay=*/true);
 }
 
@@ -119,27 +98,6 @@ std::size_t ExecutionContext::curve_chunks(std::size_t logical_size,
   return std::max<std::size_t>(
       1, num_threads_ * kChunksPerThread * padded_capacity /
              std::max<std::size_t>(1, logical_size));
-}
-
-ResolvedLayout ExecutionContext::resolve_layout(std::string_view kernel,
-                                                const core::Extents3D& extents,
-                                                std::string_view platform) const {
-  ResolvedLayout out;
-  const std::string shape = shape_key(extents);
-  if (const TunedLayout* entry = layout_registry_.find(kernel, shape, platform)) {
-    out.kind = core::LayoutKind::kGMorton;
-    out.interleave = entry->interleave;
-    out.tuned = true;
-    out.note = "tuned layout for (" + entry->kernel + ", " + entry->shape + ", " +
-               entry->platform + "): \"" + entry->interleave + "\"";
-    return out;
-  }
-  out.kind = core::LayoutKind::kZOrder;
-  out.tuned = false;
-  out.note = "no tuned entry for (" + std::string(kernel) + ", " + shape + ", " +
-             (platform.empty() ? "any" : std::string(platform)) +
-             "); falling back to canonical z-order — " + layout_registry_note_;
-  return out;
 }
 
 core::AnyVolume ExecutionContext::open_bricked(const std::string& path,

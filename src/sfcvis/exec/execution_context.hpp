@@ -26,13 +26,11 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
 #include "sfcvis/core/volume.hpp"
 #include "sfcvis/exec/job_graph.hpp"
-#include "sfcvis/exec/layout_registry.hpp"
 #include "sfcvis/exec/structure_cache.hpp"
 #include "sfcvis/exec/trace_session.hpp"
 #include "sfcvis/threads/pool.hpp"
@@ -60,23 +58,8 @@ struct ExecOptions {
   std::string trace_out;        ///< Chrome trace JSON path ("" = off)
   std::string report_out;       ///< run-report JSON path ("" = off)
   bool trace = false;           ///< enable spans without export files
-  /// Tuned-layout registry JSON path; "" = $SFCVIS_LAYOUT_REGISTRY (and
-  /// when that is unset too, resolve_layout always reports a fallback).
-  std::string layout_registry = default_layout_registry_path();
-
-  /// $SFCVIS_LAYOUT_REGISTRY when set, else "".
-  [[nodiscard]] static std::string default_layout_registry_path();
-};
-
-/// resolve_layout()'s answer: which layout a workload should run with,
-/// and why. `tuned` distinguishes a registry hit from the canonical
-/// fallback; `note` always explains the decision (entry provenance on a
-/// hit, the miss/load-failure reason otherwise).
-struct ResolvedLayout {
-  core::LayoutKind kind = core::LayoutKind::kZOrder;
-  std::string interleave;  ///< gmorton pattern when kind == kGMorton
-  bool tuned = false;
-  std::string note;
+  /// Ignored: stays only because the end-to-end bench (bench/e2e) clears it.
+  std::string layout_registry;
 };
 
 class ExecutionContext {
@@ -176,26 +159,6 @@ class ExecutionContext {
   [[nodiscard]] core::AnyVolume open_bricked(const std::string& path,
                                              std::uint32_t prefetch_depth = 2);
 
-  // -- Tuned layouts ---------------------------------------------------------
-
-  /// The layout this workload should use: the registry's tuned
-  /// generalized-Morton entry for (kernel, extents, platform) when one
-  /// exists, else canonical Z-order with a note reporting the fallback
-  /// reason. An empty `platform` accepts an entry for any platform.
-  [[nodiscard]] ResolvedLayout resolve_layout(std::string_view kernel,
-                                              const core::Extents3D& extents,
-                                              std::string_view platform = {}) const;
-
-  /// The loaded registry (empty when no path was configured or the load
-  /// failed; layout_registry_note() reports which).
-  [[nodiscard]] const LayoutRegistry& layout_registry() const noexcept {
-    return layout_registry_;
-  }
-  /// Where the registry came from, or why it is empty.
-  [[nodiscard]] const std::string& layout_registry_note() const noexcept {
-    return layout_registry_note_;
-  }
-
  private:
   friend ExecutionContext make_replay_context(unsigned threads);
   ExecutionContext(const ExecOptions& opts, bool replay);
@@ -218,8 +181,6 @@ class ExecutionContext {
   StructureCache structures_;
   std::unique_ptr<JobGraph> jobs_;
   std::unique_ptr<TraceSession> trace_session_;
-  LayoutRegistry layout_registry_;
-  std::string layout_registry_note_;
 };
 
 /// The synchronous driver path every kernel entry point keeps: submit on
@@ -234,8 +195,7 @@ inline void run_job(ExecutionContext& ctx, KernelJob job) {
 /// and prep-stage structure builds alike — goes in item order on the
 /// calling thread, item i on worker i % size(), so no pool is ever
 /// created; size() and curve_chunks() still describe `threads` workers,
-/// so job builders decompose exactly as for a native run. No layout
-/// registry is loaded.
+/// so job builders decompose exactly as for a native run.
 [[nodiscard]] ExecutionContext make_replay_context(unsigned threads);
 
 /// Publishes a bricked volume's cache-counter deltas since the previous

@@ -144,19 +144,6 @@ void GranularityCounters::record(std::uint64_t distance, std::uint64_t weight) {
   miss_rank_[rank] += weight;
 }
 
-std::uint64_t GranularityCounters::misses_at(std::uint64_t capacity_granules) const {
-  const auto it = std::lower_bound(ladder_.begin(), ladder_.end(), capacity_granules);
-  if (it == ladder_.end() || *it != capacity_granules) {
-    throw std::invalid_argument("locality: capacity is not on the pinned MRC ladder");
-  }
-  const std::size_t i = static_cast<std::size_t>(it - ladder_.begin());
-  std::uint64_t misses = cold_;
-  for (std::size_t j = i + 1; j < miss_rank_.size(); ++j) {
-    misses += miss_rank_[j];
-  }
-  return misses;
-}
-
 trace::LocalityGranularity GranularityCounters::finish(std::uint32_t granule_bytes,
                                                        std::uint64_t distinct,
                                                        double utilization) const {
@@ -215,21 +202,14 @@ std::vector<std::uint64_t> granule_ladder(const std::vector<std::uint64_t>& capa
   return granules;
 }
 
-std::vector<std::uint64_t> line_ladder_for(const LocalityConfig& config) {
-  std::vector<std::uint64_t> capacities = line_capacity_ladder();
-  capacities.insert(capacities.end(), config.extra_line_capacities.begin(),
-                    config.extra_line_capacities.end());
-  return granule_ladder(capacities, config.line_bytes);
-}
-
 }  // namespace
 
 LocalityProfiler::LocalityProfiler(LocalityConfig config)
     : config_(std::move(config)),
-      line_counters_(line_ladder_for(config_)),
+      line_counters_(granule_ladder(line_capacity_ladder(), config_.line_bytes)),
       page_counters_(page_entry_ladder()),
       sampled_stack_(config_.sample_rate_log2),
-      sampled_counters_(line_ladder_for(config_)) {
+      sampled_counters_(granule_ladder(line_capacity_ladder(), config_.line_bytes)) {
   if (!std::has_single_bit(config_.line_bytes) || config_.line_bytes < 8 ||
       config_.line_bytes > 64) {
     throw std::invalid_argument("locality: line_bytes must be a power of two in [8, 64]");
@@ -278,13 +258,6 @@ void LocalityProfiler::access(std::uint64_t addr, std::uint32_t bytes) {
       page_counters_.record(page_stack_.touch(page), 1);
     }
   }
-}
-
-std::uint64_t LocalityProfiler::miss_estimate(std::uint64_t capacity_bytes) const {
-  const std::uint64_t granules =
-      std::max<std::uint64_t>(1, capacity_bytes / config_.line_bytes);
-  return config_.sampled ? sampled_counters_.misses_at(granules)
-                         : line_counters_.misses_at(granules);
 }
 
 trace::LocalityProfile LocalityProfiler::profile(std::string kernel,

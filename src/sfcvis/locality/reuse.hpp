@@ -19,8 +19,7 @@
 //  * SampledReuseStack — SHARDS-style fixed-rate spatial sampling (Waldspurger
 //                        et al., FAST'15): only granules whose hash passes a
 //                        1/2^k filter are tracked, distances and counts are
-//                        scaled by 2^k. Hash-based, therefore deterministic —
-//                        the cheap fitness signal the layout tuner uses.
+//                        scaled by 2^k. Hash-based, therefore deterministic.
 #pragma once
 
 #include <array>
@@ -113,9 +112,6 @@ class GranularityCounters {
                                                   std::uint64_t distinct,
                                                   double utilization) const;
 
-  /// Misses at one pinned capacity (in granules; must be a ladder entry).
-  [[nodiscard]] std::uint64_t misses_at(std::uint64_t capacity_granules) const;
-
   [[nodiscard]] std::uint64_t accesses() const noexcept { return accesses_; }
   [[nodiscard]] std::uint64_t cold() const noexcept { return cold_; }
 
@@ -138,10 +134,6 @@ struct LocalityConfig {
   bool exact = true;    ///< exact line+page stacks and line utilization
   bool sampled = true;  ///< SHARDS sampled line stack
   unsigned threads = 1; ///< simulated thread count (SinkProvider surface)
-  /// Extra line-MRC capacities (bytes) evaluated exactly in addition to
-  /// the pinned ladder — the tuner adds the scaled platform's last
-  /// private level here so its fitness reads straight off the curve.
-  std::vector<std::uint64_t> extra_line_capacities;
 };
 
 /// The locality observatory's front end: an AccessSink (feed it a traced
@@ -167,12 +159,6 @@ class LocalityProfiler {
   };
   [[nodiscard]] unsigned num_threads() const noexcept { return config_.threads; }
   [[nodiscard]] Sink sink(unsigned /*tid*/) noexcept { return Sink(this); }
-
-  /// Estimated miss count of a fully-associative LRU cache of
-  /// `capacity_bytes` at line granularity, read from the sampled (if
-  /// enabled) or exact curve. `capacity_bytes` must be on the pinned
-  /// ladder or in config.extra_line_capacities.
-  [[nodiscard]] std::uint64_t miss_estimate(std::uint64_t capacity_bytes) const;
 
   /// Folds everything into the report slice; `kernel`/`layout` label it.
   [[nodiscard]] trace::LocalityProfile profile(std::string kernel,

@@ -25,9 +25,11 @@ Camera::Camera(Vec3 eye, Vec3 target, Vec3 up, float vfov_deg, Projection projec
         "Camera: eye, target, up, vfov_deg and ortho_half_height must be finite");
   }
   // A zero forward or right vector would give every ray direction (0, 0, 0),
-  // whose box span is unbounded.
+  // whose box span is unbounded. Orthographic rays take forward_ as their
+  // direction, which intersect_box accepts only when it is unit length; a
+  // target - eye whose squared length is subnormal does not normalize to 1.
   forward_ = normalized(target - eye);
-  if (forward_ == Vec3{} || !finite(forward_)) {
+  if (!is_unit(forward_)) {
     throw std::invalid_argument(
         "Camera: eye and target must be distinct (target - eye must normalize)");
   }

@@ -19,13 +19,12 @@ std::optional<std::pair<float, float>> intersect_box(const Ray& ray, Vec3 lo,
                                                      Vec3 hi) noexcept {
   const float o[3] = {ray.origin.x, ray.origin.y, ray.origin.z};
   const float d[3] = {ray.dir.x, ray.dir.y, ray.dir.z};
-  // A zero or non-finite direction, or a non-finite origin, has no
-  // bounded span: trace_ray would sample one point up to FLT_MAX times.
-  bool finite = true;
-  for (int axis = 0; axis < 3; ++axis) {
-    finite = finite && std::isfinite(o[axis]) && std::isfinite(d[axis]);
-  }
-  if (!finite || (d[0] == 0.0f && d[1] == 0.0f && d[2] == 0.0f)) {
+  // trace_ray steps RenderConfig::step voxels along t only for a unit
+  // direction. A zero, tiny or non-finite direction, or a non-finite
+  // origin, has no bounded sample count: (1e-30, 0, 0) spans [0, 4e30] in
+  // an 8^3 box.
+  const bool finite_origin = std::isfinite(o[0]) && std::isfinite(o[1]) && std::isfinite(o[2]);
+  if (!finite_origin || !is_unit(ray.dir)) {
     return std::nullopt;
   }
   float t0 = 0.0f;  // clip to the forward half of the ray

@@ -128,8 +128,9 @@ inline void fold_ray_stats(const RayStats& s, std::uint64_t tiles = 1) {
 }
 
 /// Slab-method ray/axis-aligned-box intersection; returns the [t_enter,
-/// t_exit] parameter interval clipped to t >= 0, or nullopt on a miss and
-/// for a ray with a non-finite origin or a zero or non-finite direction.
+/// t_exit] parameter interval clipped to t >= 0, or nullopt on a miss, for
+/// a non-finite origin, and for a direction that is not is_unit() (zero,
+/// tiny, non-finite or unnormalized).
 [[nodiscard]] std::optional<std::pair<float, float>> intersect_box(const Ray& ray, Vec3 lo,
                                                                    Vec3 hi) noexcept;
 
@@ -221,6 +222,10 @@ namespace detail {
 /// With `cells` non-null the ray walks the macrocell DDA and skips
 /// provably irrelevant cells; the composited sample sequence (positions
 /// and float arithmetic) is identical to the dense path.
+///
+/// Precondition: ray.dir is unit length, as every Camera ray is, so that
+/// config.step is a distance in voxels. Any other direction is rejected by
+/// intersect_box and renders transparent.
 template <core::ReadView3D View>
 [[nodiscard]] Rgba trace_ray(const View& view, const Ray& ray, const TransferFunction& tf,
                              const RenderConfig& config,

@@ -38,7 +38,14 @@ struct Vec3 {
   return len > 0.0f ? v * (1.0f / len) : Vec3{};
 }
 
-/// A ray: origin plus unit direction.
+/// True when v's squared length is within 1e-3 of 1: a unit vector up to
+/// float rounding. False for zero, tiny and non-finite vectors.
+[[nodiscard]] inline bool is_unit(Vec3 v) noexcept {
+  return std::abs(dot(v, v) - 1.0f) <= 1e-3f;
+}
+
+/// A ray: origin plus unit direction. The direction must be is_unit():
+/// trace_ray steps along it in voxels, and intersect_box rejects any other.
 struct Ray {
   Vec3 origin;
   Vec3 dir;

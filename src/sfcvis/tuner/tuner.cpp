@@ -3,13 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sfcvis/bench_util/stats.hpp"
-#include "sfcvis/exec/execution_context.hpp"
-#include "sfcvis/filters/bilateral.hpp"
 #include "sfcvis/locality/profile.hpp"
-#include "sfcvis/locality/reuse.hpp"
 #include "sfcvis/memsim/hierarchy.hpp"
-#include "sfcvis/render/raycast.hpp"
 #include "sfcvis/verify/rng.hpp"
 
 namespace sfcvis::tuner {
@@ -72,14 +67,6 @@ FitnessEvaluator::FitnessEvaluator(const TunerConfig& config)
     throw std::invalid_argument("layout tuner: unknown kernel \"" + config_.kernel +
                                 "\" (want bilateral or raycast)");
   }
-  if (config_.fitness != "memsim" && config_.fitness != "sampled-mrc") {
-    throw std::invalid_argument("layout tuner: unknown fitness \"" + config_.fitness +
-                                "\" (want memsim or sampled-mrc)");
-  }
-  if (config_.fitness == "sampled-mrc" && platform_.private_levels.empty()) {
-    throw std::invalid_argument(
-        "layout tuner: sampled-mrc fitness needs a platform with private cache levels");
-  }
   locality::fill_workload_volume(master_, config_.kernel);
 }
 
@@ -94,29 +81,10 @@ const Candidate& FitnessEvaluator::evaluate(const std::string& pattern) {
   volume.copy_from(master_);
   Candidate c;
   c.pattern = pattern;
-  if (config_.fitness == "sampled-mrc") {
-    // Cheap signal: SHARDS-sampled reuse distances only — no cache model.
-    // Fitness is the estimated miss count at the scaled platform's last
-    // private level, i.e. the sampled MRC read at the capacity whose
-    // escapes the memsim fitness charges memory latency for.
-    const memsim::CacheConfig& last_private = platform_.private_levels.back();
-    locality::LocalityConfig lconfig;
-    lconfig.exact = false;
-    lconfig.sampled = true;
-    lconfig.threads = config_.threads;
-    lconfig.line_bytes = last_private.line_bytes;
-    lconfig.extra_line_capacities = {last_private.size_bytes};
-    locality::LocalityProfiler profiler(std::move(lconfig));
-    locality::replay_workload(volume, workload_of(config_), profiler);
-    const std::uint64_t misses = profiler.miss_estimate(last_private.size_bytes);
-    c.fitness = static_cast<double>(misses);
-    c.escapes = misses;
-  } else {
-    memsim::Hierarchy hierarchy(platform_, config_.threads);
-    locality::replay_workload(volume, workload_of(config_), hierarchy);
-    c.fitness = static_cast<double>(hierarchy.modeled_cycles_max());
-    c.escapes = hierarchy.counter(kEscapeCounter);
-  }
+  memsim::Hierarchy hierarchy(platform_, config_.threads);
+  locality::replay_workload(volume, workload_of(config_), hierarchy);
+  c.fitness = static_cast<double>(hierarchy.modeled_cycles_max());
+  c.escapes = hierarchy.counter(kEscapeCounter);
   return cache_.emplace(pattern, std::move(c)).first->second;
 }
 
@@ -215,47 +183,6 @@ TunerResult quick_search(const std::string& kernel, const core::Extents3D& exten
   config.trace_image = 24;
   config.seed = 7;
   return search(config);
-}
-
-double measure_wallclock(const TunerConfig& config, core::LayoutKind kind,
-                         const std::string& interleave, unsigned threads, unsigned reps) {
-  core::VolumeOpts opts;
-  opts.interleave = interleave;
-  core::AnyVolume volume = core::make_volume(kind, config.extents, opts);
-  locality::fill_workload_volume(volume, config.kernel);
-  exec::ExecutionContext ctx(threads);
-  if (config.kernel == "bilateral") {
-    core::ArrayVolume dst(config.extents);
-    return bench_util::min_time_of(reps, [&] {
-      filters::bilateral_parallel(volume, dst, locality::workload_bilateral_params(), ctx);
-    });
-  }
-  const render::Camera camera = locality::workload_raycast_camera(config.extents);
-  const auto tf = render::TransferFunction::flame();
-  // Wall-clock validation renders a real image (4x the traced edge, at
-  // least 64) so the measurement is not dominated by setup.
-  const std::uint32_t image = std::max<std::uint32_t>(64, config.trace_image * 4);
-  const render::RenderConfig rc = locality::workload_raycast_config(image);
-  return bench_util::min_time_of(reps, [&] {
-    (void)render::raycast_parallel(volume, camera, tf, rc, ctx);
-  });
-}
-
-exec::TunedLayout to_registry_entry(const TunerConfig& config, const TunerResult& result) {
-  exec::TunedLayout entry;
-  entry.kernel = config.kernel;
-  entry.shape = exec::shape_key(config.extents);
-  entry.platform = config.platform_name;
-  entry.interleave = result.best.pattern;
-  entry.fitness = result.best.fitness;
-  entry.baseline_fitness = result.canonical_z.fitness;
-  entry.generations = config.generations;
-  entry.seed = config.seed;
-  entry.note = config.fitness + " " + config.platform_name + "/" +
-               std::to_string(config.cache_scale) + "x-scaled, " +
-               std::to_string(config.threads) + " modeled threads, " +
-               std::to_string(result.evaluations) + " evaluations";
-  return entry;
 }
 
 }  // namespace sfcvis::tuner

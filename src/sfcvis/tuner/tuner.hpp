@@ -11,9 +11,9 @@
 // Fitness is the deterministic memsim replay (memsim::Hierarchy modeled
 // stall cycles on a capped trace prefix) — cheap, machine-independent, and
 // bit-reproducible, so CI can re-run a search and get the identical
-// winner. Hardware validation (wall clock of the native parallel kernel)
-// is a separate, optional step on the finalists only; tools/layout_tuner
-// orchestrates both and writes winners into exec::LayoutRegistry.
+// winner. The winner is named by its layout spec, "gmorton:<pattern>"
+// (core::parse_layout_spec); tools/layout_tuner prints it and
+// bench/abl_layout_compare --tuned=<pattern> times it on hardware.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "sfcvis/core/volume.hpp"
-#include "sfcvis/exec/layout_registry.hpp"
 #include "sfcvis/memsim/platforms.hpp"
 
 namespace sfcvis::tuner {
@@ -42,23 +41,13 @@ struct TunerConfig {
   std::uint32_t survivors = 4;     ///< mu: elites kept between generations
   std::uint32_t generations = 8;
   std::uint64_t seed = 1;  ///< SplitMix64 search seed (fully deterministic)
-  /// Fitness signal: "memsim" replays through the full modeled hierarchy
-  /// (fitness = modeled stall cycles); "sampled-mrc" replays through the
-  /// SHARDS-sampled reuse-distance profiler only (fitness = estimated
-  /// misses at the scaled platform's last private level) — the same
-  /// ranking signal at a fraction of the per-candidate cost, since only
-  /// ~1/64 of the lines are tracked. Both are deterministic.
-  std::string fitness = "memsim";
 };
 
 /// One evaluated interleave pattern.
 struct Candidate {
   std::string pattern;
-  /// Lower is better: modeled stall cycles ("memsim") or estimated
-  /// last-private-level misses ("sampled-mrc").
-  double fitness = 0.0;
-  /// Reads the private stack could not serve: L2_DATA_READ_MISS_MEM_FILL
-  /// ("memsim") or the sampled miss estimate itself ("sampled-mrc").
+  double fitness = 0.0;  ///< modeled stall cycles; lower is better
+  /// Reads the private stack could not serve: L2_DATA_READ_MISS_MEM_FILL.
   std::uint64_t escapes = 0;
 };
 
@@ -105,17 +94,5 @@ class FitnessEvaluator {
 /// generations, capped trace, fixed seed. Same result every run.
 [[nodiscard]] TunerResult quick_search(const std::string& kernel,
                                        const core::Extents3D& extents);
-
-/// Wall-clock seconds (min over `reps`) of the native parallel kernel on a
-/// volume of `kind`/`interleave` — the hardware-validation step for
-/// finalists. Uses `threads` real threads.
-[[nodiscard]] double measure_wallclock(const TunerConfig& config, core::LayoutKind kind,
-                                       const std::string& interleave, unsigned threads,
-                                       unsigned reps);
-
-/// Packages a search result as a registry entry for (kernel, shape,
-/// platform).
-[[nodiscard]] exec::TunedLayout to_registry_entry(const TunerConfig& config,
-                                                  const TunerResult& result);
 
 }  // namespace sfcvis::tuner

@@ -54,12 +54,7 @@ float field(std::uint32_t i, std::uint32_t j, std::uint32_t k) {
          0.002f * static_cast<float>(k);
 }
 
-ExecutionContext make_ctx(unsigned threads) {
-  exec::ExecOptions opts;
-  opts.threads = threads;
-  opts.layout_registry.clear();
-  return ExecutionContext(opts);
-}
+ExecutionContext make_ctx(unsigned threads) { return ExecutionContext(threads); }
 
 KernelJob noop_job(JobDispatch dispatch, std::size_t tiles, const void* output = nullptr) {
   KernelJob job;

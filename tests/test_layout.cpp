@@ -1,12 +1,15 @@
 // Tests for the layout policies (src/sfcvis/core/layout.hpp; Z-order is the
 // canonical gmorton.hpp pattern): bijectivity, capacity, padding, and the
-// locality ordering the paper relies on.
+// locality ordering the paper relies on; and the extents helpers
+// (src/sfcvis/core/extents.hpp) they are built on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
+#include "sfcvis/core/extents.hpp"
 #include "sfcvis/core/gmorton.hpp"
 #include "sfcvis/core/layout.hpp"
 #include "sfcvis/core/morton.hpp"
@@ -159,7 +162,7 @@ TEST(ZOrder, DecodeInvertsIndex) {
 
 TEST(ZOrder, AdditionEqualsOrProperty) {
   // The per-axis deposited patterns are disjoint, so index() may combine
-  // them with + (as the unified Indexer does) or with | interchangeably.
+  // them with + (as GMortonTables::index does) or with | interchangeably.
   const Extents3D e{16, 16, 16};
   const core::GMortonTables tables(e, core::InterleavePattern::canonical(e));
   for (std::uint32_t i = 0; i < 16; ++i) {
@@ -322,4 +325,49 @@ TEST(Locality, ZOrderIsAxisSymmetricOnCubes) {
   const double ax = crossing_fraction(a, 0, n, kLineElems);
   const double az = crossing_fraction(a, 2, n, kLineElems);
   EXPECT_GT(az / ax, 10.0);
+}
+
+// ---------------------------------------------------------------------------
+// Extents helpers
+// ---------------------------------------------------------------------------
+
+TEST(Extents, NextPow2) {
+  EXPECT_EQ(core::next_pow2(0), 1u);
+  EXPECT_EQ(core::next_pow2(1), 1u);
+  EXPECT_EQ(core::next_pow2(2), 2u);
+  EXPECT_EQ(core::next_pow2(3), 4u);
+  EXPECT_EQ(core::next_pow2(511), 512u);
+  EXPECT_EQ(core::next_pow2(512), 512u);
+  EXPECT_EQ(core::next_pow2(513), 1024u);
+}
+
+TEST(Extents, SizeAndContains) {
+  const Extents3D e{3, 4, 5};
+  EXPECT_EQ(e.size(), 60u);
+  EXPECT_FALSE(e.empty());
+  EXPECT_TRUE(e.contains(2, 3, 4));
+  EXPECT_FALSE(e.contains(3, 0, 0));
+  EXPECT_FALSE(e.contains(0, 4, 0));
+  EXPECT_FALSE(e.contains(0, 0, 5));
+}
+
+TEST(Extents, IsPow2) {
+  EXPECT_TRUE((Extents3D{8, 16, 1}).is_pow2());
+  EXPECT_FALSE((Extents3D{8, 12, 16}).is_pow2());
+}
+
+TEST(Extents, SizeDoesNotOverflow32Bits) {
+  const Extents3D e{2048, 2048, 2048};
+  EXPECT_EQ(e.size(), std::size_t{1} << 33);
+}
+
+TEST(Extents, ValidateRejectsHugeAxes) {
+  EXPECT_THROW(core::validate_extents(Extents3D{(1u << 21) + 1, 1, 1}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(core::validate_extents(Extents3D{1u << 21, 1, 1}));
+}
+
+TEST(Extents, PaddedPow2) {
+  const auto p = core::padded_pow2(Extents3D{5, 9, 17});
+  EXPECT_EQ(p, (Extents3D{8, 16, 32}));
 }

@@ -245,7 +245,7 @@ TEST(LocalityOracle, MortonWalkOverRowMajorStorage) {
 }
 
 // ---------------------------------------------------------------------------
-// Profiler plumbing: sinks, extra capacities, miss_estimate.
+// Profiler plumbing: sinks and configuration checks.
 // ---------------------------------------------------------------------------
 
 TEST(LocalityProfiler, SinkProviderFunnelsIntoOneStream) {
@@ -260,24 +260,6 @@ TEST(LocalityProfiler, SinkProviderFunnelsIntoOneStream) {
   const trace::LocalityProfile p = profiler.profile("oracle", "sinks");
   EXPECT_EQ(p.accesses, 3u);
   EXPECT_EQ(p.line.distinct, 3u);
-}
-
-TEST(LocalityProfiler, ExtraCapacityIsEvaluatedExactly) {
-  LocalityConfig config;
-  config.sampled = false;
-  config.extra_line_capacities = {6 << 10};  // 96 lines: between 4KB and 8KB
-  LocalityProfiler profiler(config);
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::uint64_t i = 0; i < 100; ++i) {
-      profiler.access(kBase + i * 64, 4);
-    }
-  }
-  // Distance 99 >= 96 lines: the pass-2 accesses miss at 6KB too.
-  EXPECT_EQ(profiler.miss_estimate(6 << 10), 200u);
-  EXPECT_EQ(profiler.miss_estimate(8 << 10), 100u);  // pinned ladder still works
-  const trace::LocalityProfile p = profiler.profile("oracle", "extra");
-  EXPECT_DOUBLE_EQ(miss_at(p.line, 6 << 10), 1.0);
-  EXPECT_THROW((void)profiler.miss_estimate(5 << 10), std::invalid_argument);
 }
 
 TEST(LocalityProfiler, RejectsBadConfigs) {

@@ -8,7 +8,6 @@
 
 #include "sfcvis/exec/execution_context.hpp"
 #include "sfcvis/core/grid.hpp"
-#include "sfcvis/core/indexer.hpp"
 #include "sfcvis/core/layout.hpp"
 #include "sfcvis/core/morton.hpp"
 #include "sfcvis/data/combustion.hpp"
@@ -52,22 +51,6 @@ TEST_P(LayoutExtentsSweep, AllLayoutsBijectiveWithinCapacity) {
   check(core::GeneralizedMortonLayout(e));
   check(core::TiledLayout(e));
   check(core::HilbertLayout(e));
-}
-
-TEST_P(LayoutExtentsSweep, IndexerAgreesWithLayouts) {
-  const Extents3D e = GetParam();
-  const core::Indexer ia(core::Order::kArray, e);
-  const core::Indexer iz(core::Order::kZ, e);
-  const core::ArrayOrderLayout la(e);
-  const core::GeneralizedMortonLayout lz(e);
-  for (std::uint32_t k = 0; k < e.nz; ++k) {
-    for (std::uint32_t j = 0; j < e.ny; ++j) {
-      for (std::uint32_t i = 0; i < e.nx; ++i) {
-        ASSERT_EQ(ia.getIndex(i, j, k), la.index(i, j, k));
-        ASSERT_EQ(iz.getIndex(i, j, k), lz.index(i, j, k));
-      }
-    }
-  }
 }
 
 TEST_P(LayoutExtentsSweep, ZOrderPaddingIsTight) {

@@ -118,7 +118,9 @@ TEST(IntersectBox, DegenerateRaysMiss) {
   // A zero or non-finite direction, or a non-finite origin, has no bounded
   // span. Without the check the slab loop returns [0, FLT_MAX] for a zero
   // direction from inside the box and for a NaN origin, and trace_ray then
-  // samples one point until t reaches FLT_MAX.
+  // samples one point until t reaches FLT_MAX. A finite direction that is
+  // not unit length is rejected too: RenderConfig::step is in voxels only
+  // along a unit direction.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   const Vec3 lo{0, 0, 0}, hi{1, 1, 1};
@@ -126,6 +128,7 @@ TEST(IntersectBox, DegenerateRaysMiss) {
       Ray{{0.5f, 0.5f, 0.5f}, {0, 0, 0}}, Ray{{nan, 0.5f, 0.5f}, {0, 0, 0}},
       Ray{{nan, nan, nan}, {1, 0, 0}},    Ray{{-inf, 0.5f, 0.5f}, {1, 0, 0}},
       Ray{{-5, 0.5f, 0.5f}, {inf, 0, 0}}, Ray{{-5, 0.5f, 0.5f}, {1, nan, 0}},
+      Ray{{-5, 0.5f, 0.5f}, {2, 0, 0}},
   };
   for (const Ray& ray : bad) {
     EXPECT_FALSE(render::intersect_box(ray, lo, hi).has_value())
@@ -296,6 +299,9 @@ TEST(CameraTest, RejectsDegenerateGeometry) {
   EXPECT_THROW(Camera({0, 0, 5}, {0, 0, 0}, {0, nan, 0}, 40.0f, persp), std::invalid_argument);
   EXPECT_THROW(Camera({0, 0, 5}, {0, 0, 0}, {0, 1, 0}, nan, persp), std::invalid_argument);
   EXPECT_THROW(Camera({0, 0, 5}, {0, 0, 0}, {0, 1, 0}, 40.0f, Projection::kOrthographic, inf),
+               std::invalid_argument);
+  // target - eye so short that it normalizes to squared length 1.0195.
+  EXPECT_THROW(Camera({4, 4, 0}, {4, 4, 1e-22f}, {0, 1, 0}, 40.0f, Projection::kOrthographic, 4.0f),
                std::invalid_argument);
   // up parallel or antiparallel to the view direction, or zero.
   EXPECT_THROW(Camera({0, 0, 5}, {0, 0, 0}, {0, 0, 1}, 40.0f, persp), std::invalid_argument);
@@ -555,6 +561,19 @@ TEST(Raycast, ZeroDirectionRayReturnsBackground) {
   const Ray ray{{3.5f, 3.5f, 3.5f}, {0, 0, 0}};
   // Checked first: where intersect_box accepts the ray, trace_ray does not return.
   ASSERT_FALSE(render::intersect_box(ray, Vec3{-0.5f, -0.5f, -0.5f}, Vec3{7.5f, 7.5f, 7.5f}));
+  render::RayStats stats;
+  const Rgba c = render::trace_ray(view, ray, TransferFunction::flame(), RenderConfig{},
+                                   nullptr, &stats);
+  EXPECT_EQ(bits(c), bits(Rgba{}));
+  EXPECT_EQ(stats.samples_taken, 0u);
+}
+
+TEST(Raycast, TinyDirectionRayReturnsBackground) {
+  // Finite but far from unit length: its span in an 8^3 box would be
+  // [0, 4e30], and trace_ray at step 0.5 would not return.
+  Grid3D<float, ArrayOrderLayout> g(Extents3D::cube(8));
+  const core::PlainView view(g);
+  const Ray ray{{3.5f, 3.5f, 3.5f}, {1e-30f, 0, 0}};
   render::RayStats stats;
   const Rgba c = render::trace_ray(view, ray, TransferFunction::flame(), RenderConfig{},
                                    nullptr, &stats);

@@ -89,15 +89,6 @@ def valid_trace():
          "pid": 1, "tid": 1}]}
 
 
-def valid_registry():
-    return {"sfcvis_layout_registry": 1, "entries": [
-        {"kernel": "bilateral", "shape": "16x16x16", "platform": "generic",
-         "interleave": "xyzxyzxyzxyz", "fitness": 90.0,
-         "baseline_fitness": 100.0},
-        {"kernel": "raycast", "shape": "8x8x4", "platform": "generic",
-         "interleave": "xyzxyzxy"}]}
-
-
 # ---------------------------------------------------------------------------
 # Rejection fixtures: (name, valid artifact, mutation, required section)
 # ---------------------------------------------------------------------------
@@ -134,7 +125,6 @@ def both(*mutations):
 LINE = ("locality", "profiles", 0, "line")
 PROFILE = ("locality", "profiles", 0)
 JOB0 = ("jobs", "jobs", 0)
-ENTRY0 = ("entries", 0)
 
 REJECTIONS = [
     # Chrome trace
@@ -188,21 +178,6 @@ REJECTIONS = [
     ("job state not terminal", valid_report, put(*JOB0, "state", "running"), None),
     ("job ran more tiles than it has", valid_report, put(*JOB0, "tiles_run", 99), None),
     ("done job ran fewer tiles", valid_report, put(*JOB0, "tiles_run", 4), None),
-    # layout registry
-    ("registry entry not an object", valid_registry, put(*ENTRY0, 5), None),
-    ("registry entry missing key", valid_registry, drop(*ENTRY0, "platform"), None),
-    ("registry unknown kernel", valid_registry, put(*ENTRY0, "kernel", "median"), None),
-    ("registry malformed shape", valid_registry, put(*ENTRY0, "shape", "16x16"), None),
-    ("registry bad interleave chars", valid_registry,
-     put(*ENTRY0, "interleave", "xyzxyzxyzxyw"), None),
-    ("registry interleave bit count", valid_registry,
-     put(*ENTRY0, "interleave", "xyzxyzxyzxy"), None),
-    ("registry negative fitness", valid_registry, put(*ENTRY0, "fitness", -1.0), None),
-    ("registry winner worse than Z", valid_registry, put(*ENTRY0, "fitness", 110.0), None),
-    ("registry duplicate key", valid_registry,
-     put("entries", 1, valid_registry()["entries"][0]), None),
-    ("registry unsupported version", valid_registry, put("sfcvis_layout_registry", 2), None),
-    ("registry entries not an array", valid_registry, put("entries", {}), None),
 ]
 
 
@@ -260,8 +235,7 @@ class SfcreportCase(unittest.TestCase):
 class Validate(SfcreportCase):
     def test_valid_artifacts_pass_with_every_requirement(self):
         paths = [self.write("report.json", valid_report()),
-                 self.write("trace.json", valid_trace()),
-                 self.write("registry.json", valid_registry())]
+                 self.write("trace.json", valid_trace())]
         argv = ["validate"]
         for section in sfcreport.REQUIRABLE:
             argv += ["--require", section]
@@ -281,7 +255,7 @@ class Validate(SfcreportCase):
             self.assertEqual(self.run_tool("validate", "--require", section, path)[0], 1)
 
     def test_every_rejection_exits_1(self):
-        self.assertEqual(len(REJECTIONS), 52)
+        self.assertEqual(len(REJECTIONS), 41)
         for name, doc, require in rejection_fixtures():
             with self.subTest(name):
                 path = self.write("fixture.json", doc)
@@ -308,6 +282,17 @@ class Validate(SfcreportCase):
                 self.assertEqual(self.run_tool("validate", path)[0], 2)
                 self.assertEqual(self.run_tool("summarize", path)[0], 2)
 
+    def test_former_layout_registry_is_an_unknown_artifact(self):
+        # A tuned layout is named by its spec string (gmorton:<pattern>);
+        # the registry document that stored tuned patterns is no artifact.
+        path = self.write("registry.json", {"sfcvis_layout_registry": 1, "entries": [
+            {"kernel": "bilateral", "shape": "16x16x16", "platform": "generic",
+             "interleave": "xyzxyzxyzxyz"}]})
+        code, out = self.run_tool("validate", path)
+        self.assertEqual(code, 2, out)
+        self.assertIn("unknown artifact", out)
+        self.assertEqual(self.run_tool("diff", path, path)[0], 2)
+
     def test_bad_usage_exits_2(self):
         self.assertEqual(self.run_tool("validate", "--require", "nope", "x.json")[0], 2)
         self.assertEqual(self.run_tool()[0], 2)
@@ -319,13 +304,11 @@ class Summarize(SfcreportCase):
         doc["topdown"] = {"available": False, "source": "no PMU"}
         paths = [self.write("report.json", valid_report()),
                  self.write("report2.json", doc),
-                 self.write("trace.json", valid_trace()),
-                 self.write("registry.json", valid_registry())]
+                 self.write("trace.json", valid_trace())]
         code, out = self.run_tool("summarize", *paths)
         self.assertEqual(code, 0, out)
         for needle in ("retiring 40.0%", "hit rate 90.0%", "bilateral/z-order",
                        "#1", "tables: abl_demo", "1 spans",
-                       '"xyzxyzxyzxyz"  1.111x vs canonical',
                        "top-down: unavailable (no PMU)"):
             self.assertIn(needle, out)
 
@@ -390,9 +373,6 @@ class Diff(SfcreportCase):
         code, out = self.diff(snap, valid_report())
         self.assertEqual(code, 0, out)
         self.assertIn("brick-cache: only in current", out)
-
-    def test_registry_is_not_diffable(self):
-        self.assertEqual(self.diff(valid_registry(), valid_registry())[0], 2)
 
 
 class GateCompare(unittest.TestCase):

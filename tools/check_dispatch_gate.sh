@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Dispatch gate, two source-level rules over src/ bench/ examples/ tools/
-# (tests/ are exempt from both: they unit-test the primitives):
+# Dispatch gate, three source-level rules over src/ bench/ examples/ tools/
+# (tests/ are exempt from all three: they unit-test the primitives):
 #
 #  1. The raw threads::parallel_for* primitives may only be called from
 #     src/sfcvis/exec/ (the ExecutionContext / JobGraph dispatch layer) and
@@ -18,6 +18,11 @@
 #     driver. bench/abl_job_overhead.cpp is allowlisted: its hand-written
 #     direct replay loop is the reference the abl_job_model gate compares
 #     the job replay against.
+#  3. Nothing reads the process environment: no C library environment
+#     lookup anywhere, with no allowlist. The project's two environment
+#     variables (the backend choice and the tuned-layout registry path)
+#     were hidden settings that changed results without a flag; both were
+#     removed. A setting is an ExecOptions field or a command-line flag.
 #
 # Usage: check_dispatch_gate.sh [repo-root]   (defaults to the script's repo)
 set -u
@@ -50,9 +55,11 @@ check 'parallel_for(_static(_state)?|_dynamic)?[[:space:]]*\(' \
 check 'make_traced_view' \
   "make_traced_view outside src/sfcvis/core/ — replay the kernel's own job with core::traced_views through exec::JobGraph::replay instead of writing a traced twin:" \
   src/sfcvis/core/ bench/abl_job_overhead.cpp:
+check '[g]etenv' \
+  "environment reads — pass the setting as an ExecOptions field or a command-line flag instead:"
 
 if [ "$status" -eq 0 ]; then
   echo "dispatch gate OK: no direct parallel_for calls outside exec/ and threads/," \
-    "no make_traced_view outside core/"
+    "no make_traced_view outside core/, no environment reads"
 fi
 exit "$status"

@@ -1,22 +1,19 @@
 // layout_tuner: search the generalized-Morton family for the cheapest
-// interleave pattern per (kernel, shape, machine) and record winners in a
-// JSON registry ExecutionContext::resolve_layout() consults.
+// interleave pattern per (kernel, shape, machine) and print the winner as
+// a layout spec, gmorton:<pattern>.
 //
-//   layout_tuner --kernel=bilateral --size=64 --generations=8 --seed=1 \
-//                --registry-out=tuned_layouts.json
+//   layout_tuner --kernel=bilateral --size=64 --generations=8 --seed=1
 //
-// Fitness is a deterministic traced replay, so a given flag set reproduces
-// the identical search everywhere: --fitness=memsim (default) models the
-// full cache hierarchy (same platform model and counters as the ablation
-// benches); --fitness=sampled-mrc ranks candidates by the SHARDS-sampled
-// miss-ratio curve instead — the same ordering signal at a fraction of the
-// cost. --validate re-times the winner against canonical Z-order on real
-// hardware before the entry is written.
+// Fitness is a deterministic memsim replay (same platform model and
+// counters as the ablation benches), so a given flag set reproduces the
+// identical search everywhere. The printed spec is what
+// core::parse_layout_spec, locality_report --layouts= and
+// abl_layout_compare --tuned=<pattern> take; the last times it against
+// canonical Z-order on real hardware.
 #include <cstdio>
 #include <string>
 
 #include "sfcvis/bench_util/options.hpp"
-#include "sfcvis/exec/layout_registry.hpp"
 #include "sfcvis/tuner/tuner.hpp"
 
 namespace {
@@ -49,16 +46,11 @@ int main(int argc, char** argv) {
   config.survivors = opts.get_u32("survivors", 4);
   config.generations = opts.get_u32("generations", 8);
   config.seed = opts.get_u32("seed", 1);
-  config.fitness = opts.get_string("fitness", "memsim");
-  const std::string registry_out = opts.get_string("registry-out", "");
-  const bool validate = opts.get_flag("validate");
-  const unsigned validate_reps = opts.get_u32("validate-reps", 3);
-  const unsigned validate_threads = opts.get_u32("validate-threads", config.threads);
 
-  std::printf("layout_tuner: kernel=%s shape=%s platform=%s/%ux threads=%u fitness=%s\n",
-              config.kernel.c_str(), exec::shape_key(config.extents).c_str(),
-              config.platform_name.c_str(), config.cache_scale, config.threads,
-              config.fitness.c_str());
+  std::printf("layout_tuner: kernel=%s shape=%ux%ux%u platform=%s/%ux threads=%u\n",
+              config.kernel.c_str(), config.extents.nx, config.extents.ny,
+              config.extents.nz, config.platform_name.c_str(), config.cache_scale,
+              config.threads);
   std::printf("  search: population=%u survivors=%u generations=%u seed=%llu "
               "trace-items=%zu\n",
               config.population, config.survivors, config.generations,
@@ -82,38 +74,9 @@ int main(int argc, char** argv) {
   if (result.best.fitness > result.best_canonical.fitness) {
     std::fprintf(stderr,
                  "layout_tuner: search regressed below the canonical seeds — this "
-                 "cannot happen with elitist selection; refusing to write a registry\n");
+                 "cannot happen with elitist selection\n");
     return 1;
   }
-
-  if (validate) {
-    const double tuned_s = tuner::measure_wallclock(
-        config, core::LayoutKind::kGMorton, result.best.pattern, validate_threads,
-        validate_reps);
-    const double canon_s = tuner::measure_wallclock(config, core::LayoutKind::kZOrder, "",
-                                                    validate_threads, validate_reps);
-    std::printf("hardware validation (%u threads, min of %u): tuned %.4fs canonical "
-                "%.4fs -> %.3fx\n",
-                validate_threads, validate_reps, tuned_s, canon_s, canon_s / tuned_s);
-  }
-
-  if (!registry_out.empty()) {
-    exec::LayoutRegistry registry;
-    try {
-      registry = exec::LayoutRegistry::load(registry_out);
-      std::printf("merging into existing registry %s (%zu entries)\n",
-                  registry_out.c_str(), registry.size());
-    } catch (const std::exception&) {
-      // Start a fresh registry when the file does not exist yet.
-    }
-    registry.add(tuner::to_registry_entry(config, result));
-    try {
-      registry.save(registry_out);
-    } catch (const std::exception& ex) {
-      std::fprintf(stderr, "layout_tuner: %s\n", ex.what());
-      return 1;
-    }
-    std::printf("wrote %s (%zu entries)\n", registry_out.c_str(), registry.size());
-  }
+  std::printf("gmorton:%s\n", result.best.pattern.c_str());
   return 0;
 }

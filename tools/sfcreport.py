@@ -1,23 +1,21 @@
 #!/usr/bin/env python3
 """Validate, summarize, diff and gate sfcvis run artifacts.
 
-Four artifact kinds, detected by their top-level keys:
+Three artifact kinds, detected by their top-level keys:
   * run report      "sfcvis_run_report" (trace::run_report_json, written by
                     --report-out= on benches, examples and tools)
   * Chrome trace    "traceEvents" (trace::chrome_trace_json, --trace-out=;
                     loadable in Perfetto)
   * bench snapshot  "tables" + "directions" (BENCH_<sha>.json written by
                     `gate`, and the committed bench/BENCH_baseline.json)
-  * layout registry "sfcvis_layout_registry" (tools/layout_tuner; read by
-                    exec::ExecutionContext::resolve_layout, DESIGN.md Sec. 9)
 
 Subcommands:
   validate [--require SECTION]... FILE...
-      Checks the structural invariants of run reports, traces and
-      registries. --require brick-cache, locality or jobs also fails a run
-      report whose section is missing or unavailable.
+      Checks the structural invariants of run reports and traces.
+      --require brick-cache, locality or jobs also fails a run report
+      whose section is missing or unavailable.
   summarize FILE...
-      Prints a human-readable breakdown of each report, trace or registry.
+      Prints a human-readable breakdown of each report or trace.
   diff [--advisory] BASE CURRENT
       Compares every cell two run reports or snapshots share: result
       tables, top-down slot ratios, bricked.* totals, and locality miss-
@@ -81,10 +79,6 @@ REQUIRABLE = ("brick-cache", "locality", "jobs")
 
 # Keys Perfetto's trace-event importer needs on every non-metadata event.
 TRACE_EVENT_KEYS = ("ph", "ts", "pid", "tid", "name")
-
-# Layout registry entries ("sfcvis_layout_registry": 1).
-REGISTRY_ENTRY_KEYS = ("kernel", "shape", "platform", "interleave")
-REGISTRY_KERNELS = ("bilateral", "raycast")
 
 # Bench binaries `gate` runs (all with --quick) and, per binary, which of
 # their tables gate and in which direction.
@@ -170,8 +164,6 @@ def kind_of(doc):
         return "report"
     if "traceEvents" in doc:
         return "trace"
-    if "sfcvis_layout_registry" in doc or "entries" in doc:
-        return "registry"
     if "tables" in doc and "directions" in doc:
         return "snapshot"
     return None
@@ -367,57 +359,7 @@ def validate_jobs(jobs, required):
              f"cancellation may cut a job short")
 
 
-def padded_bits(n):
-    """ceil(log2(n)) — bits of the power-of-two-padded axis."""
-    return max(0, (n - 1).bit_length())
-
-
-def validate_registry(doc, require):
-    """A registry ExecutionContext will accept: every entry names a known
-    kernel, a positive NXxNYxNZ shape and an interleave string holding
-    exactly ceil(log2(axis)) of each of 'x'/'y'/'z' (the rule
-    core::InterleavePattern enforces), and no (kernel, shape, platform) key
-    repeats."""
-    need(doc.get("sfcvis_layout_registry") == 1,
-         'missing or unsupported "sfcvis_layout_registry" version (want 1)')
-    entries = doc.get("entries")
-    need(isinstance(entries, list), '"entries" must be an array')
-    seen = {}
-    for i, entry in enumerate(entries):
-        where = f"entries[{i}]"
-        need(isinstance(entry, dict), f"{where}: not an object")
-        for key in REGISTRY_ENTRY_KEYS:
-            need(isinstance(entry.get(key), str) and entry[key],
-                 f'{where}: missing or empty "{key}"')
-        need(entry["kernel"] in REGISTRY_KERNELS, f'{where}: unknown kernel '
-             f'"{entry["kernel"]}" (want one of {REGISTRY_KERNELS})')
-        parts = entry["shape"].split("x")
-        need(len(parts) == 3 and all(p.isdigit() and int(p) > 0 for p in parts),
-             f'{where}: malformed shape "{entry["shape"]}" (want NXxNYxNZ)')
-        pattern = entry["interleave"]
-        bad = set(pattern) - set("xyz")
-        need(not bad, f"{where}: invalid interleave characters {sorted(bad)}")
-        want = {axis: padded_bits(int(p)) for axis, p in zip("xyz", parts)}
-        have = {axis: pattern.count(axis) for axis in "xyz"}
-        need(have == want, f'{where}: interleave "{pattern}" has {have} bits '
-             f'but shape {entry["shape"]} needs {want}')
-        fitness, baseline = entry.get("fitness"), entry.get("baseline_fitness")
-        for name, v in (("fitness", fitness), ("baseline_fitness", baseline)):
-            need(v is None or (isinstance(v, (int, float)) and v >= 0),
-                 f"{where}: {name} must be a non-negative number")
-        # The tuner seeds its search with canonical Z-order, so a winner
-        # worse than it means a hand edit or a broken tuner.
-        need(fitness is None or not baseline or fitness <= baseline,
-             f"{where}: tuned fitness {fitness} is worse than canonical "
-             f"baseline {baseline} — a regressed winner must not ship")
-        key = (entry["kernel"], entry["shape"], entry["platform"])
-        need(key not in seen, f"{where}: duplicate key {key} "
-             f"(also entries[{seen.get(key)}])")
-        seen[key] = i
-
-
-VALIDATORS = {"report": validate_report, "trace": validate_trace,
-              "registry": validate_registry}
+VALIDATORS = {"report": validate_report, "trace": validate_trace}
 
 
 def cmd_validate(args):
@@ -560,18 +502,7 @@ def summarize_trace(doc, path):
         print(f"  {name:<34} {fmt_count(count):>10} spans {dur / 1e3:>10.3f} ms")
 
 
-def summarize_registry(doc, path):
-    print(f"== layout registry: {path} ({len(doc['entries'])} tuned layouts) ==")
-    for entry in doc["entries"]:
-        gain = ""
-        if entry.get("baseline_fitness") and entry.get("fitness"):
-            gain = f"  {entry['baseline_fitness'] / entry['fitness']:.3f}x vs canonical"
-        print(f"  ({entry['kernel']}, {entry['shape']}, {entry['platform']}) -> "
-              f"\"{entry['interleave']}\"{gain}")
-
-
-SUMMARIZERS = {"report": summarize_report, "trace": summarize_trace,
-               "registry": summarize_registry}
+SUMMARIZERS = {"report": summarize_report, "trace": summarize_trace}
 
 
 def cmd_summarize(args):
