@@ -90,11 +90,11 @@ inline int run_volrend_ds_figure(const VolrendFigure& figure, int argc,
 
       memsim::Hierarchy ha(platform, nthreads, tpc);
       memsim::Hierarchy hz(platform, nthreads, tpc);
-      render::Image image(trace_config.image_width, trace_config.image_height);
+      render::Image traced(trace_config.image_width, trace_config.image_height);
       auto replay_ctx = exec::make_replay_context(ha.num_threads());
-      replay_ctx.jobs().replay(render::raycast_job(pair.array, camera, tf, trace_config, image,
+      replay_ctx.jobs().replay(render::raycast_job(pair.array, camera, tf, trace_config, traced,
                                                    nullptr, false, core::traced_views(ha)));
-      replay_ctx.jobs().replay(render::raycast_job(pair.z, camera, tf, trace_config, image,
+      replay_ctx.jobs().replay(render::raycast_job(pair.z, camera, tf, trace_config, traced,
                                                    nullptr, false, core::traced_views(hz)));
       modeled_ds.set(v, col,
                      bench_util::scaled_relative_difference(
@@ -164,11 +164,11 @@ inline int run_volrend_absolute_figure(const VolrendFigure& figure, int argc,
     }));
     memsim::Hierarchy ha(platform, nthreads);
     memsim::Hierarchy hz(platform, nthreads);
-    render::Image image(trace_config.image_width, trace_config.image_height);
+    render::Image traced(trace_config.image_width, trace_config.image_height);
     auto replay_ctx = exec::make_replay_context(ha.num_threads());
-    replay_ctx.jobs().replay(render::raycast_job(pair.array, camera, tf, trace_config, image,
+    replay_ctx.jobs().replay(render::raycast_job(pair.array, camera, tf, trace_config, traced,
                                                  nullptr, false, core::traced_views(ha)));
-    replay_ctx.jobs().replay(render::raycast_job(pair.z, camera, tf, trace_config, image,
+    replay_ctx.jobs().replay(render::raycast_job(pair.z, camera, tf, trace_config, traced,
                                                  nullptr, false, core::traced_views(hz)));
     counter_abs.set(0, v, static_cast<double>(ha.counter(figure.counter)));
     counter_abs.set(1, v, static_cast<double>(hz.counter(figure.counter)));

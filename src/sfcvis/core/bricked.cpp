@@ -30,6 +30,15 @@ namespace {
 constexpr std::uint64_t kInvalidCode = ~std::uint64_t{0};
 constexpr std::uint32_t kInvalidRank = 0xffffffffu;
 constexpr std::uint32_t kOverflowBit = 0x80000000u;
+/// A stream-cache slot word: the resident brick's rank in the high 32 bits
+/// (kInvalidRank = empty), then the loading bit, then the pin count.
+constexpr std::uint64_t kLoadingBit = std::uint64_t{1} << 31;
+constexpr std::uint64_t kPinMask = kLoadingBit - 1;
+constexpr std::uint64_t slot_word(std::uint32_t rank, bool loading, std::uint64_t pins) {
+  return (std::uint64_t{rank} << 32) | (loading ? kLoadingBit : 0) | pins;
+}
+constexpr std::uint32_t word_rank(std::uint64_t w) { return static_cast<std::uint32_t>(w >> 32); }
+constexpr std::uint64_t kEmptyWord = slot_word(kInvalidRank, false, 0);
 constexpr std::size_t kEvictionLogCap = 1024;
 constexpr std::size_t kDenseRankLimit = std::size_t{1} << 22;
 /// Stream-fallback budget when an mmap was requested but refused.
@@ -47,9 +56,13 @@ constexpr std::size_t kFallbackCacheBytes = std::size_t{64} << 20;
 }  // namespace
 
 /// Shared immutable-file backend: geometry tables, the file handle, and
-/// (in stream mode) the pinned-LRU slot arena. All mutable state is behind
-/// mu_ except the monotonically-increasing counters (atomics, so the
-/// lock-free mmap path can count too).
+/// (in stream mode) the pinned-LRU slot arena. A hit on a resident brick
+/// and every release of an arena slot are lock-free: each slot's state is
+/// one atomic word (rank, loading bit, pin count), and the rank -> slot
+/// table and the LRU stamps are atomics too. mu serializes everything that
+/// changes which brick a slot holds (misses, prefetch loads), waits on a
+/// loading slot, overflow bricks, the eviction log and the fallback
+/// strings. The counters are relaxed atomics, so the mmap path counts too.
 struct BrickedVolume::Impl {
   // --- immutable after open ---
   BrickFileInfo info;
@@ -76,39 +89,47 @@ struct BrickedVolume::Impl {
   bool use_mmap = false;
 
   // --- stream cache (unused in mmap mode) ---
-  enum class SlotState : std::uint8_t { kEmpty, kLoading, kReady };
-  struct Slot {
-    std::uint64_t code = kInvalidCode;
-    std::uint64_t stamp = 0;
-    int pins = 0;
-    SlotState state = SlotState::kEmpty;
-    bool prefetched = false;
+  /// One arena slot, alone on its cache line: hits on different slots
+  /// write only their own slot's word and stamp.
+  struct alignas(kCacheLineBytes) Slot {
+    /// slot_word(rank, loading, pins). A pin is a CAS that expects the
+    /// brick's rank and a clear loading bit, so it fails once mu has
+    /// claimed the slot for another brick; a claim is a CAS that expects 0
+    /// pins, so it fails once a hit has pinned the slot.
+    std::atomic<std::uint64_t> word{kEmptyWord};
+    std::atomic<std::uint64_t> stamp{0};  ///< LRU clock at the last hit or load
+    std::atomic<bool> prefetched{false};  ///< loaded by prefetch, not yet hit
   };
   std::unique_ptr<float[]> arena;
   std::uint32_t slot_count = 0;
-  std::vector<Slot> slots;
-  std::unordered_map<std::uint64_t, std::uint32_t> resident;  ///< code -> slot
+  std::unique_ptr<Slot[]> slots;
+  /// rank -> arena slot holding it (kNoSlot = not resident). Written under
+  /// mu; a lock-free reader confirms it against the slot word.
+  std::unique_ptr<std::atomic<std::uint32_t>[]> slot_of;
   struct Overflow {
     std::unique_ptr<float[]> data;
     int pins = 0;
   };
-  std::unordered_map<std::uint32_t, Overflow> overflow;
-  std::uint32_t next_overflow_id = 0;
-  std::uint64_t clock = 0;
+  std::unordered_map<std::uint32_t, Overflow> overflow;  ///< guarded by mu
+  std::uint32_t next_overflow_id = 0;                    ///< guarded by mu
   mutable std::mutex mu;
-  std::condition_variable slot_cv;  ///< signalled when a Loading slot turns Ready
+  std::condition_variable slot_cv;  ///< signalled when a loading slot turns ready
 
-  // --- counters (relaxed atomics; snapshot needs no lock) ---
-  std::atomic<std::uint64_t> hits{0}, misses{0}, evictions{0}, overflow_bricks{0};
-  std::atomic<std::uint64_t> prefetch_issued{0}, prefetch_hits{0};
+  // --- counters (relaxed atomics; snapshot needs no lock). The clock and
+  // the hit counts move on every hit: they get a cache line of their own,
+  // apart from the read-mostly fields above and the miss-path state below.
+  alignas(kCacheLineBytes) std::atomic<std::uint64_t> clock{0};
+  std::atomic<std::uint64_t> hits{0}, prefetch_hits{0};
+  alignas(kCacheLineBytes) std::atomic<std::uint64_t> misses{0}, evictions{0};
+  std::atomic<std::uint64_t> overflow_bricks{0}, prefetch_issued{0};
   // drain watermarks (guarded by mu)
   std::uint64_t drained[6] = {0, 0, 0, 0, 0, 0};
   std::string io_error;  ///< guarded by mu; first failure, sticky
   std::string degrade;   ///< guarded by mu; first budget/mmap fallback
   std::vector<std::uint64_t> eviction_log;  ///< guarded by mu; capped
 
-  // --- at() convenience pin ring (guarded by ring_mu; lock order
-  // ring_mu -> mu, never the reverse) ---
+  // --- at() convenience pin ring (guarded by ring_mu; a ring miss takes
+  // mu inside it, so the lock order is ring_mu -> mu, never the reverse) ---
   struct RingEntry {
     std::uint64_t code = kInvalidCode;
     const float* data = nullptr;
@@ -121,7 +142,7 @@ struct BrickedVolume::Impl {
 
   // --- prefetch thread ---
   std::thread prefetcher;
-  std::deque<std::uint64_t> pf_queue;  ///< guarded by mu
+  std::deque<std::uint32_t> pf_queue;  ///< brick ranks; guarded by mu
   std::condition_variable pf_cv;
   bool stop = false;  ///< guarded by mu
   std::uint32_t prefetch_depth = 0;
@@ -198,62 +219,130 @@ struct BrickedVolume::Impl {
     }
   }
 
-  /// LRU victim under mu: an Empty slot, else the least-recently-stamped
-  /// Ready slot with no pins. kNoSlot when everything is pinned/loading.
-  [[nodiscard]] std::uint32_t pick_victim_locked() const noexcept {
+  /// LRU victim under mu: an empty slot, else the least-recently-stamped
+  /// ready slot with no pins; `seen` gets its word. kNoSlot when every
+  /// slot is pinned or loading.
+  [[nodiscard]] std::uint32_t pick_victim_locked(std::uint64_t& seen) const noexcept {
     std::uint32_t best = kNoSlot;
     std::uint64_t best_stamp = ~std::uint64_t{0};
     for (std::uint32_t n = 0; n < slot_count; ++n) {
       const Slot& s = slots[n];
-      if (s.state == SlotState::kEmpty) {
+      const std::uint64_t w = s.word.load(std::memory_order_relaxed);
+      if (w == kEmptyWord) {
+        seen = w;
         return n;
       }
-      if (s.state == SlotState::kReady && s.pins == 0 && s.stamp < best_stamp) {
-        best_stamp = s.stamp;
-        best = n;
+      if ((w & (kLoadingBit | kPinMask)) == 0) {
+        const std::uint64_t stamp = s.stamp.load(std::memory_order_relaxed);
+        if (stamp < best_stamp) {
+          best_stamp = stamp;
+          best = n;
+          seen = w;
+        }
       }
     }
     return best;
   }
 
-  void evict_locked(std::uint32_t slot) {
-    Slot& s = slots[slot];
-    if (s.state != SlotState::kEmpty) {
-      resident.erase(s.code);
-      evictions.fetch_add(1, std::memory_order_relaxed);
-      if (eviction_log.size() < kEvictionLogCap) {
-        eviction_log.push_back(s.code);
+  /// Under mu: takes the LRU victim for brick `rank`, loading and holding
+  /// `pins` pins, and evicts whatever it held. kNoSlot when every slot is
+  /// pinned or loading.
+  [[nodiscard]] std::uint32_t claim_slot_locked(std::uint32_t rank, std::uint64_t pins) {
+    for (;;) {
+      std::uint64_t seen = 0;
+      const std::uint32_t victim = pick_victim_locked(seen);
+      if (victim == kNoSlot) {
+        return kNoSlot;
       }
+      Slot& s = slots[victim];
+      // Fails when a lock-free hit pinned the victim since the pick: pick
+      // again. acquire: the last holder's reads of the old brick happen
+      // before this load overwrites it.
+      if (!s.word.compare_exchange_strong(seen, slot_word(rank, true, pins),
+                                          std::memory_order_acquire)) {
+        continue;
+      }
+      const std::uint32_t evicted = word_rank(seen);
+      if (evicted != kInvalidRank) {
+        slot_of[evicted].store(kNoSlot, std::memory_order_relaxed);
+        evictions.fetch_add(1, std::memory_order_relaxed);
+        if (eviction_log.size() < kEvictionLogCap) {
+          eviction_log.push_back(codes[evicted]);
+        }
+      }
+      s.prefetched.store(false, std::memory_order_relaxed);
+      slot_of[rank].store(victim, std::memory_order_relaxed);
+      return victim;
     }
-    s = Slot{};
   }
 
-  /// Demand acquire in stream mode (mmap handled by the caller).
-  [[nodiscard]] BrickRef acquire_stream(std::uint64_t code, std::uint32_t rank) noexcept {
+  /// Under mu, after the unlocked read into a claimed slot: stamps it,
+  /// clears the loading bit and wakes the threads waiting for it.
+  void finish_load_locked(Slot& s, bool prefetched) {
+    s.stamp.store(clock.fetch_add(1, std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    s.prefetched.store(prefetched, std::memory_order_relaxed);
+    // release: a hit that pins the slot sees the brick's bytes.
+    s.word.fetch_and(~kLoadingBit, std::memory_order_release);
+    slot_cv.notify_all();
+  }
+
+  /// The bookkeeping of a hit on pinned slot `s`, the same with or
+  /// without mu: a fresh LRU stamp, the hit and prefetch-hit counts.
+  void note_hit(Slot& s) noexcept {
+    s.stamp.store(clock.fetch_add(1, std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    hits.fetch_add(1, std::memory_order_relaxed);
+    if (s.prefetched.load(std::memory_order_relaxed) &&
+        s.prefetched.exchange(false, std::memory_order_relaxed)) {
+      prefetch_hits.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  [[nodiscard]] BrickRef slot_ref(std::uint32_t slot, std::uint32_t rank) const noexcept {
+    return BrickRef{arena.get() + std::size_t{slot} * elems, slot, rank};
+  }
+
+  /// Demand acquire in stream mode (mmap handled by the caller): a
+  /// resident, ready brick is pinned without the lock.
+  [[nodiscard]] BrickRef acquire_stream(std::uint32_t rank) noexcept {
+    const std::uint32_t n = slot_of[rank].load(std::memory_order_relaxed);
+    if (n != kNoSlot) {
+      Slot& s = slots[n];
+      std::uint64_t w = s.word.load(std::memory_order_relaxed);
+      // acquire: pairs with finish_load_locked's release.
+      while (word_rank(w) == rank && (w & kLoadingBit) == 0) {
+        if (s.word.compare_exchange_weak(w, w + 1, std::memory_order_acquire,
+                                         std::memory_order_relaxed)) {
+          note_hit(s);
+          return slot_ref(n, rank);
+        }
+      }
+    }
+    return acquire_locked(rank);
+  }
+
+  /// The demand acquire's slow path: not resident, still loading, or
+  /// evicted between the table read and the pin.
+  [[nodiscard]] BrickRef acquire_locked(std::uint32_t rank) noexcept {
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-      const auto it = resident.find(code);
-      if (it != resident.end()) {
-        Slot& s = slots[it->second];
-        if (s.state == SlotState::kLoading) {
+      const std::uint32_t n = slot_of[rank].load(std::memory_order_relaxed);
+      if (n != kNoSlot) {
+        Slot& s = slots[n];
+        if ((s.word.load(std::memory_order_acquire) & kLoadingBit) != 0) {
           // Another thread is streaming this brick in; wait, then re-find
           // (the slot can be repurposed between wake-ups).
           slot_cv.wait(lock);
           continue;
         }
-        s.pins++;
-        s.stamp = ++clock;
-        hits.fetch_add(1, std::memory_order_relaxed);
-        if (s.prefetched) {
-          s.prefetched = false;
-          prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        return BrickRef{arena.get() + std::size_t{it->second} * elems, it->second, rank};
+        // Under mu a ready slot keeps its brick; only its pins can move.
+        s.word.fetch_add(1, std::memory_order_acquire);
+        note_hit(s);
+        return slot_ref(n, rank);
       }
 
       misses.fetch_add(1, std::memory_order_relaxed);
       enqueue_prefetch_locked(rank);
-      const std::uint32_t victim = pick_victim_locked();
+      const std::uint32_t victim = claim_slot_locked(rank, 1);
       if (victim == kNoSlot) {
         // Every slot is pinned or loading: the budget cannot hold this
         // traversal's working set. Degrade to a one-off heap brick with a
@@ -271,7 +360,6 @@ struct BrickedVolume::Impl {
           buf.reset(new float[elems]);
         } catch (const std::bad_alloc&) {
           note_io_error("allocation of an overflow brick failed; serving zeros");
-          std::lock_guard<std::mutex> relock(mu);
           return BrickRef{zero_brick(), kNoSlot, rank};
         }
         read_brick(rank, buf.get());
@@ -281,20 +369,11 @@ struct BrickedVolume::Impl {
         return BrickRef{data, kOverflowBit | id, rank};
       }
 
-      evict_locked(victim);
-      Slot& s = slots[victim];
-      s.code = code;
-      s.state = SlotState::kLoading;
-      s.pins = 1;
-      s.prefetched = false;
-      resident.emplace(code, victim);
       float* dst = arena.get() + std::size_t{victim} * elems;
       lock.unlock();
       read_brick(rank, dst);
       lock.lock();
-      s.state = SlotState::kReady;
-      s.stamp = ++clock;
-      slot_cv.notify_all();
+      finish_load_locked(slots[victim], false);
       return BrickRef{dst, victim, rank};
     }
   }
@@ -303,35 +382,44 @@ struct BrickedVolume::Impl {
     if (slot == kNoSlot) {
       return;
     }
-    std::lock_guard<std::mutex> lock(mu);
     if ((slot & kOverflowBit) != 0) {
+      std::lock_guard<std::mutex> lock(mu);
       const auto it = overflow.find(slot & ~kOverflowBit);
       if (it != overflow.end() && --it->second.pins == 0) {
         overflow.erase(it);
       }
       return;
     }
-    if (slot < slot_count && slots[slot].pins > 0) {
-      slots[slot].pins--;
+    if (slot >= slot_count) {
+      return;
+    }
+    // A slot with no pins stays as it is: an extra release must not borrow
+    // from the loading bit or the rank. release: this holder's reads of
+    // the brick happen before a later claim overwrites it.
+    std::atomic<std::uint64_t>& word = slots[slot].word;
+    std::uint64_t w = word.load(std::memory_order_relaxed);
+    while ((w & kPinMask) != 0 &&
+           !word.compare_exchange_weak(w, w - 1, std::memory_order_release,
+                                       std::memory_order_relaxed)) {
     }
   }
 
   /// Queues the next prefetch_depth bricks (file curve order) behind a
   /// demand miss. Caller holds mu.
-  void enqueue_prefetch_locked(std::uint64_t rank) {
+  void enqueue_prefetch_locked(std::uint32_t rank) {
     if (prefetch_depth == 0) {
       return;
     }
     bool queued = false;
     for (std::uint32_t d = 1; d <= prefetch_depth; ++d) {
-      const std::uint64_t next = rank + d;
+      const std::uint64_t next = std::uint64_t{rank} + d;
       if (next >= codes.size()) {
         break;
       }
       if (pf_queue.size() >= 64) {
         break;
       }
-      pf_queue.push_back(codes[next]);
+      pf_queue.push_back(static_cast<std::uint32_t>(next));
       queued = true;
     }
     if (queued) {
@@ -346,34 +434,21 @@ struct BrickedVolume::Impl {
       if (stop) {
         return;
       }
-      const std::uint64_t code = pf_queue.front();
+      const std::uint32_t rank = pf_queue.front();
       pf_queue.pop_front();
-      if (resident.count(code) != 0) {
+      if (slot_of[rank].load(std::memory_order_relaxed) != kNoSlot) {
         continue;  // already in (or on its way in)
       }
-      const std::uint32_t rank = rank_of(code);
-      if (rank == kInvalidRank) {
-        continue;
-      }
-      const std::uint32_t victim = pick_victim_locked();
+      const std::uint32_t victim = claim_slot_locked(rank, 0);
       if (victim == kNoSlot) {
         continue;  // fully pinned: never overflow for speculation
       }
-      evict_locked(victim);
-      Slot& s = slots[victim];
-      s.code = code;
-      s.state = SlotState::kLoading;
-      s.pins = 0;
-      resident.emplace(code, victim);
       float* dst = arena.get() + std::size_t{victim} * elems;
       lock.unlock();
       read_brick(rank, dst);
       lock.lock();
-      s.state = SlotState::kReady;
-      s.stamp = ++clock;
-      s.prefetched = true;
       prefetch_issued.fetch_add(1, std::memory_order_relaxed);
-      slot_cv.notify_all();
+      finish_load_locked(slots[victim], true);
     }
   }
 
@@ -469,9 +544,12 @@ BrickedVolume BrickedVolume::open(const std::string& path, const BrickOpenOption
     }
     slot_count = std::min(slot_count, impl->codes.size());
     impl->slot_count = static_cast<std::uint32_t>(slot_count);
-    impl->slots.assign(slot_count, Impl::Slot{});
+    impl->slots.reset(new Impl::Slot[slot_count]);
+    impl->slot_of.reset(new std::atomic<std::uint32_t>[impl->codes.size()]);
+    for (std::size_t r = 0; r < impl->codes.size(); ++r) {
+      impl->slot_of[r].store(kNoSlot, std::memory_order_relaxed);
+    }
     impl->arena.reset(new float[slot_count * impl->elems]);
-    impl->resident.reserve(slot_count * 2);
     impl->prefetch_depth = opts.prefetch_depth;
     if (impl->prefetch_depth > 0) {
       Impl* raw = impl.get();
@@ -544,7 +622,7 @@ BrickedVolume::BrickRef BrickedVolume::acquire_brick(std::uint64_t code) const n
     return BrickRef{static_cast<const float*>(static_cast<const void*>(p)), kNoSlot, rank};
 #endif
   }
-  return im.acquire_stream(code, rank);
+  return im.acquire_stream(rank);
 }
 
 void BrickedVolume::release_brick(std::uint32_t slot) const noexcept {
@@ -572,7 +650,7 @@ const float& BrickedVolume::at(std::uint32_t i, std::uint32_t j,
     return acquire_brick(code).data[off];
   }
   // Streamed: serve from the convenience pin ring (lock order ring_mu ->
-  // mu; acquire/release below take mu internally).
+  // mu; an acquire below that misses takes mu internally).
   std::lock_guard<std::mutex> lock(im.ring_mu);
   for (const Impl::RingEntry& e : im.ring) {
     if (e.valid && e.code == code) {

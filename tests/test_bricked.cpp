@@ -7,18 +7,24 @@
 //    decode-recompute oracle on pow2, non-pow2, and anisotropic grids,
 //    including the 21-bit coordinate boundary;
 //  * the stream cache evicts least-recently-used, never evicts a pinned
-//    brick (overflow instead), counts hits/misses into the metrics
-//    registry via exec::publish_brick_cache_metrics, and degrades — with
-//    a recorded reason — rather than failing on an impossible budget;
+//    brick (overflow instead), keeps the exact acquire/miss/eviction
+//    stream of a 1-thread kernel pass, serves concurrent views the source
+//    values while hits, loads, prefetch and overflow race, counts
+//    hits/misses into the metrics registry via
+//    exec::publish_brick_cache_metrics, and degrades — with a recorded
+//    reason — rather than failing on an impossible budget;
 //  * corrupt files are reported errors at open(), and IO failures after
 //    open yield zeroed data plus a sticky io_error, never a crash.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,9 +32,15 @@
 #include "sfcvis/core/bricked.hpp"
 #include "sfcvis/core/morton.hpp"
 #include "sfcvis/core/volume.hpp"
+#include "sfcvis/data/combustion.hpp"
 #include "sfcvis/exec/execution_context.hpp"
 #include "sfcvis/filters/gradient.hpp"
+#include "sfcvis/render/camera.hpp"
+#include "sfcvis/render/macrocell.hpp"
+#include "sfcvis/render/raycast.hpp"
+#include "sfcvis/render/transfer.hpp"
 #include "sfcvis/trace/trace.hpp"
+#include "sfcvis/verify/rng.hpp"
 
 namespace {
 
@@ -52,17 +64,20 @@ AnyVolume make_source(const Extents3D& e) {
   return v;
 }
 
-/// Packs `extents` into a fresh temp brick file; removes it on scope exit.
+/// Packs `source` (by default the `field` volume of `extents`) into a
+/// fresh temp brick file; removes it on scope exit.
 struct TempBrickFile {
   std::filesystem::path path;
   BrickFileInfo info;
 
-  TempBrickFile(const Extents3D& extents, const BrickPackOptions& opts) {
+  TempBrickFile(const Extents3D& extents, const BrickPackOptions& opts)
+      : TempBrickFile(make_source(extents), opts) {}
+  TempBrickFile(const AnyVolume& source, const BrickPackOptions& opts) {
     static int serial = 0;
     path = std::filesystem::temp_directory_path() /
            ("sfcvis_test_bricked_" + std::to_string(::getpid()) + "_" +
             std::to_string(serial++) + ".sfcbrk");
-    info = core::pack_brick_file(path.string(), make_source(extents), opts);
+    info = core::pack_brick_file(path.string(), source, opts);
   }
   ~TempBrickFile() {
     std::error_code ec;
@@ -339,6 +354,181 @@ TEST(BrickLruCache, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(rep.eviction_log[0], 0u);
   EXPECT_EQ(rep.eviction_log[1], 3u);
   EXPECT_EQ(rep.evictions, 2u);
+}
+
+TEST(BrickLruCache, DoubleReleaseLeavesTheLruOrderIntact) {
+  TempBrickFile file({16, 16, 8}, four_brick_opts());
+  BrickOpenOptions oopts;
+  oopts.force_stream = true;
+  oopts.cache_bytes = 2 * file.info.brick_bytes();  // two slots
+  const BrickedVolume vol = BrickedVolume::open(file.str(), oopts);
+
+  const auto touch = [&](std::uint64_t code) {
+    const BrickedVolume::BrickRef ref = vol.acquire_brick(code);
+    vol.release_brick(ref.slot);
+  };
+  // One release too many must leave brick 0's slot as it was: resident,
+  // unpinned and evictable. A slot it corrupted would stop being an LRU
+  // candidate, and the evictions below would take other bricks.
+  const BrickedVolume::BrickRef a = vol.acquire_brick(0);
+  vol.release_brick(a.slot);
+  vol.release_brick(a.slot);
+  touch(1);
+  touch(3);  // -> evicts 0, the least recent
+  touch(1);  // a hit
+  touch(2);  // -> evicts 3
+
+  const core::BrickCacheReport rep = vol.cache_report();
+  EXPECT_EQ(rep.hits, 1u);
+  EXPECT_EQ(rep.misses, 4u);
+  EXPECT_EQ(rep.overflow_bricks, 0u);
+  EXPECT_EQ(rep.eviction_log, (std::vector<std::uint64_t>{0, 3}));
+}
+
+/// FNV-1a over the little-endian bytes of `codes`.
+std::uint64_t fnv1a_codes(const std::vector<std::uint64_t>& codes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint64_t c : codes) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (c >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(BrickLruCache, OneThreadKernelPassKeepsItsCacheStream) {
+  // With one worker and no prefetch thread, a kernel pass makes one fixed
+  // sequence of acquires and releases, so its hits, misses and evictions
+  // per stage, and the order of the evictions, are a pure function of the
+  // LRU policy. The values were recorded with a cache that took its mutex
+  // on every acquire and release; how the cache synchronizes must not
+  // change them.
+  const Extents3D e{64, 64, 64};
+  AnyVolume source = core::make_volume(LayoutKind::kArray, e);
+  data::CombustionParams params;
+  params.seed = 1;
+  data::fill_combustion(source, params);
+  BrickPackOptions popts;
+  popts.brick_edge = 8;
+  popts.inner_kind = LayoutKind::kZOrder;
+  const TempBrickFile file(source, popts);  // 512 bricks
+
+  exec::ExecOptions xopts;
+  xopts.threads = 1;
+  xopts.memory.brick_cache_bytes = e.size() * sizeof(float) / 4;  // 128 slots
+  exec::ExecutionContext ctx(xopts);
+  const AnyVolume vol = ctx.open_bricked(file.str(), 0);
+  const BrickedVolume& bricked = vol.as_bricked();
+  ASSERT_EQ(bricked.cache_report().slot_count, 128u);
+
+  struct Counts {
+    std::uint64_t hits, misses, evictions;
+  };
+  std::vector<Counts> stages;
+  const auto drain = [&] {
+    const core::BrickCacheReport d = bricked.drain_cache_deltas();
+    EXPECT_EQ(d.overflow_bricks, 0u);
+    stages.push_back({d.hits, d.misses, d.evictions});
+  };
+
+  core::ArrayVolume gradient(e);
+  filters::gradient_magnitude(vol, gradient, ctx);
+  drain();
+  const render::MacrocellGrid cells = render::MacrocellGrid::build(vol, 8, &ctx);
+  drain();
+  render::RenderConfig cfg;
+  cfg.image_width = cfg.image_height = 64;
+  cfg.use_macrocells = true;
+  cfg.macrocell_size = 8;
+  const render::TransferFunction tf = render::TransferFunction::flame();
+  for (const unsigned view : {0u, 2u}) {
+    const render::Camera cam = render::orbit_camera(view, 8, 64.0f, 64.0f, 64.0f);
+    (void)render::raycast_parallel(vol, cam, tf, cfg, ctx, &cells);
+    drain();
+  }
+
+  const std::vector<Counts> expected = {
+      {29792, 512, 384},    // gradient
+      {29658, 1384, 1384},  // macrocell build
+      {5434, 216, 216},     // view 0
+      {5016, 252, 252},     // view 2
+  };
+  ASSERT_EQ(stages.size(), expected.size());
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    EXPECT_EQ(stages[s].hits, expected[s].hits) << "stage " << s;
+    EXPECT_EQ(stages[s].misses, expected[s].misses) << "stage " << s;
+    EXPECT_EQ(stages[s].evictions, expected[s].evictions) << "stage " << s;
+  }
+  const core::BrickCacheReport rep = bricked.cache_report();
+  EXPECT_EQ(rep.eviction_log.size(), 1024u);  // capped; the first 1,024 evictions
+  EXPECT_EQ(fnv1a_codes(rep.eviction_log), 0xed71ad268243d2edull);
+  EXPECT_TRUE(rep.io_error.empty());
+}
+
+TEST(BrickLruCache, ConcurrentViewsReadTheSourceWhileTheCacheChurns) {
+  // 32x32x16 at edge 8 -> 32 bricks in 12 slots, prefetch 2. Four workers
+  // can pin 4 x 8 bricks in their views' rings, more than there are slots,
+  // so resident hits, slot claims, waits on a loading slot, prefetch loads
+  // and overflow bricks all race with each other.
+  const Extents3D e{32, 32, 16};
+  const TempBrickFile file(e, four_brick_opts());
+  BrickOpenOptions oopts;
+  oopts.force_stream = true;
+  oopts.cache_bytes = 12 * file.info.brick_bytes();
+  oopts.prefetch_depth = 2;
+  const BrickedVolume vol = BrickedVolume::open(file.str(), oopts);
+  ASSERT_EQ(vol.cache_report().slot_count, 12u);
+
+  constexpr unsigned kWorkers = 4;
+  constexpr int kReads = 20000;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> workers;
+  for (unsigned w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      const core::BrickedView view(vol);
+      verify::SplitMix64 rng(1000 + w);
+      for (int n = 0; n < kReads; ++n) {
+        const auto i = static_cast<std::uint32_t>(rng.below(e.nx));
+        const auto j = static_cast<std::uint32_t>(rng.below(e.ny));
+        const auto k = static_cast<std::uint32_t>(rng.below(e.nz));
+        if (view.at(i, j, k) != field(i, j, k)) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : workers) {
+    t.join();
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  const core::BrickCacheReport raced = vol.cache_report();
+  EXPECT_GT(raced.hits, 0u);
+  EXPECT_GT(raced.evictions, 0u);
+  EXPECT_TRUE(raced.io_error.empty()) << raced.io_error;
+
+  // The views are gone, so every pin they took must be gone too. Walk all
+  // 32 bricks holding up to 11 at once: the prefetch thread keeps at most
+  // one more slot busy, so with no leaked pin every acquire finds a slot.
+  std::deque<BrickedVolume::BrickRef> held;
+  const Extents3D grid = file.info.brick_grid();
+  for (std::uint32_t bk = 0; bk < grid.nz; ++bk) {
+    for (std::uint32_t bj = 0; bj < grid.ny; ++bj) {
+      for (std::uint32_t bi = 0; bi < grid.nx; ++bi) {
+        if (held.size() == 11) {
+          vol.release_brick(held.front().slot);
+          held.pop_front();
+        }
+        held.push_back(vol.acquire_brick(core::morton_encode_3d(bi, bj, bk)));
+      }
+    }
+  }
+  for (const BrickedVolume::BrickRef& ref : held) {
+    vol.release_brick(ref.slot);
+  }
+  const core::BrickCacheReport after = vol.cache_report();
+  EXPECT_EQ(after.overflow_bricks, raced.overflow_bricks);
+  EXPECT_TRUE(after.io_error.empty()) << after.io_error;
 }
 
 TEST(BrickLruCache, PinnedBricksOverflowInsteadOfEvicting) {

@@ -2,9 +2,9 @@
 // (core/brick_file.hpp) that core::BrickedVolume /
 // exec::ExecutionContext::open_bricked consume.
 //
-//   brick_pack --out=vol.sfcbrk --synthetic=phantom --size=128 \
+//   brick_pack --out=vol.sfcbrk --synthetic=phantom --size=128
 //              --brick-edge=16 --inner=z-order
-//   brick_pack --out=vol.sfcbrk --in=volume.bov --brick-edge=32 \
+//   brick_pack --out=vol.sfcbrk --in=volume.bov --brick-edge=32
 //              --inner=gmorton:zyxzyxzzyyxx
 //   brick_pack --info=vol.sfcbrk
 //

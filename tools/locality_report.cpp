@@ -3,7 +3,7 @@
 // cache-line utilization, the exact miss-ratio curve at every pinned
 // capacity, the page/TLB-reach curve, and the SHARDS sampling error.
 //
-//   locality_report --kernel=bilateral --size=256 \
+//   locality_report --kernel=bilateral --size=256
 //                   --layouts=array-order,z-order,tuned --report-out=loc.json
 //
 // "tuned" in --layouts resolves to the tuner's deterministic quick-search
