@@ -123,6 +123,7 @@ int main(int argc, char** argv) {
 
   // -- 2. Wall clock: gradient via job path vs raw ctx dispatch ------------
   exec::ExecutionContext ctx(nthreads);
+  ctx.pool().run([](unsigned) {});  // start the workers before timing
 
   core::ArrayVolume gdst(e);
   const double t_job = bench_util::min_time_of(

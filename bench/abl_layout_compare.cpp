@@ -1,8 +1,7 @@
 // Ablation C: Z-order vs the other layouts the literature compares
 // against — array order (control), tiled/blocked (Pascucci & Frank's "3D
-// blocking"), Hilbert (Reissmann et al. 2014) — plus the generalized-Morton
-// family (Swatman et al. 2023): its canonical member (must match Z-order
-// bit-for-bit in cost) and the auto-tuner's winner for each workload.
+// blocking"), Hilbert (Reissmann et al. 2014) — plus the auto-tuner's
+// generalized-Morton winner (Swatman et al. 2023) for each workload.
 //
 // Two workloads, both in their against-the-grain configuration where
 // layout matters most:
@@ -36,16 +35,15 @@ struct Metrics {
 };
 
 Metrics measure_bilateral(const core::AnyVolume& volume,
-                          const memsim::PlatformSpec& platform, unsigned nthreads,
+                          const memsim::PlatformSpec& platform, exec::ExecutionContext& pool,
                           std::size_t trace_items, unsigned reps) {
   const filters::BilateralParams params{3, 1.5f, 0.1f, filters::PencilAxis::kZ,
                                         filters::LoopOrder::kZYX};
   core::ArrayVolume dst(volume.extents());
-  exec::ExecutionContext pool(nthreads);
   Metrics m;
   m.native_seconds = bench_util::min_time_of(
       reps, [&] { filters::bilateral_parallel(volume, dst, params, pool); });
-  memsim::Hierarchy hierarchy(platform, nthreads);
+  memsim::Hierarchy hierarchy(platform, pool.size());
   auto replay_ctx = exec::make_replay_context(hierarchy.num_threads());
   replay_ctx.jobs().replay(
       filters::bilateral_job(volume, dst, params, core::traced_views(hierarchy)), trace_items);
@@ -55,19 +53,18 @@ Metrics measure_bilateral(const core::AnyVolume& volume,
 }
 
 Metrics measure_volrend(const core::AnyVolume& volume,
-                        const memsim::PlatformSpec& platform, unsigned nthreads,
+                        const memsim::PlatformSpec& platform, exec::ExecutionContext& pool,
                         std::uint32_t image, std::uint32_t trace_image, unsigned reps) {
   const auto tf = render::TransferFunction::flame();
   const auto fsize = static_cast<float>(volume.extents().nx);
   const auto camera = render::orbit_camera(2, 8, fsize, fsize, fsize);
-  exec::ExecutionContext pool(nthreads);
   Metrics m;
   const render::RenderConfig native_config{image, image, 32, 0.5f, 0.98f};
   m.native_seconds = bench_util::min_time_of(reps, [&] {
     (void)render::raycast_parallel(volume, camera, tf, native_config, pool);
   });
   const render::RenderConfig trace_config{trace_image, trace_image, 16, 0.5f, 0.98f};
-  memsim::Hierarchy hierarchy(platform, nthreads);
+  memsim::Hierarchy hierarchy(platform, pool.size());
   render::Image traced(trace_config.image_width, trace_config.image_height);
   auto replay_ctx = exec::make_replay_context(hierarchy.num_threads());
   replay_ctx.jobs().replay(render::raycast_job(volume, camera, tf, trace_config, traced, nullptr,
@@ -140,25 +137,24 @@ int main(int argc, char** argv) {
   const std::string tuned_volrend = tuned_pattern("raycast", e, opts);
   std::printf("\n");
 
+  exec::ExecutionContext pool(nthreads);
+  pool.pool().run([](unsigned) {});  // start the workers before timing
   core::VolumeOpts tuned_opts;
   core::AnyVolume mri_a = core::make_volume(core::LayoutKind::kArray, e);
   mri_a.visit([](auto& g) { data::fill_mri_phantom(g); });
   const auto mri_z = mri_a.convert_to(core::LayoutKind::kZOrder);
   const auto mri_t = mri_a.convert_to(core::LayoutKind::kTiled);
   const auto mri_h = mri_a.convert_to(core::LayoutKind::kHilbert);
-  const auto mri_g = mri_a.convert_to(core::LayoutKind::kGMorton);  // canonical
   tuned_opts.interleave = tuned_bilateral;
   const auto mri_tuned = mri_a.convert_to(core::LayoutKind::kGMorton, tuned_opts);
 
-  const Metrics bi_z = measure_bilateral(mri_z, platform, nthreads, trace_items, reps);
-  const Metrics bi_tuned =
-      measure_bilateral(mri_tuned, platform, nthreads, trace_items, reps);
+  const Metrics bi_z = measure_bilateral(mri_z, platform, pool, trace_items, reps);
+  const Metrics bi_tuned = measure_bilateral(mri_tuned, platform, pool, trace_items, reps);
   emit("bilateral r3 pz zyx",
-       {{"array", measure_bilateral(mri_a, platform, nthreads, trace_items, reps)},
+       {{"array", measure_bilateral(mri_a, platform, pool, trace_items, reps)},
         {"z-order", bi_z},
-        {"tiled 8^3", measure_bilateral(mri_t, platform, nthreads, trace_items, reps)},
-        {"hilbert", measure_bilateral(mri_h, platform, nthreads, trace_items, reps)},
-        {"gmorton canon", measure_bilateral(mri_g, platform, nthreads, trace_items, reps)},
+        {"tiled 8^3", measure_bilateral(mri_t, platform, pool, trace_items, reps)},
+        {"hilbert", measure_bilateral(mri_h, platform, pool, trace_items, reps)},
         {"gmorton tuned", bi_tuned}},
        opts, "abl_layout_bilateral.csv");
 
@@ -167,19 +163,16 @@ int main(int argc, char** argv) {
   const auto comb_z = comb_a.convert_to(core::LayoutKind::kZOrder);
   const auto comb_t = comb_a.convert_to(core::LayoutKind::kTiled);
   const auto comb_h = comb_a.convert_to(core::LayoutKind::kHilbert);
-  const auto comb_g = comb_a.convert_to(core::LayoutKind::kGMorton);  // canonical
   tuned_opts.interleave = tuned_volrend;
   const auto comb_tuned = comb_a.convert_to(core::LayoutKind::kGMorton, tuned_opts);
 
-  const Metrics vr_z = measure_volrend(comb_z, platform, nthreads, image, trace_image, reps);
-  const Metrics vr_tuned =
-      measure_volrend(comb_tuned, platform, nthreads, image, trace_image, reps);
+  const Metrics vr_z = measure_volrend(comb_z, platform, pool, image, trace_image, reps);
+  const Metrics vr_tuned = measure_volrend(comb_tuned, platform, pool, image, trace_image, reps);
   emit("volrend viewpoint 2",
-       {{"array", measure_volrend(comb_a, platform, nthreads, image, trace_image, reps)},
+       {{"array", measure_volrend(comb_a, platform, pool, image, trace_image, reps)},
         {"z-order", vr_z},
-        {"tiled 8^3", measure_volrend(comb_t, platform, nthreads, image, trace_image, reps)},
-        {"hilbert", measure_volrend(comb_h, platform, nthreads, image, trace_image, reps)},
-        {"gmorton canon", measure_volrend(comb_g, platform, nthreads, image, trace_image, reps)},
+        {"tiled 8^3", measure_volrend(comb_t, platform, pool, image, trace_image, reps)},
+        {"hilbert", measure_volrend(comb_h, platform, pool, image, trace_image, reps)},
         {"gmorton tuned", vr_tuned}},
        opts, "abl_layout_volrend.csv");
 

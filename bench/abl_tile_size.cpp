@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   const auto fsize = static_cast<float>(size);
   const auto camera = render::orbit_camera(2, 8, fsize, fsize, fsize);
   exec::ExecutionContext pool(nthreads);
+  pool.pool().run([](unsigned) {});  // start the workers before timing
 
   std::vector<std::string> cols;
   for (const auto t : tile_sizes) {

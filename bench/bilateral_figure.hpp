@@ -88,6 +88,7 @@ inline int run_bilateral_figure(const BilateralFigure& figure, int argc,
   for (std::size_t col = 0; col < thread_counts.size(); ++col) {
     const unsigned nthreads = thread_counts[col];
     exec::ExecutionContext pool(nthreads);
+    pool.pool().run([](unsigned) {});  // start the workers before timing
     const unsigned tpc =
         (figure.cores != 0 && nthreads % figure.cores == 0) ? nthreads / figure.cores : 1;
     for (std::size_t row = 0; row < rows.size(); ++row) {

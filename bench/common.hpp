@@ -112,8 +112,8 @@ inline void emit_table(const bench_util::ResultTable& table,
 }
 
 /// Standard preamble: echoes the effective configuration and whether
-/// hardware counters are available (they are reported alongside the memsim
-/// counters when they are).
+/// hardware counters are available. The tables use memsim counters either
+/// way; a live PMU adds per-span counter deltas to the run report.
 inline void print_preamble(const char* figure, std::uint32_t size,
                            const memsim::PlatformSpec& spec) {
   std::printf("== %s ==\n", figure);
@@ -129,7 +129,7 @@ inline void print_preamble(const char* figure, std::uint32_t size,
   std::printf(")\n");
   std::printf("hardware counters: %s\n\n",
               perfmon::PerfCounter::available()
-                  ? "available (reported as extra columns)"
+                  ? "available (per-span deltas in --report-out; tables use memsim)"
                   : "unavailable here; using memsim counters (see DESIGN.md)");
 }
 

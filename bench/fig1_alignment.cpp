@@ -43,6 +43,7 @@ double mean_lines_per_ray(const core::Grid3D<float, L>& volume, unsigned viewpoi
 
 int main(int argc, char** argv) {
   const bench_util::Options opts(argc, argv);
+  const bench::TraceSession trace_session(opts);
   const bool quick = opts.get_flag("quick");
   const std::uint32_t size = opts.get_u32("size", quick ? 32 : 64);
   const std::uint32_t image = opts.get_u32("image", quick ? 32 : 96);

@@ -75,6 +75,7 @@ inline int run_volrend_ds_figure(const VolrendFigure& figure, int argc,
   for (std::size_t col = 0; col < thread_counts.size(); ++col) {
     const unsigned nthreads = thread_counts[col];
     exec::ExecutionContext pool(nthreads);
+    pool.pool().run([](unsigned) {});  // start the workers before timing
     const unsigned tpc =
         (figure.cores != 0 && nthreads % figure.cores == 0) ? nthreads / figure.cores : 1;
     for (unsigned v = 0; v < figure.num_viewpoints; ++v) {
@@ -153,6 +154,7 @@ inline int run_volrend_absolute_figure(const VolrendFigure& figure, int argc,
   const render::RenderConfig trace_config{trace_image, trace_image, trace_tile, 0.5f, 0.98f};
   const auto fsize = static_cast<float>(size);
   exec::ExecutionContext pool(nthreads);
+  pool.pool().run([](unsigned) {});  // start the workers before timing
 
   for (unsigned v = 0; v < figure.num_viewpoints; ++v) {
     const auto camera = render::orbit_camera(v, figure.num_viewpoints, fsize, fsize, fsize);

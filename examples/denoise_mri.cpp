@@ -63,6 +63,7 @@ int main(int argc, char** argv) {
 
   const filters::BilateralParams params{radius, 1.5f, sigma_range};
   exec::ExecutionContext pool(nthreads);
+  pool.pool().run([](unsigned) {});  // start the workers before timing
 
   // Same filter, two source layouts — the paper's transparency property.
   // The facade carries the layout at runtime; the driver call is identical.

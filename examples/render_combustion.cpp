@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
   const auto tf = render::TransferFunction::flame();
   render::RenderConfig config{image_size, image_size, 32, 0.5f, 0.98f};
   exec::ExecutionContext pool(nthreads);
+  pool.pool().run([](unsigned) {});  // start the workers before timing
   const auto fsize = static_cast<float>(size);
 
   render::MacrocellGrid cells_a, cells_z;

@@ -71,14 +71,6 @@ TraceSession::TraceSession(std::string trace_out, std::string report_out, bool f
     install_flush_hooks();
     g_flushing.store(false);  // re-arm for this session (tests run several)
     trace::Tracer::instance().enable();
-    perfmon::OpenFailure failure;
-    topdown_ = perfmon::TopDownCounters::open(&failure);
-    if (topdown_) {
-      sections_.topdown.source = "perf_events";
-      topdown_->start();
-    } else {
-      sections_.topdown.source = failure.message;
-    }
   }
 }
 
@@ -115,11 +107,6 @@ void TraceSession::finish() {
   const trace::TraceSnapshot snap = tracer.snapshot();
   const trace::MetricsSnapshot metrics = tracer.metrics_snapshot();
   tracer.disable();
-  if (topdown_) {
-    sections_.topdown.available = true;
-    sections_.topdown.reading = topdown_->stop();
-    topdown_.reset();
-  }
   if (!trace_out_.empty()) {
     if (trace::write_text_file(trace_out_, trace::chrome_trace_json(snap))) {
       std::printf("[trace] %s (%llu spans, %s)\n", trace_out_.c_str(),

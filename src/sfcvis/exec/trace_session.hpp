@@ -14,10 +14,8 @@
 // command-line-option plumbing.
 #pragma once
 
-#include <optional>
 #include <string>
 
-#include "sfcvis/perfmon/perf_events.hpp"
 #include "sfcvis/trace/export.hpp"
 
 namespace sfcvis::exec {
@@ -59,10 +57,6 @@ class TraceSession {
   /// What the run report carries beyond the trace; sections nobody filled
   /// stay unavailable with their default reason.
   trace::RunReportSections sections_;
-  /// Whole-run top-down counters, opened (inherit-enabled, so pool
-  /// workers spawned later are covered) while the session is active;
-  /// the open failure is reported in the run report otherwise.
-  std::optional<perfmon::TopDownCounters> topdown_;
 };
 
 }  // namespace sfcvis::exec

@@ -1,6 +1,5 @@
 #include "sfcvis/perfmon/perf_events.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #if defined(__linux__)
@@ -26,30 +25,8 @@ const char* to_string(Event e) noexcept {
       return "instructions";
     case Event::kCycles:
       return "cycles";
-    case Event::kStalledCyclesFrontend:
-      return "stalled-cycles-frontend";
-    case Event::kStalledCyclesBackend:
-      return "stalled-cycles-backend";
   }
   return "?";
-}
-
-TopDownRatios topdown_ratios(const TopDownReading& r) noexcept {
-  TopDownRatios out;
-  if (r.cycles == 0) {
-    return out;
-  }
-  const double cycles = static_cast<double>(r.cycles);
-  const double slots = 4.0 * cycles;  // level-1 TMA issue width
-  out.retiring = static_cast<double>(r.instructions) / slots;
-  if (r.has_stalls) {
-    out.frontend_bound = static_cast<double>(r.stalled_frontend) / cycles;
-    out.backend_bound = static_cast<double>(r.stalled_backend) / cycles;
-    out.bad_speculation =
-        std::max(0.0, 1.0 - out.retiring - out.frontend_bound - out.backend_bound);
-    out.complete = true;
-  }
-  return out;
 }
 
 #if defined(__linux__)
@@ -66,10 +43,6 @@ std::uint64_t perf_config_for(Event e) noexcept {
       return PERF_COUNT_HW_INSTRUCTIONS;
     case Event::kCycles:
       return PERF_COUNT_HW_CPU_CYCLES;
-    case Event::kStalledCyclesFrontend:
-      return PERF_COUNT_HW_STALLED_CYCLES_FRONTEND;
-    case Event::kStalledCyclesBackend:
-      return PERF_COUNT_HW_STALLED_CYCLES_BACKEND;
   }
   return PERF_COUNT_HW_CACHE_REFERENCES;
 }
@@ -234,48 +207,6 @@ bool PerfGroup::read_now(GroupReading& out) const noexcept {
   return true;
 }
 
-std::optional<TopDownCounters> TopDownCounters::open(OpenFailure* failure) {
-  TopDownCounters counters;
-  counters.cycles_ = PerfCounter::open(Event::kCycles, failure);
-  if (!counters.cycles_) {
-    return std::nullopt;
-  }
-  counters.instructions_ = PerfCounter::open(Event::kInstructions, failure);
-  if (!counters.instructions_) {
-    return std::nullopt;
-  }
-  // Best-effort: a PMU without the generic stall events still yields the
-  // retiring fraction; readers check has_stalls / TopDownReading.
-  counters.stalled_frontend_ = PerfCounter::open(Event::kStalledCyclesFrontend);
-  counters.stalled_backend_ = PerfCounter::open(Event::kStalledCyclesBackend);
-  if (!counters.stalled_frontend_ || !counters.stalled_backend_) {
-    counters.stalled_frontend_.reset();
-    counters.stalled_backend_.reset();
-  }
-  return counters;
-}
-
-void TopDownCounters::start() {
-  cycles_->start();
-  instructions_->start();
-  if (has_stalls()) {
-    stalled_frontend_->start();
-    stalled_backend_->start();
-  }
-}
-
-TopDownReading TopDownCounters::stop() {
-  TopDownReading r;
-  r.cycles = cycles_->stop();
-  r.instructions = instructions_->stop();
-  if (has_stalls()) {
-    r.stalled_frontend = stalled_frontend_->stop();
-    r.stalled_backend = stalled_backend_->stop();
-    r.has_stalls = true;
-  }
-  return r;
-}
-
 #else  // non-Linux: never available
 
 std::string describe_open_error(int) {
@@ -301,15 +232,6 @@ std::optional<PerfGroup> PerfGroup::open(OpenFailure* failure) {
   }
   return std::nullopt;
 }
-std::optional<TopDownCounters> TopDownCounters::open(OpenFailure* failure) {
-  if (failure != nullptr) {
-    failure->error = 1;
-    failure->message = describe_open_error(1);
-  }
-  return std::nullopt;
-}
-void TopDownCounters::start() {}
-TopDownReading TopDownCounters::stop() { return TopDownReading{}; }
 
 void PerfGroup::close_all() noexcept {}
 PerfGroup::~PerfGroup() = default;

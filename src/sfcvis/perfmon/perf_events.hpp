@@ -31,8 +31,6 @@ enum class Event : std::uint8_t {
   kCacheMisses,      ///< LLC misses
   kInstructions,
   kCycles,
-  kStalledCyclesFrontend,  ///< cycles with no uops issued (fetch/decode starved)
-  kStalledCyclesBackend,   ///< cycles with issue blocked on execution resources
 };
 
 [[nodiscard]] const char* to_string(Event e) noexcept;
@@ -126,64 +124,6 @@ class PerfGroup {
   void close_all() noexcept;
   static constexpr int kEvents = 4;
   int fds_[kEvents] = {-1, -1, -1, -1};  ///< [0] is the group leader
-};
-
-/// One whole-run reading of the top-down analysis events. The stall
-/// events are optional at the PMU level (many virtualized or recent PMUs
-/// expose only the architectural events); has_stalls records whether the
-/// frontend/backend columns carry data or are structurally zero.
-struct TopDownReading {
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t stalled_frontend = 0;
-  std::uint64_t stalled_backend = 0;
-  bool has_stalls = false;
-};
-
-/// Level-1 top-down slot breakdown (Yasin, "Top-Down Micro-Architecture
-/// Analysis Method", approximated with the generic perf events): with an
-/// issue width of 4, retiring ~ instructions / (4 * cycles), and the
-/// stalled-cycle fractions stand in for frontend-bound / backend-bound.
-/// bad_speculation absorbs the remainder (clamped at zero — the stall
-/// approximation can overcount). `complete` is false when the stall
-/// events were unavailable: retiring is still meaningful on its own
-/// (the regression gate uses exactly that), the other three are not.
-struct TopDownRatios {
-  double retiring = 0.0;
-  double frontend_bound = 0.0;
-  double backend_bound = 0.0;
-  double bad_speculation = 0.0;
-  bool complete = false;
-};
-
-[[nodiscard]] TopDownRatios topdown_ratios(const TopDownReading& r) noexcept;
-
-/// Whole-run, inherit-enabled counter set for the top-down breakdown:
-/// cycles + instructions are mandatory (open fails without them), the two
-/// stalled-cycles events are best-effort (see TopDownReading::has_stalls).
-/// Inherited counters cover pool workers spawned after open, so one
-/// instance on the driver thread measures the whole run — the per-span
-/// PerfGroup stays a separate, per-thread concern.
-class TopDownCounters {
- public:
-  [[nodiscard]] static std::optional<TopDownCounters> open(OpenFailure* failure = nullptr);
-
-  /// Zeroes and enables all opened events.
-  void start();
-
-  /// Disables and reads every opened event.
-  [[nodiscard]] TopDownReading stop();
-
-  [[nodiscard]] bool has_stalls() const noexcept {
-    return stalled_frontend_.has_value() && stalled_backend_.has_value();
-  }
-
- private:
-  TopDownCounters() = default;
-  std::optional<PerfCounter> cycles_;
-  std::optional<PerfCounter> instructions_;
-  std::optional<PerfCounter> stalled_frontend_;
-  std::optional<PerfCounter> stalled_backend_;
 };
 
 /// Difference a - b, per event (for span begin/end deltas). Counters are

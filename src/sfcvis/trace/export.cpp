@@ -203,7 +203,7 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
   JsonWriter w;
   w.begin_object();
   w.key("sfcvis_run_report");
-  w.value(std::uint64_t{1});
+  w.value(std::uint64_t{2});
   w.key("span_tracing");
   w.value(snap.span_tracing);
   w.key("dropped_spans");
@@ -216,45 +216,8 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
   w.value(snap.counter_source);
   w.end_object();
 
-  // Top-down slot breakdown — always present; unavailable runs record why
-  // (the reported-fallback idiom), so consumers can rely on the key.
-  const TopDownReport& topdown = sections.topdown;
-  w.key("topdown");
-  w.begin_object();
-  w.key("available");
-  w.value(topdown.available);
-  w.key("source");
-  w.value(topdown.source);
-  if (topdown.available) {
-    const auto& r = topdown.reading;
-    w.key("cycles");
-    w.value(r.cycles);
-    w.key("instructions");
-    w.value(r.instructions);
-    w.key("has_stalls");
-    w.value(r.has_stalls);
-    if (r.has_stalls) {
-      w.key("stalled_cycles_frontend");
-      w.value(r.stalled_frontend);
-      w.key("stalled_cycles_backend");
-      w.value(r.stalled_backend);
-    }
-    const perfmon::TopDownRatios ratios = perfmon::topdown_ratios(r);
-    w.key("retiring");
-    w.value(ratios.retiring, 4);
-    if (ratios.complete) {
-      w.key("frontend_bound");
-      w.value(ratios.frontend_bound, 4);
-      w.key("backend_bound");
-      w.value(ratios.backend_bound, 4);
-      w.key("bad_speculation");
-      w.value(ratios.bad_speculation, 4);
-    }
-  }
-  w.end_object();
-
-  // Reuse-distance / miss-ratio-curve profiles — always present, like
-  // topdown; runs without a locality profiler record why.
+  // Reuse-distance / miss-ratio-curve profiles — always present; runs
+  // without a locality profiler record why.
   w.key("locality");
   w.begin_object();
   w.key("available");
@@ -291,7 +254,7 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
   w.end_object();
 
   // Per-job dispatch accounting (exec::JobGraph) — always present, like
-  // topdown/locality; runs that never submitted a KernelJob record why.
+  // locality; runs that never submitted a KernelJob record why.
   w.key("jobs");
   w.begin_object();
   w.key("available");

@@ -31,17 +31,6 @@ struct ReportTable {
   std::vector<std::vector<double>> cells;  ///< [row][col]
 };
 
-/// Whole-run top-down microarchitecture result for the run report. The
-/// report always carries a "topdown" section; when the counters could not
-/// be opened `available` is false and `source` names the reason (the
-/// reported-fallback idiom — absence is a recorded fact, never silence).
-struct TopDownReport {
-  bool available = false;
-  /// "perf_events", or why the counters are missing.
-  std::string source = "top-down counters not requested by this run";
-  perfmon::TopDownReading reading{};
-};
-
 /// One point of a miss-ratio curve: the modeled LRU miss ratio of a
 /// fully-associative cache holding `capacity_bytes` of this granule size.
 struct LocalityMissPoint {
@@ -83,8 +72,8 @@ struct LocalityProfile {
 };
 
 /// The run report's always-present "locality" section (reported-fallback
-/// idiom, like TopDownReport): when no profiler ran, `available` is false
-/// and `source` says why.
+/// idiom: absence is a recorded fact, never silence): when no profiler
+/// ran, `available` is false and `source` says why.
 struct LocalityReport {
   bool available = false;
   std::string source = "no locality profiles published by this run";
@@ -119,7 +108,6 @@ struct JobsReport {
 /// A default-constructed member is an unavailable section with its reason.
 struct RunReportSections {
   std::vector<ReportTable> tables;
-  TopDownReport topdown;
   LocalityReport locality;
   JobsReport jobs;
 };
@@ -130,8 +118,8 @@ struct RunReportSections {
 
 /// The run report: versioned JSON with hw-counter provenance, per-phase
 /// aggregates (phase = span name + tag), per-thread values, the metrics
-/// registry, and `sections`: result tables, the top-down slot breakdown,
-/// the locality section and the per-job dispatch section.
+/// registry, and `sections`: result tables, the locality section and the
+/// per-job dispatch section.
 [[nodiscard]] std::string run_report_json(const TraceSnapshot& snap,
                                           const MetricsSnapshot& metrics,
                                           const RunReportSections& sections = {});

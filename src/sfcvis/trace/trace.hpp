@@ -8,10 +8,9 @@
 //  * Scoped spans. `SFCVIS_TRACE_SPAN("bilateral.pencil", tag, index)`
 //    records a begin/end interval into a per-thread ring buffer — no locks
 //    and no allocation on the hot path (threads register once, under a
-//    mutex, on their first span). A compile-time kill switch (CMake option
-//    SFCVIS_TRACE, macro SFCVIS_TRACE_ENABLED) makes the macros expand to
-//    nothing; with it on, a runtime flag gates recording and the disabled
-//    path is one relaxed atomic load.
+//    mutex, on their first span). A runtime flag (Tracer::enable /
+//    disable) gates recording; the disabled path is one relaxed atomic
+//    load.
 //
 //  * Per-span hardware counter deltas. Each tracing thread lazily opens a
 //    perfmon::PerfGroup (cache-refs / cache-misses / instructions /
@@ -40,12 +39,6 @@
 
 #include "sfcvis/perfmon/perf_events.hpp"
 #include "sfcvis/trace/metrics.hpp"
-
-// Compile-time kill switch; CMake passes 0 via SFCVIS_TRACE=OFF. Default
-// on so non-CMake consumers of the headers get working macros.
-#ifndef SFCVIS_TRACE_ENABLED
-#define SFCVIS_TRACE_ENABLED 1
-#endif
 
 namespace sfcvis::trace {
 
@@ -213,14 +206,8 @@ class ScopedSpan {
 
 }  // namespace sfcvis::trace
 
-#if SFCVIS_TRACE_ENABLED
 #define SFCVIS_TRACE_CONCAT_IMPL(a, b) a##b
 #define SFCVIS_TRACE_CONCAT(a, b) SFCVIS_TRACE_CONCAT_IMPL(a, b)
 /// Declares a scoped span: SFCVIS_TRACE_SPAN("name"[, tag[, arg]]).
 #define SFCVIS_TRACE_SPAN(...) \
   ::sfcvis::trace::ScopedSpan SFCVIS_TRACE_CONCAT(sfcvis_trace_span_, __LINE__)(__VA_ARGS__)
-#else
-#define SFCVIS_TRACE_SPAN(...) \
-  do {                         \
-  } while (false)
-#endif

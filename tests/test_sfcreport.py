@@ -44,18 +44,12 @@ def job(job_id):
 
 def valid_report():
     """A run report with every optional section live: hw counters, a
-    top-down split with stalls, a locality profile with a sampled slice,
-    two jobs, brick-cache totals and one table."""
+    locality profile with a sampled slice, two jobs, brick-cache totals
+    and one table."""
     return {
-        "sfcvis_run_report": 1, "span_tracing": True, "dropped_spans": 0,
+        "sfcvis_run_report": 2, "span_tracing": True, "dropped_spans": 0,
         "hw_counters": {"available": True, "source": "perf-group"},
         "run_totals": {"cache_misses": 7},
-        "topdown": {"available": True, "source": "perf_events",
-                    "cycles": 1000, "instructions": 800, "has_stalls": True,
-                    "stalled_cycles_frontend": 100,
-                    "stalled_cycles_backend": 200, "retiring": 0.4,
-                    "frontend_bound": 0.1, "backend_bound": 0.3,
-                    "bad_speculation": 0.2},
         "locality": {"available": True, "source": "locality profiler",
                      "profiles": [{"kernel": "bilateral", "layout": "z-order",
                                    "accesses": 100, "bytes": 400,
@@ -138,10 +132,6 @@ REJECTIONS = [
     ("report missing required key", valid_report, drop("histograms"), None),
     ("hw_counters without source", valid_report, drop("hw_counters", "source"), None),
     ("hw available, run_totals null", valid_report, put("run_totals", None), None),
-    ("topdown without source", valid_report, drop("topdown", "source"), None),
-    ("available topdown missing key", valid_report, drop("topdown", "instructions"), None),
-    ("topdown stalls missing ratio", valid_report, drop("topdown", "frontend_bound"), None),
-    ("topdown ratios out of range", valid_report, put("topdown", "retiring", -0.5), None),
     ("phase missing key", valid_report, drop("phases", 0, "max_us"), None),
     ("phase non-positive count", valid_report, put("phases", 0, "count", 0), None),
     ("table cells mismatch labels", valid_report, put("tables", 0, "cells", [[1.0]]), None),
@@ -193,18 +183,11 @@ def rejection_fixtures():
 # Snapshots for diff and gate
 # ---------------------------------------------------------------------------
 
-def snapshot(tables, directions, topdown=None):
+def snapshot(tables, directions):
     return {"sha": "test", "threshold": sfcreport.THRESHOLD,
-            "directions": directions, "topdown": topdown or {},
+            "directions": directions,
             "tables": {name: {"rows": ["r"], "cols": ["c"], "cells": [[v]]}
                        for name, v in tables.items()}}
-
-
-def topdown(retiring, available=True):
-    if not available:
-        return {"available": False, "source": "no PMU"}
-    return {"available": True, "source": "perf_events", "cycles": 10,
-            "instructions": 8, "has_stalls": False, "retiring": retiring}
 
 
 class SfcreportCase(unittest.TestCase):
@@ -246,7 +229,7 @@ class Validate(SfcreportCase):
         doc = valid_report()
         doc["hw_counters"]["available"] = False
         doc["run_totals"] = None
-        for name in ("topdown", "locality", "jobs"):
+        for name in ("locality", "jobs"):
             doc[name] = {"available": False, "source": "off"}
         doc["metrics"] = []
         path = self.write("report.json", doc)
@@ -255,7 +238,7 @@ class Validate(SfcreportCase):
             self.assertEqual(self.run_tool("validate", "--require", section, path)[0], 1)
 
     def test_every_rejection_exits_1(self):
-        self.assertEqual(len(REJECTIONS), 41)
+        self.assertEqual(len(REJECTIONS), 37)
         for name, doc, require in rejection_fixtures():
             with self.subTest(name):
                 path = self.write("fixture.json", doc)
@@ -300,16 +283,12 @@ class Validate(SfcreportCase):
 
 class Summarize(SfcreportCase):
     def test_every_kind_summarizes(self):
-        doc = valid_report()
-        doc["topdown"] = {"available": False, "source": "no PMU"}
         paths = [self.write("report.json", valid_report()),
-                 self.write("report2.json", doc),
                  self.write("trace.json", valid_trace())]
         code, out = self.run_tool("summarize", *paths)
         self.assertEqual(code, 0, out)
-        for needle in ("retiring 40.0%", "hit rate 90.0%", "bilateral/z-order",
-                       "#1", "tables: abl_demo", "1 spans",
-                       "top-down: unavailable (no PMU)"):
+        for needle in ("hit rate 90.0%", "bilateral/z-order", "#1",
+                       "tables: abl_demo", "1 spans"):
             self.assertIn(needle, out)
 
 
@@ -319,8 +298,7 @@ class Diff(SfcreportCase):
                              self.write("cur.json", cur))
 
     def test_self_diff_passes(self):
-        snap = snapshot({"t.csv": 1.0}, {"t.csv": "lower"},
-                        {"abl_x": topdown(0.5)})
+        snap = snapshot({"t.csv": 1.0}, {"t.csv": "lower"})
         for doc in (valid_report(), snap):
             code, out = self.diff(doc, doc)
             self.assertEqual(code, 0, out)
@@ -329,7 +307,6 @@ class Diff(SfcreportCase):
     def test_report_cells_cover_every_section(self):
         groups, _ = sfcreport.cells(valid_report(), "report")
         self.assertEqual(groups["abl_demo.csv"], {"a | x": 1.0, "b | x": 2.0})
-        self.assertEqual(groups["topdown"]["retiring"], 0.4)
         self.assertEqual(groups["brick-cache"]["bricked.cache_hit"], 90)
         loc = groups["locality[bilateral/z-order]"]
         for label in ("accesses", "line distinct", "page utilization",
@@ -420,25 +397,6 @@ class GateCompare(unittest.TestCase):
         failed, _, notes = sfcreport.gate_compare(base, cur)
         self.assertEqual(failed, [])
         self.assertIn("t.csv: only in current (skipped)", notes)
-
-    def test_retiring_drop_fails_only_when_both_sides_available(self):
-        def gate(base_td, cur_td):
-            failed, _, _ = sfcreport.gate_compare(
-                snapshot({}, {}, {"abl_x": base_td}),
-                snapshot({}, {}, {"abl_x": cur_td}))
-            return failed
-
-        self.assertEqual(len(gate(topdown(0.5), topdown(0.4))), 1)  # -20%
-        self.assertEqual(gate(topdown(0.5), topdown(0.44)), [])     # -12%
-        self.assertEqual(gate(topdown(0.5), topdown(0.9)), [])      # a rise
-        self.assertEqual(gate(topdown(0.5, False), topdown(0.1)), [])
-        self.assertEqual(gate(topdown(0.5), topdown(0.1, False)), [])
-        self.assertEqual(gate({}, topdown(0.1)), [])
-
-    def test_unavailable_topdown_is_noted(self):
-        _, _, notes = sfcreport.gate_compare(
-            snapshot({}, {}), snapshot({}, {}, {"abl_x": topdown(0, False)}))
-        self.assertIn("retiring gate skipped", " ".join(notes))
 
 
 if __name__ == "__main__":

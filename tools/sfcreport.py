@@ -18,16 +18,16 @@ Subcommands:
       Prints a human-readable breakdown of each report or trace.
   diff [--advisory] BASE CURRENT
       Compares every cell two run reports or snapshots share: result
-      tables, top-down slot ratios, bricked.* totals, and locality miss-
-      ratio curves, utilization and working sets. Fails when a cell moved
-      more than 15% either way or a table changed shape; --advisory
-      reports the same lines but exits 0. A self-diff always passes.
+      tables, bricked.* totals, and locality miss-ratio curves,
+      utilization and working sets. Fails when a cell moved more than 15%
+      either way or a table changed shape; --advisory reports the same
+      lines but exits 0. A self-diff always passes.
   gate [--build-dir=build] [--baseline=FILE] [--out-dir=DIR] [--update-baseline]
-      Runs the --quick ablation benches with --report-out=, writes their
-      tables to <out-dir>/BENCH_<sha>.json, and fails when a gated cell
-      moved more than 15% in its bad direction against the baseline
-      (default bench/BENCH_baseline.json). --update-baseline rewrites the
-      baseline from this run instead.
+      Runs the --quick figure and ablation benches with --report-out=,
+      writes their tables to <out-dir>/BENCH_<sha>.json, and fails when a
+      gated cell moved more than 15% in its bad direction against the
+      baseline (default bench/BENCH_baseline.json). --update-baseline
+      rewrites the baseline from this run instead.
 
 Exit codes: 0 ok, 1 failed check or threshold, 2 usage error or
 unreadable input.
@@ -47,24 +47,17 @@ THRESHOLD = 0.15
 ABS_FLOOR = 1e-9
 
 # ---------------------------------------------------------------------------
-# Run-report schema (trace::run_report_json, "sfcvis_run_report": 1). These
+# Run-report schema (trace::run_report_json, "sfcvis_run_report": 2). These
 # tables are the schema's one written form; the validators below enforce
 # them and the extraction reads them.
 # ---------------------------------------------------------------------------
 
 REPORT_KEYS = ("sfcvis_run_report", "span_tracing", "dropped_spans",
-               "hw_counters", "topdown", "locality", "jobs", "threads",
+               "hw_counters", "locality", "jobs", "threads",
                "phases", "metrics", "histograms", "tables")
-# hw_counters, topdown, locality and jobs are always present; an
-# unavailable one says why in "source" (the reported-fallback idiom).
+# hw_counters, locality and jobs are always present; an unavailable one
+# says why in "source" (the reported-fallback idiom).
 SECTION_KEYS = ("available", "source")
-# Slot-ratio keys an available top-down section must carry beyond the raw
-# counts; the stall-derived ratios additionally require has_stalls.
-TOPDOWN_AVAILABLE_KEYS = ("cycles", "instructions", "has_stalls", "retiring")
-TOPDOWN_STALL_KEYS = ("frontend_bound", "backend_bound", "bad_speculation",
-                      "stalled_cycles_frontend", "stalled_cycles_backend")
-TOPDOWN_RATIOS = ("retiring", "frontend_bound", "backend_bound",
-                  "bad_speculation")
 PHASE_KEYS = ("name", "count", "total_ms", "mean_us", "max_us", "per_thread")
 LOCALITY_PROFILE_KEYS = ("kernel", "layout", "accesses", "bytes", "line",
                          "page", "sample_rate_log2", "sampled")
@@ -88,6 +81,37 @@ TRACE_EVENT_KEYS = ("ph", "ts", "pid", "tid", "name")
 # Wall-clock tables never gate: CI machines are too noisy for sub-2x
 # timing comparisons to mean anything.
 BENCHES = {
+    # The paper's figures. A ds cell above 0 means Z-order wins, so the
+    # modeled and counter ds tables gate "higher": a drop means Z-order's
+    # advantage shrank. Fig. 1 and Fig. 4 count lines per ray and modeled
+    # counter events per viewpoint, so they gate "lower".
+    "fig1_alignment": {
+        "fig1_lines_per_ray.csv": "lower",
+    },
+    "fig2_bilateral_ivybridge": {
+        "bilateral_ivybridge_runtime_ds.csv": "advisory",
+        "bilateral_ivybridge_modeled_ds.csv": "higher",
+        "bilateral_ivybridge_counter_ds.csv": "higher",
+    },
+    "fig3_bilateral_mic": {
+        "bilateral_mic_runtime_ds.csv": "advisory",
+        "bilateral_mic_modeled_ds.csv": "higher",
+        "bilateral_mic_counter_ds.csv": "higher",
+    },
+    "fig4_volrend_viewpoints": {
+        "volrend_viewpoint_runtime.csv": "advisory",
+        "volrend_viewpoint_counter.csv": "lower",
+    },
+    "fig5_volrend_ivybridge": {
+        "volrend_ivybridge_runtime_ds.csv": "advisory",
+        "volrend_ivybridge_modeled_ds.csv": "higher",
+        "volrend_ivybridge_counter_ds.csv": "higher",
+    },
+    "fig6_volrend_mic": {
+        "volrend_mic_runtime_ds.csv": "advisory",
+        "volrend_mic_modeled_ds.csv": "higher",
+        "volrend_mic_counter_ds.csv": "higher",
+    },
     "abl_traversal": {
         "abl_traversal_escapes.csv": "lower",
         "abl_traversal_cycles.csv": "lower",
@@ -235,15 +259,6 @@ def validate_report(doc, require):
     hw = section(doc, "hw_counters")
     need(not hw["available"] or doc.get("run_totals") is not None,
          "hw counters reported available but run_totals is null")
-    td = section(doc, "topdown")
-    if td["available"]:
-        need_keys(td, TOPDOWN_AVAILABLE_KEYS, "available topdown section")
-        if td["has_stalls"]:
-            need_keys(td, TOPDOWN_STALL_KEYS, "topdown with stalls")
-        total = sum(td.get(k, 0.0) for k in TOPDOWN_RATIOS)
-        # Ratios are approximations; be loose, but catch garbage.
-        need(td["retiring"] >= 0.0 and not (td["has_stalls"] and total > 3.0),
-             f"topdown slot ratios out of range (sum {total:.3f})")
     for phase in doc["phases"]:
         need_keys(phase, PHASE_KEYS, f"phase {phase.get('name', '?')}")
         need(phase["count"] > 0, f"phase {phase['name']} has non-positive count")
@@ -389,19 +404,6 @@ def summarize_report(doc, path):
     print(f"span tracing: {'on' if doc['span_tracing'] else 'off'}  |  "
           f"counters: {hw['source']}  |  dropped spans: {doc['dropped_spans']}")
 
-    td = doc["topdown"]
-    if td.get("available"):
-        line = f"top-down: retiring {td['retiring']:.1%}"
-        if td.get("has_stalls"):
-            line += (f"  frontend-bound {td['frontend_bound']:.1%}"
-                     f"  backend-bound {td['backend_bound']:.1%}"
-                     f"  bad-speculation {td['bad_speculation']:.1%}")
-        else:
-            line += "  (stall counters unavailable; level-1 split omitted)"
-        print(line)
-    else:
-        print(f"top-down: unavailable ({td.get('source', '?')})")
-
     if doc["phases"]:
         have_hw = any(p.get("counters") for p in doc["phases"])
         head = (f"{'phase':<34} {'count':>8} {'total ms':>10} {'mean us':>10} "
@@ -526,27 +528,18 @@ def cells(doc, kind):
 
     Returns (groups, shapes): groups maps a group name to {label: value},
     shapes maps each table's group to its (rows, cols) labels. Groups are
-    result tables ("<name>.csv", labels "row | col"), available top-down
-    sections ("topdown", or "topdown[<bench>]" in a snapshot; the slot
-    ratios), "brick-cache" (the bricked.* totals) and
-    "locality[<kernel>/<layout>]" (accesses plus, per line/page/sampled
-    slice, working set, cold misses, utilization and each MRC point).
+    result tables ("<name>.csv", labels "row | col"), "brick-cache" (the
+    bricked.* totals) and "locality[<kernel>/<layout>]" (accesses plus,
+    per line/page/sampled slice, working set, cold misses, utilization
+    and each MRC point).
     """
-    if kind == "report":
-        tables = report_tables(doc)
-        topdowns = {"topdown": doc.get("topdown")}
-    else:
-        tables = doc["tables"]
-        topdowns = {f"topdown[{b}]": td for b, td in doc.get("topdown", {}).items()}
+    tables = report_tables(doc) if kind == "report" else doc["tables"]
     groups, shapes = {}, {}
     for name, t in tables.items():
         shapes[name] = (t["rows"], t["cols"])
         groups[name] = {f"{row} | {col}": t["cells"][r][c]
                         for r, row in enumerate(t["rows"])
                         for c, col in enumerate(t["cols"])}
-    for name, td in topdowns.items():
-        if td and td.get("available"):
-            groups[name] = {k: td[k] for k in TOPDOWN_RATIOS if k in td}
     if kind != "report":
         return groups, shapes
     brick = brick_totals(doc)
@@ -643,8 +636,8 @@ def cmd_diff(args):
 
 def run_benches(build_dir, work_dir):
     """Runs every bench in BENCHES with --quick --report-out= and returns
-    the snapshot's (tables, directions, topdown) from the run reports."""
-    tables, directions, topdowns = {}, {}, {}
+    the snapshot's (tables, directions) from the run reports."""
+    tables, directions = {}, {}
     for binary, gated in BENCHES.items():
         exe = os.path.join(build_dir, "bench", binary)
         if not os.path.exists(exe):
@@ -664,28 +657,16 @@ def run_benches(build_dir, work_dir):
                 usage_error(f"{binary} run report lacks table {name}")
             tables[name] = {k: found[name][k] for k in ("rows", "cols", "cells")}
             directions[name] = direction
-        topdowns[binary] = doc["topdown"]
-    return tables, directions, topdowns
+    return tables, directions
 
 
 def gate_compare(baseline, snapshot):
-    """Compares a fresh snapshot to the baseline: each table by its
-    direction, and each bench's top-down retiring fraction as one more
-    "higher" cell — gated only when a PMU was live in both runs, since an
-    unavailable section yields no cells. Returns compare()'s lists."""
+    """Compares a fresh snapshot to the baseline, each table by its
+    direction. Returns compare()'s lists."""
     directions = snapshot["directions"]
-
-    def direction_of(group, label):
-        if group.startswith("topdown["):
-            return "higher" if label == "retiring" else "advisory"
-        return directions.get(group, "advisory")
-
-    failed, moved, notes, _ = compare(cells(baseline, "snapshot"),
-                                      cells(snapshot, "snapshot"), direction_of)
-    for binary, td in sorted(snapshot["topdown"].items()):
-        if not td.get("available"):
-            notes.append(f"topdown[{binary}]: unavailable this run "
-                         f"({td.get('source', '?')}); retiring gate skipped")
+    failed, moved, notes, _ = compare(
+        cells(baseline, "snapshot"), cells(snapshot, "snapshot"),
+        lambda group, label: directions.get(group, "advisory"))
     return failed, moved, notes
 
 
@@ -704,10 +685,10 @@ def cmd_gate(args):
     baseline_path = args.baseline or os.path.join(repo_root, "bench",
                                                   "BENCH_baseline.json")
     with tempfile.TemporaryDirectory(prefix="sfcreport_") as work_dir:
-        tables, directions, topdowns = run_benches(args.build_dir, work_dir)
+        tables, directions = run_benches(args.build_dir, work_dir)
     sha = git_sha(repo_root)
     snapshot = {"sha": sha, "threshold": THRESHOLD, "directions": directions,
-                "tables": tables, "topdown": topdowns}
+                "tables": tables}
     out_dir = args.out_dir or args.build_dir
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, f"BENCH_{sha}.json")
