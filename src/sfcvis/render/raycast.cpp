@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -12,6 +13,21 @@ void validate_step(float step) {
   if (!(std::isfinite(step) && step > 0.0f)) {
     throw std::invalid_argument("RenderConfig::step must be finite and positive (got " +
                                 std::to_string(step) + ")");
+  }
+}
+
+void validate_step(float step, const core::Extents3D& extents) {
+  validate_step(step);
+  const double diagonal = std::sqrt(static_cast<double>(extents.nx) * extents.nx +
+                                    static_cast<double>(extents.ny) * extents.ny +
+                                    static_cast<double>(extents.nz) * extents.nz);
+  const double smallest = diagonal / kMaxRaySamples;
+  if (step < smallest) {
+    std::ostringstream msg;
+    msg << "RenderConfig::step " << step << " needs more than 2^24 samples along the "
+        << extents.nx << "x" << extents.ny << "x" << extents.nz
+        << " volume's diagonal; the smallest step is " << smallest;
+    throw std::invalid_argument(msg.str());
   }
 }
 

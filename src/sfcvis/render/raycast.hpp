@@ -7,6 +7,14 @@
 // through a core::ReadView3D, which makes the renderer layout-transparent
 // and traceable, exactly like the bilateral filter.
 //
+// Batched marching: composite mode runs one loop, detail::march, over a
+// run of consecutive samples of one ray. For an in-core PlainView each
+// step takes 16 samples: their positions, cell loads and trilinear values
+// as plain lane loops, one transparency test per lane, and in-order
+// compositing of only the lanes that can be visible. Views whose reads are
+// observed (traced, bricked) take one sample per step, so they read what
+// the scalar loop reads, in its order.
+//
 // Empty-space skipping: with config.use_macrocells the ray integration
 // runs as a 3D DDA over a MacrocellGrid (Amanatides & Woo 1987): the ray
 // advances macrocell-by-macrocell, and every cell whose [min, max] value
@@ -23,6 +31,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -77,6 +86,15 @@ struct RenderConfig {
 /// step <= 0 never advances a ray past its exit, and an infinite one makes
 /// t_enter + 0 * step NaN.
 void validate_step(float step);
+
+/// Largest sample index of one ray: 2^24, the largest integer a float
+/// holds exactly. Past it, t_enter + n*step stops growing with n.
+inline constexpr std::uint32_t kMaxRaySamples = std::uint32_t{1} << 24;
+
+/// validate_step(step), then throws std::invalid_argument when a ray along
+/// the box diagonal of `extents` needs more than kMaxRaySamples samples at
+/// `step` (a step below 2.6e-5 voxels at 256^3).
+void validate_step(float step, const core::Extents3D& extents);
 
 /// Per-ray traversal statistics (skip-rate accounting; plain counters so
 /// the hot path stays atomic-free). The parallel drivers keep one of
@@ -134,6 +152,22 @@ inline void fold_ray_stats(const RayStats& s, std::uint64_t tiles = 1) {
 [[nodiscard]] std::optional<std::pair<float, float>> intersect_box(const Ray& ray, Vec3 lo,
                                                                    Vec3 hi) noexcept;
 
+namespace detail {
+
+/// Trilinear blend of a cell's corners c000, c100, c010, c110, c001, c101,
+/// c011, c111 at fractional offsets (tx, ty, tz): the one expression every
+/// trilinear sample evaluates, per sample and per march lane.
+[[nodiscard, gnu::always_inline]] inline float blend_cell(float c000, float c100, float c010,
+                                                          float c110, float c001, float c101,
+                                                          float c011, float c111, float tx,
+                                                          float ty, float tz) noexcept {
+  const auto lerp = [](float a, float b, float t) { return a + (b - a) * t; };
+  return lerp(lerp(lerp(c000, c100, tx), lerp(c010, c110, tx), ty),
+              lerp(lerp(c001, c101, tx), lerp(c011, c111, tx), ty), tz);
+}
+
+}  // namespace detail
+
 /// Trilinear reconstruction at continuous voxel position `p` (voxel-center
 /// convention: sample n lies at coordinate n). Out-of-range lattice
 /// neighbours clamp to the border. The 8 neighbours arrive as one cell
@@ -143,28 +177,22 @@ template <core::ReadView3D View>
   const float fx = std::floor(p.x), fy = std::floor(p.y), fz = std::floor(p.z);
   const auto c = view.cell(static_cast<std::int64_t>(fx), static_cast<std::int64_t>(fy),
                            static_cast<std::int64_t>(fz));
-  const float tx = p.x - fx, ty = p.y - fy, tz = p.z - fz;
-
-  auto lerp = [](float a, float b, float t) { return a + (b - a) * t; };
-  const float c00 = lerp(c[0], c[1], tx);
-  const float c10 = lerp(c[2], c[3], tx);
-  const float c01 = lerp(c[4], c[5], tx);
-  const float c11 = lerp(c[6], c[7], tx);
-  return lerp(lerp(c00, c10, ty), lerp(c01, c11, ty), tz);
+  return detail::blend_cell(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], p.x - fx,
+                            p.y - fy, p.z - fz);
 }
 
 /// Central-difference gradient of the trilinearly reconstructed field at
-/// continuous position `p` — the shading normal source (Levoy 1988).
+/// continuous position `p` — the shading normal source (Levoy 1988). The
+/// six samples read in the order +x, -x, +y, -y, +z, -z.
 template <core::ReadView3D View>
 [[nodiscard]] Vec3 gradient_trilinear(const View& view, Vec3 p) {
-  return Vec3{
-      0.5f * (sample_trilinear(view, Vec3{p.x + 1, p.y, p.z}) -
-              sample_trilinear(view, Vec3{p.x - 1, p.y, p.z})),
-      0.5f * (sample_trilinear(view, Vec3{p.x, p.y + 1, p.z}) -
-              sample_trilinear(view, Vec3{p.x, p.y - 1, p.z})),
-      0.5f * (sample_trilinear(view, Vec3{p.x, p.y, p.z + 1}) -
-              sample_trilinear(view, Vec3{p.x, p.y, p.z - 1})),
-  };
+  const float xp = sample_trilinear(view, Vec3{p.x + 1, p.y, p.z});
+  const float xm = sample_trilinear(view, Vec3{p.x - 1, p.y, p.z});
+  const float yp = sample_trilinear(view, Vec3{p.x, p.y + 1, p.z});
+  const float ym = sample_trilinear(view, Vec3{p.x, p.y - 1, p.z});
+  const float zp = sample_trilinear(view, Vec3{p.x, p.y, p.z + 1});
+  const float zm = sample_trilinear(view, Vec3{p.x, p.y, p.z - 1});
+  return Vec3{0.5f * (xp - xm), 0.5f * (yp - ym), 0.5f * (zp - zm)};
 }
 
 namespace detail {
@@ -192,9 +220,11 @@ namespace detail {
 /// of line in raycast.cpp): with -ffp-contract=fast the compiler may fuse
 /// t_enter + n*step (and ray.at's origin + dir*t) into an FMA in one
 /// inlining context and not in another, and every trace_ray instantiation
-/// — the dense and macrocell loops, over the plain, traced and bricked
-/// views — must agree bitwise on where a ray samples. One definition
-/// means one contraction choice for every caller.
+/// must agree bitwise on where a ray samples. One definition means one
+/// contraction choice for every caller. Composite mode places its samples
+/// in march's lane loop instead, with the same two expression shapes: a
+/// vector loop contracts like scalar code of the same shape (the contract
+/// in core/simd.hpp), and the reference compositor test pins the agreement.
 [[nodiscard]] float sample_param(float t_enter, std::uint64_t n, float step) noexcept;
 [[nodiscard]] Vec3 sample_position(const Ray& ray, float t) noexcept;
 
@@ -206,18 +236,147 @@ namespace detail {
 [[nodiscard]] float headlight_scale(const Vec3& normal, const Vec3& dir,
                                     float ambient) noexcept;
 
+/// Samples per march step over `View`: 16 for a PlainView, whose reads are
+/// free and unobserved, so lanes past the run's end read clamped cells
+/// whose values are masked out; 1 for every other view (TracedView,
+/// BrickedView, BrickedTracedView), whose reads are observed and must stay
+/// 8 taps per sample, in sample order, with nothing read past the run's
+/// end or the terminating sample.
+template <class View>
+inline constexpr std::uint32_t kMarchLanes = 1;
+template <class T, core::Layout3D LayoutT>
+inline constexpr std::uint32_t kMarchLanes<core::PlainView<T, LayoutT>> = 16;
+
+/// A cell's lower corner index, clamped to [-1, n]: view.cell reads the
+/// same border-clamped corners as at the unclamped index, and the float to
+/// integer conversion stays defined for lanes past a run's end, which a
+/// huge step can place at any distance, inf and NaN included (NaN maps to
+/// -1).
+[[nodiscard, gnu::always_inline]] inline float clamp_cell_index(float f,
+                                                                std::uint32_t n) noexcept {
+  const auto hi = static_cast<float>(n);
+  return f >= -1.0f ? (f <= hi ? f : hi) : -1.0f;
+}
+
+/// Composites the run of samples n, n + 1, ... of one ray whose parameter
+/// t_enter + n*step is <= limit into `out`, front to back. Sample n is
+/// always taken: a macrocell's exit may round below the sample that
+/// entered it, and the walk must still advance. Advances n past the last
+/// sample taken; returns false once
+/// the ray terminated. Each step takes K = kMarchLanes<View> consecutive
+/// samples:
+///  1. lane arithmetic: the K parameters and positions, their floors, the
+///     K cell loads in sample order and K trilinear values;
+///  2. a transparency test per lane: a value <= tf.transparent_bound()
+///     classifies to alpha exactly 0 and needs no tf.sample;
+///  3. in order, the lanes that can be visible: classification (alpha
+///     exactly 0 still composites nothing), shading, opacity correction,
+///     compositing and the early-termination test.
+/// A sample that classifies to alpha exactly 0 skips all of step 3: its
+/// corrected alpha 1 - pow(1, step) is +0, and compositing it adds +-0 to
+/// accumulators that are never -0, so the skip is bitwise exact (it needs
+/// the finite colours TransferFunction enforces: inf * 0 would be NaN).
+template <core::ReadView3D View>
+[[nodiscard]] bool march(const View& view, const Ray& ray, const TransferFunction& tf,
+                         const RenderConfig& config, float t_enter, float limit,
+                         std::uint64_t& n, Rgba& out) {
+  constexpr std::uint32_t K = kMarchLanes<View>;
+  const auto& e = view.extents();
+  const float step = config.step;
+  const float clear = tf.transparent_bound();
+  // out.a < early_termination holds on entry except before a ray's first
+  // sample when early_termination is <= 0 or NaN: that ray ends after its
+  // first sample, visible or not.
+  const bool last_one = !(out.a < config.early_termination);
+  const std::uint64_t first = n;
+  while (true) {
+    // Lane indices stay below 2^24 + K: trace_ray renders no span that
+    // sample kMaxRaySamples does not pass, so they fit 32 bits.
+    const auto base = static_cast<std::int32_t>(n);
+    alignas(64) float t[K], x[K], y[K], z[K], fx[K], fy[K], fz[K], value[K];
+    alignas(64) float ix[K], iy[K], iz[K];
+    alignas(64) float c[8][K];
+    std::uint32_t count = 0;
+    for (std::uint32_t q = 0; q < K; ++q) {
+      t[q] = t_enter + static_cast<float>(base + static_cast<std::int32_t>(q)) * step;
+      count += t[q] <= limit ? 1U : 0U;
+    }
+    // Parameters grow with n, so the lanes inside the run are a prefix.
+    if (n == first) {
+      count = last_one ? 1 : std::max(count, 1U);
+    }
+    if (count == 0) {
+      return true;
+    }
+    for (std::uint32_t q = 0; q < K; ++q) {
+      x[q] = ray.origin.x + ray.dir.x * t[q];
+      y[q] = ray.origin.y + ray.dir.y * t[q];
+      z[q] = ray.origin.z + ray.dir.z * t[q];
+      fx[q] = std::floor(x[q]);
+      fy[q] = std::floor(y[q]);
+      fz[q] = std::floor(z[q]);
+      ix[q] = clamp_cell_index(fx[q], e.nx);
+      iy[q] = clamp_cell_index(fy[q], e.ny);
+      iz[q] = clamp_cell_index(fz[q], e.nz);
+    }
+    for (std::uint32_t q = 0; q < K; ++q) {
+      const auto cell =
+          view.cell(static_cast<std::int64_t>(ix[q]), static_cast<std::int64_t>(iy[q]),
+                    static_cast<std::int64_t>(iz[q]));
+      for (std::uint32_t corner = 0; corner < 8; ++corner) {
+        c[corner][q] = cell[corner];
+      }
+    }
+    std::uint32_t live = 0;
+    for (std::uint32_t q = 0; q < K; ++q) {
+      value[q] = blend_cell(c[0][q], c[1][q], c[2][q], c[3][q], c[4][q], c[5][q], c[6][q],
+                            c[7][q], x[q] - fx[q], y[q] - fy[q], z[q] - fz[q]);
+      live |= (value[q] <= clear ? 0U : 1U) << q;
+    }
+    if (count < K) {
+      live &= (std::uint32_t{1} << count) - 1;
+    }
+    for (; live != 0; live &= live - 1) {
+      const auto q = static_cast<std::uint32_t>(std::countr_zero(live));
+      Rgba sample = tf.sample(value[q]);
+      if (sample.a == 0.0f) {
+        continue;
+      }
+      if (config.shade && sample.a > 0.0f) {
+        // Headlight Lambertian: light arrives along the viewing ray.
+        const Vec3 normal = gradient_trilinear(view, Vec3{x[q], y[q], z[q]});
+        const float lit = headlight_scale(normal, ray.dir, config.ambient);
+        sample.r *= lit;
+        sample.g *= lit;
+        sample.b *= lit;
+      }
+      // Opacity correction: transfer-function alphas are per unit length.
+      sample.a = 1.0f - std::pow(1.0f - sample.a, step);
+      out.composite_under(sample);
+      if (!(out.a < config.early_termination)) {
+        n += q + 1;
+        return false;
+      }
+    }
+    n += count;
+    if (last_one) {
+      return false;
+    }
+    if (count < K) {
+      return true;
+    }
+  }
+}
+
 }  // namespace detail
 
 /// Casts one ray. kComposite: classify each sample with the transfer
 /// function and composite front to back with opacity correction for the
-/// step size (optionally headlight-shaded by the local gradient). A sample
-/// that classifies to alpha exactly 0 skips all three: its corrected alpha
-/// 1 - pow(1, step) is +0, and compositing it adds +-0 to accumulators
-/// that are never -0, so the skip is bitwise exact (it needs the finite
-/// colours TransferFunction enforces: inf * 0 would be NaN).
-/// kMip: classify the maximum sample along the ray; at least one sample
-/// (at t_enter) is always taken on a hit, so a span shorter than one step
-/// still classifies a real field value, never the -FLT_MAX sentinel.
+/// step size (optionally headlight-shaded by the local gradient), in
+/// detail::march. kMip: classify the maximum sample along the ray; at least
+/// one sample (at t_enter) is always taken on a hit, so a span shorter than
+/// one step still classifies a real field value, never the -FLT_MAX
+/// sentinel.
 ///
 /// With `cells` non-null the ray walks the macrocell DDA and skips
 /// provably irrelevant cells; the composited sample sequence (positions
@@ -225,7 +384,10 @@ namespace detail {
 ///
 /// Precondition: ray.dir is unit length, as every Camera ray is, so that
 /// config.step is a distance in voxels. Any other direction is rejected by
-/// intersect_box and renders transparent.
+/// intersect_box and renders transparent, and so is a span that sample
+/// kMaxRaySamples does not pass (a step that is not finite and positive,
+/// or too small for the span or for t_enter's precision): the ray would
+/// not end.
 template <core::ReadView3D View>
 [[nodiscard]] Rgba trace_ray(const View& view, const Ray& ray, const TransferFunction& tf,
                              const RenderConfig& config,
@@ -248,6 +410,11 @@ template <core::ReadView3D View>
   const auto t_of = [&](std::uint64_t n) {
     return detail::sample_param(t_enter, n, step);
   };
+  // The march ends only once a sample passes t_exit, which sample
+  // kMaxRaySamples must do; t_of(0) is NaN for a non-finite step.
+  if (!(t_of(0) <= t_exit && t_of(kMaxRaySamples) > t_exit)) {
+    return out;
+  }
 
   if (config.mode == RenderMode::kMip) {
     float peak = -std::numeric_limits<float>::max();
@@ -304,47 +471,16 @@ template <core::ReadView3D View>
     return out;
   }
 
-  // Front-to-back compositing. Returns false once early termination hits.
-  const auto composite_sample = [&](float t) {
-    const Vec3 position = detail::sample_position(ray, t);
-    const float value = sample_trilinear(view, position);
-    Rgba sample = tf.sample(value);
-    if (sample.a == 0.0f) {
-      return out.a < config.early_termination;
-    }
-    if (config.shade && sample.a > 0.0f) {
-      // Headlight Lambertian: light arrives along the viewing ray.
-      const Vec3 normal = gradient_trilinear(view, position);
-      const float lit = detail::headlight_scale(normal, ray.dir, config.ambient);
-      sample.r *= lit;
-      sample.g *= lit;
-      sample.b *= lit;
-    }
-    // Opacity correction: transfer-function alphas are per unit length.
-    sample.a = 1.0f - std::pow(1.0f - sample.a, step);
-    out.composite_under(sample);
-    return out.a < config.early_termination;
-  };
-
+  std::uint64_t n = 0;
   if (cells == nullptr) {
-    for (std::uint64_t n = 0;; ++n) {
-      const float t = t_of(n);
-      if (t > t_exit) {
-        break;
-      }
-      const bool keep_going = composite_sample(t);
-      if (stats != nullptr) {
-        ++stats->samples_taken;
-      }
-      if (!keep_going) {
-        break;
-      }
+    (void)detail::march(view, ray, tf, config, t_enter, t_exit, n, out);
+    if (stats != nullptr) {
+      stats->samples_taken += n;
     }
     return out;
   }
 
   const Vec3 inv_dir{1.0f / ray.dir.x, 1.0f / ray.dir.y, 1.0f / ray.dir.z};
-  std::uint64_t n = 0;
   while (true) {
     const float t = t_of(n);
     if (t > t_exit) {
@@ -366,14 +502,11 @@ template <core::ReadView3D View>
       }
       n = next;
     } else {
-      bool keep_going = true;
-      do {
-        keep_going = composite_sample(t_of(n));
-        if (stats != nullptr) {
-          ++stats->samples_taken;
-        }
-        ++n;
-      } while (keep_going && t_of(n) <= exit);
+      const std::uint64_t first = n;
+      const bool keep_going = detail::march(view, ray, tf, config, t_enter, exit, n, out);
+      if (stats != nullptr) {
+        stats->samples_taken += n - first;
+      }
       if (!keep_going) {
         break;
       }
@@ -441,7 +574,7 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
                                           const RenderConfig& config, Image& image,
                                           const MacrocellGrid* cells = nullptr,
                                           bool collect_stats = false, Views views = {}) {
-  validate_step(config.step);
+  validate_step(config.step, volume.extents());
   const TileDecomposition tiles(config.image_width, config.image_height, config.tile_size);
   using View = decltype(views(volume, 0U));
   // Per-run state resolved in job.prepare: the macrocell grid (cache

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <cstddef>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 
 namespace sfcvis::render {
@@ -38,6 +40,21 @@ TransferFunction::TransferFunction(std::vector<TransferPoint> points)
     }
   }
   build_opacity_envelope();
+  const auto visible = std::find_if(points_.begin(), points_.end(),
+                                    [](const auto& p) { return p.color.a != 0.0f; });
+  if (visible == points_.end()) {
+    transparent_bound_ = std::numeric_limits<float>::infinity();
+  } else if (visible == points_.begin()) {
+    // Not -inf: -inf <= -inf, and a -inf value samples as the visible
+    // first point. No value compares <= NaN.
+    transparent_bound_ = std::numeric_limits<float>::quiet_NaN();
+  } else {
+    // sample() at a value shared by the last transparent point and the
+    // first visible one may return the visible colour.
+    const float last = std::prev(visible)->value;
+    const float below = std::nextafter(last, -std::numeric_limits<float>::infinity());
+    transparent_bound_ = visible->value > last ? last : below;
+  }
 }
 
 Rgba TransferFunction::sample(float value) const noexcept {

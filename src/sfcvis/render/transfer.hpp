@@ -44,6 +44,15 @@ class TransferFunction {
   /// empty-space classification for macrocells.
   [[nodiscard]] float max_opacity(float lo, float hi) const noexcept;
 
+  /// Every value <= this bound samples to alpha exactly 0, so the
+  /// renderer's transparency test needs no sample() call for it. It is the
+  /// value of the last control point in the leading run of alpha-0 points
+  /// (the float below it when the first visible point shares that value),
+  /// +inf when no point is visible, and NaN, which no value is <=, when
+  /// the first point is visible (-inf would not do: -inf samples as that
+  /// point). A NaN value is never <= it and samples as the first point.
+  [[nodiscard]] float transparent_bound() const noexcept { return transparent_bound_; }
+
   /// Flame-style map for combustion-like [0, 1] fields: fully transparent
   /// cold regions (alpha exactly 0 below the fuel-haze threshold, so
   /// empty-space skipping can classify them), glowing orange sheet, bright
@@ -60,6 +69,7 @@ class TransferFunction {
   [[nodiscard]] float alpha_at(float value) const noexcept;
 
   std::vector<TransferPoint> points_;
+  float transparent_bound_ = 0.0f;
 
   // Binned alpha envelope: env_[level][b] is the max alpha over bins
   // [b, b + 2^level); level 0 holds the per-bin piecewise maxima.

@@ -203,6 +203,43 @@ TEST(Transfer, RejectsNonFiniteOrAlphaOutsideUnitRange) {
   EXPECT_NO_THROW(one(1.0f, {0, 0, 0, 0.0f}));
 }
 
+TEST(Transfer, TransparentBoundSamplesToAlphaExactlyZero) {
+  // trace_ray classifies a value <= the bound as transparent without a
+  // sample() call, so every such value must sample to alpha exactly 0.
+  constexpr float inf = std::numeric_limits<float>::infinity();
+  const auto flame = TransferFunction::flame();
+  EXPECT_EQ(flame.transparent_bound(), 0.15f);
+  const auto gray = TransferFunction::grayscale(-2.0f, 3.0f);
+  EXPECT_EQ(gray.transparent_bound(), -2.0f);
+  // A visible first point leaves no value to skip, -inf included: it
+  // samples as that point.
+  const TransferFunction visible({{0.0f, {1, 1, 1, 0.5f}}, {1.0f, {0, 0, 0, 0}}});
+  EXPECT_TRUE(std::isnan(visible.transparent_bound()));
+  const TransferFunction clear({{0.0f, {}}, {1.0f, {0.5f, 0, 0, 0}}});
+  EXPECT_EQ(clear.transparent_bound(), inf);
+  // The last transparent point and the first visible one share 1.0, where
+  // sample() returns the visible colour: the bound lies below it.
+  const TransferFunction shared({{0.0f, {}}, {1.0f, {}}, {1.0f, {1, 1, 1, 1}}});
+  ASSERT_EQ(shared.sample(1.0f).a, 1.0f);
+  EXPECT_EQ(shared.transparent_bound(), std::nextafter(1.0f, -inf));
+  for (const TransferFunction* tf : {&flame, &gray, &visible, &clear, &shared}) {
+    const float bound = tf->transparent_bound();
+    std::vector<float> values{bound, std::nextafter(bound, -inf), -inf};
+    for (int i = -3 * 512; i <= 3 * 512; ++i) {
+      values.push_back(static_cast<float>(i) / 512.0f);
+    }
+    for (const auto& p : tf->points()) {
+      values.push_back(p.value);
+    }
+    for (const float v : values) {
+      if (v <= bound) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(std::abs(tf->sample(v).a)), 0u) << v;
+      }
+    }
+    EXPECT_FALSE(std::numeric_limits<float>::quiet_NaN() <= bound);
+  }
+}
+
 TEST(Transfer, FlameMapIsMonotoneInOpacity) {
   const auto tf = TransferFunction::flame();
   float prev = -1;
@@ -554,6 +591,49 @@ TEST(Raycast, RejectsNonPositiveOrNonFiniteStep) {
   EXPECT_NO_THROW(render::validate_step(std::numeric_limits<float>::denorm_min()));
 }
 
+TEST(Raycast, StepTooSmallForTheVolumeIsRejected) {
+  // Sample n lies at t_enter + n * step. Once n * step falls under half an
+  // ulp of t_enter, t stops advancing: at a step of 1e-30 no ray through
+  // an 8^3 volume would end.
+  Grid3D<float, ArrayOrderLayout> g(Extents3D::cube(8));
+  exec::ExecutionContext pool(1);
+  const RenderConfig config{8, 8, 8, 1e-30f, 0.98f};
+  EXPECT_THROW(render::raycast_parallel(g, render::orbit_camera(0, 8, 8, 8, 8),
+                                        TransferFunction::flame(), config, pool),
+               std::invalid_argument);
+  // The 8^3 box diagonal (13.9 voxels) takes 2^24 samples at 8.3e-7, the
+  // 256^3 one (443 voxels) at 2.6e-5.
+  EXPECT_NO_THROW(render::validate_step(1e-6f, Extents3D::cube(8)));
+  EXPECT_THROW(render::validate_step(1e-6f, Extents3D::cube(16)), std::invalid_argument);
+  EXPECT_NO_THROW(render::validate_step(2.7e-5f, Extents3D::cube(256)));
+  EXPECT_THROW(render::validate_step(2.6e-5f, Extents3D::cube(256)), std::invalid_argument);
+  EXPECT_THROW(render::validate_step(0.0f, Extents3D::cube(8)), std::invalid_argument);
+}
+
+TEST(Raycast, StepTooSmallForTheSpanRendersTransparent) {
+  // trace_ray called directly: a span that sample 2^24 does not pass
+  // renders transparent at once, on every path; a small step that does
+  // pass it still renders.
+  Grid3D<float, ArrayOrderLayout> g(Extents3D::cube(8));
+  g.fill_from([](std::uint32_t, std::uint32_t, std::uint32_t) { return 1.0f; });
+  const core::PlainView view(g);
+  const auto cells = render::MacrocellGrid::build(g, 4);
+  const Ray ray{{20.0f, 3.5f, 3.5f}, {-1, 0, 0}};
+  for (const auto mode : {render::RenderMode::kComposite, render::RenderMode::kMip}) {
+    const std::array<const render::MacrocellGrid*, 2> grids{&cells, nullptr};
+    for (const render::MacrocellGrid* grid : grids) {
+      RenderConfig config{8, 8, 8, 1e-30f, 0.98f};
+      config.mode = mode;
+      render::RayStats stats;
+      const Rgba c = render::trace_ray(view, ray, TransferFunction::flame(), config, grid, &stats);
+      EXPECT_EQ(bits(c), bits(Rgba{}));
+      EXPECT_EQ(stats.samples_taken, 0u);
+      config.step = 1e-4f;
+      EXPECT_GT(render::trace_ray(view, ray, TransferFunction::flame(), config, grid).a, 0.0f);
+    }
+  }
+}
+
 TEST(Raycast, ZeroDirectionRayReturnsBackground) {
   // Ray is a public aggregate, so a caller can build a ray no Camera makes.
   Grid3D<float, ArrayOrderLayout> g(Extents3D::cube(8));
@@ -587,10 +667,12 @@ TEST(Raycast, TinyDirectionRayReturnsBackground) {
 
 namespace {
 
-/// The dense compositor before the cell load and the transparent-sample
-/// skip: eight at_clamped reads per trilinear sample, and tf.sample, the
-/// opacity pow and the composite on every sample. Sample positions, the
-/// lighting scale and the composite use the renderer's own helpers.
+/// The compositor before the cell load, the transparent-sample skip and
+/// the batched march: eight at_clamped reads per trilinear sample, and
+/// tf.sample, the opacity pow and the composite on every sample, one
+/// sample at a time. With `cells` it walks the macrocells as trace_ray
+/// does. Sample positions, the lighting scale and the composite use the
+/// renderer's own helpers. `taken` counts the samples it takes.
 template <class View>
 float reference_trilinear(const View& view, Vec3 p) {
   const float fx = std::floor(p.x), fy = std::floor(p.y), fz = std::floor(p.z);
@@ -616,7 +698,8 @@ float reference_trilinear(const View& view, Vec3 p) {
 
 template <class View>
 Rgba reference_ray(const View& view, const Ray& ray, const TransferFunction& tf,
-                   const RenderConfig& config) {
+                   const RenderConfig& config, const render::MacrocellGrid* cells = nullptr,
+                   std::uint64_t* taken = nullptr) {
   const auto& e = view.extents();
   const Vec3 lo{-0.5f, -0.5f, -0.5f};
   const Vec3 hi{static_cast<float>(e.nx) - 0.5f, static_cast<float>(e.ny) - 0.5f,
@@ -626,22 +709,23 @@ Rgba reference_ray(const View& view, const Ray& ray, const TransferFunction& tf,
   if (!span) {
     return out;
   }
-  for (std::uint64_t n = 0;; ++n) {
-    const float t = render::detail::sample_param(span->first, n, config.step);
-    if (t > span->second) {
-      break;
-    }
-    const Vec3 p = render::detail::sample_position(ray, t);
+  const float t_enter = span->first;
+  const float t_exit = span->second;
+  const auto t_of = [&](std::uint64_t n) {
+    return render::detail::sample_param(t_enter, n, config.step);
+  };
+  // Composites sample n; false once the ray terminates.
+  const auto composite = [&](std::uint64_t n) {
+    const Vec3 p = render::detail::sample_position(ray, t_of(n));
     Rgba sample = tf.sample(reference_trilinear(view, p));
     if (config.shade && sample.a > 0.0f) {
-      const Vec3 normal{
-          0.5f * (reference_trilinear(view, Vec3{p.x + 1, p.y, p.z}) -
-                  reference_trilinear(view, Vec3{p.x - 1, p.y, p.z})),
-          0.5f * (reference_trilinear(view, Vec3{p.x, p.y + 1, p.z}) -
-                  reference_trilinear(view, Vec3{p.x, p.y - 1, p.z})),
-          0.5f * (reference_trilinear(view, Vec3{p.x, p.y, p.z + 1}) -
-                  reference_trilinear(view, Vec3{p.x, p.y, p.z - 1})),
-      };
+      const float xp = reference_trilinear(view, Vec3{p.x + 1, p.y, p.z});
+      const float xm = reference_trilinear(view, Vec3{p.x - 1, p.y, p.z});
+      const float yp = reference_trilinear(view, Vec3{p.x, p.y + 1, p.z});
+      const float ym = reference_trilinear(view, Vec3{p.x, p.y - 1, p.z});
+      const float zp = reference_trilinear(view, Vec3{p.x, p.y, p.z + 1});
+      const float zm = reference_trilinear(view, Vec3{p.x, p.y, p.z - 1});
+      const Vec3 normal{0.5f * (xp - xm), 0.5f * (yp - ym), 0.5f * (zp - zm)};
       const float lit = render::detail::headlight_scale(normal, ray.dir, config.ambient);
       sample.r *= lit;
       sample.g *= lit;
@@ -649,23 +733,57 @@ Rgba reference_ray(const View& view, const Ray& ray, const TransferFunction& tf,
     }
     sample.a = 1.0f - std::pow(1.0f - sample.a, config.step);
     out.composite_under(sample);
-    if (!(out.a < config.early_termination)) {
-      break;
+    if (taken != nullptr) {
+      ++*taken;
     }
+    return out.a < config.early_termination;
+  };
+  if (cells == nullptr) {
+    for (std::uint64_t n = 0; t_of(n) <= t_exit; ++n) {
+      if (!composite(n)) {
+        break;
+      }
+    }
+    return out;
+  }
+  // A macrocell whose value range classifies to alpha 0 is skipped to the
+  // first sample past its exit; any other is sampled up to its exit.
+  const Vec3 inv_dir{1.0f / ray.dir.x, 1.0f / ray.dir.y, 1.0f / ray.dir.z};
+  std::uint64_t n = 0;
+  while (t_of(n) <= t_exit) {
+    const auto c = cells->cell_of(render::detail::sample_position(ray, t_of(n)));
+    const float exit = std::min(cells->cell_exit(ray.origin, inv_dir, c), t_exit);
+    const auto range = cells->range(c);
+    if (tf.max_opacity(range.min, range.max) <= 0.0f) {
+      n = render::detail::skip_samples_past(n, exit, t_enter, config.step);
+      continue;
+    }
+    do {
+      if (!composite(n++)) {
+        return out;
+      }
+    } while (t_of(n) <= exit);
   }
   return out;
 }
 
+/// Every address a traced view reads, in order.
+struct RecordingSink {
+  std::vector<std::uint64_t> addrs;
+  void access(std::uint64_t addr, std::uint32_t /*bytes*/) { addrs.push_back(addr); }
+};
+
 /// Random piecewise-linear map whose points alternate in pairs between
-/// transparent bands (alpha exactly 0, random tint) and random opacity.
-TransferFunction random_banded_tf(std::mt19937& rng) {
+/// transparent bands (alpha exactly 0, random tint) and random opacity,
+/// starting with a transparent pair unless `visible_first`.
+TransferFunction random_banded_tf(std::mt19937& rng, bool visible_first = false) {
   std::uniform_real_distribution<float> u(0.0f, 1.0f);
   std::vector<render::TransferPoint> points;
   const int count = 4 + static_cast<int>(rng() % 5);
   float value = -0.1f;
   for (int p = 0; p < count; ++p) {
     value += 0.05f + 0.3f * u(rng);
-    const bool clear = (p / 2) % 2 == 0;
+    const bool clear = ((p / 2) % 2 == 0) != visible_first;
     points.push_back({value, {u(rng), u(rng), u(rng), clear ? 0.0f : u(rng)}});
   }
   return TransferFunction(points);
@@ -675,14 +793,19 @@ TransferFunction random_banded_tf(std::mt19937& rng) {
 
 TEST(Raycast, MatchesDenseReferenceCompositorBitExact) {
   // trace_ray, dense and with macrocells, on array order and Z-order, must
-  // reproduce the reference bit for bit — the cell
-  // load and the transparent-sample skip change no output bit. An
-  // early_termination of 0 stops every ray after its first sample, so a
-  // transparent first sample pins the skip path's return value.
+  // reproduce the reference bit for bit and take as many samples — the
+  // cell load, the transparent-sample skip and the batched march change
+  // no output bit. An early_termination of 0 stops every ray after its
+  // first sample, so a transparent first sample pins the skip path's
+  // return value. Trial 4's map is visible from its first point on (no
+  // value skips classification) and its volume holds a -inf voxel,
+  // trials 1 and 5 hold a NaN voxel, and
+  // trial 5's rays cross several full 16-sample batches and end in a
+  // partial one.
   std::mt19937 rng(1234);
   std::uniform_real_distribution<float> noise(-0.05f, 0.05f);
-  const Extents3D e{23, 17, 13};
-  for (int trial = 0; trial < 4; ++trial) {
+  for (int trial = 0; trial < 6; ++trial) {
+    const Extents3D e = trial < 5 ? Extents3D{23, 17, 13} : Extents3D{40, 19, 44};
     Grid3D<float, ArrayOrderLayout> ga(e);
     const float fi = 0.2f + 0.1f * static_cast<float>(trial);
     ga.fill_from([&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
@@ -690,22 +813,36 @@ TEST(Raycast, MatchesDenseReferenceCompositorBitExact) {
                         std::cos(0.35f * static_cast<float>(k)) +
              noise(rng);
     });
+    if (trial == 1 || trial == 5) {
+      ga.at(e.nx / 2, e.ny / 2, e.nz / 2) = std::numeric_limits<float>::quiet_NaN();
+    }
+    if (trial == 4) {  // its trilinear values include -inf, which is visible here
+      ga.at(e.nx / 2, e.ny / 2, e.nz / 2) = -std::numeric_limits<float>::infinity();
+    }
     const auto gz = core::convert_layout<GeneralizedMortonLayout>(ga);
     const core::PlainView va(ga);
     const core::PlainView vz(gz);
-    const auto tf = random_banded_tf(rng);
+    const auto tf = random_banded_tf(rng, trial == 4);
+    if (trial == 4) {
+      ASSERT_TRUE(std::isnan(tf.transparent_bound()));
+    }
     const auto cells = render::MacrocellGrid::build(ga, 4);
-    const auto cam = render::orbit_camera(static_cast<unsigned>(2 * trial + 1), 8, 23, 17, 13);
+    const auto cam = render::orbit_camera(static_cast<unsigned>(2 * trial + 1) % 8, 8,
+                                          static_cast<float>(e.nx), static_cast<float>(e.ny),
+                                          static_cast<float>(e.nz));
+    const float step = trial < 5 ? 0.35f + 0.2f * static_cast<float>(trial) : 0.3f;
     for (const bool shade : {false, true}) {
       for (const float early : {0.0f, 0.5f, 0.98f, 1.0f}) {
-        RenderConfig config{24, 20, 12, 0.35f + 0.2f * static_cast<float>(trial), early};
+        RenderConfig config{24, 20, 12, step, early};
         config.shade = shade;
         std::vector<Rgba> want;
+        std::uint64_t dense_taken = 0;
+        std::uint64_t macro_taken = 0;
         for (std::uint32_t y = 0; y < config.image_height; ++y) {
           for (std::uint32_t x = 0; x < config.image_width; ++x) {
-            want.push_back(reference_ray(
-                va, cam.ray_for_pixel(x, y, config.image_width, config.image_height), tf,
-                config));
+            const Ray ray = cam.ray_for_pixel(x, y, config.image_width, config.image_height);
+            want.push_back(reference_ray(va, ray, tf, config, nullptr, &dense_taken));
+            (void)reference_ray(va, ray, tf, config, &cells, &macro_taken);
           }
         }
         const TileDecomposition tiles(config.image_width, config.image_height,
@@ -713,23 +850,93 @@ TEST(Raycast, MatchesDenseReferenceCompositorBitExact) {
         for (const bool macro : {false, true}) {
           for (const bool zorder : {false, true}) {
             Image img(config.image_width, config.image_height);
+            render::RayStats stats;
             for (std::size_t t = 0; t < tiles.count(); ++t) {
               if (zorder) {
                 render::render_tile(vz, cam, tf, config, img, tiles.bounds(t),
-                                    macro ? &cells : nullptr);
+                                    macro ? &cells : nullptr, &stats);
               } else {
                 render::render_tile(va, cam, tf, config, img, tiles.bounds(t),
-                                    macro ? &cells : nullptr);
+                                    macro ? &cells : nullptr, &stats);
               }
             }
+            const auto where = ::testing::Message()
+                               << "trial " << trial << " shade " << shade << " early " << early
+                               << " macrocells " << macro << " zorder " << zorder;
+            ASSERT_EQ(stats.samples_taken, macro ? macro_taken : dense_taken) << where;
             for (std::size_t p = 0; p < want.size(); ++p) {
-              ASSERT_EQ(bits(img.pixels()[p]), bits(want[p]))
-                  << "trial " << trial << " shade " << shade << " early " << early
-                  << " macrocells " << macro << " zorder " << zorder << " pixel " << p;
+              ASSERT_EQ(bits(img.pixels()[p]), bits(want[p])) << where << " pixel " << p;
             }
           }
         }
       }
+    }
+  }
+}
+
+TEST(Raycast, HugeStepTakesOnlyTheFirstSample) {
+  // Past the first sample, every lane of the first batch lies far outside
+  // the volume, the last ones at inf or NaN: they must read nothing that
+  // changes the image.
+  Grid3D<float, ArrayOrderLayout> g(Extents3D::cube(8));
+  g.fill_from([](std::uint32_t i, std::uint32_t, std::uint32_t) { return 0.2f + 0.1f * i; });
+  const core::PlainView view(g);
+  const auto tf = TransferFunction::flame();
+  for (const float step : {1e18f, 3e37f, std::numeric_limits<float>::max()}) {
+    const RenderConfig config{8, 8, 8, step, 0.98f};
+    for (const Ray& ray : {Ray{{20.0f, 3.5f, 3.5f}, {-1, 0, 0}},
+                           Ray{{3.3f, 20.0f, 3.6f}, {0, -1, 0}}}) {
+      render::RayStats stats;
+      std::uint64_t taken = 0;
+      const Rgba c = render::trace_ray(view, ray, tf, config, nullptr, &stats);
+      EXPECT_EQ(bits(c), bits(reference_ray(view, ray, tf, config, nullptr, &taken))) << step;
+      EXPECT_EQ(stats.samples_taken, 1u) << step;
+      EXPECT_EQ(taken, 1u) << step;
+    }
+  }
+}
+
+TEST(Raycast, TracedRenderReadsEightTapsPerReferenceSample) {
+  // A traced view marches one sample per step: its address stream is the
+  // reference loop's, 8 at_clamped taps per sample in sample order (plus
+  // the 48 gradient taps of a shaded visible sample), with nothing read
+  // past a run's end or the terminating sample.
+  std::mt19937 rng(77);
+  std::uniform_real_distribution<float> u(0.0f, 1.0f);
+  const Extents3D e{21, 15, 18};
+  Grid3D<float, ArrayOrderLayout> g(e);
+  g.fill_from([&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
+    return 0.5f + 0.45f * std::sin(0.3f * static_cast<float>(i)) *
+                      std::cos(0.25f * static_cast<float>(j + k)) +
+           0.05f * u(rng);
+  });
+  const auto tf = random_banded_tf(rng);
+  const auto cells = render::MacrocellGrid::build(g, 4);
+  const auto cam = render::orbit_camera(3, 8, 21, 15, 18);
+  for (const bool shade : {false, true}) {
+    for (const bool macro : {false, true}) {
+      RenderConfig config{16, 12, 8, 0.45f, 0.5f};
+      config.shade = shade;
+      const render::MacrocellGrid* grid = macro ? &cells : nullptr;
+      RecordingSink got;
+      RecordingSink want;
+      const core::TracedView traced(g, got);
+      const core::TracedView reference(g, want);
+      std::uint64_t taken = 0;
+      for (std::uint32_t y = 0; y < config.image_height; ++y) {
+        for (std::uint32_t x = 0; x < config.image_width; ++x) {
+          const Ray ray = cam.ray_for_pixel(x, y, config.image_width, config.image_height);
+          render::RayStats stats;
+          const Rgba c = render::trace_ray(traced, ray, tf, config, grid, &stats);
+          std::uint64_t ref_taken = 0;
+          ASSERT_EQ(bits(c), bits(reference_ray(reference, ray, tf, config, grid, &ref_taken)));
+          ASSERT_EQ(stats.samples_taken, ref_taken);
+          taken += ref_taken;
+        }
+      }
+      ASSERT_GT(taken, 0u);
+      ASSERT_GE(want.addrs.size(), 8 * taken);
+      EXPECT_EQ(got.addrs, want.addrs) << "shade " << shade << " macrocells " << macro;
     }
   }
 }

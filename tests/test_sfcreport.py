@@ -130,6 +130,7 @@ REJECTIONS = [
     ("no duration events", valid_trace, put("traceEvents", 1, "ph", "i"), None),
     # run report: top level, counters, phases, tables
     ("report missing required key", valid_report, drop("histograms"), None),
+    ("report schema version not current", valid_report, put("sfcvis_run_report", 1), None),
     ("hw_counters without source", valid_report, drop("hw_counters", "source"), None),
     ("hw available, run_totals null", valid_report, put("run_totals", None), None),
     ("phase missing key", valid_report, drop("phases", 0, "max_us"), None),
@@ -238,7 +239,7 @@ class Validate(SfcreportCase):
             self.assertEqual(self.run_tool("validate", "--require", section, path)[0], 1)
 
     def test_every_rejection_exits_1(self):
-        self.assertEqual(len(REJECTIONS), 37)
+        self.assertEqual(len(REJECTIONS), 38)
         for name, doc, require in rejection_fixtures():
             with self.subTest(name):
                 path = self.write("fixture.json", doc)

@@ -47,10 +47,14 @@ THRESHOLD = 0.15
 ABS_FLOOR = 1e-9
 
 # ---------------------------------------------------------------------------
-# Run-report schema (trace::run_report_json, "sfcvis_run_report": 2). These
-# tables are the schema's one written form; the validators below enforce
-# them and the extraction reads them.
+# Run-report schema (trace::run_report_json). These tables are the schema's
+# one written form; the validators below enforce them and the extraction
+# reads them.
 # ---------------------------------------------------------------------------
+
+# The value of "sfcvis_run_report" a report of this schema carries; any
+# other version fails validation.
+REPORT_VERSION = 2
 
 REPORT_KEYS = ("sfcvis_run_report", "span_tracing", "dropped_spans",
                "hw_counters", "locality", "jobs", "threads",
@@ -256,6 +260,9 @@ def validate_trace(doc, require):
 
 def validate_report(doc, require):
     need_keys(doc, REPORT_KEYS, "run report")
+    version = doc["sfcvis_run_report"]
+    need(version == REPORT_VERSION,
+         f"run report schema version {version!r}, expected {REPORT_VERSION}")
     hw = section(doc, "hw_counters")
     need(not hw["available"] or doc.get("run_totals") is not None,
          "hw counters reported available but run_totals is null")
