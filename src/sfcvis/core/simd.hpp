@@ -10,8 +10,10 @@
 //   AVX-512F  -> 16 lanes
 //   AVX2+FMA  ->  8 lanes
 //   NEON(A64) ->  4 lanes
-//   otherwise ->  4 scalar lane loops (e.g. the x86-64 baseline that
-//                 -DSFCVIS_NATIVE_ARCH=OFF compiles for)
+//   otherwise ->  4 lanes of GCC vector extensions (vector_size(16)),
+//                 which the compiler lowers to the target's own vectors:
+//                 SSE2 on the x86-64 baseline that
+//                 -DSFCVIS_NATIVE_ARCH=OFF compiles for
 //
 // Each build defines one width, kNativeLanes, and three types at it:
 // vfloat<N> (f32 lanes), vint<N> (i32 lanes: the truncation and the
@@ -32,6 +34,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 
@@ -68,7 +71,7 @@ inline constexpr int kNativeLanes = 4;
 #elif defined(SFCVIS_SIMD_ISA_NEON)
   return "neon";
 #else
-  return "scalar";
+  return "vector-ext";
 #endif
 }
 
@@ -250,95 +253,64 @@ struct vfloat<4> {
 
 inline vfloat<4> float_bits(vint<4> v) noexcept { return {vreinterpretq_f32_s32(v.raw)}; }
 
-#else  // scalar lane loops
+#else  // GCC vector extensions (SSE2 on the x86-64 baseline)
+
+namespace detail {
+typedef float f32x4 __attribute__((vector_size(16)));
+typedef std::int32_t i32x4 __attribute__((vector_size(16)));
+}  // namespace detail
 
 template <>
 struct vmask<4> {
-  std::array<std::uint32_t, 4> raw;  ///< 0 or ~0 per lane
+  detail::i32x4 raw;  ///< 0 or -1 per lane
 };
 
 template <>
 struct vint<4> {
-  std::array<std::int32_t, 4> raw;
-  [[nodiscard]] static vint broadcast(std::int32_t v) noexcept {
-    return {{v, v, v, v}};
-  }
-  friend vint operator+(vint a, vint b) noexcept {
-    vint r{};
-    for (std::size_t i = 0; i < 4; ++i) {
-      r.raw[i] = a.raw[i] + b.raw[i];
-    }
-    return r;
-  }
-  friend vint operator<<(vint a, int count) noexcept {
-    vint r{};
-    for (std::size_t i = 0; i < 4; ++i) {
-      r.raw[i] = a.raw[i] << count;
-    }
-    return r;
-  }
+  detail::i32x4 raw;
+  [[nodiscard]] static vint broadcast(std::int32_t v) noexcept { return {detail::i32x4{} + v}; }
+  friend vint operator+(vint a, vint b) noexcept { return {a.raw + b.raw}; }
+  friend vint operator<<(vint a, int count) noexcept { return {a.raw << count}; }
 };
-
-#define SFCVIS_SIMD_LANEWISE(result, expr)            \
-  vfloat result{};                                    \
-  for (std::size_t q_ = 0; q_ < 4; ++q_) {            \
-    result.raw[q_] = (expr);                          \
-  }                                                   \
-  return result
 
 template <>
 struct vfloat<4> {
-  std::array<float, 4> raw;
-  [[nodiscard]] static vfloat zero() noexcept { return {{0.0f, 0.0f, 0.0f, 0.0f}}; }
-  [[nodiscard]] static vfloat broadcast(float v) noexcept { return {{v, v, v, v}}; }
+  detail::f32x4 raw;
+  [[nodiscard]] static vfloat zero() noexcept { return {detail::f32x4{}}; }
+  [[nodiscard]] static vfloat broadcast(float v) noexcept { return {detail::f32x4{} + v}; }
   [[nodiscard]] static vfloat loadu(const float* p) noexcept {
-    return {{p[0], p[1], p[2], p[3]}};
+    vfloat r;
+    std::memcpy(&r.raw, p, sizeof(r.raw));
+    return r;
   }
   /// Lanes [0, n) from p, remaining lanes zero (n in [0, 4]).
   [[nodiscard]] static vfloat loadu_masked(const float* p, int n) noexcept {
     vfloat r = zero();
     for (int i = 0; i < n; ++i) {
-      r.raw[static_cast<std::size_t>(i)] = p[i];
+      r.raw[i] = p[i];
     }
     return r;
   }
-  [[nodiscard]] std::array<float, 4> to_array() const noexcept { return raw; }
-  friend vfloat operator+(vfloat a, vfloat b) noexcept {
-    SFCVIS_SIMD_LANEWISE(r, a.raw[q_] + b.raw[q_]);
+  [[nodiscard]] std::array<float, 4> to_array() const noexcept {
+    return std::bit_cast<std::array<float, 4>>(raw);
   }
-  friend vfloat operator-(vfloat a, vfloat b) noexcept {
-    SFCVIS_SIMD_LANEWISE(r, a.raw[q_] - b.raw[q_]);
-  }
-  friend vfloat operator*(vfloat a, vfloat b) noexcept {
-    SFCVIS_SIMD_LANEWISE(r, a.raw[q_] * b.raw[q_]);
-  }
-  friend vfloat operator-(vfloat a) noexcept { SFCVIS_SIMD_LANEWISE(r, -a.raw[q_]); }
-  friend vmask<4> lt(vfloat a, vfloat b) noexcept {
-    vmask<4> m{};
-    for (std::size_t i = 0; i < 4; ++i) {
-      m.raw[i] = a.raw[i] < b.raw[i] ? ~0u : 0u;
-    }
-    return m;
-  }
+  // Built-in vector operators: contraction-consistent with scalar code.
+  friend vfloat operator+(vfloat a, vfloat b) noexcept { return {a.raw + b.raw}; }
+  friend vfloat operator-(vfloat a, vfloat b) noexcept { return {a.raw - b.raw}; }
+  friend vfloat operator*(vfloat a, vfloat b) noexcept { return {a.raw * b.raw}; }
+  friend vfloat operator-(vfloat a) noexcept { return {-a.raw}; }
+  friend vmask<4> lt(vfloat a, vfloat b) noexcept { return {a.raw < b.raw}; }
   /// m ? a : b, per lane.
   friend vfloat select(vmask<4> m, vfloat a, vfloat b) noexcept {
-    SFCVIS_SIMD_LANEWISE(r, m.raw[q_] != 0 ? a.raw[q_] : b.raw[q_]);
+    return {m.raw ? a.raw : b.raw};
   }
   friend vint<4> trunc_to_int(vfloat a) noexcept {
-    vint<4> r{};
-    for (std::size_t i = 0; i < 4; ++i) {
-      r.raw[i] = static_cast<std::int32_t>(a.raw[i]);
-    }
-    return r;
+    return {__builtin_convertvector(a.raw, detail::i32x4)};
   }
 };
 
-#undef SFCVIS_SIMD_LANEWISE
-
 inline vfloat<4> float_bits(vint<4> v) noexcept {
-  vfloat<4> r{};
-  std::memcpy(r.raw.data(), v.raw.data(), sizeof(r.raw));
-  return r;
+  return {std::bit_cast<detail::f32x4>(v.raw)};
 }
 
 #endif  // backends

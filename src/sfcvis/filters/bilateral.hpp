@@ -255,7 +255,7 @@ struct BilateralGatherScratch {
 
   std::uint32_t width = 0;       ///< W = 2r + 1
   std::uint32_t plane_size = 0;  ///< W * W
-  std::vector<float> ring;   ///< W planes of W*W samples, slot = s % W
+  std::vector<float> ring;   ///< W planes of W*W samples, plane s in slot (s + r) % W
   std::vector<float> wperm;  ///< spatial weights permuted to [dp][du][dv]
   /// Contiguous-run accounting of the plane gathers, merged into the
   /// trace metrics registry per pencil. Collected only when span tracing
@@ -284,15 +284,16 @@ inline void fold_gather_run_stats(core::GatherRunStats& rs) {
 }
 
 /// Explicit-SIMD tap loops over one voxel's W ring planes (the fast_exp
-/// mode of bilateral_pencil_gather). One vector accumulator pair is carried
-/// across all planes and reduced once; tails load via masked lanes whose
-/// weight slice reads exactly 0, so a masked lane contributes +0 to both
-/// sums — processing the tail wide is arithmetically identical to
-/// processing only the valid lanes. The photometric term is the vector
-/// fast_exp_neg (lane-exact twin of the scalar one).
+/// mode of bilateral_pencil_gather); stencil plane dpi sits in ring slot
+/// (first + dpi) % W. One vector accumulator pair is carried across all
+/// planes and reduced once; tails load via masked lanes whose weight slice
+/// reads exactly 0, so a masked lane contributes +0 to both sums —
+/// processing the tail wide is arithmetically identical to processing only
+/// the valid lanes. The photometric term is the vector fast_exp_neg
+/// (lane-exact twin of the scalar one).
 [[nodiscard]] inline std::pair<float, float> simd_tap_planes(
-    const float* ring, const float* wperm, std::uint32_t t, std::uint32_t r,
-    std::uint32_t W, std::uint32_t plane_sz, float center, float inv2sr2) {
+    const float* ring, const float* wperm, std::uint32_t first, std::uint32_t W,
+    std::uint32_t plane_sz, float center, float inv2sr2) {
   constexpr int N = simd::kNativeLanes;
   using VF = simd::vfloat<N>;
   const VF v_center = VF::broadcast(center);
@@ -305,9 +306,11 @@ inline void fold_gather_run_stats(core::GatherRunStats& rs) {
     v_sum = v_sum + w * sample;
     v_norm = v_norm + w;
   };
+  std::uint32_t slot = first;
   for (std::uint32_t dpi = 0; dpi < W; ++dpi) {
-    const float* plane = ring + ((t - r + dpi) % W) * plane_sz;
+    const float* plane = ring + slot * plane_sz;
     const float* wplane = wperm + dpi * plane_sz;
+    slot = slot + 1 == W ? 0 : slot + 1;
     std::uint32_t q = 0;
     for (; q + N <= plane_sz; q += N) {
       taps(VF::loadu(plane + q), VF::loadu(wplane + q));
@@ -322,15 +325,17 @@ inline void fold_gather_run_stats(core::GatherRunStats& rs) {
 
 }  // namespace detail
 
-/// Gather-based bilateral_pencil. Interior voxels of interior pencils take
-/// the ring-buffer fast path; border voxels (and whole pencils too short
-/// or too close to a face for a full stencil) fall back to the clamped
-/// per-voxel kernel. Tap order is plane-major ([dp][du][dv]); with
+/// Gather-based bilateral_pencil: every voxel of the pencil runs through
+/// the ring. The ring holds clamp-to-edge planes — each coordinate clamped
+/// on its own axis, as at_clamped does — so a voxel near a face reads
+/// exactly the samples the per-voxel kernel reads, and border pencils,
+/// pencils shorter than the stencil and each pencil's first and last r
+/// voxels need no fallback. Tap order is plane-major ([dp][du][dv]); with
 /// params.fast_exp off the arithmetic per tap matches the exact kernels',
 /// so output is bit-identical to bilateral_reference for (pz, xyz) and to
-/// bilateral_voxel's zyx order for (px, zyx); other configurations differ
-/// only by float reassociation of the tap sum (well under the 1e-5 test
-/// tolerance).
+/// bilateral_voxel's zyx order for (px, zyx) at every voxel; other
+/// configurations differ only by float reassociation of the tap sum (well
+/// under the 1e-5 test tolerance).
 template <core::VolumeBackend VolT>
 void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
                              const BilateralWeights& weights,
@@ -342,76 +347,85 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
   const std::uint32_t r = weights.radius();
   const std::uint32_t W = scratch.width;
   const std::uint32_t plane_sz = scratch.plane_size;
-  const auto view = core::make_read_view(src);
 
-  std::uint32_t na = 0, nb = 0;
+  // A plane's rows run along v (z for x-pencils, x otherwise); du walks u,
+  // the pencil's other fixed axis.
+  std::uint32_t u = 0, nu = 0, v = 0, nv = 0;
   switch (params.pencil) {
-    case PencilAxis::kX: na = e.ny; nb = e.nz; break;
-    case PencilAxis::kY: na = e.nx; nb = e.nz; break;
-    case PencilAxis::kZ: na = e.nx; nb = e.ny; break;
+    case PencilAxis::kX: u = pc.a; nu = e.ny; v = pc.b; nv = e.nz; break;
+    case PencilAxis::kY: u = pc.b; nu = e.nz; v = pc.a; nv = e.nx; break;
+    case PencilAxis::kZ: u = pc.b; nu = e.ny; v = pc.a; nv = e.nx; break;
   }
-  const bool fixed_interior = pc.a >= r && pc.a + r < na && pc.b >= r && pc.b + r < nb;
-  if (!fixed_interior || len <= 2 * r) {
-    bilateral_pencil(view, dst, weights, params, pencil);
-    return;
+  const auto clamp_to = [](std::int64_t c, std::uint32_t n) {
+    return static_cast<std::uint32_t>(std::clamp<std::int64_t>(c, 0, std::int64_t{n} - 1));
+  };
+  // Every row gathers its in-range part [v_lo, v_lo + n_in) to offset
+  // `head` (n_in >= 1: it holds v itself); when the stencil crosses a face
+  // the clamped ends repeat the edge samples.
+  const std::int64_t u_start = std::int64_t{u} - r;
+  const std::int64_t v_start = std::int64_t{v} - r;
+  const std::uint32_t v_lo = clamp_to(v_start, nv);
+  const std::uint32_t n_in = clamp_to(v_start + 2 * r, nv) - v_lo + 1;
+  const auto head = static_cast<std::uint32_t>(v_lo - v_start);
+
+  core::GatherRunStats* rs = scratch.collect_run_stats ? &scratch.run_stats : nullptr;
+  // Takes the shifted position q = s + r of plane s, s in [-r, len - 1 + r],
+  // so the plane's slot q % W is never negative.
+  const auto gather_plane = [&](std::uint32_t q) {
+    const std::uint32_t p = clamp_to(std::int64_t{q} - r, len);
+    float* plane = scratch.ring.data() + (q % W) * plane_sz;
+    for (std::uint32_t du = 0; du < W; ++du) {
+      const std::uint32_t uc = clamp_to(u_start + du, nu);
+      float* row = plane + du * W;
+      switch (params.pencil) {
+        case PencilAxis::kX:  // plane spans (y, z): rows along z
+          core::gather_row(src, core::Axis3::kZ, p, uc, v_lo, n_in, row + head, rs);
+          break;
+        case PencilAxis::kY:  // plane spans (z, x): rows along x
+          core::gather_row(src, core::Axis3::kX, v_lo, p, uc, n_in, row + head, rs);
+          break;
+        case PencilAxis::kZ:  // plane spans (y, x): rows along x
+          core::gather_row(src, core::Axis3::kX, v_lo, uc, p, n_in, row + head, rs);
+          break;
+      }
+      if (n_in < W) {
+        std::fill(row, row + head, row[head]);
+        std::fill(row + head + n_in, row + W, row[head + n_in - 1]);
+      }
+    }
+  };
+  for (std::uint32_t q = 0; q < 2 * r; ++q) {
+    gather_plane(q);
   }
 
   const core::Coord3D v0 = pencil_voxel(params.pencil, pc, 0);
   const std::uint32_t di = params.pencil == PencilAxis::kX ? 1u : 0u;
   const std::uint32_t dj = params.pencil == PencilAxis::kY ? 1u : 0u;
   const std::uint32_t dk = params.pencil == PencilAxis::kZ ? 1u : 0u;
-  const auto clamped_run = [&](std::uint32_t t0, std::uint32_t t1) {
-    for (std::uint32_t t = t0; t < t1; ++t) {
-      const core::Coord3D v{v0.i + t * di, v0.j + t * dj, v0.k + t * dk};
-      dst.at(v.i, v.j, v.k) =
-          bilateral_voxel(view, v.i, v.j, v.k, weights, params.sigma_range, params.order);
-    }
-  };
-  clamped_run(0, r);
-
-  const std::uint32_t a0 = pc.a - r;
-  const std::uint32_t b0 = pc.b - r;
-  core::GatherRunStats* rs = scratch.collect_run_stats ? &scratch.run_stats : nullptr;
-  const auto gather_plane = [&](std::uint32_t s) {
-    float* plane = scratch.ring.data() + (s % W) * plane_sz;
-    for (std::uint32_t du = 0; du < W; ++du) {
-      switch (params.pencil) {
-        case PencilAxis::kX:  // plane spans (y, z): rows along z
-          core::gather_row(src, core::Axis3::kZ, s, a0 + du, b0, W, plane + du * W, rs);
-          break;
-        case PencilAxis::kY:  // plane spans (z, x): rows along x
-          core::gather_row(src, core::Axis3::kX, a0, s, b0 + du, W, plane + du * W, rs);
-          break;
-        case PencilAxis::kZ:  // plane spans (y, x): rows along x
-          core::gather_row(src, core::Axis3::kX, a0, b0 + du, s, W, plane + du * W, rs);
-          break;
-      }
-    }
-  };
-  for (std::uint32_t s = 0; s <= 2 * r; ++s) {
-    gather_plane(s);
-  }
-
   const float inv2sr2 = 1.0f / (2.0f * params.sigma_range * params.sigma_range);
   const float* ring = scratch.ring.data();
   const float* wperm = scratch.wperm.data();
-  for (std::uint32_t t = r; t < len - r; ++t) {
-    if (t > r) {
-      gather_plane(t + r);
-    }
-    const float center = ring[(t % W) * plane_sz + r * W + r];
+  for (std::uint32_t t = 0; t < len; ++t) {
+    gather_plane(t + 2 * r);
+    // Voxel t's stencil is planes t - r .. t + r, in slots t .. t + 2r
+    // (mod W); the voxel itself is the middle sample of plane t.
+    const std::uint32_t first = t % W;
+    const std::uint32_t mid = first + r < W ? first + r : first + r - W;
+    const float center = ring[mid * plane_sz + plane_sz / 2];
     float sum = 0.0f;
     float norm = 0.0f;
     if (params.fast_exp) {
       std::tie(sum, norm) =
-          detail::simd_tap_planes(ring, wperm, t, r, W, plane_sz, center, inv2sr2);
+          detail::simd_tap_planes(ring, wperm, first, W, plane_sz, center, inv2sr2);
     } else {
       // Exact: the same per-tap expressions as bilateral_voxel. Scratch
       // planes and their weight slices are both contiguous, so [du][dv]
       // collapses to one flat loop per plane in unchanged tap order.
+      std::uint32_t slot = first;
       for (std::uint32_t dpi = 0; dpi < W; ++dpi) {
-        const float* plane = ring + ((t - r + dpi) % W) * plane_sz;
+        const float* plane = ring + slot * plane_sz;
         const float* wplane = wperm + dpi * plane_sz;
+        slot = slot + 1 == W ? 0 : slot + 1;
         for (std::uint32_t q = 0; q < plane_sz; ++q) {
           const float sample = plane[q];
           const float w = wplane[q] * BilateralWeights::range(sample - center, inv2sr2);
@@ -420,10 +434,9 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
         }
       }
     }
-    const core::Coord3D v{v0.i + t * di, v0.j + t * dj, v0.k + t * dk};
-    dst.at(v.i, v.j, v.k) = sum / norm;
+    const core::Coord3D c{v0.i + t * di, v0.j + t * dj, v0.k + t * dk};
+    dst.at(c.i, c.j, c.k) = sum / norm;
   }
-  clamped_run(len - r, len);
   if (rs != nullptr) {
     detail::fold_gather_run_stats(*rs);
   }

@@ -44,7 +44,8 @@
 
 namespace sfcvis::render {
 
-/// Inclusive scalar value range of one macrocell's footprint.
+/// Inclusive scalar value range of one macrocell's footprint; [-inf, +inf]
+/// when the footprint holds a NaN, which no range test may skip.
 struct ValueRange {
   float min = 0.0f;
   float max = 0.0f;
@@ -166,16 +167,20 @@ void MacrocellGrid::compute_cell(const VolT& volume, const ViewT& view, std::uin
 
   float mn = std::numeric_limits<float>::max();
   float mx = std::numeric_limits<float>::lowest();
+  // std::min/std::max drop NaN, so NaN is tracked on the side.
+  bool nan = false;
+  const auto fold = [&](float v) {
+    mn = std::min(mn, v);
+    mx = std::max(mx, v);
+    nan |= std::isnan(v);
+  };
   const auto scan = [&](std::int64_t i0, std::int64_t i1, std::int64_t j0, std::int64_t j1,
                         std::int64_t k0, std::int64_t k1) {
     for (std::int64_t k = k0; k <= k1; ++k) {
       for (std::int64_t j = j0; j <= j1; ++j) {
         for (std::int64_t i = i0; i <= i1; ++i) {
-          const float v = view.at(static_cast<std::uint32_t>(i),
-                                  static_cast<std::uint32_t>(j),
-                                  static_cast<std::uint32_t>(k));
-          mn = std::min(mn, v);
-          mx = std::max(mx, v);
+          fold(view.at(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j),
+                       static_cast<std::uint32_t>(k)));
         }
       }
     }
@@ -199,8 +204,7 @@ void MacrocellGrid::compute_cell(const VolT& volume, const ViewT& view, std::uin
         const float* p = volume.data() + base;
         const std::size_t n = static_cast<std::size_t>(block) * block * block;
         for (std::size_t v = 0; v < n; ++v) {
-          mn = std::min(mn, p[v]);
-          mx = std::max(mx, p[v]);
+          fold(p[v]);
         }
         // Shell = footprint minus core, as six disjoint slabs.
         scan(x0, cx0 - 1, y0, y1, z0, z1);
@@ -215,6 +219,13 @@ void MacrocellGrid::compute_cell(const VolT& volume, const ViewT& view, std::uin
   }
   if (!core_done) {
     scan(x0, x1, y0, y1, z0, z1);
+  }
+  if (nan) {
+    // A NaN sample classifies as the transfer function's first point, so
+    // the cell must never skip: max_opacity over [-inf, +inf] covers the
+    // whole envelope, and no MIP peak is above +inf.
+    mn = -std::numeric_limits<float>::infinity();
+    mx = std::numeric_limits<float>::infinity();
   }
   out_min = mn;
   out_max = mx;

@@ -1,7 +1,8 @@
 // Tests for the bilateral filter's sliding-window gather fast path
 // (filters/bilateral.hpp: BilateralParams::use_gather) and its supporting
-// pieces: fast_exp_neg and the degenerate volume shapes where every driver
-// must fall back to the clamped kernel.
+// pieces: fast_exp_neg, and the degenerate volume shapes where most or all
+// voxels touch a face, so the gather's clamp-to-edge ring must read exactly
+// what the clamped per-voxel kernel reads.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -218,31 +219,35 @@ TEST(BilateralGather, MatchesReferenceAcrossRadiiAndThreadCounts) {
 // Full mode-combination matrix
 // ---------------------------------------------------------------------------
 
-TEST(BilateralGather, FullModeCombinationMatrix) {
-  // Sweeps gather x {exact, fast_exp} x all three pencil axes x both
-  // iteration orders, on both layouts — the combinations the targeted
-  // tests above only sample. Accuracy tiers vs the serial reference follow
-  // the documented contracts; cross-layout outputs must be bit-identical
-  // for every combination.
-  const Extents3D e{12, 11, 13};
+namespace {
+
+/// Sweeps gather x {exact, fast_exp} x all three pencil axes x both
+/// iteration orders, on both layouts — the combinations the targeted
+/// tests above only sample. Accuracy tiers follow the documented
+/// contracts: exact mode is bit-identical to the serial reference for
+/// (pz, xyz) and to the per-voxel driver for (px, zyx), and within 1e-5
+/// of the reference otherwise; fast mode is within 1e-5. Cross-layout
+/// outputs must be bit-identical for every combination.
+void check_mode_matrix(const Extents3D& e, unsigned radius) {
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
   Grid3D<float, GeneralizedMortonLayout> zsrc(e);
   zsrc.copy_from(src);
   Grid3D<float, ArrayOrderLayout> ref(e);
-  filters::bilateral_reference(src, ref, 2, 1.5f, 0.1f);
+  filters::bilateral_reference(src, ref, radius, 1.5f, 0.1f);
 
   for (const PencilAxis axis : {PencilAxis::kX, PencilAxis::kY, PencilAxis::kZ}) {
     for (const LoopOrder order : {LoopOrder::kXYZ, LoopOrder::kZYX}) {
       for (const bool fast : {false, true}) {
         BilateralParams params;
-        params.radius = 2;
+        params.radius = radius;
         params.pencil = axis;
         params.order = order;
         params.use_gather = true;
         params.fast_exp = fast;
         SCOPED_TRACE(::testing::Message()
-                     << "axis=" << static_cast<int>(axis)
+                     << "extents=" << e.nx << "x" << e.ny << "x" << e.nz << " r" << radius
+                     << " axis=" << static_cast<int>(axis)
                      << " order=" << static_cast<int>(order) << " fast=" << fast);
 
         const auto out = run_parallel(src, params);
@@ -253,6 +258,9 @@ TEST(BilateralGather, FullModeCombinationMatrix) {
           expect_grids_near(out, ref, 1e-5f);
         } else if (axis == PencilAxis::kZ && order == LoopOrder::kXYZ) {
           expect_grids_identical(out, ref);  // shared tap order: exact
+        } else if (axis == PencilAxis::kX && order == LoopOrder::kZYX) {
+          params.use_gather = false;  // shared tap order with the zyx kernel
+          expect_grids_identical(out, run_parallel(src, params));
         } else {
           expect_grids_near(out, ref, 1e-5f);  // reassociation only
         }
@@ -261,14 +269,28 @@ TEST(BilateralGather, FullModeCombinationMatrix) {
   }
 }
 
+}  // namespace
+
+TEST(BilateralGather, FullModeCombinationMatrix) { check_mode_matrix(Extents3D{12, 11, 13}, 2); }
+
+TEST(BilateralGather, ModeMatrixWhereEveryVoxelTouchesAFace) {
+  // Every axis shorter than the 7-wide stencil: no voxel has a full one.
+  check_mode_matrix(Extents3D{3, 4, 5}, 3);
+  // A 2-voxel axis at r2: every voxel is within r of two faces.
+  check_mode_matrix(Extents3D{2, 9, 9}, 2);
+  check_mode_matrix(Extents3D{9, 2, 9}, 2);
+  check_mode_matrix(Extents3D{9, 9, 2}, 2);
+}
+
 // ---------------------------------------------------------------------------
 // Degenerate shapes: every driver vs the reference
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Checks legacy pencil, gather (exact + fast), and zsweep against the
-/// serial reference for one volume shape and radius.
+/// Checks the per-voxel pencil driver, gather (exact + fast) and zsweep
+/// against the serial reference for one volume shape and radius, on both
+/// layouts.
 void check_degenerate(const Extents3D& e, unsigned radius) {
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
@@ -278,6 +300,8 @@ void check_degenerate(const Extents3D& e, unsigned radius) {
   filters::bilateral_reference(src, ref, radius, 1.5f, 0.1f);
 
   for (const PencilAxis axis : {PencilAxis::kX, PencilAxis::kY, PencilAxis::kZ}) {
+    SCOPED_TRACE(::testing::Message() << "extents=" << e.nx << "x" << e.ny << "x" << e.nz
+                                      << " r" << radius << " axis=" << static_cast<int>(axis));
     BilateralParams params;
     params.radius = radius;
     params.pencil = axis;
@@ -288,18 +312,20 @@ void check_degenerate(const Extents3D& e, unsigned radius) {
 
     params.use_gather = true;
     params.fast_exp = false;
+    const auto exact = run_parallel(src, params);
+    expect_grids_identical(run_parallel(zsrc, params), exact);
     if (axis == PencilAxis::kZ) {
       // Only z-pencils share the reference's tap summation order; x/y
       // gather pencils reassociate the sum (still well under 1e-5).
-      expect_grids_identical(run_parallel(src, params), ref);
-      expect_grids_identical(run_parallel(zsrc, params), ref);
+      expect_grids_identical(exact, ref);
     } else {
-      expect_grids_near(run_parallel(src, params), ref, 1e-5f);
-      expect_grids_near(run_parallel(zsrc, params), ref, 1e-5f);
+      expect_grids_near(exact, ref, 1e-5f);
     }
 
     params.fast_exp = true;
-    expect_grids_near(run_parallel(src, params), ref, 1e-5f);
+    const auto fast = run_parallel(src, params);
+    expect_grids_identical(run_parallel(zsrc, params), fast);
+    expect_grids_near(fast, ref, 1e-5f);
   }
 
   BilateralParams zparams;
@@ -321,19 +347,21 @@ TEST(BilateralDegenerate, UnitExtentAxes) {
 }
 
 TEST(BilateralDegenerate, PencilNoLongerThanStencil) {
-  // len == 2r and len == 2r + 1: the gather path must fall back (it needs
-  // len > 2r) and still match.
+  // len == 2r and len == 2r + 1: every voxel's stencil crosses a face, so
+  // the ring holds clamped planes at both ends of every pencil.
   check_degenerate(Extents3D::cube(4), 2);
   check_degenerate(Extents3D::cube(5), 2);
 }
 
 TEST(BilateralDegenerate, RadiusAtLeastExtent) {
   check_degenerate(Extents3D::cube(3), 3);
+  check_degenerate(Extents3D{3, 4, 5}, 3);
   check_degenerate(Extents3D{3, 4, 5}, 4);
   check_degenerate(Extents3D{1, 1, 1}, 1);
 }
 
 TEST(BilateralDegenerate, ThinSlabs) {
   check_degenerate(Extents3D{9, 9, 2}, 2);
+  check_degenerate(Extents3D{9, 2, 9}, 2);
   check_degenerate(Extents3D{2, 9, 9}, 2);
 }

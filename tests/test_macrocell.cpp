@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -444,6 +445,48 @@ TEST(MacrocellRender, MipTakesSampleOnSpanShorterThanStep) {
     EXPECT_GT(center.a, 0.0f) << "use_macrocells=" << use_cells;
     EXPECT_FLOAT_EQ(center.a, tf.sample(0.7f).a) << "use_macrocells=" << use_cells;
   }
+}
+
+// ---------------------------------------------------------------------------
+// NaN voxels
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A NaN sample classifies as the transfer function's first point. Here
+/// that point is visible while the field's own value (0.5) is not, so the
+/// only opaque samples along the ray are the ones that touch the NaN
+/// voxel, and its cell must not skip them.
+template <core::Layout3D L>
+void expect_nan_voxel_composited() {
+  Grid3D<float, L> volume(Extents3D::cube(16));
+  volume.fill_from([](std::uint32_t, std::uint32_t, std::uint32_t) { return 0.5f; });
+  volume.at(8, 8, 8) = std::numeric_limits<float>::quiet_NaN();
+  const TransferFunction tf({{0.0f, {1.0f, 0.5f, 0.25f, 0.6f}},
+                             {0.3f, {1.0f, 1.0f, 1.0f, 0.0f}},
+                             {0.7f, {1.0f, 1.0f, 1.0f, 0.0f}},
+                             {1.0f, {0.25f, 0.5f, 1.0f, 0.5f}}});
+  const RenderConfig config;
+  const render::Ray ray{{15.4f, 8.2f, 8.3f}, {-1.0f, 0.0f, 0.0f}};
+  const auto view = core::make_read_view(volume);
+  const render::Rgba dense = render::trace_ray(view, ray, tf, config);
+  const MacrocellGrid cells = MacrocellGrid::build(volume, 8);
+  const render::Rgba accel = render::trace_ray(view, ray, tf, config, &cells);
+  EXPECT_GT(dense.a, 0.8f);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(dense.r), std::bit_cast<std::uint32_t>(accel.r));
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(dense.g), std::bit_cast<std::uint32_t>(accel.g));
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(dense.b), std::bit_cast<std::uint32_t>(accel.b));
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(dense.a), std::bit_cast<std::uint32_t>(accel.a));
+}
+
+}  // namespace
+
+TEST(MacrocellRender, NanVoxelCompositedArrayOrder) {
+  expect_nan_voxel_composited<ArrayOrderLayout>();
+}
+
+TEST(MacrocellRender, NanVoxelCompositedZOrder) {
+  expect_nan_voxel_composited<GeneralizedMortonLayout>();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Per-op tests for core/simd.hpp, the native-width vector layer under the
 // explicit bilateral tap loop. They run at simd::kNativeLanes on whatever
-// backend the build selected (AVX-512 / AVX2 / NEON / scalar, see
-// simd::active_isa()); the portable CI build pins the scalar backend.
+// backend the build selected (AVX-512 / AVX2 / NEON / vector-ext, see
+// simd::active_isa()); the portable CI build pins the vector-extension
+// backend.
 //
 // The load-bearing assertions are the *bit-identity* ones: the kernels
 // rely on vector ops (including fast_exp_neg) matching scalar expressions
