@@ -1,6 +1,6 @@
-// Ablation J: job-dispatch overhead and queued-job StructureCache sharing.
+// Ablation J: job-dispatch overhead and StructureCache sharing across jobs.
 //
-// The kernel drivers build exec::KernelJobs and submit them through
+// The kernel drivers build exec::KernelJobs and run them with
 // ExecutionContext::jobs() instead of calling the thread primitives
 // directly (DESIGN.md Sec. 12). This bench pins the cost of that
 // indirection three ways:
@@ -14,7 +14,7 @@
 //      is pure dispatch bookkeeping (record, span, metrics); the
 //      acceptance target is <= 2% overhead. Advisory: wall clock never
 //      gates in CI.
-//   3. cache sharing — two macrocell raycasts queued back-to-back on one
+//   3. cache sharing — two macrocell raycasts run back-to-back on one
 //      context: job #1 must build the grid (1 miss), job #2 must reuse it
 //      (>= 1 hit, 0 misses), attributed per job in the run report.
 //
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   wall.set(1, 1, t_job / t_direct);
   bench::emit_table(wall, opts, "abl_job_walltime.csv", 4);
 
-  // -- 3. Queued raycasts share one StructureCache entry -------------------
+  // -- 3. Back-to-back raycasts share one StructureCache entry -------------
   const bench::VolumePair cpair = bench::make_combustion_pair(size);
   render::RenderConfig rconfig{image, image, 32, 0.5f, 0.98f};
   rconfig.use_macrocells = true;
@@ -168,19 +168,16 @@ int main(int argc, char** argv) {
 
   exec::ExecutionContext rctx(nthreads);  // fresh context -> cold StructureCache
   exec::JobGraph& graph = rctx.jobs();
-  const exec::JobId id1 =
-      graph.submit(render::raycast_job(cpair.z, camera, tf, rconfig, img1));
-  const exec::JobId id2 =
-      graph.submit(render::raycast_job(cpair.z, camera, tf, rconfig, img2));
-  graph.run_all();
+  const exec::JobId id1 = graph.run(render::raycast_job(cpair.z, camera, tf, rconfig, img1));
+  const exec::JobId id2 = graph.run(render::raycast_job(cpair.z, camera, tf, rconfig, img2));
   const auto rec1 = graph.find_record(id1);
   const auto rec2 = graph.find_record(id2);
   if (!rec1 || !rec2) {
-    std::fprintf(stderr, "FAIL: queued raycast records missing\n");
+    std::fprintf(stderr, "FAIL: raycast job records missing\n");
     return 1;
   }
 
-  bench_util::ResultTable cache("queued raycasts on one volume: macrocell cache",
+  bench_util::ResultTable cache("back-to-back raycasts on one volume: macrocell cache",
                                 {"raycast #1", "raycast #2"},
                                 {"cache hits", "cache misses"});
   cache.set(0, 0, static_cast<double>(rec1->structure_cache_hits));
@@ -198,7 +195,7 @@ int main(int argc, char** argv) {
   }
   const auto img_diff = verify::compare_images(img1, img2,
                                                verify::Tolerance::bit_identical(),
-                                               "queued raycast images");
+                                               "back-to-back raycast images");
   if (!img_diff.ok) {
     std::fprintf(stderr, "FAIL: %s\n", img_diff.to_string().c_str());
     return 1;

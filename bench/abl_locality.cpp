@@ -38,19 +38,6 @@ double miss_at(const trace::LocalityGranularity& g, std::uint64_t capacity_bytes
   throw std::runtime_error("abl_locality: capacity missing from the pinned MRC ladder");
 }
 
-/// Max |exact - sampled| miss-ratio over the shared capacity ladder.
-double shards_error(const trace::LocalityProfile& p) {
-  double worst = 0.0;
-  for (const trace::LocalityMissPoint& exact : p.line.mrc) {
-    for (const trace::LocalityMissPoint& sampled : p.sampled.mrc) {
-      if (sampled.capacity_bytes == exact.capacity_bytes) {
-        worst = std::max(worst, std::abs(exact.miss_ratio - sampled.miss_ratio));
-      }
-    }
-  }
-  return worst;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -122,7 +109,7 @@ int main(int argc, char** argv) {
       mrc.set(row, col, miss_at(profile.line, capacities[col].second));
     }
     util.set(row, 0, profile.line.utilization);
-    shards.set(row, 0, shards_error(profile));
+    shards.set(row, 0, locality::shards_error(profile));
     ws.set(row, 0, static_cast<double>(profile.line.distinct));
     ws.set(row, 1, static_cast<double>(profile.page.distinct));
     ws.set(row, 2, static_cast<double>(profile.line.cold));

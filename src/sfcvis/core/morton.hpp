@@ -6,25 +6,14 @@
 // scale, which is the spatial-locality property the library is built around
 // (Bethel et al., HPDIC 2015, Sec. II-B).
 //
-// Three interchangeable codec strategies are provided; all produce identical
-// indices and are cross-checked by the test suite:
-//
-//  * magic-bits:  branch-free parallel bit deposit via shift/mask ladders.
-//    The portable default.
-//  * lut:         byte-at-a-time lookup tables (256 entries per table).
-//  * bmi2:        single-instruction PDEP/PEXT when compiled with -mbmi2.
-//
-// The per-axis table scheme used by layouts (one table per axis holding the
-// pre-interleaved bit pattern of every possible coordinate value, after
-// Pascucci & Frank 2001) lives in gmorton.hpp, whose canonical pattern is
-// this curve.
+// The codec is the branch-free magic-bits one: a parallel bit deposit via
+// shift/mask ladders. The per-axis table scheme the layouts index with
+// (one table per axis holding the pre-interleaved bit pattern of every
+// possible coordinate value, after Pascucci & Frank 2001) lives in
+// gmorton.hpp, whose canonical pattern is this curve.
 #pragma once
 
 #include <cstdint>
-
-#if defined(__BMI2__)
-#include <immintrin.h>
-#endif
 
 namespace sfcvis::core {
 
@@ -82,46 +71,6 @@ struct MortonCoord3D {
 }
 
 // ---------------------------------------------------------------------------
-// Byte-LUT codecs
-// ---------------------------------------------------------------------------
-
-/// Encodes (x, y, z) using 256-entry byte-interleave tables. Identical
-/// output to morton_encode_3d; exists as an alternative strategy for the
-/// codec ablation (bench/abl_morton_codec).
-[[nodiscard]] std::uint64_t morton_encode_3d_lut(std::uint32_t x, std::uint32_t y,
-                                                 std::uint32_t z) noexcept;
-
-/// LUT-based 3D decode; identical output to morton_decode_3d.
-[[nodiscard]] MortonCoord3D morton_decode_3d_lut(std::uint64_t m) noexcept;
-
-// ---------------------------------------------------------------------------
-// BMI2 codecs (compiled only when the target supports PDEP/PEXT)
-// ---------------------------------------------------------------------------
-
-/// True when this build can execute the *_bmi2 codecs.
-[[nodiscard]] constexpr bool morton_has_bmi2() noexcept {
-#if defined(__BMI2__)
-  return true;
-#else
-  return false;
-#endif
-}
-
-#if defined(__BMI2__)
-[[nodiscard]] inline std::uint64_t morton_encode_3d_bmi2(std::uint32_t x, std::uint32_t y,
-                                                         std::uint32_t z) noexcept {
-  return _pdep_u64(x, 0x1249249249249249ULL) | _pdep_u64(y, 0x2492492492492492ULL) |
-         _pdep_u64(z, 0x4924924924924924ULL);
-}
-
-[[nodiscard]] inline MortonCoord3D morton_decode_3d_bmi2(std::uint64_t m) noexcept {
-  return MortonCoord3D{static_cast<std::uint32_t>(_pext_u64(m, 0x1249249249249249ULL)),
-                       static_cast<std::uint32_t>(_pext_u64(m, 0x2492492492492492ULL)),
-                       static_cast<std::uint32_t>(_pext_u64(m, 0x4924924924924924ULL))};
-}
-#endif
-
-// ---------------------------------------------------------------------------
 // Neighbour stepping without full decode/re-encode
 // ---------------------------------------------------------------------------
 // Adding 1 to one axis of a Morton index can be done directly on the
@@ -148,28 +97,13 @@ inline constexpr std::uint64_t kMortonMaskZ3D = 0x4924924924924924ULL;
   return (((m | ~kMortonMaskZ3D) + 4) & kMortonMaskZ3D) | (m & ~kMortonMaskZ3D);
 }
 
-/// Returns the Morton index of the -1 neighbour along X.
-[[nodiscard]] constexpr std::uint64_t morton_dec_x(std::uint64_t m) noexcept {
-  return (((m & kMortonMaskX3D) - 1) & kMortonMaskX3D) | (m & ~kMortonMaskX3D);
-}
-
-/// Returns the Morton index of the -1 neighbour along Y.
-[[nodiscard]] constexpr std::uint64_t morton_dec_y(std::uint64_t m) noexcept {
-  return (((m & kMortonMaskY3D) - 2) & kMortonMaskY3D) | (m & ~kMortonMaskY3D);
-}
-
-/// Returns the Morton index of the -1 neighbour along Z.
-[[nodiscard]] constexpr std::uint64_t morton_dec_z(std::uint64_t m) noexcept {
-  return (((m & kMortonMaskZ3D) - 4) & kMortonMaskZ3D) | (m & ~kMortonMaskZ3D);
-}
-
 // Arbitrary-delta axis steps: dilated-integer addition (Raman & Wise;
 // Holzmüller, arXiv:1710.06384). The delta is reduced to 21-bit two's
 // complement, dilated into the axis' bit positions, and added with the
 // other axes' bits forced to 1 so carries ripple straight through them —
-// one add regardless of |delta|, no decode/re-encode. Axis arithmetic is
-// modulo 2^21 (matching the inc/dec helpers above); stepping a stencil
-// window that stays inside the grid never wraps.
+// one add regardless of |delta|, no decode/re-encode; a step of -1 is the
+// decrement. Axis arithmetic is modulo 2^21 (matching the inc helpers
+// above); stepping a stencil window that stays inside the grid never wraps.
 
 /// Morton index of the (x + d) neighbour (d may be negative).
 [[nodiscard]] constexpr std::uint64_t morton_step_x(std::uint64_t m, std::int32_t d) noexcept {

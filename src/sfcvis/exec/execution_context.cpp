@@ -74,15 +74,6 @@ JobGraph& ExecutionContext::jobs() {
   return *jobs_;
 }
 
-void ExecutionContext::parallel_static(
-    std::size_t num_items, const std::function<void(std::size_t, unsigned)>& fn) {
-  if (replay_) {
-    for_each_replayed(num_items, fn);
-    return;
-  }
-  threads::parallel_for_static(pool(), num_items, fn);
-}
-
 void ExecutionContext::parallel_dynamic(
     std::size_t num_items, const std::function<void(std::size_t, unsigned)>& fn) {
   if (replay_) {

@@ -96,10 +96,10 @@ class ExecutionContext {
   /// Cache of derived structures (macrocell grids) keyed on volume identity.
   [[nodiscard]] StructureCache& structures() noexcept { return structures_; }
 
-  /// The job queue every kernel driver dispatches through (created on
-  /// first use): drivers build an exec::KernelJob and submit it here, and
-  /// the graph schedules curve-ordered tiles onto this context's pool
-  /// with per-job trace/metrics attribution (see exec/job_graph.hpp).
+  /// The job runner every kernel driver dispatches through (created on
+  /// first use): drivers build an exec::KernelJob and run it here, and
+  /// the graph hands its tiles to this context's pool with per-job
+  /// trace/metrics attribution (see exec/job_graph.hpp).
   [[nodiscard]] JobGraph& jobs();
 
   /// The owned trace session, when the context was constructed with trace
@@ -111,16 +111,13 @@ class ExecutionContext {
   // disjoint-write semantics expected from callers, so results do not
   // depend on the item-to-thread assignment.
 
-  /// Static assignment (the paper's round-robin pencil model).
-  void parallel_static(std::size_t num_items,
-                       const std::function<void(std::size_t, unsigned)>& fn);
-
   /// Dynamic work queue (the paper's raycaster worker pool).
   void parallel_dynamic(std::size_t num_items,
                         const std::function<void(std::size_t, unsigned)>& fn);
 
-  /// parallel_static with per-worker state: make(tid) runs once per worker
-  /// before its first item, then fn(state, item, tid) for each owned item.
+  /// Static round-robin assignment (the paper's pencil model) with
+  /// per-worker state: make(tid) runs once per worker before its first
+  /// item, then fn(state, item, tid) for each owned item.
   template <class MakeState, class Fn>
   void parallel_static_state(std::size_t num_items, MakeState&& make, Fn&& fn) {
     if (replay_) {
@@ -183,11 +180,10 @@ class ExecutionContext {
   std::unique_ptr<TraceSession> trace_session_;
 };
 
-/// The synchronous driver path every kernel entry point keeps: submit on
-/// the context's graph and drain the queue up to this job.
+/// The synchronous driver path every kernel entry point keeps: run the
+/// job on the context's graph.
 inline void run_job(ExecutionContext& ctx, KernelJob job) {
-  auto& graph = ctx.jobs();
-  graph.run(graph.submit(std::move(job)));
+  ctx.jobs().run(std::move(job));
 }
 
 /// A context for JobGraph::replay with `threads` logical workers (a

@@ -1,24 +1,21 @@
-// KernelJob: the schedulable unit of kernel work.
+// KernelJob: the unit of kernel work.
 //
-// Every kernel driver used to be a bespoke free function that privately
-// spelled its own decomposition and parallel_for call — nothing above the
-// driver could queue, interleave, or cancel kernel work. A KernelJob
-// captures one kernel invocation *after* decomposition: a kernel id, the
-// tile count its decomposer produced (pencils, curve chunks, image tiles),
-// the tile body as a type-erased closure, and an optional job-prep stage
-// where StructureCache lookups are hoisted so two queued jobs over one
-// volume share derived structures (macrocell grids).
+// A KernelJob captures one kernel invocation *after* decomposition: a
+// kernel id, the tile count its decomposer produced (pencils, curve
+// chunks, image tiles), the tile body as a type-erased closure, and an
+// optional job-prep stage where StructureCache lookups are hoisted so
+// back-to-back jobs over one volume share derived structures (macrocell
+// grids).
 //
 // Jobs are built by the kernel layers (filters/kernels_common.hpp,
-// render/raycast.hpp) and executed by exec::JobGraph, which owns the FIFO
-// scheduling, cooperative cancellation, the traced replay mode, and the
-// per-job trace/metrics attribution.
+// render/raycast.hpp) and executed by exec::JobGraph, which runs each one
+// as soon as it is handed over and owns cooperative cancellation, the
+// traced replay mode, and the per-job trace/metrics attribution.
 //
 // Lifetime contract: a job's closures reference the kernel operands
 // (source/destination volumes, images) by pointer — the operands must
-// outlive the job's run. The synchronous driver wrappers trivially
-// guarantee this; code that queues jobs for later must keep the operands
-// alive until the graph drains.
+// outlive the job's run, which JobGraph::run and JobGraph::replay finish
+// before they return.
 #pragma once
 
 #include <atomic>
@@ -65,16 +62,13 @@ class CancelToken {
   std::shared_ptr<std::atomic<bool>> flag_;
 };
 
-/// One decomposed kernel invocation, ready to submit to JobGraph.
+/// One decomposed kernel invocation, ready to hand to JobGraph::run.
 struct KernelJob {
   /// Kernel id, e.g. "bilateral.zsweep". Must be a string literal: the
   /// per-job "exec.job" span stores the pointer as its tag.
   const char* kernel = nullptr;
   JobDispatch dispatch = JobDispatch::kStatic;
   CancelToken cancel;
-  /// Identity of the written output (volume storage / image pixels).
-  /// JobGraph rejects a second queued job writing the same output.
-  const void* output = nullptr;
   std::size_t tiles = 0;  ///< decomposer's tile count; 0 is a valid no-op job
 
   /// Kernel-level trace span emitted inside the per-job "exec.job" span,
@@ -83,15 +77,16 @@ struct KernelJob {
   const char* span_name = nullptr;
   const char* span_tag = nullptr;
 
-  /// Job-prep stage, run once at dequeue before any tile: StructureCache
-  /// lookups belong here so queued jobs over one volume share structures.
+  /// Job-prep stage, run once before any tile: StructureCache lookups
+  /// belong here so jobs over one volume share structures.
   std::function<void(ExecutionContext&)> prepare;
-  /// Optional per-worker state factory (the scratch/read-view slot the
-  /// static_state dispatch used to own); null for stateless kernels.
+  /// Per-worker state factory of a static job (the scratch/read-view slot
+  /// every pencil and chunk kernel keeps); ignored by dynamic jobs. A
+  /// static job without one gets a null state.
   std::function<std::shared_ptr<void>(unsigned tid)> make_state;
-  /// Tile body. `state` is the worker's make_state result (null when no
-  /// make_state); disjoint writes across tiles are the caller's contract,
-  /// exactly as with the parallel_* dispatch this replaces.
+  /// Tile body. `state` is the worker's make_state result (null for a
+  /// dynamic job or when no make_state); disjoint writes across tiles are
+  /// the caller's contract.
   std::function<void(void* state, std::size_t tile, unsigned tid)> tile;
 };
 
@@ -102,8 +97,11 @@ struct JobRecord {
   JobState state = JobState::kDone;
   std::size_t tiles = 0;
   std::size_t tiles_run = 0;          ///< < tiles when cancelled mid-run
-  std::uint64_t queue_wait_ns = 0;    ///< submit -> dequeue
-  std::uint64_t run_ns = 0;           ///< dequeue -> completion (prep + tiles)
+  /// Always 0: a job runs as soon as it is handed over. Stays only
+  /// because the end-to-end benchmark (bench/e2e/e2e.cpp) reads it and
+  /// changes only with the benchmark; delete it together with that read.
+  std::uint64_t queue_wait_ns = 0;
+  std::uint64_t run_ns = 0;           ///< start -> completion (prep + tiles)
   std::uint64_t structure_cache_hits = 0;    ///< attributed to this job's prep+run
   std::uint64_t structure_cache_misses = 0;
 };

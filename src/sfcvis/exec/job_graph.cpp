@@ -27,7 +27,6 @@ struct JobCounters {
   trace::CounterId jobs_run;
   trace::CounterId jobs_cancelled;
   trace::CounterId tiles;
-  trace::CounterId queue_wait_ns;
   trace::CounterId run_ns;
 };
 
@@ -38,7 +37,6 @@ const JobCounters& job_counters() {
     c.jobs_run = tracer.counter_id("exec.jobs_run");
     c.jobs_cancelled = tracer.counter_id("exec.jobs_cancelled");
     c.tiles = tracer.counter_id("exec.job_tiles_run");
-    c.queue_wait_ns = tracer.counter_id("exec.job_queue_wait_ns");
     c.run_ns = tracer.counter_id("exec.job_run_ns");
     return c;
   }();
@@ -53,7 +51,7 @@ JobId next_job_id() {
   return g_next_id.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// The shape checks submit and replay share.
+/// The shape checks run and replay share.
 void validate(const KernelJob& job) {
   if (job.kernel == nullptr) {
     throw std::invalid_argument("JobGraph: job has no kernel id");
@@ -76,22 +74,9 @@ const char* to_string(JobState state) noexcept {
   return "?";
 }
 
-JobId JobGraph::submit(KernelJob job) {
+JobId JobGraph::run(KernelJob job) {
   validate(job);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (job.output != nullptr) {
-    for (const Pending& p : queue_) {
-      if (p.job.output == job.output) {
-        throw std::invalid_argument(
-            "JobGraph::submit: output already written by queued job id " +
-            std::to_string(p.id) + " (kernel '" + p.job.kernel +
-            "'); drain the queue before resubmitting");
-      }
-    }
-  }
-  const JobId id = next_job_id();
-  queue_.push_back(Pending{std::move(job), id, now_ns()});
-  return id;
+  return run_one(job);
 }
 
 JobId JobGraph::replay(KernelJob job, std::size_t max_items) {
@@ -101,69 +86,28 @@ JobId JobGraph::replay(KernelJob job, std::size_t max_items) {
   }
   validate(job);
   job.tiles = std::min(job.tiles, max_items);
-  Pending pending{std::move(job), next_job_id(), now_ns()};
-  run_one(pending);
-  return pending.id;
+  return run_one(job);
 }
 
-std::optional<JobGraph::Pending> JobGraph::pop_next() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (queue_.empty()) {
-    return std::nullopt;
-  }
-  Pending p = std::move(queue_.front());
-  queue_.pop_front();
-  return p;
-}
-
-void JobGraph::run_all() {
-  while (auto next = pop_next()) {
-    run_one(*next);
-  }
-}
-
-void JobGraph::run(JobId id) {
-  for (;;) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      const bool queued = std::any_of(queue_.begin(), queue_.end(),
-                                      [&](const Pending& p) { return p.id == id; });
-      if (!queued) {
-        return;
-      }
-    }
-    auto next = pop_next();
-    if (!next) {
-      return;
-    }
-    const JobId ran = next->id;
-    run_one(*next);
-    if (ran == id) {
-      return;
-    }
-  }
-}
-
-void JobGraph::run_one(Pending& pending) {
-  KernelJob& job = pending.job;
+JobId JobGraph::run_one(KernelJob& job) {
   JobRecord record;
-  record.id = pending.id;
+  record.id = next_job_id();
   record.kernel = job.kernel;
   record.tiles = job.tiles;
-  const std::uint64_t start_ns = now_ns();
-  record.queue_wait_ns = start_ns - pending.submit_ns;
+  const JobId id = record.id;
   if (job.cancel.cancelled()) {
     record.state = JobState::kCancelled;
     finish_record(std::move(record));
-    return;
+    return id;
   }
+  const std::uint64_t start_ns = now_ns();
   const std::uint64_t hits_before = ctx_.structures().hits();
   const std::uint64_t misses_before = ctx_.structures().misses();
   std::atomic<std::size_t> tiles_run{0};
   {
     // Per-job span, with the kernel's historical phase span nested inside
     // so reports keep their pre-job-system phase names.
-    trace::ScopedSpan job_span("exec.job", job.kernel, pending.id);
+    trace::ScopedSpan job_span("exec.job", job.kernel, id);
     if (job.prepare) {
       job.prepare(ctx_);
     }
@@ -182,15 +126,15 @@ void JobGraph::run_one(Pending& pending) {
     } else if (job.dispatch == JobDispatch::kDynamic) {
       ctx_.parallel_dynamic(job.tiles,
                             [&](std::size_t t, unsigned tid) { run_tile(nullptr, t, tid); });
-    } else if (job.make_state) {
+    } else {
       ctx_.parallel_static_state(
-          job.tiles, [&](unsigned tid) { return job.make_state(tid); },
+          job.tiles,
+          [&](unsigned tid) {
+            return job.make_state ? job.make_state(tid) : std::shared_ptr<void>();
+          },
           [&](const std::shared_ptr<void>& state, std::size_t t, unsigned tid) {
             run_tile(state.get(), t, tid);
           });
-    } else {
-      ctx_.parallel_static(job.tiles,
-                           [&](std::size_t t, unsigned tid) { run_tile(nullptr, t, tid); });
     }
   }
   record.tiles_run = tiles_run.load(std::memory_order_relaxed);
@@ -201,6 +145,7 @@ void JobGraph::run_one(Pending& pending) {
                      ? JobState::kCancelled
                      : JobState::kDone;
   finish_record(std::move(record));
+  return id;
 }
 
 void JobGraph::finish_record(JobRecord record) {
@@ -208,7 +153,6 @@ void JobGraph::finish_record(JobRecord record) {
   auto& tracer = trace::Tracer::instance();
   tracer.add(record.state == JobState::kCancelled ? c.jobs_cancelled : c.jobs_run, 1);
   tracer.add(c.tiles, record.tiles_run);
-  tracer.add(c.queue_wait_ns, record.queue_wait_ns);
   tracer.add(c.run_ns, record.run_ns);
   if (TraceSession* session = TraceSession::current()) {
     trace::JobReportEntry entry;
@@ -217,7 +161,6 @@ void JobGraph::finish_record(JobRecord record) {
     entry.state = to_string(record.state);
     entry.tiles = record.tiles;
     entry.tiles_run = record.tiles_run;
-    entry.queue_wait_ns = record.queue_wait_ns;
     entry.run_ns = record.run_ns;
     entry.structure_cache_hits = record.structure_cache_hits;
     entry.structure_cache_misses = record.structure_cache_misses;
@@ -228,11 +171,6 @@ void JobGraph::finish_record(JobRecord record) {
   while (records_.size() > kMaxRecords) {
     records_.pop_front();
   }
-}
-
-std::size_t JobGraph::pending() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 std::vector<JobRecord> JobGraph::records() const {

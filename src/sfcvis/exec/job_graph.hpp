@@ -1,32 +1,28 @@
-// JobGraph: the queue that turns KernelJobs into backend dispatches.
+// JobGraph: turns KernelJobs into backend dispatches.
 //
-// Scheduling model: one FIFO. run_all() / run(id) drain the queue one job
-// at a time on the calling thread — each job is internally parallel (its
-// tiles go to the context's worker pool), so draining serially
-// preserves the bit-identity contract of the direct driver calls this
-// replaces while still letting queued jobs share StructureCache entries
-// hoisted into their prep stages.
+// run(job) runs a job as soon as it is handed over, on the calling
+// thread: prepare, then its tiles on the context's worker pool (static
+// round-robin or the dynamic work queue, per JobDispatch). Jobs run one
+// at a time and each is internally parallel, which preserves the
+// bit-identity contract of the direct driver calls while letting
+// back-to-back jobs share StructureCache entries hoisted into their prep
+// stages.
 //
-// Replay mode: replay(job, max_items) runs one job at once, bypassing the
-// queue, on a replay context (make_replay_context). Its workers are
-// logical: tile t runs on worker t % size(), in tile order on the calling
-// thread — the round-robin schedule interleaved round by round, as
+// Replay mode: replay(job, max_items) runs one job on a replay context
+// (make_replay_context). Its workers are logical: tile t runs on worker
+// t % size(), in tile order on the calling thread — the round-robin
+// schedule interleaved round by round, as
 // threads::StaticRoundRobin::replay_order spells it. Built with a traced
 // view factory (core::traced_views), the job a native driver dispatches
 // becomes its own deterministic memsim / locality counter run.
 //
-// Per job the graph records queue-wait vs run time, tiles run (cooperative
-// cancellation can cut a job short between tiles), and the StructureCache
-// hit/miss delta attributed to its prep+run window. Records flow three
-// ways: the bounded records() buffer here, aggregate "exec.job*" metrics
-// counters, and — when a TraceSession is active — the run report's
-// always-present "jobs" section (`sfcreport.py validate` checks it;
-// `--require jobs` gates on it).
-//
-// Double-submit policy (pinned, tests/test_jobs.cpp): a second job
-// writing the same output while one is queued is REJECTED at submit
-// (std::invalid_argument), not serialized — silently reordering writes
-// behind the caller's back is how bit-identity dies.
+// Per job the graph records run time, tiles run (cooperative cancellation
+// can cut a job short between tiles), and the StructureCache hit/miss
+// delta attributed to its prep+run window. Records flow three ways: the
+// bounded records() buffer here, aggregate "exec.job*" metrics counters,
+// and — when a TraceSession is active — the run report's always-present
+// "jobs" section (`sfcreport.py validate` checks it; `--require jobs`
+// gates on it).
 #pragma once
 
 #include <cstddef>
@@ -52,27 +48,17 @@ class JobGraph {
   JobGraph(const JobGraph&) = delete;
   JobGraph& operator=(const JobGraph&) = delete;
 
-  /// Enqueues a job. Throws std::invalid_argument when the job has no
-  /// kernel id, when tiles > 0 with no tile body, or when another queued
-  /// job writes the same output (see header comment).
-  JobId submit(KernelJob job);
-
-  /// Drains the whole queue in FIFO order. Synchronous: returns with the
-  /// queue empty.
-  void run_all();
-
-  /// Runs queued jobs in FIFO order until `id` has finished; a no-op when
-  /// `id` is not queued (already ran or never submitted).
-  void run(JobId id);
+  /// Runs `job` now and returns once it finished or was cancelled.
+  /// Throws std::invalid_argument when the job has no kernel id or has
+  /// tiles > 0 with no tile body.
+  JobId run(KernelJob job);
 
   /// Runs `job` now as the serial replay described in the header comment:
   /// prepare, then tiles [0, min(tiles, max_items)) in order, each
   /// worker's state from make_state. The record counts the capped tiles.
   /// Throws std::logic_error unless this graph's context came from
-  /// make_replay_context, and std::invalid_argument as submit does.
+  /// make_replay_context, and std::invalid_argument as run does.
   JobId replay(KernelJob job, std::size_t max_items = SIZE_MAX);
-
-  [[nodiscard]] std::size_t pending() const;
 
   /// Copies of the kept records, completion order (thread-safe snapshot).
   [[nodiscard]] std::vector<JobRecord> records() const;
@@ -83,19 +69,11 @@ class JobGraph {
   void clear_records();
 
  private:
-  struct Pending {
-    KernelJob job;
-    JobId id = 0;
-    std::uint64_t submit_ns = 0;
-  };
-
-  [[nodiscard]] std::optional<Pending> pop_next();
-  void run_one(Pending& pending);
+  JobId run_one(KernelJob& job);
   void finish_record(JobRecord record);
 
   ExecutionContext& ctx_;
-  mutable std::mutex mutex_;  ///< guards queue_/records_
-  std::deque<Pending> queue_;
+  mutable std::mutex mutex_;  ///< guards records_
   std::deque<JobRecord> records_;
 };
 

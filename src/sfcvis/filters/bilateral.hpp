@@ -468,7 +468,7 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
   if (params.use_gather) {
     detail::require_native_views<Views>("bilateral_job");
     return detail::make_state_job(
-        "bilateral", pencils, dst.data(),
+        "bilateral", pencils,
         [weights, params](unsigned) {
           BilateralGatherScratch scratch;
           scratch.prepare(*weights, params.pencil);
@@ -484,7 +484,7 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
   // One read view per worker: out-of-core views carry per-worker brick
   // pins and must not be shared across threads (a PlainView is free).
   return detail::make_state_job(
-      "bilateral", pencils, dst.data(),
+      "bilateral", pencils,
       [src_p, views](unsigned tid) { return views(*src_p, tid); },
       [dst_p, weights, params](const auto& view, std::size_t pencil, unsigned) {
         SFCVIS_TRACE_SPAN("bilateral.pencil", "exact", pencil);
@@ -572,7 +572,7 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
   // One read view per worker: out-of-core views carry per-worker brick
   // pins and must not be shared across threads (a PlainView is free).
   return detail::make_state_job(
-      "bilateral.zsweep", num_chunks, dst.data(),
+      "bilateral.zsweep", num_chunks,
       [src_p, views](unsigned tid) { return views(*src_p, tid); },
       [dst_p, weights, tables, params, e, cap, chunk_len](
           const auto& view, std::size_t chunk, unsigned) {

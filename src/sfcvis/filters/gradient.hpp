@@ -40,7 +40,7 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
   // One read view per worker: out-of-core views carry per-worker brick
   // pins and must not be shared across threads (a PlainView is free).
   return detail::make_state_job(
-      "gradient", pencils, dst.data(),
+      "gradient", pencils,
       [src_p, views](unsigned tid) { return views(*src_p, tid); },
       [dst_p, e](const auto& view, std::size_t p, unsigned) {
         const auto j = static_cast<std::uint32_t>(p % e.ny);

@@ -1,9 +1,9 @@
 // Shared vocabulary of the stencil kernels: pencil (voxel-row) assignment
 // axes and stencil iteration orders, named as in the paper's figures
 // ("px", "pz", "xyz", "zyx"; Sec. III-A and IV-B3) — plus the job-builder
-// helpers every kernel driver assembles its exec::KernelJob with. The
+// helper every kernel driver assembles its exec::KernelJob with. The
 // drivers themselves are thin: build a job (decomposition happens in the
-// builder), submit it to the context's JobGraph, run it to completion.
+// builder) and run it on the context's JobGraph.
 // This file is where the per-kernel ExecutionContext& overload
 // boilerplate the drivers used to repeat now lives once. Every builder
 // takes a defaulted per-worker view factory (core::ReadViews); a counter
@@ -53,42 +53,21 @@ enum class LoopOrder : std::uint8_t { kXYZ, kZYX };
 
 namespace detail {
 
-/// Builds the common shape of a stateless kernel job: `tiles` items under
-/// `dispatch`, each running fn(item, tid). `output` is the identity of
-/// the written buffer (JobGraph's double-submit guard keys on it);
-/// `kernel` and `span_name`/`span_tag` (the kernel's historical trace
-/// phase names) must be string literals.
-template <class Fn>
-[[nodiscard]] exec::KernelJob make_job(const char* kernel, exec::JobDispatch dispatch,
-                                       std::size_t tiles, const void* output, Fn fn,
-                                       const char* span_name,
-                                       const char* span_tag = nullptr) {
-  exec::KernelJob job;
-  job.kernel = kernel;
-  job.dispatch = dispatch;
-  job.tiles = tiles;
-  job.output = output;
-  job.span_name = span_name;
-  job.span_tag = span_tag;
-  job.tile = [fn = std::move(fn)](void*, std::size_t item, unsigned tid) { fn(item, tid); };
-  return job;
-}
-
-/// make_job with per-worker state (the scratch/read-view slot the
-/// parallel_static_state dispatch owns): make(tid) -> State once per
-/// worker, then fn(state, item, tid) for each of its items. Always
-/// static-dispatched, matching the round-robin pencil model.
+/// Builds a static kernel job of `tiles` items with per-worker state (the
+/// scratch/read-view slot the parallel_static_state dispatch owns):
+/// make(tid) -> State once per worker, then fn(state, item, tid) for each
+/// of its items, matching the round-robin pencil model. `kernel` and
+/// `span_name`/`span_tag` (the kernel's historical trace phase names)
+/// must be string literals.
 template <class Make, class Fn>
-[[nodiscard]] exec::KernelJob make_state_job(const char* kernel, std::size_t tiles,
-                                             const void* output, Make make, Fn fn,
-                                             const char* span_name,
+[[nodiscard]] exec::KernelJob make_state_job(const char* kernel, std::size_t tiles, Make make,
+                                             Fn fn, const char* span_name,
                                              const char* span_tag = nullptr) {
   using State = std::decay_t<decltype(make(0U))>;
   exec::KernelJob job;
   job.kernel = kernel;
   job.dispatch = exec::JobDispatch::kStatic;
   job.tiles = tiles;
-  job.output = output;
   job.span_name = span_name;
   job.span_tag = span_tag;
   job.make_state = [make = std::move(make)](unsigned tid) -> std::shared_ptr<void> {

@@ -53,7 +53,7 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
   // One read view per worker: out-of-core views carry per-worker brick
   // pins and must not be shared across threads (a PlainView is free).
   return detail::make_state_job(
-      "median", pencils, dst.data(),
+      "median", pencils,
       [src_p, views](unsigned tid) { return views(*src_p, tid); },
       [dst_p, e, radius, taps](const auto& view, std::size_t p, unsigned) {
         std::vector<float> scratch;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <stdexcept>
 
 namespace sfcvis::locality {
@@ -289,6 +290,18 @@ trace::LocalityProfile LocalityProfiler::profile(std::string kernel,
         -1.0);
   }
   return p;
+}
+
+double shards_error(const trace::LocalityProfile& profile) {
+  double worst = 0.0;
+  for (const trace::LocalityMissPoint& exact : profile.line.mrc) {
+    for (const trace::LocalityMissPoint& sampled : profile.sampled.mrc) {
+      if (sampled.capacity_bytes == exact.capacity_bytes) {
+        worst = std::max(worst, std::abs(exact.miss_ratio - sampled.miss_ratio));
+      }
+    }
+  }
+  return worst;
 }
 
 }  // namespace sfcvis::locality

@@ -181,4 +181,9 @@ class LocalityProfiler {
   GranularityCounters sampled_counters_;
 };
 
+/// The SHARDS estimate's error in `profile`: the largest |exact - sampled|
+/// miss ratio over the capacities both line curves share (0 when the
+/// profile has no sampled slice).
+[[nodiscard]] double shards_error(const trace::LocalityProfile& profile);
+
 }  // namespace sfcvis::locality

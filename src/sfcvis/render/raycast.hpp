@@ -555,7 +555,7 @@ namespace detail {
 /// When config.use_macrocells is set the render takes the empty-space-
 /// skipping path: a caller-provided `cells` grid is used as-is, otherwise
 /// the running context's StructureCache supplies one — looked up in
-/// job.prepare (not at build time), so back-to-back queued renders of one
+/// job.prepare (not at build time), so back-to-back renders of one
 /// volume share a single grid and every job after the first records a
 /// structure-cache hit in its JobRecord. The grid is built on first use,
 /// keyed on the volume's storage identity and cell size, and reused by
@@ -597,7 +597,6 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
   job.kernel = "raycast";
   job.dispatch = exec::JobDispatch::kDynamic;
   job.tiles = tiles.count();
-  job.output = image.pixels().data();
   job.span_name = "raycast.parallel";
   job.span_tag = config.use_macrocells ? "macrocell" : "dense";
   job.prepare = [shared, vol_p, config, views](exec::ExecutionContext& ctx) {

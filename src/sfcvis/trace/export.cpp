@@ -203,7 +203,7 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
   JsonWriter w;
   w.begin_object();
   w.key("sfcvis_run_report");
-  w.value(std::uint64_t{2});
+  w.value(std::uint64_t{3});
   w.key("span_tracing");
   w.value(snap.span_tracing);
   w.key("dropped_spans");
@@ -254,7 +254,7 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
   w.end_object();
 
   // Per-job dispatch accounting (exec::JobGraph) — always present, like
-  // locality; runs that never submitted a KernelJob record why.
+  // locality; runs that never ran a KernelJob record why.
   w.key("jobs");
   w.begin_object();
   w.key("available");
@@ -275,8 +275,6 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
     w.value(j.tiles);
     w.key("tiles_run");
     w.value(j.tiles_run);
-    w.key("queue_wait_ns");
-    w.value(j.queue_wait_ns);
     w.key("run_ns");
     w.value(j.run_ns);
     w.key("structure_cache_hits");

@@ -89,7 +89,6 @@ struct JobReportEntry {
   std::string state;  ///< "done" or "cancelled"
   std::uint64_t tiles = 0;
   std::uint64_t tiles_run = 0;
-  std::uint64_t queue_wait_ns = 0;
   std::uint64_t run_ns = 0;
   std::uint64_t structure_cache_hits = 0;
   std::uint64_t structure_cache_misses = 0;

@@ -34,19 +34,6 @@ TEST(ExecutionContextTest, ResolvesThreadCount) {
   EXPECT_GE(def.size(), 1U);
 }
 
-TEST(ExecutionContextTest, StaticDispatchCoversEveryItemOnce) {
-  ExecutionContext ctx(3);
-  const std::size_t n = 1000;
-  std::vector<std::atomic<int>> counts(n);
-  ctx.parallel_static(n, [&](std::size_t item, unsigned tid) {
-    ASSERT_LT(tid, ctx.size());
-    counts[item].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(counts[i].load(), 1) << "item " << i;
-  }
-}
-
 TEST(ExecutionContextTest, DynamicDispatchCoversEveryItemOnce) {
   ExecutionContext ctx(4);
   const std::size_t n = 777;
@@ -98,7 +85,7 @@ TEST(ExecutionContextTest, AffinityRequestIsRecorded) {
   ExecutionContext ctx(2, threads::Affinity::kCompact);
   EXPECT_EQ(ctx.affinity(), threads::Affinity::kCompact);
   std::atomic<int> ran{0};
-  ctx.parallel_static(8, [&](std::size_t, unsigned) {
+  ctx.parallel_dynamic(8, [&](std::size_t, unsigned) {
     ran.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(ran.load(), 8);
@@ -202,7 +189,7 @@ void expect_flushed_report(const std::string& path) {
   ASSERT_TRUE(in.good()) << path << " was not written by the flush hook";
   const std::string json((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-  EXPECT_NE(json.find("\"sfcvis_run_report\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"sfcvis_run_report\":3"), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"flush_test\""), std::string::npos);
   if (std::system("python3 -c 'import json' > /dev/null 2>&1") == 0) {
     const std::string cmd = std::string("python3 \"") + SFCVIS_TOOLS_DIR +

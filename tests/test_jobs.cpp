@@ -1,12 +1,12 @@
 // Job-system lifecycle and parity suite (exec::KernelJob / JobGraph).
 //
-// Pins the contracts the migration to schedulable jobs introduced:
-//  * queued job dispatch is bit-identical to the synchronous driver calls
-//    (every kernel family, every volume backend incl. out-of-core);
-//  * cancellation (pre-start and mid-run), the REJECTED double-submit
-//    policy, zero-tile jobs;
-//  * queued back-to-back macrocell renders share one StructureCache entry
-//    (the second job's record attributes a hit);
+// Pins the contracts of kernel jobs:
+//  * a builder's job run on the graph is bit-identical to the synchronous
+//    driver call (every kernel family, every volume backend incl.
+//    out-of-core);
+//  * cancellation (pre-start and mid-run), zero-tile jobs;
+//  * back-to-back macrocell renders share one StructureCache entry (the
+//    second job's record attributes a hit);
 //  * traced replay (JobGraph::replay) runs the native job itself: the
 //    serial macrocell build a replay context prepares matches the
 //    context-parallel one, every kernel's replay output matches its native
@@ -56,12 +56,11 @@ float field(std::uint32_t i, std::uint32_t j, std::uint32_t k) {
 
 ExecutionContext make_ctx(unsigned threads) { return ExecutionContext(threads); }
 
-KernelJob noop_job(JobDispatch dispatch, std::size_t tiles, const void* output = nullptr) {
+KernelJob noop_job(JobDispatch dispatch, std::size_t tiles) {
   KernelJob job;
   job.kernel = "test.noop";
   job.dispatch = dispatch;
   job.tiles = tiles;
-  job.output = output;
   job.tile = [](void*, std::size_t, unsigned) {};
   return job;
 }
@@ -74,13 +73,12 @@ TEST(JobGraph, TilesWithoutBodyRejectedAtSubmit) {
   KernelJob job;
   job.kernel = "test.noop";
   job.tiles = 4;  // no tile body
-  EXPECT_THROW((void)ctx.jobs().submit(std::move(job)), std::invalid_argument);
+  EXPECT_THROW(ctx.jobs().run(std::move(job)), std::invalid_argument);
 }
 
 TEST(JobGraph, ZeroTileJobCompletesAsDone) {
   auto ctx = make_ctx(2);
-  const auto id = ctx.jobs().submit(noop_job(JobDispatch::kStatic, 0));
-  ctx.jobs().run_all();
+  const auto id = ctx.jobs().run(noop_job(JobDispatch::kStatic, 0));
   const auto record = ctx.jobs().find_record(id);
   ASSERT_TRUE(record.has_value());
   EXPECT_EQ(record->state, JobState::kDone);
@@ -105,8 +103,7 @@ TEST(JobGraph, ZeroTileRegionNeverInvokesTheBody) {
     return nullptr;
   };
   job.tile = [&](void*, std::size_t, unsigned) { ++runs; };
-  const auto id = ctx.jobs().submit(std::move(job));
-  ctx.jobs().run_all();
+  const auto id = ctx.jobs().run(std::move(job));
   const auto record = ctx.jobs().find_record(id);
   ASSERT_TRUE(record.has_value());
   EXPECT_EQ(record->state, JobState::kDone);
@@ -123,10 +120,8 @@ TEST(JobGraph, CancelBeforeStartRunsNothing) {
   job.dispatch = JobDispatch::kStatic;
   job.tiles = 8;
   job.tile = [&](void*, std::size_t, unsigned) { ++runs; };
-  const auto cancel = job.cancel;
-  const auto id = ctx.jobs().submit(std::move(job));
-  cancel.request_cancel();
-  ctx.jobs().run_all();
+  job.cancel.request_cancel();
+  const auto id = ctx.jobs().run(std::move(job));
   const auto record = ctx.jobs().find_record(id);
   ASSERT_TRUE(record.has_value());
   EXPECT_EQ(record->state, JobState::kCancelled);
@@ -148,31 +143,12 @@ TEST(JobGraph, CancelMidRunStopsBetweenTiles) {
       cancel.request_cancel();
     }
   };
-  const auto id = ctx.jobs().submit(std::move(job));
-  ctx.jobs().run_all();
+  const auto id = ctx.jobs().run(std::move(job));
   const auto record = ctx.jobs().find_record(id);
   ASSERT_TRUE(record.has_value());
   EXPECT_EQ(record->state, JobState::kCancelled);
   EXPECT_EQ(record->tiles_run, 3u);  // tiles 0..2 ran; the cancel is sticky
   EXPECT_EQ(runs, 3);
-}
-
-TEST(JobGraph, DoubleSubmitOfSameOutputIsRejected) {
-  // Pinned policy: rejected, not serialized (see job_graph.hpp).
-  auto ctx = make_ctx(2);
-  ArrayVolume dst(Extents3D::cube(4));
-  const auto id = ctx.jobs().submit(noop_job(JobDispatch::kStatic, 1, dst.data()));
-  EXPECT_THROW((void)ctx.jobs().submit(noop_job(JobDispatch::kStatic, 1, dst.data())),
-               std::invalid_argument);
-  // A different output queues fine alongside.
-  ArrayVolume other(Extents3D::cube(4));
-  (void)ctx.jobs().submit(noop_job(JobDispatch::kStatic, 1, other.data()));
-  ctx.jobs().run_all();
-  // Once drained, the same output is accepted again.
-  (void)ctx.jobs().submit(noop_job(JobDispatch::kStatic, 1, dst.data()));
-  ctx.jobs().run_all();
-  EXPECT_EQ(ctx.jobs().pending(), 0u);
-  (void)id;
 }
 
 TEST(JobGraph, ReplayNeedsReplayContext) {
@@ -181,28 +157,8 @@ TEST(JobGraph, ReplayNeedsReplayContext) {
   EXPECT_FALSE(ctx.has_pool());
 }
 
-TEST(JobGraph, RunDrainsScheduledOrderUpToRequestedJob) {
-  auto ctx = make_ctx(1);
-  std::vector<int> order;
-  auto make = [&](int tag) {
-    KernelJob job = noop_job(JobDispatch::kStatic, 1);
-    job.tile = [&order, tag](void*, std::size_t, unsigned) { order.push_back(tag); };
-    return job;
-  };
-  (void)ctx.jobs().submit(make(0));
-  const auto second = ctx.jobs().submit(make(1));
-  (void)ctx.jobs().submit(make(2));
-  ctx.jobs().run(second);
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-  EXPECT_EQ(ctx.jobs().pending(), 1u);
-  ctx.jobs().run(second);  // already ran: no-op
-  EXPECT_EQ(ctx.jobs().pending(), 1u);
-  ctx.jobs().run_all();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
 // -----------------------------------------------------------------------------
-// Queued-vs-immediate bit-identity, all volume backends
+// Built jobs vs driver calls: bit-identity, all volume backends
 
 TEST(JobParity, QueuedJobsBitIdenticalToDriverCallsAllLayouts) {
   const Extents3D e = Extents3D::cube(12);
@@ -212,8 +168,8 @@ TEST(JobParity, QueuedJobsBitIdenticalToDriverCallsAllLayouts) {
     AnyVolume src = core::make_volume(kind, e);
     src.fill_from(field);
     auto ctx_direct = make_ctx(3);
-    auto ctx_queued = make_ctx(3);
-    // Direct: the synchronous driver wrappers (submit + run, one at a time).
+    auto ctx_built = make_ctx(3);
+    // Direct: the synchronous driver wrappers.
     ArrayVolume direct_grad(e), direct_med(e), direct_gauss(e), direct_bilat(e),
         direct_sweep(e);
     filters::gradient_magnitude(src, direct_grad, ctx_direct);
@@ -221,15 +177,14 @@ TEST(JobParity, QueuedJobsBitIdenticalToDriverCallsAllLayouts) {
     filters::gaussian_convolve(src, direct_gauss, 1, 1.0f, ctx_direct);
     filters::bilateral_parallel(src, direct_bilat, params, ctx_direct);
     filters::bilateral_zsweep(src, direct_sweep, params, ctx_direct);
-    // Queued: all five jobs enqueued up front, then drained in one pass.
+    // Built: each builder's job run back-to-back on one graph.
     ArrayVolume q_grad(e), q_med(e), q_gauss(e), q_bilat(e), q_sweep(e);
-    auto& graph = ctx_queued.jobs();
-    (void)graph.submit(filters::gradient_job(src, q_grad));
-    (void)graph.submit(filters::median_job(src, q_med, 1));
-    (void)graph.submit(filters::gaussian_job(src, q_gauss, 1, 1.0f));
-    (void)graph.submit(filters::bilateral_job(src, q_bilat, params));
-    (void)graph.submit(filters::bilateral_zsweep_job(src, q_sweep, params, ctx_queued));
-    graph.run_all();
+    auto& graph = ctx_built.jobs();
+    graph.run(filters::gradient_job(src, q_grad));
+    graph.run(filters::median_job(src, q_med, 1));
+    graph.run(filters::gaussian_job(src, q_gauss, 1, 1.0f));
+    graph.run(filters::bilateral_job(src, q_bilat, params));
+    graph.run(filters::bilateral_zsweep_job(src, q_sweep, params, ctx_built));
     const std::string tag = std::string(core::to_string(kind));
     const std::vector<std::tuple<const ArrayVolume*, const ArrayVolume*, const char*>>
         pairs = {{&direct_grad, &q_grad, "gradient"},
@@ -266,16 +221,14 @@ TEST(JobParity, QueuedRaycastBitIdenticalToDriverCall) {
   for (const bool macrocells : {false, true}) {
     config.use_macrocells = macrocells;
     auto ctx_direct = make_ctx(3);
-    auto ctx_queued = make_ctx(3);
+    auto ctx_built = make_ctx(3);
     const render::Image direct =
         render::raycast_parallel(vol, cam, tf, config, ctx_direct);
-    render::Image queued(config.image_width, config.image_height);
-    auto& graph = ctx_queued.jobs();
-    (void)graph.submit(render::raycast_job(vol, cam, tf, config, queued));
-    graph.run_all();
+    render::Image built(config.image_width, config.image_height);
+    ctx_built.jobs().run(render::raycast_job(vol, cam, tf, config, built));
     const auto report = verify::compare_images(
-        direct, queued, verify::Tolerance::bit_identical(),
-        macrocells ? "raycast queued [macrocell]" : "raycast queued [dense]");
+        direct, built, verify::Tolerance::bit_identical(),
+        macrocells ? "raycast job [macrocell]" : "raycast job [dense]");
     EXPECT_TRUE(report.ok) << report.to_string();
   }
 }
@@ -303,7 +256,7 @@ TEST(JobParity, OutOfCoreBrickedBackendMatchesInMemory) {
 }
 
 // -----------------------------------------------------------------------------
-// StructureCache sharing across queued jobs
+// StructureCache sharing across back-to-back jobs
 
 TEST(JobCache, QueuedRaycastsShareOneMacrocellGrid) {
   const Extents3D e = Extents3D::cube(16);
@@ -320,9 +273,8 @@ TEST(JobCache, QueuedRaycastsShareOneMacrocellGrid) {
   render::Image first(config.image_width, config.image_height);
   render::Image second(config.image_width, config.image_height);
   auto& graph = ctx.jobs();
-  const auto first_id = graph.submit(render::raycast_job(vol, cam, tf, config, first));
-  const auto second_id = graph.submit(render::raycast_job(vol, cam, tf, config, second));
-  graph.run_all();
+  const auto first_id = graph.run(render::raycast_job(vol, cam, tf, config, first));
+  const auto second_id = graph.run(render::raycast_job(vol, cam, tf, config, second));
   const auto r1 = graph.find_record(first_id);
   const auto r2 = graph.find_record(second_id);
   ASSERT_TRUE(r1.has_value());
@@ -335,7 +287,7 @@ TEST(JobCache, QueuedRaycastsShareOneMacrocellGrid) {
   EXPECT_GE(r2->structure_cache_hits, 1u);
   const auto report = verify::compare_images(first, second,
                                              verify::Tolerance::bit_identical(),
-                                             "back-to-back queued raycasts");
+                                             "back-to-back raycasts");
   EXPECT_TRUE(report.ok) << report.to_string();
 }
 

@@ -1,4 +1,4 @@
-// Unit and property tests for the Morton codecs (src/sfcvis/core/morton.*).
+// Unit and property tests for the Morton codec (src/sfcvis/core/morton.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -111,41 +111,6 @@ TEST(MortonBits, PartBitsLandOnStride) {
   }
 }
 
-TEST(MortonLut, MatchesMagicBits3D) {
-  std::mt19937 rng(46);
-  std::uniform_int_distribution<std::uint32_t> dist(0, (1u << 21) - 1);
-  for (std::uint32_t v : interesting_coords()) {
-    EXPECT_EQ(core::morton_encode_3d_lut(v, v / 2, v / 3),
-              core::morton_encode_3d(v, v / 2, v / 3));
-  }
-  for (int n = 0; n < 20000; ++n) {
-    const std::uint32_t x = dist(rng), y = dist(rng), z = dist(rng);
-    EXPECT_EQ(core::morton_encode_3d_lut(x, y, z), core::morton_encode_3d(x, y, z));
-  }
-}
-
-TEST(MortonLut, DecodeMatchesMagicBits3D) {
-  std::mt19937 rng(47);
-  std::uniform_int_distribution<std::uint64_t> dist(0, (std::uint64_t{1} << 63) - 1);
-  for (int n = 0; n < 20000; ++n) {
-    const std::uint64_t m = dist(rng);
-    EXPECT_EQ(core::morton_decode_3d_lut(m), core::morton_decode_3d(m));
-  }
-}
-
-#if defined(__BMI2__)
-TEST(MortonBmi2, MatchesMagicBits) {
-  std::mt19937 rng(49);
-  std::uniform_int_distribution<std::uint32_t> dist(0, (1u << 21) - 1);
-  for (int n = 0; n < 20000; ++n) {
-    const std::uint32_t x = dist(rng), y = dist(rng), z = dist(rng);
-    const auto m = core::morton_encode_3d(x, y, z);
-    EXPECT_EQ(core::morton_encode_3d_bmi2(x, y, z), m);
-    EXPECT_EQ(core::morton_decode_3d_bmi2(m), core::morton_decode_3d(m));
-  }
-}
-#endif
-
 TEST(MortonStep, IncrementMatchesReencode) {
   std::mt19937 rng(50);
   std::uniform_int_distribution<std::uint32_t> dist(0, (1u << 21) - 2);
@@ -164,9 +129,9 @@ TEST(MortonStep, DecrementMatchesReencode) {
   for (int n = 0; n < 10000; ++n) {
     const std::uint32_t x = dist(rng), y = dist(rng), z = dist(rng);
     const auto m = core::morton_encode_3d(x, y, z);
-    EXPECT_EQ(core::morton_dec_x(m), core::morton_encode_3d(x - 1, y, z));
-    EXPECT_EQ(core::morton_dec_y(m), core::morton_encode_3d(x, y - 1, z));
-    EXPECT_EQ(core::morton_dec_z(m), core::morton_encode_3d(x, y, z - 1));
+    EXPECT_EQ(core::morton_step_x(m, -1), core::morton_encode_3d(x - 1, y, z));
+    EXPECT_EQ(core::morton_step_y(m, -1), core::morton_encode_3d(x, y - 1, z));
+    EXPECT_EQ(core::morton_step_z(m, -1), core::morton_encode_3d(x, y, z - 1));
   }
 }
 
@@ -175,9 +140,9 @@ TEST(MortonStep, IncThenDecIsIdentity) {
   std::uniform_int_distribution<std::uint32_t> dist(0, (1u << 21) - 2);
   for (int n = 0; n < 5000; ++n) {
     const auto m = core::morton_encode_3d(dist(rng), dist(rng), dist(rng));
-    EXPECT_EQ(core::morton_dec_x(core::morton_inc_x(m)), m);
-    EXPECT_EQ(core::morton_dec_y(core::morton_inc_y(m)), m);
-    EXPECT_EQ(core::morton_dec_z(core::morton_inc_z(m)), m);
+    EXPECT_EQ(core::morton_step_x(core::morton_inc_x(m), -1), m);
+    EXPECT_EQ(core::morton_step_y(core::morton_inc_y(m), -1), m);
+    EXPECT_EQ(core::morton_step_z(core::morton_inc_z(m), -1), m);
   }
 }
 
@@ -241,9 +206,6 @@ TEST(MortonStep, UnitStepMatchesIncDec) {
     EXPECT_EQ(core::morton_step_x(m, 1), core::morton_inc_x(m));
     EXPECT_EQ(core::morton_step_y(m, 1), core::morton_inc_y(m));
     EXPECT_EQ(core::morton_step_z(m, 1), core::morton_inc_z(m));
-    EXPECT_EQ(core::morton_step_x(m, -1), core::morton_dec_x(m));
-    EXPECT_EQ(core::morton_step_y(m, -1), core::morton_dec_y(m));
-    EXPECT_EQ(core::morton_step_z(m, -1), core::morton_dec_z(m));
     EXPECT_EQ(core::morton_step_x(m, 0), m);
     EXPECT_EQ(core::morton_step_y(m, 0), m);
     EXPECT_EQ(core::morton_step_z(m, 0), m);
@@ -293,10 +255,7 @@ TEST(MortonStep, WraparoundAt21BitBoundaryAllAxes) {
     EXPECT_EQ(core::morton_step_x(x_hi, 1), x_lo);
     EXPECT_EQ(core::morton_step_y(y_hi, 1), y_lo);
     EXPECT_EQ(core::morton_step_z(z_hi, 1), z_lo);
-    // Descending across the boundary: 0 -> max, via both dec_* and step(-1).
-    EXPECT_EQ(core::morton_dec_x(x_lo), x_hi);
-    EXPECT_EQ(core::morton_dec_y(y_lo), y_hi);
-    EXPECT_EQ(core::morton_dec_z(z_lo), z_hi);
+    // Descending across the boundary: 0 -> max via step(-1).
     EXPECT_EQ(core::morton_step_x(x_lo, -1), x_hi);
     EXPECT_EQ(core::morton_step_y(y_lo, -1), y_hi);
     EXPECT_EQ(core::morton_step_z(z_lo, -1), z_hi);

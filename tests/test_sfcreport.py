@@ -38,7 +38,7 @@ def granularity(granule_bytes):
 
 def job(job_id):
     return {"id": job_id, "kernel": "raycast", "state": "done", "tiles": 8,
-            "tiles_run": 8, "queue_wait_ns": 1000, "run_ns": 5000,
+            "tiles_run": 8, "run_ns": 5000,
             "structure_cache_hits": 1, "structure_cache_misses": 0}
 
 
@@ -47,7 +47,7 @@ def valid_report():
     locality profile with a sampled slice, two jobs, brick-cache totals
     and one table."""
     return {
-        "sfcvis_run_report": 2, "span_tracing": True, "dropped_spans": 0,
+        "sfcvis_run_report": 3, "span_tracing": True, "dropped_spans": 0,
         "hw_counters": {"available": True, "source": "perf-group"},
         "run_totals": {"cache_misses": 7},
         "locality": {"available": True, "source": "locality profiler",
@@ -130,7 +130,7 @@ REJECTIONS = [
     ("no duration events", valid_trace, put("traceEvents", 1, "ph", "i"), None),
     # run report: top level, counters, phases, tables
     ("report missing required key", valid_report, drop("histograms"), None),
-    ("report schema version not current", valid_report, put("sfcvis_run_report", 1), None),
+    ("report schema version not current", valid_report, put("sfcvis_run_report", 2), None),
     ("hw_counters without source", valid_report, drop("hw_counters", "source"), None),
     ("hw available, run_totals null", valid_report, put("run_totals", None), None),
     ("phase missing key", valid_report, drop("phases", 0, "max_us"), None),
@@ -398,6 +398,37 @@ class GateCompare(unittest.TestCase):
         failed, _, notes = sfcreport.gate_compare(base, cur)
         self.assertEqual(failed, [])
         self.assertIn("t.csv: only in current (skipped)", notes)
+
+
+class Rerecord(unittest.TestCase):
+    """`gate --update-baseline` re-records only the tables that changed."""
+
+    def test_only_new_reshaped_and_failing_tables_are_replaced(self):
+        directions = {"wall.csv": "advisory", "shape.csv": "lower",
+                      "fail.csv": "lower", "same.csv": "lower", "new.csv": "lower"}
+        base = snapshot({"wall.csv": 1.0, "shape.csv": 1.0, "fail.csv": 1.0,
+                         "same.csv": 1.0, "gone.csv": 1.0}, directions)
+        base["sha"] = "recorded"
+        cur = snapshot({"wall.csv": 1.3, "shape.csv": 1.0, "fail.csv": 1.2,
+                        "same.csv": 1.1, "new.csv": 5.0}, directions)
+        cur["sha"] = "current"
+        cur["tables"]["shape.csv"]["cols"] = ["c", "d"]
+        cur["tables"]["shape.csv"]["cells"] = [[1.0, 2.0]]
+        merged, taken = sfcreport.rerecord(base, cur)
+        self.assertEqual(merged["sha"], "current")
+        self.assertEqual(merged["directions"], directions)
+        self.assertEqual(sorted(taken), ["fail.csv", "new.csv", "shape.csv"])
+        self.assertEqual(set(merged["tables"]),
+                         {"wall.csv", "shape.csv", "fail.csv", "same.csv", "new.csv"})
+        # A passing table keeps its recorded cells, the advisory one that
+        # moved 30% and the gated one that moved 10% alike.
+        self.assertEqual(merged["tables"]["wall.csv"], base["tables"]["wall.csv"])
+        self.assertEqual(merged["tables"]["same.csv"], base["tables"]["same.csv"])
+        for name in taken:
+            self.assertEqual(merged["tables"][name], cur["tables"][name])
+        # The merged baseline passes against the run it was recorded from.
+        failed, _, _ = sfcreport.gate_compare(merged, cur)
+        self.assertEqual(failed, [])
 
 
 if __name__ == "__main__":

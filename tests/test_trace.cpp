@@ -278,7 +278,7 @@ TEST(TraceExport, RunReportCarriesPhasesMetricsAndTables) {
   const std::string json =
       trace::run_report_json(tracer.snapshot(), tracer.metrics_snapshot(), sections);
   for (const char* needle :
-       {"\"sfcvis_run_report\":2", "\"hw_counters\":", "\"phases\":[",
+       {"\"sfcvis_run_report\":3", "\"hw_counters\":", "\"phases\":[",
         "\"name\":\"test.report\"", "\"tag\":\"tag\"",
         "\"name\":\"test.report_metric\"", "\"total\":5",
         "\"name\":\"test_table\"", "\"rows\":[\"r0\"]", "\"cols\":[\"c0\",\"c1\"]",

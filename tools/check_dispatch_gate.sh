@@ -50,7 +50,7 @@ check() {
 }
 
 check 'parallel_for(_static(_state)?|_dynamic)?[[:space:]]*\(' \
-  "direct threads::parallel_for* calls outside src/sfcvis/exec/ and src/sfcvis/threads/ — build an exec::KernelJob and submit it through ExecutionContext::jobs() (or use the ctx.parallel_* methods for structure builds):" \
+  "direct threads::parallel_for* calls outside src/sfcvis/exec/ and src/sfcvis/threads/ — build an exec::KernelJob and run it with ExecutionContext::jobs().run() (or use the ctx.parallel_* methods for structure builds):" \
   src/sfcvis/exec/ src/sfcvis/threads/ bench/abl_scheduler.cpp:
 check 'make_traced_view' \
   "make_traced_view outside src/sfcvis/core/ — replay the kernel's own job with core::traced_views through exec::JobGraph::replay instead of writing a traced twin:" \

@@ -60,18 +60,6 @@ void print_curve(const char* label, const trace::LocalityGranularity& g) {
   std::printf("\n");
 }
 
-double shards_error(const trace::LocalityProfile& p) {
-  double worst = 0.0;
-  for (const trace::LocalityMissPoint& exact : p.line.mrc) {
-    for (const trace::LocalityMissPoint& sampled : p.sampled.mrc) {
-      if (sampled.capacity_bytes == exact.capacity_bytes) {
-        worst = std::max(worst, std::abs(exact.miss_ratio - sampled.miss_ratio));
-      }
-    }
-  }
-  return worst;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -131,7 +119,8 @@ int main(int argc, char** argv) {
         std::printf("  sampled (1/%llu): est. working set %llu lines, max |exact-sampled| "
                     "%.4f\n",
                     static_cast<unsigned long long>(1ull << p.sample_rate_log2),
-                    static_cast<unsigned long long>(p.sampled.distinct), shards_error(p));
+                    static_cast<unsigned long long>(p.sampled.distinct),
+                    locality::shards_error(p));
       }
       std::printf("\n");
       locality::publish_profile(p);

@@ -27,7 +27,9 @@ Subcommands:
       writes their tables to <out-dir>/BENCH_<sha>.json, and fails when a
       gated cell moved more than 15% in its bad direction against the
       baseline (default bench/BENCH_baseline.json). --update-baseline
-      rewrites the baseline from this run instead.
+      instead re-records the baseline's tables that are new, reshaped or
+      hold a failing cell, drops the ones this run lacks, keeps every
+      other table's cells as recorded and stamps this run's sha.
 
 Exit codes: 0 ok, 1 failed check or threshold, 2 usage error or
 unreadable input.
@@ -54,7 +56,7 @@ ABS_FLOOR = 1e-9
 
 # The value of "sfcvis_run_report" a report of this schema carries; any
 # other version fails validation.
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 REPORT_KEYS = ("sfcvis_run_report", "span_tracing", "dropped_spans",
                "hw_counters", "locality", "jobs", "threads",
@@ -67,8 +69,7 @@ LOCALITY_PROFILE_KEYS = ("kernel", "layout", "accesses", "bytes", "line",
                          "page", "sample_rate_log2", "sampled")
 LOCALITY_GRANULARITY_KEYS = ("granule_bytes", "accesses", "distinct", "cold",
                              "utilization", "reuse_log2", "mrc")
-JOB_ENTRY_KEYS = ("id", "kernel", "state", "tiles", "tiles_run",
-                  "queue_wait_ns", "run_ns",
+JOB_ENTRY_KEYS = ("id", "kernel", "state", "tiles", "tiles_run", "run_ns",
                   "structure_cache_hits", "structure_cache_misses")
 JOB_STATES = ("done", "cancelled")
 # Sections `validate --require` can insist on.
@@ -152,7 +153,7 @@ BENCHES = {
     },
     "abl_job_overhead": {
         # Job-path replay counters must equal the direct loop's exactly
-        # (the ratio row is pinned at 1.0), and the second queued raycast
+        # (the ratio row is pinned at 1.0), and the second of two raycasts
         # must keep hitting the shared macrocell grid: its 0-miss baseline
         # pins it. Both are deterministic; the binary additionally
         # hard-fails on any divergence. Wall-clock dispatch overhead only
@@ -477,7 +478,6 @@ def summarize_report(doc, path):
                          f"{j['structure_cache_misses']}m")
             print(f"  #{j['id']:<4} {j['kernel']:<26} {j['state']:<10} "
                   f"{fmt_count(j['tiles_run'])}/{fmt_count(j['tiles'])} tiles  "
-                  f"wait {j['queue_wait_ns'] / 1e6:.3f} ms  "
                   f"run {j['run_ns'] / 1e6:.3f} ms{cache}")
     else:
         print(f"\njobs: unavailable ({jobs.get('source', '?')})")
@@ -677,6 +677,30 @@ def gate_compare(baseline, snapshot):
     return failed, moved, notes
 
 
+def rerecord(baseline, snapshot):
+    """The baseline `gate --update-baseline` writes, and the names of the
+    tables it took from `snapshot`. A table that is new, reshaped or holds
+    a failing cell takes this run's cells; every other table keeps its
+    recorded cells, so advisory wall-clock cells that moved are not
+    re-recorded. Tables this run lacks are dropped. The result carries
+    this run's sha and directions."""
+    recorded = baseline["tables"]
+    tables, taken = {}, []
+    for name, table in snapshot["tables"].items():
+        old = recorded.get(name)
+        if old is not None:
+            failed, _, _, _ = compare(
+                cells({"tables": {name: old}}, "snapshot"),
+                cells({"tables": {name: table}}, "snapshot"),
+                lambda group, label: snapshot["directions"][name])
+            if not failed:
+                tables[name] = old
+                continue
+        tables[name] = table
+        taken.append(name)
+    return dict(snapshot, tables=tables), taken
+
+
 def git_sha(repo_root):
     try:
         out = subprocess.run(
@@ -703,6 +727,12 @@ def cmd_gate(args):
     print(f"[sfcreport] wrote {out_path}")
 
     if args.update_baseline:
+        if os.path.exists(baseline_path):
+            _, baseline = load(baseline_path, ("snapshot",))
+            snapshot, taken = rerecord(baseline, snapshot)
+            dropped = sorted(set(baseline["tables"]) - set(snapshot["tables"]))
+            print(f"[sfcreport] re-recorded {len(taken)} table(s): "
+                  f"{', '.join(taken) or '-'}; dropped: {', '.join(dropped) or '-'}")
         write_json(baseline_path, snapshot)
         print(f"[sfcreport] baseline updated: {baseline_path}")
         return 0
@@ -751,7 +781,8 @@ def main(argv=None):
     p.add_argument("--out-dir", default=None,
                    help="where BENCH_<sha>.json is written (default build dir)")
     p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline from this run and exit 0")
+                   help="re-record the new, reshaped and failing tables of "
+                   "the baseline from this run and exit 0")
     args = parser.parse_args(argv)
     return {"validate": cmd_validate, "summarize": cmd_summarize,
             "diff": cmd_diff, "gate": cmd_gate}[args.command](args)
