@@ -50,9 +50,9 @@ int main(int argc, char** argv) {
   const unsigned nthreads = opts.get_u32("threads", 4);
   const unsigned reps = opts.get_u32("reps", quick ? 1 : 2);
   // z-pencils advance along z, so the gathered stencil planes are (x, y)
-  // slabs whose rows run along x — single memcpys on array order, the
-  // longest contiguous runs on Z-order. That is the orientation the fast
-  // path is designed around; --pencil=x/y shows the against-the-grain cost.
+  // slabs whose rows run along x — single memcpys on array order. That is
+  // the orientation the fast path is designed around; --pencil=x/y shows
+  // the against-the-grain cost.
   const std::string pencil_name = opts.get_string("pencil", "z");
   const filters::PencilAxis pencil_axis =
       pencil_name == "x"   ? filters::PencilAxis::kX

@@ -18,16 +18,16 @@
 // never a crash. Only a structurally corrupt file (bad magic/size) throws,
 // at open(), with the path and the defect.
 //
-// Stencil and gather paths that cross brick boundaries locate the
-// neighbouring brick with the constant-amortized masked ripple-add SFC
-// steps of core/morton.hpp (Holzmüller, arXiv:1710.06384) applied to the
+// Views and the row gather that cross brick boundaries locate the
+// neighbouring brick with the masked ripple-add steps of core/morton.hpp
+// (morton_step_*; Holzmüller, arXiv:1710.06384) applied to the
 // *brick-grid* Morton code — one add per hop instead of a decode +
 // re-encode of the full coordinate.
 //
 // BrickedVolume is NOT a Layout3D grid: it has no layout() and no single
 // contiguous data() storage. It opts into the VolumeBackend concept, and
-// kernels reach it through make_read_view / make_traced_view / gather_row
-// overloads defined here.
+// kernels reach it through the make_read_view, make_traced_view and
+// gather_row overloads defined here.
 #pragma once
 
 #include <algorithm>
@@ -450,14 +450,13 @@ template <AccessSink SinkT>
   return volume.cache_salt();
 }
 
-/// Bricked row gather: walks the row brick segment by brick segment,
-/// hopping to the next brick along the axis with one SFC increment of the
-/// brick-grid code (never a re-encode), and flushes maximal contiguous
-/// inner-offset runs with the shared copy_run — so the sliding-window
-/// kernels keep their dense-scratch fast path out-of-core.
+/// Bricked row gather: walks the row brick segment by brick segment, reads
+/// each element through the inner-offset LUT, and hops to the next brick
+/// along the axis with one morton_step_* of the brick-grid code (never a
+/// re-encode), so the sliding-window kernels keep their dense-scratch fast
+/// path out-of-core.
 inline void gather_row(const BrickedVolume& g, Axis3 axis, std::uint32_t i,
-                       std::uint32_t j, std::uint32_t k, std::uint32_t n, float* out,
-                       GatherRunStats* rs = nullptr) {
+                       std::uint32_t j, std::uint32_t k, std::uint32_t n, float* out) {
   if (n == 0) {
     return;
   }
@@ -477,28 +476,20 @@ inline void gather_row(const BrickedVolume& g, Axis3 axis, std::uint32_t i,
     const BrickedVolume::BrickRef ref = g.acquire_brick(code);
     const std::uint32_t local = *walk & mask;
     const std::uint32_t seg = std::min(n - done, edge - local);
-    const std::size_t lbase = (ci & mask) + (static_cast<std::size_t>(cj & mask) << s) +
-                              (static_cast<std::size_t>(ck & mask) << (2 * s));
-    std::uint32_t l = 0;
-    while (l < seg) {
-      const std::uint32_t begin = lut[lbase + l * lstride];
-      std::uint32_t run = 1;
-      while (l + run < seg && lut[lbase + (l + run) * lstride] == begin + run) {
-        ++run;
-      }
-      detail::copy_run(ref.data + begin, out + done + l, run);
-      if (rs != nullptr) {
-        rs->note(run);
-      }
-      l += run;
+    const std::uint32_t* row_lut = lut + (ci & mask) +
+                                   (static_cast<std::size_t>(cj & mask) << s) +
+                                   (static_cast<std::size_t>(ck & mask) << (2 * s));
+    for (std::uint32_t l = 0; l < seg; ++l) {
+      out[done + l] = ref.data[row_lut[l * lstride]];
     }
     g.release_brick(ref.slot);
     done += seg;
     *walk += seg;
     if (done < n) {
       // SFC hop to the next brick along the axis.
-      code = axis == Axis3::kX ? morton_inc_x(code)
-                               : axis == Axis3::kY ? morton_inc_y(code) : morton_inc_z(code);
+      code = axis == Axis3::kX   ? morton_step_x(code, 1)
+             : axis == Axis3::kY ? morton_step_y(code, 1)
+                                 : morton_step_z(code, 1);
     }
   }
 }

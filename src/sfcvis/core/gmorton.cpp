@@ -141,11 +141,6 @@ GMortonTables::GMortonTables(const Extents3D& logical, const InterleavePattern& 
   xtab_ = build(0, pattern.padded().nx);
   ytab_ = build(1, pattern.padded().ny);
   ztab_ = build(2, pattern.padded().nz);
-  for (unsigned axis = 0; axis < 3; ++axis) {
-    for (unsigned plane = 0; plane < pattern_.axis_bits(axis); ++plane) {
-      mask_[axis] |= std::uint64_t{1} << pattern_.bit_position(axis, plane);
-    }
-  }
 }
 
 bool GMortonTables::blocks_contiguous(unsigned block_log2) const noexcept {

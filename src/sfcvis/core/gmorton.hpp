@@ -22,9 +22,8 @@
 //  * GeneralizedMortonLayout — the Layout3D policy: per-axis deposit
 //    tables (index = xtab[i] + ytab[j] + ztab[k], three loads and two adds
 //    regardless of the pattern — the paper's equal-footing property holds
-//    for every family member), plus per-axis bit masks so neighbour
-//    stepping reuses the masked ripple-add idiom of core/morton.hpp on
-//    arbitrary patterns (Holzmüller, arXiv:1710.06384).
+//    for every family member). A row walk along one axis holds the other
+//    two terms fixed, so it pays one table load and one add per element.
 //
 // tools/layout_tuner searches this family per (kernel, shape, machine)
 // and prints the winner as a layout spec, "gmorton:<pattern>".
@@ -44,8 +43,7 @@ namespace sfcvis::core {
 /// extent. The string is most-significant-bit first; within one axis the
 /// n-th occurrence of its character counted from the RIGHT carries
 /// coordinate bit-plane n, so every axis's bit-planes appear in
-/// increasing output position — the property the ripple-add stepping
-/// relies on.
+/// increasing output position.
 class InterleavePattern {
  public:
   InterleavePattern() = default;
@@ -119,7 +117,7 @@ class InterleavePattern {
 
 /// Precomputed per-axis deposit tables for one interleave pattern: entry c
 /// of an axis table holds coordinate c's bits already deposited at their
-/// output positions, plus the per-axis masks neighbour stepping needs.
+/// output positions.
 class GMortonTables {
  public:
   GMortonTables() = default;
@@ -161,51 +159,10 @@ class GMortonTables {
     return tab[c];
   }
 
-  /// Bit mask of the output positions `axis` occupies.
-  [[nodiscard]] std::uint64_t axis_mask(unsigned axis) const noexcept { return mask_[axis]; }
-
-  /// Index of the +1 neighbour along `axis` — the masked ripple-add of
-  /// core/morton.hpp with the pattern's axis mask: force the other axes'
-  /// bits to 1 so the carry ripples straight through them, add the
-  /// dilated unit (the mask's lowest set bit), re-mask. Axis arithmetic
-  /// wraps modulo the padded axis; stepping inside the grid never wraps.
-  [[nodiscard]] std::uint64_t inc_axis(std::uint64_t m, unsigned axis) const noexcept {
-    const std::uint64_t mask = mask_[axis];
-    return (((m | ~mask) + (mask & (~mask + 1))) & mask) | (m & ~mask);
-  }
-
-  /// Index of the (coordinate + d) neighbour along `axis` (d may be
-  /// negative): the delta is reduced modulo the padded axis, dilated into
-  /// the axis' bit positions, and ripple-added — one add regardless of
-  /// |d|, no decode/re-encode.
-  [[nodiscard]] std::uint64_t step_axis(std::uint64_t m, unsigned axis,
-                                        std::int32_t d) const noexcept {
-    const unsigned bits = pattern_.axis_bits(axis);
-    const std::uint32_t wrapped =
-        static_cast<std::uint32_t>(d) & ((bits >= 32 ? 0u : (1u << bits)) - 1u);
-    const std::uint64_t mask = mask_[axis];
-    const std::uint64_t dd = deposit(wrapped, mask);
-    return (((m | ~mask) + dd) & mask) | (m & ~mask);
-  }
-
-  /// Scatters the low bits of `v` onto the set bits of `mask` (portable
-  /// PDEP): bit n of `v` lands on the n-th set bit of `mask`.
-  [[nodiscard]] static std::uint64_t deposit(std::uint64_t v, std::uint64_t mask) noexcept {
-    std::uint64_t out = 0;
-    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-      if ((v & 1u) != 0) {
-        out |= m & (~m + 1);
-      }
-      v >>= 1;
-    }
-    return out;
-  }
-
  private:
   InterleavePattern pattern_;
   bool canonical_ = false;
   std::size_t capacity_ = 0;
-  std::uint64_t mask_[3] = {0, 0, 0};
   std::vector<std::uint64_t> xtab_, ytab_, ztab_;
 };
 

@@ -73,37 +73,19 @@ struct MortonCoord3D {
 // ---------------------------------------------------------------------------
 // Neighbour stepping without full decode/re-encode
 // ---------------------------------------------------------------------------
-// Adding 1 to one axis of a Morton index can be done directly on the
-// interleaved form: force the other axes' bit positions to 1, add the unit
-// for this axis, then mask.  See Bader 2013, Sec. 4. Used by stencil sweeps
-// that walk the Z-curve without maintaining (i, j, k).
+// Adding d to one axis of a Morton index works directly on the interleaved
+// form: dilated-integer addition (Raman & Wise; Bader 2013, Sec. 4;
+// Holzmüller, arXiv:1710.06384). The delta is reduced to 21-bit two's
+// complement and dilated into the axis' bit positions, the other axes' bits
+// are forced to 1 so carries ripple straight through them, and the sum is
+// re-masked — one add regardless of |d|; a step of -1 is the decrement.
+// Axis arithmetic is modulo 2^21; stepping a stencil window that stays
+// inside the grid never wraps. The bricked backend hops between bricks
+// this way on the brick-grid code (core/bricked.hpp).
 
 inline constexpr std::uint64_t kMortonMaskX3D = 0x1249249249249249ULL;
 inline constexpr std::uint64_t kMortonMaskY3D = 0x2492492492492492ULL;
 inline constexpr std::uint64_t kMortonMaskZ3D = 0x4924924924924924ULL;
-
-/// Returns the Morton index of the +1 neighbour along X.
-[[nodiscard]] constexpr std::uint64_t morton_inc_x(std::uint64_t m) noexcept {
-  return (((m | ~kMortonMaskX3D) + 1) & kMortonMaskX3D) | (m & ~kMortonMaskX3D);
-}
-
-/// Returns the Morton index of the +1 neighbour along Y.
-[[nodiscard]] constexpr std::uint64_t morton_inc_y(std::uint64_t m) noexcept {
-  return (((m | ~kMortonMaskY3D) + 2) & kMortonMaskY3D) | (m & ~kMortonMaskY3D);
-}
-
-/// Returns the Morton index of the +1 neighbour along Z.
-[[nodiscard]] constexpr std::uint64_t morton_inc_z(std::uint64_t m) noexcept {
-  return (((m | ~kMortonMaskZ3D) + 4) & kMortonMaskZ3D) | (m & ~kMortonMaskZ3D);
-}
-
-// Arbitrary-delta axis steps: dilated-integer addition (Raman & Wise;
-// Holzmüller, arXiv:1710.06384). The delta is reduced to 21-bit two's
-// complement, dilated into the axis' bit positions, and added with the
-// other axes' bits forced to 1 so carries ripple straight through them —
-// one add regardless of |delta|, no decode/re-encode; a step of -1 is the
-// decrement. Axis arithmetic is modulo 2^21 (matching the inc helpers
-// above); stepping a stencil window that stays inside the grid never wraps.
 
 /// Morton index of the (x + d) neighbour (d may be negative).
 [[nodiscard]] constexpr std::uint64_t morton_step_x(std::uint64_t m, std::int32_t d) noexcept {

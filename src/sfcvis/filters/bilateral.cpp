@@ -30,10 +30,6 @@ void BilateralGatherScratch::prepare(const BilateralWeights& weights, PencilAxis
   const int r = static_cast<int>(weights.radius());
   width = 2 * weights.radius() + 1;
   plane_size = width * width;
-  // Latch the tracing flag once per parallel region: the per-gather check
-  // stays a cached bool and untraced runs take the nullptr path.
-  collect_run_stats = trace::span_tracing_enabled();
-  run_stats = core::GatherRunStats{};
   ring.resize(static_cast<std::size_t>(width) * plane_size);
   wperm.resize(static_cast<std::size_t>(width) * plane_size);
   // [dp][du][dv] -> (dx, dy, dz): dp walks the pencil axis, dv the plane's

@@ -242,8 +242,8 @@ void bilateral_pencil(const View& src, core::ArrayVolume& dst,
 // planes turns W^3 layout lookups per voxel into one W^2 plane gather —
 // amortizing index cost by ~1/W — and the tap loops run over dense
 // unit-stride rows. The plane gathers are the only layout-aware step
-// (core/gather.hpp: memcpy rows on array order, incremental Morton
-// stepping with run copies on Z-order).
+// (core/gather.hpp: memcpy rows on array order, one index() per element
+// elsewhere).
 
 /// Per-worker scratch of the gather fast path; allocate once per parallel
 /// region (threads::parallel_for_static_state), reuse across pencils.
@@ -257,31 +257,9 @@ struct BilateralGatherScratch {
   std::uint32_t plane_size = 0;  ///< W * W
   std::vector<float> ring;   ///< W planes of W*W samples, plane s in slot (s + r) % W
   std::vector<float> wperm;  ///< spatial weights permuted to [dp][du][dv]
-  /// Contiguous-run accounting of the plane gathers, merged into the
-  /// trace metrics registry per pencil. Collected only when span tracing
-  /// was runtime-enabled at prepare() time, so untraced runs pay nothing.
-  bool collect_run_stats = false;
-  core::GatherRunStats run_stats;
 };
 
 namespace detail {
-
-/// Merges and resets one pencil's gather-run stats ("bilateral.gather_*"
-/// metrics: run-length histogram plus run/element counters).
-inline void fold_gather_run_stats(core::GatherRunStats& rs) {
-  if (rs.runs == 0) {
-    return;
-  }
-  auto& tracer = trace::Tracer::instance();
-  static const trace::HistogramId k_len = tracer.histogram_id("bilateral.gather_run_len");
-  static const trace::CounterId k_runs = tracer.counter_id("bilateral.gather_runs");
-  static const trace::CounterId k_elems = tracer.counter_id("bilateral.gather_elements");
-  tracer.merge_histogram(k_len, rs.len_log2.data(), core::GatherRunStats::kBuckets,
-                         rs.runs, rs.elements, rs.min_run, rs.max_run);
-  tracer.add(k_runs, rs.runs);
-  tracer.add(k_elems, rs.elements);
-  rs = core::GatherRunStats{};
-}
 
 /// Explicit-SIMD tap loops over one voxel's W ring planes (the fast_exp
 /// mode of bilateral_pencil_gather); stencil plane dpi sits in ring slot
@@ -368,7 +346,6 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
   const std::uint32_t n_in = clamp_to(v_start + 2 * r, nv) - v_lo + 1;
   const auto head = static_cast<std::uint32_t>(v_lo - v_start);
 
-  core::GatherRunStats* rs = scratch.collect_run_stats ? &scratch.run_stats : nullptr;
   // Takes the shifted position q = s + r of plane s, s in [-r, len - 1 + r],
   // so the plane's slot q % W is never negative.
   const auto gather_plane = [&](std::uint32_t q) {
@@ -379,13 +356,13 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
       float* row = plane + du * W;
       switch (params.pencil) {
         case PencilAxis::kX:  // plane spans (y, z): rows along z
-          core::gather_row(src, core::Axis3::kZ, p, uc, v_lo, n_in, row + head, rs);
+          core::gather_row(src, core::Axis3::kZ, p, uc, v_lo, n_in, row + head);
           break;
         case PencilAxis::kY:  // plane spans (z, x): rows along x
-          core::gather_row(src, core::Axis3::kX, v_lo, p, uc, n_in, row + head, rs);
+          core::gather_row(src, core::Axis3::kX, v_lo, p, uc, n_in, row + head);
           break;
         case PencilAxis::kZ:  // plane spans (y, x): rows along x
-          core::gather_row(src, core::Axis3::kX, v_lo, uc, p, n_in, row + head, rs);
+          core::gather_row(src, core::Axis3::kX, v_lo, uc, p, n_in, row + head);
           break;
       }
       if (n_in < W) {
@@ -436,9 +413,6 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
     }
     const core::Coord3D c{v0.i + t * di, v0.j + t * dj, v0.k + t * dk};
     dst.at(c.i, c.j, c.k) = sum / norm;
-  }
-  if (rs != nullptr) {
-    detail::fold_gather_run_stats(*rs);
   }
 }
 

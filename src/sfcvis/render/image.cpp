@@ -36,8 +36,10 @@ TileDecomposition::TileDecomposition(std::uint32_t width, std::uint32_t height,
   if (tile_size == 0) {
     throw std::invalid_argument("TileDecomposition: tile_size must be nonzero");
   }
-  tiles_x_ = (width + tile_size - 1) / tile_size;
-  tiles_y_ = (height + tile_size - 1) / tile_size;
+  // In 64 bits: for tile sizes near 2^32, width + tile_size - 1 would wrap
+  // 32 bits and leave no tiles at all.
+  tiles_x_ = static_cast<std::uint32_t>((std::uint64_t{width} + tile_size - 1) / tile_size);
+  tiles_y_ = static_cast<std::uint32_t>((std::uint64_t{height} + tile_size - 1) / tile_size);
 }
 
 Tile TileDecomposition::bounds(std::size_t index) const noexcept {
@@ -46,8 +48,10 @@ Tile TileDecomposition::bounds(std::size_t index) const noexcept {
   Tile t;
   t.x0 = tx * tile_size_;
   t.y0 = ty * tile_size_;
-  t.x1 = std::min(t.x0 + tile_size_, width_);
-  t.y1 = std::min(t.y0 + tile_size_, height_);
+  // x0 < width, so clipping the tile's width before adding never wraps
+  // where x0 + tile_size_ could.
+  t.x1 = t.x0 + std::min(tile_size_, width_ - t.x0);
+  t.y1 = t.y0 + std::min(tile_size_, height_ - t.y0);
   return t;
 }
 

@@ -203,7 +203,7 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
   JsonWriter w;
   w.begin_object();
   w.key("sfcvis_run_report");
-  w.value(std::uint64_t{3});
+  w.value(std::uint64_t{4});
   w.key("span_tracing");
   w.value(snap.span_tracing);
   w.key("dropped_spans");
@@ -422,43 +422,6 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
       w.key("value");
       w.value(v.value);
       w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("histograms");
-  w.begin_array();
-  for (const auto& h : metrics.histograms) {
-    if (h.count == 0) {
-      continue;
-    }
-    w.begin_object();
-    w.key("name");
-    w.value(h.name);
-    w.key("count");
-    w.value(h.count);
-    w.key("sum");
-    w.value(h.sum);
-    w.key("mean");
-    w.value(h.mean(), 3);
-    w.key("min");
-    w.value(h.min);
-    w.key("max");
-    w.value(h.max);
-    // log2 buckets, trimmed to the last nonzero: bucket i counts values
-    // in [2^i, 2^(i+1)).
-    unsigned last = 0;
-    for (unsigned b = 0; b < HistogramMetric::kBuckets; ++b) {
-      if (h.buckets[b] != 0) {
-        last = b;
-      }
-    }
-    w.key("log2_buckets");
-    w.begin_array();
-    for (unsigned b = 0; b <= last; ++b) {
-      w.value(h.buckets[b]);
     }
     w.end_array();
     w.end_object();

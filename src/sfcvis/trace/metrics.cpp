@@ -13,16 +13,6 @@ const CounterMetric* MetricsSnapshot::find_counter(std::string_view name) const 
   return nullptr;
 }
 
-const HistogramMetric* MetricsSnapshot::find_histogram(
-    std::string_view name) const noexcept {
-  for (const auto& h : histograms) {
-    if (h.name == name) {
-      return &h;
-    }
-  }
-  return nullptr;
-}
-
 std::uint64_t MetricsSnapshot::total(std::string_view name) const noexcept {
   const CounterMetric* c = find_counter(name);
   return c == nullptr ? 0 : c->total;

@@ -6,7 +6,6 @@
 // the run report prints per metric and per phase.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -14,9 +13,8 @@
 
 namespace sfcvis::trace {
 
-/// Typed metric handles (indices into the registry; see Tracer).
+/// Typed metric handle (an index into the registry; see Tracer).
 enum class CounterId : std::uint32_t {};
-enum class HistogramId : std::uint32_t {};
 
 /// One thread's contribution to a metric. `worker_id` is the pool worker
 /// id when the thread announced one via set_worker_id (~0u otherwise).
@@ -37,31 +35,12 @@ struct CounterMetric {
   double imbalance = 0.0;
 };
 
-/// A named log2 histogram, merged across threads. bucket[i] counts
-/// observations in [2^i, 2^(i+1)) (bucket 0 additionally holds zeros;
-/// the last bucket holds everything above its lower bound).
-struct HistogramMetric {
-  static constexpr unsigned kBuckets = 32;
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;  ///< 0 when count == 0
-  std::uint64_t max = 0;
-  std::array<std::uint64_t, kBuckets> buckets{};
-
-  [[nodiscard]] double mean() const noexcept {
-    return count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
-  }
-};
-
 /// Everything the registry knows, merged. Take while quiescent.
 struct MetricsSnapshot {
   std::vector<CounterMetric> counters;
-  std::vector<HistogramMetric> histograms;
 
   /// Lookup by name; nullptr when absent.
   [[nodiscard]] const CounterMetric* find_counter(std::string_view name) const noexcept;
-  [[nodiscard]] const HistogramMetric* find_histogram(std::string_view name) const noexcept;
 
   /// Merged total of a counter; 0 when the counter was never registered.
   [[nodiscard]] std::uint64_t total(std::string_view name) const noexcept;

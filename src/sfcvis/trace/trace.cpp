@@ -1,10 +1,8 @@
 #include "sfcvis/trace/trace.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -14,15 +12,6 @@ namespace sfcvis::trace {
 namespace detail {
 
 std::atomic<bool> g_span_enabled{false};
-
-/// One thread's histogram slot (merged into HistogramMetric at snapshot).
-struct HistSlot {
-  std::array<std::uint64_t, HistogramMetric::kBuckets> buckets{};
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t max = 0;
-};
 
 struct ThreadState {
   unsigned trace_tid = 0;
@@ -43,9 +32,8 @@ struct ThreadState {
   perfmon::GroupReading at_enable{};
   bool have_at_enable = false;
 
-  // Metric slots, indexed by CounterId / HistogramId, grown on demand.
+  // Counter slots, indexed by CounterId, grown on demand.
   std::vector<std::uint64_t> counters;
-  std::vector<HistSlot> hists;
 };
 
 }  // namespace detail
@@ -73,7 +61,6 @@ struct TracerImpl {
   std::uint64_t epoch_ns = 0;
   std::string hw_failure;  ///< first PerfGroup::open failure this epoch
   std::vector<const char*> counter_names;
-  std::vector<const char*> histogram_names;
 };
 
 TracerImpl& impl() {
@@ -104,7 +91,6 @@ void open_group_on_this_thread(ThreadState& st) {
 
 void clear_metric_slots(ThreadState& st) {
   std::fill(st.counters.begin(), st.counters.end(), 0);
-  std::fill(st.hists.begin(), st.hists.end(), detail::HistSlot{});
 }
 
 }  // namespace
@@ -231,18 +217,6 @@ CounterId Tracer::counter_id(const char* name) {
   return CounterId{static_cast<std::uint32_t>(ti.counter_names.size() - 1)};
 }
 
-HistogramId Tracer::histogram_id(const char* name) {
-  auto& ti = impl();
-  std::lock_guard<std::mutex> lock(ti.mutex);
-  for (std::size_t i = 0; i < ti.histogram_names.size(); ++i) {
-    if (std::strcmp(ti.histogram_names[i], name) == 0) {
-      return HistogramId{static_cast<std::uint32_t>(i)};
-    }
-  }
-  ti.histogram_names.push_back(name);
-  return HistogramId{static_cast<std::uint32_t>(ti.histogram_names.size() - 1)};
-}
-
 void Tracer::add(CounterId id, std::uint64_t delta) {
   ThreadState& st = thread_state();
   const auto idx = static_cast<std::size_t>(id);
@@ -252,45 +226,6 @@ void Tracer::add(CounterId id, std::uint64_t delta) {
   st.counters[idx] += delta;
 }
 
-void Tracer::observe(HistogramId id, std::uint64_t value) {
-  ThreadState& st = thread_state();
-  const auto idx = static_cast<std::size_t>(id);
-  if (idx >= st.hists.size()) {
-    st.hists.resize(idx + 1);
-  }
-  detail::HistSlot& h = st.hists[idx];
-  ++h.count;
-  h.sum += value;
-  h.min = std::min(h.min, value);
-  h.max = std::max(h.max, value);
-  const unsigned bucket =
-      value == 0 ? 0
-                 : std::min<unsigned>(static_cast<unsigned>(std::bit_width(value)) - 1,
-                                      HistogramMetric::kBuckets - 1);
-  ++h.buckets[bucket];
-}
-
-void Tracer::merge_histogram(HistogramId id, const std::uint64_t* buckets, unsigned n,
-                             std::uint64_t count, std::uint64_t sum,
-                             std::uint64_t min_value, std::uint64_t max_value) {
-  if (count == 0) {
-    return;
-  }
-  ThreadState& st = thread_state();
-  const auto idx = static_cast<std::size_t>(id);
-  if (idx >= st.hists.size()) {
-    st.hists.resize(idx + 1);
-  }
-  detail::HistSlot& h = st.hists[idx];
-  h.count += count;
-  h.sum += sum;
-  h.min = std::min(h.min, min_value);
-  h.max = std::max(h.max, max_value);
-  for (unsigned i = 0; i < n; ++i) {
-    h.buckets[std::min(i, HistogramMetric::kBuckets - 1)] += buckets[i];
-  }
-}
-
 MetricsSnapshot Tracer::metrics_snapshot() {
   auto& ti = impl();
   std::lock_guard<std::mutex> lock(ti.mutex);
@@ -298,10 +233,6 @@ MetricsSnapshot Tracer::metrics_snapshot() {
   snap.counters.resize(ti.counter_names.size());
   for (std::size_t i = 0; i < ti.counter_names.size(); ++i) {
     snap.counters[i].name = ti.counter_names[i];
-  }
-  snap.histograms.resize(ti.histogram_names.size());
-  for (std::size_t i = 0; i < ti.histogram_names.size(); ++i) {
-    snap.histograms[i].name = ti.histogram_names[i];
   }
   for (const auto& stp : ti.threads) {
     const ThreadState& st = *stp;
@@ -314,21 +245,6 @@ MetricsSnapshot Tracer::metrics_snapshot() {
       snap.counters[i].total += st.counters[i];
       snap.counters[i].per_thread.push_back(
           ThreadValue{st.trace_tid, st.worker_id, st.counters[i]});
-    }
-    for (std::size_t i = 0; i < st.hists.size() && i < snap.histograms.size(); ++i) {
-      const detail::HistSlot& h = st.hists[i];
-      if (h.count == 0) {
-        continue;
-      }
-      HistogramMetric& out = snap.histograms[i];
-      const bool first = out.count == 0;
-      out.count += h.count;
-      out.sum += h.sum;
-      out.min = first ? h.min : std::min(out.min, h.min);
-      out.max = std::max(out.max, h.max);
-      for (unsigned b = 0; b < HistogramMetric::kBuckets; ++b) {
-        out.buckets[b] += h.buckets[b];
-      }
     }
   }
   for (auto& c : snap.counters) {

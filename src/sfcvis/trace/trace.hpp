@@ -19,11 +19,10 @@
 //    timing-only and the snapshot reports *why* (perf_event_paranoid
 //    level etc.) — the fallback is never silent.
 //
-//  * A metrics registry: named per-thread counters and log2 histograms,
-//    merged at report time. Kernels accumulate into thread-private slots
-//    (no sharing, no atomics — the TSan-clean replacement for the old
-//    atomic RenderStats) and the per-thread values expose scheduler load
-//    imbalance directly. Metrics work independently of span tracing so
+//  * A metrics registry: named per-thread counters, merged at report
+//    time. Kernels accumulate into thread-private slots (no sharing, no
+//    atomics — the TSan-clean replacement for the old atomic RenderStats)
+//    and the per-thread values expose scheduler load imbalance directly. Metrics work independently of span tracing so
 //    deterministic stats (e.g. skip rates) are available in untraced runs.
 //
 // Concurrency contract: recording is wait-free per thread; enable() /
@@ -127,25 +126,14 @@ class Tracer {
 
   // --- metrics registry (usable with span tracing off) -------------------
 
-  /// Registers (or looks up) a named counter / histogram. `name` must
-  /// outlive the process (string literal). Cheap but locking: call once
-  /// and cache the id (function-local static in kernels).
+  /// Registers (or looks up) a named counter. `name` must outlive the
+  /// process (string literal). Cheap but locking: call once and cache the
+  /// id (function-local static in kernels).
   [[nodiscard]] CounterId counter_id(const char* name);
-  [[nodiscard]] HistogramId histogram_id(const char* name);
 
   /// Adds to the calling thread's private slot. Wait-free after the first
   /// call on a thread.
   void add(CounterId id, std::uint64_t delta);
-
-  /// Records one histogram observation (log2 bucket + count/sum/min/max).
-  void observe(HistogramId id, std::uint64_t value);
-
-  /// Merges pre-bucketed observations (e.g. core::GatherRunStats) into
-  /// the calling thread's slot. `buckets[i]` counts values in [2^i,
-  /// 2^(i+1)); `count`/`sum`/`min_value`/`max_value` describe the batch.
-  void merge_histogram(HistogramId id, const std::uint64_t* buckets, unsigned n,
-                       std::uint64_t count, std::uint64_t sum, std::uint64_t min_value,
-                       std::uint64_t max_value);
 
   /// Merged view of every registered metric. Requires quiescence.
   [[nodiscard]] MetricsSnapshot metrics_snapshot();

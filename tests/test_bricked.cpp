@@ -3,9 +3,10 @@
 // core/brick_file.hpp + core/bricked.hpp.
 //
 // Three contracts pinned here:
-//  * brick-grid hops via morton_step_* / morton_inc_* agree with the
-//    decode-recompute oracle on pow2, non-pow2, and anisotropic grids,
-//    including the 21-bit coordinate boundary;
+//  * brick-grid hops via morton_step_* agree with the decode-recompute
+//    oracle on pow2, non-pow2, and anisotropic grids, including the
+//    21-bit coordinate boundary, and gather_row hops bricks on every
+//    inner layout;
 //  * the stream cache evicts least-recently-used, never evicts a pinned
 //    brick (overflow instead), keeps the exact acquire/miss/eviction
 //    stream of a 1-thread kernel pass, serves concurrent views the source
@@ -141,19 +142,6 @@ TEST(BrickNeighborFinding, StepMatchesDecodeRecomputeOracle) {
   }
 }
 
-TEST(BrickNeighborFinding, IncDecAgreeWithUnitSteps) {
-  for (std::uint32_t x = 0; x < 6; ++x) {
-    for (std::uint32_t y = 0; y < 6; ++y) {
-      for (std::uint32_t z = 0; z < 6; ++z) {
-        const std::uint64_t m = core::morton_encode_3d(x, y, z);
-        EXPECT_EQ(core::morton_inc_x(m), core::morton_step_x(m, 1));
-        EXPECT_EQ(core::morton_inc_y(m), core::morton_step_y(m, 1));
-        EXPECT_EQ(core::morton_inc_z(m), core::morton_step_z(m, 1));
-      }
-    }
-  }
-}
-
 TEST(BrickNeighborFinding, TwentyOneBitBoundary) {
   // Axis arithmetic is modulo 2^21 (kMortonMaxBits3D); hops at the top of
   // the coordinate range must ripple correctly and wrap as documented.
@@ -216,27 +204,47 @@ TEST(BrickNeighborFinding, ViewCrossesBrickBoundariesEveryDirection) {
 
 TEST(BrickNeighborFinding, GatherRowHopsBricksOnAnisotropicGrid) {
   // 40x8x24 at edge 8 -> a 5x1x3 brick grid; rows along every axis cross
-  // multiple bricks via the morton_inc_* hop in gather_row.
+  // multiple bricks via the morton_step_* hop in gather_row, on every
+  // inner layout a brick can hold.
   const Extents3D e{40, 8, 24};
-  BrickPackOptions popts;
-  popts.brick_edge = 8;
-  popts.inner_kind = LayoutKind::kTiled;
-  popts.inner_tile = 4;
-  TempBrickFile file(e, popts);
-  const BrickedVolume vol = BrickedVolume::open(file.str());
+  struct Inner {
+    LayoutKind kind;
+    const char* interleave;
+  };
+  const Inner inners[] = {{LayoutKind::kArray, ""},
+                          {LayoutKind::kZOrder, ""},
+                          {LayoutKind::kTiled, ""},
+                          {LayoutKind::kHilbert, ""},
+                          {LayoutKind::kGMorton, "zyxzxyxyz"}};
+  for (const Inner& inner : inners) {
+    SCOPED_TRACE(core::to_string(inner.kind));
+    BrickPackOptions popts;
+    popts.brick_edge = 8;
+    popts.inner_kind = inner.kind;
+    popts.inner_tile = 4;
+    popts.interleave = inner.interleave;
+    TempBrickFile file(e, popts);
+    const BrickedVolume vol = BrickedVolume::open(file.str());
 
-  std::vector<float> row(40);
-  core::gather_row(vol, core::Axis3::kX, 0, 3, 9, e.nx, row.data());
-  for (std::uint32_t i = 0; i < e.nx; ++i) {
-    ASSERT_EQ(row[i], field(i, 3, 9)) << "x row at " << i;
-  }
-  core::gather_row(vol, core::Axis3::kY, 17, 0, 21, e.ny, row.data());
-  for (std::uint32_t j = 0; j < e.ny; ++j) {
-    ASSERT_EQ(row[j], field(17, j, 21)) << "y row at " << j;
-  }
-  core::gather_row(vol, core::Axis3::kZ, 33, 5, 0, e.nz, row.data());
-  for (std::uint32_t k = 0; k < e.nz; ++k) {
-    ASSERT_EQ(row[k], field(33, 5, k)) << "z row at " << k;
+    const auto expect_row = [&vol](core::Axis3 axis, std::uint32_t i, std::uint32_t j,
+                                   std::uint32_t k, std::uint32_t n) {
+      std::vector<float> row(n);
+      core::gather_row(vol, axis, i, j, k, n, row.data());
+      for (std::uint32_t l = 0; l < n; ++l) {
+        const std::uint32_t ii = axis == core::Axis3::kX ? i + l : i;
+        const std::uint32_t jj = axis == core::Axis3::kY ? j + l : j;
+        const std::uint32_t kk = axis == core::Axis3::kZ ? k + l : k;
+        ASSERT_EQ(row[l], field(ii, jj, kk))
+            << "axis " << static_cast<int>(axis) << " at " << ii << "," << jj << "," << kk;
+      }
+    };
+    expect_row(core::Axis3::kX, 0, 3, 9, e.nx);
+    expect_row(core::Axis3::kY, 17, 0, 21, e.ny);
+    expect_row(core::Axis3::kZ, 33, 5, 0, e.nz);
+    // Rows that start and end inside a brick.
+    expect_row(core::Axis3::kX, 3, 3, 9, e.nx - 5);
+    expect_row(core::Axis3::kY, 17, 3, 21, e.ny - 5);
+    expect_row(core::Axis3::kZ, 33, 5, 3, e.nz - 5);
   }
 }
 

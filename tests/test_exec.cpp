@@ -189,7 +189,7 @@ void expect_flushed_report(const std::string& path) {
   ASSERT_TRUE(in.good()) << path << " was not written by the flush hook";
   const std::string json((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-  EXPECT_NE(json.find("\"sfcvis_run_report\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"sfcvis_run_report\":4"), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"flush_test\""), std::string::npos);
   if (std::system("python3 -c 'import json' > /dev/null 2>&1") == 0) {
     const std::string cmd = std::string("python3 \"") + SFCVIS_TOOLS_DIR +

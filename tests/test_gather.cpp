@@ -1,7 +1,7 @@
 // Tests for the dense row gathers (src/sfcvis/core/gather.hpp): every
 // layout's gather_row must agree with element-wise at() for every axis,
 // start position, and length — including the anisotropic Z-order table
-// curve and the contiguous-run memcpy fast paths.
+// curve and array order's memcpy rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "sfcvis/core/gather.hpp"
 #include "sfcvis/core/grid.hpp"
 #include "sfcvis/core/layout.hpp"
-#include "sfcvis/core/morton.hpp"
 
 namespace core = sfcvis::core;
 
@@ -207,26 +206,4 @@ TEST(GatherRow, SingleVoxelGrid) {
   float out = 0.0f;
   core::gather_row(g, core::Axis3::kX, 0, 0, 0, 1, &out);
   EXPECT_EQ(out, 42.0f);
-}
-
-TEST(GatherMortonRuns, CopiesContiguousRunsExactly) {
-  // Along x from an even coordinate, Morton indices pair up (runs of 2);
-  // the run walker must still reproduce the exact element sequence.
-  std::vector<float> data(2048);
-  for (std::size_t n = 0; n < data.size(); ++n) {
-    data[n] = static_cast<float>(n);
-  }
-  for (std::uint32_t x0 : {0u, 1u, 2u, 3u}) {
-    std::vector<float> out(7, -1.0f);
-    const std::uint64_t m = core::morton_encode_3d(x0, 3, 5);
-    core::GatherRunStats rs;
-    core::detail::gather_morton_runs(
-        data.data(), m, 7, out.data(),
-        [](std::uint64_t z) { return core::morton_inc_x(z); }, &rs);
-    EXPECT_EQ(rs.elements, 7u);
-    EXPECT_GE(rs.max_run, 2u);  // even x0 pairs elements two by two
-    for (std::uint32_t l = 0; l < 7; ++l) {
-      EXPECT_EQ(out[l], static_cast<float>(core::morton_encode_3d(x0 + l, 3, 5)));
-    }
-  }
 }

@@ -117,9 +117,9 @@ TEST(MortonStep, IncrementMatchesReencode) {
   for (int n = 0; n < 10000; ++n) {
     const std::uint32_t x = dist(rng), y = dist(rng), z = dist(rng);
     const auto m = core::morton_encode_3d(x, y, z);
-    EXPECT_EQ(core::morton_inc_x(m), core::morton_encode_3d(x + 1, y, z));
-    EXPECT_EQ(core::morton_inc_y(m), core::morton_encode_3d(x, y + 1, z));
-    EXPECT_EQ(core::morton_inc_z(m), core::morton_encode_3d(x, y, z + 1));
+    EXPECT_EQ(core::morton_step_x(m, 1), core::morton_encode_3d(x + 1, y, z));
+    EXPECT_EQ(core::morton_step_y(m, 1), core::morton_encode_3d(x, y + 1, z));
+    EXPECT_EQ(core::morton_step_z(m, 1), core::morton_encode_3d(x, y, z + 1));
   }
 }
 
@@ -140,9 +140,9 @@ TEST(MortonStep, IncThenDecIsIdentity) {
   std::uniform_int_distribution<std::uint32_t> dist(0, (1u << 21) - 2);
   for (int n = 0; n < 5000; ++n) {
     const auto m = core::morton_encode_3d(dist(rng), dist(rng), dist(rng));
-    EXPECT_EQ(core::morton_step_x(core::morton_inc_x(m), -1), m);
-    EXPECT_EQ(core::morton_step_y(core::morton_inc_y(m), -1), m);
-    EXPECT_EQ(core::morton_step_z(core::morton_inc_z(m), -1), m);
+    EXPECT_EQ(core::morton_step_x(core::morton_step_x(m, 1), -1), m);
+    EXPECT_EQ(core::morton_step_y(core::morton_step_y(m, 1), -1), m);
+    EXPECT_EQ(core::morton_step_z(core::morton_step_z(m, 1), -1), m);
   }
 }
 
@@ -198,20 +198,6 @@ TEST(MortonStep, SignedStepMatchesReencode) {
   }
 }
 
-TEST(MortonStep, UnitStepMatchesIncDec) {
-  std::mt19937 rng(55);
-  std::uniform_int_distribution<std::uint32_t> dist(1, (1u << 21) - 2);
-  for (int n = 0; n < 5000; ++n) {
-    const auto m = core::morton_encode_3d(dist(rng), dist(rng), dist(rng));
-    EXPECT_EQ(core::morton_step_x(m, 1), core::morton_inc_x(m));
-    EXPECT_EQ(core::morton_step_y(m, 1), core::morton_inc_y(m));
-    EXPECT_EQ(core::morton_step_z(m, 1), core::morton_inc_z(m));
-    EXPECT_EQ(core::morton_step_x(m, 0), m);
-    EXPECT_EQ(core::morton_step_y(m, 0), m);
-    EXPECT_EQ(core::morton_step_z(m, 0), m);
-  }
-}
-
 TEST(MortonStep, SignedStepWrapsModulo21Bits) {
   // Axis arithmetic is modulo 2^21, like coordinate arithmetic on the
   // dilated axis field: stepping past either end wraps, and inverse steps
@@ -248,10 +234,7 @@ TEST(MortonStep, WraparoundAt21BitBoundaryAllAxes) {
     const auto x_lo = core::morton_encode_3d(0, other, other);
     const auto y_lo = core::morton_encode_3d(other, 0, other);
     const auto z_lo = core::morton_encode_3d(other, other, 0);
-    // Ascending across the boundary: max -> 0, via both inc_* and step(+1).
-    EXPECT_EQ(core::morton_inc_x(x_hi), x_lo);
-    EXPECT_EQ(core::morton_inc_y(y_hi), y_lo);
-    EXPECT_EQ(core::morton_inc_z(z_hi), z_lo);
+    // Ascending across the boundary: max -> 0 via step(+1).
     EXPECT_EQ(core::morton_step_x(x_hi, 1), x_lo);
     EXPECT_EQ(core::morton_step_y(y_hi, 1), y_lo);
     EXPECT_EQ(core::morton_step_z(z_hi, 1), z_lo);
@@ -263,9 +246,9 @@ TEST(MortonStep, WraparoundAt21BitBoundaryAllAxes) {
   // All three axes saturated at once: each increment wraps only its own
   // axis and the other two all-ones fields survive the full carry ripple.
   const auto all_max = core::morton_encode_3d(kMax, kMax, kMax);
-  EXPECT_EQ(core::morton_inc_x(all_max), core::morton_encode_3d(0, kMax, kMax));
-  EXPECT_EQ(core::morton_inc_y(all_max), core::morton_encode_3d(kMax, 0, kMax));
-  EXPECT_EQ(core::morton_inc_z(all_max), core::morton_encode_3d(kMax, kMax, 0));
+  EXPECT_EQ(core::morton_step_x(all_max, 1), core::morton_encode_3d(0, kMax, kMax));
+  EXPECT_EQ(core::morton_step_y(all_max, 1), core::morton_encode_3d(kMax, 0, kMax));
+  EXPECT_EQ(core::morton_step_z(all_max, 1), core::morton_encode_3d(kMax, kMax, 0));
   // Multi-unit signed steps straddling the boundary in both directions.
   EXPECT_EQ(core::morton_step_x(core::morton_encode_3d(kMax - 2, 7, 9), 5),
             core::morton_encode_3d(2, 7, 9));

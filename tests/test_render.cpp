@@ -274,18 +274,22 @@ TEST(Tiles, ClipsEdgeTiles) {
 
 TEST(Tiles, CoversEveryPixelOnce) {
   const std::uint32_t w = 45, h = 33;
-  const TileDecomposition tiles(w, h, 16);
-  std::vector<int> cover(static_cast<std::size_t>(w) * h, 0);
-  for (std::size_t t = 0; t < tiles.count(); ++t) {
-    const auto b = tiles.bounds(t);
-    for (std::uint32_t y = b.y0; y < b.y1; ++y) {
-      for (std::uint32_t x = b.x0; x < b.x1; ++x) {
-        cover[static_cast<std::size_t>(y) * w + x] += 1;
+  // Tile sizes near 2^32 must not wrap the tile count or the tile bounds.
+  for (const std::uint32_t tile_size : {16u, 0x80000000u, 0xFFFFFFFFu}) {
+    SCOPED_TRACE(tile_size);
+    const TileDecomposition tiles(w, h, tile_size);
+    std::vector<int> cover(static_cast<std::size_t>(w) * h, 0);
+    for (std::size_t t = 0; t < tiles.count(); ++t) {
+      const auto b = tiles.bounds(t);
+      for (std::uint32_t y = b.y0; y < b.y1; ++y) {
+        for (std::uint32_t x = b.x0; x < b.x1; ++x) {
+          cover[static_cast<std::size_t>(y) * w + x] += 1;
+        }
       }
     }
-  }
-  for (const int c : cover) {
-    ASSERT_EQ(c, 1);
+    for (const int c : cover) {
+      ASSERT_EQ(c, 1);
+    }
   }
 }
 

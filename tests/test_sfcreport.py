@@ -47,7 +47,7 @@ def valid_report():
     locality profile with a sampled slice, two jobs, brick-cache totals
     and one table."""
     return {
-        "sfcvis_run_report": 3, "span_tracing": True, "dropped_spans": 0,
+        "sfcvis_run_report": 4, "span_tracing": True, "dropped_spans": 0,
         "hw_counters": {"available": True, "source": "perf-group"},
         "run_totals": {"cache_misses": 7},
         "locality": {"available": True, "source": "locality profiler",
@@ -68,8 +68,6 @@ def valid_report():
                     {"name": "bricked.cache_miss", "total": 10},
                     {"name": "bricked.prefetch_hits", "total": 4},
                     {"name": "bricked.prefetch_issued", "total": 5}],
-        "histograms": [{"name": "h", "count": 2, "mean": 1.5, "min": 1,
-                        "max": 2}],
         "tables": [{"name": "abl_demo", "title": "demo", "rows": ["a", "b"],
                     "cols": ["x"], "cells": [[1.0], [2.0]]}],
     }
@@ -129,8 +127,8 @@ REJECTIONS = [
     ("complete event without dur", valid_trace, drop("traceEvents", 1, "dur"), None),
     ("no duration events", valid_trace, put("traceEvents", 1, "ph", "i"), None),
     # run report: top level, counters, phases, tables
-    ("report missing required key", valid_report, drop("histograms"), None),
-    ("report schema version not current", valid_report, put("sfcvis_run_report", 2), None),
+    ("report missing required key", valid_report, drop("threads"), None),
+    ("report schema version not current", valid_report, put("sfcvis_run_report", 3), None),
     ("hw_counters without source", valid_report, drop("hw_counters", "source"), None),
     ("hw available, run_totals null", valid_report, put("run_totals", None), None),
     ("phase missing key", valid_report, drop("phases", 0, "max_us"), None),

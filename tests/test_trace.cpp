@@ -195,11 +195,9 @@ TEST(TraceMetrics, MergesAcrossPoolThreadsWithoutSpanTracing) {
   ASSERT_FALSE(trace::span_tracing_enabled());  // metrics work untraced
   tracer.reset_metrics();
   const trace::CounterId items = tracer.counter_id("test.items");
-  const trace::HistogramId sizes = tracer.histogram_id("test.sizes");
   threads::Pool pool(3);
-  threads::parallel_for_dynamic(pool, 100, [&](std::size_t item, unsigned) {
+  threads::parallel_for_dynamic(pool, 100, [&](std::size_t, unsigned) {
     tracer.add(items, 1);
-    tracer.observe(sizes, item + 1);
   });
   const trace::MetricsSnapshot metrics = tracer.metrics_snapshot();
 
@@ -214,37 +212,6 @@ TEST(TraceMetrics, MergesAcrossPoolThreadsWithoutSpanTracing) {
   }
   EXPECT_EQ(per_thread_sum, 100u);
   EXPECT_GE(counter->imbalance, 0.0);
-
-  const trace::HistogramMetric* hist = metrics.find_histogram("test.sizes");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count, 100u);
-  EXPECT_EQ(hist->sum, 5050u);
-  EXPECT_EQ(hist->min, 1u);
-  EXPECT_EQ(hist->max, 100u);
-  EXPECT_DOUBLE_EQ(hist->mean(), 50.5);
-  std::uint64_t bucket_sum = 0;
-  for (const auto b : hist->buckets) {
-    bucket_sum += b;
-  }
-  EXPECT_EQ(bucket_sum, 100u);
-}
-
-TEST(TraceMetrics, HistogramLog2Buckets) {
-  auto& tracer = trace::Tracer::instance();
-  tracer.reset_metrics();
-  const trace::HistogramId id = tracer.histogram_id("test.log2");
-  for (const std::uint64_t v : {1u, 2u, 3u, 4u, 1024u}) {
-    tracer.observe(id, v);
-  }
-  const trace::MetricsSnapshot metrics = tracer.metrics_snapshot();
-  const trace::HistogramMetric* hist = metrics.find_histogram("test.log2");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->buckets[0], 1u);   // [1, 2)
-  EXPECT_EQ(hist->buckets[1], 2u);   // [2, 4)
-  EXPECT_EQ(hist->buckets[2], 1u);   // [4, 8)
-  EXPECT_EQ(hist->buckets[10], 1u);  // [1024, 2048)
-  EXPECT_EQ(hist->min, 1u);
-  EXPECT_EQ(hist->max, 1024u);
 }
 
 TEST(TraceExport, ChromeTraceCarriesPerfettoKeys) {
@@ -278,7 +245,7 @@ TEST(TraceExport, RunReportCarriesPhasesMetricsAndTables) {
   const std::string json =
       trace::run_report_json(tracer.snapshot(), tracer.metrics_snapshot(), sections);
   for (const char* needle :
-       {"\"sfcvis_run_report\":3", "\"hw_counters\":", "\"phases\":[",
+       {"\"sfcvis_run_report\":4", "\"hw_counters\":", "\"phases\":[",
         "\"name\":\"test.report\"", "\"tag\":\"tag\"",
         "\"name\":\"test.report_metric\"", "\"total\":5",
         "\"name\":\"test_table\"", "\"rows\":[\"r0\"]", "\"cols\":[\"c0\",\"c1\"]",

@@ -56,11 +56,11 @@ ABS_FLOOR = 1e-9
 
 # The value of "sfcvis_run_report" a report of this schema carries; any
 # other version fails validation.
-REPORT_VERSION = 3
+REPORT_VERSION = 4
 
 REPORT_KEYS = ("sfcvis_run_report", "span_tracing", "dropped_spans",
                "hw_counters", "locality", "jobs", "threads",
-               "phases", "metrics", "histograms", "tables")
+               "phases", "metrics", "tables")
 # hw_counters, locality and jobs are always present; an unavailable one
 # says why in "source" (the reported-fallback idiom).
 SECTION_KEYS = ("available", "source")
@@ -487,11 +487,6 @@ def summarize_report(doc, path):
         for m in doc["metrics"]:
             print(f"  {m['name']:<34} total {fmt_count(m['total']):>14}  "
                   f"imbal {m.get('imbalance', 0.0):.2f}")
-    if doc["histograms"]:
-        print("\nhistograms (log2 buckets):")
-        for h in doc["histograms"]:
-            print(f"  {h['name']:<34} n={fmt_count(h['count'])} "
-                  f"mean={h['mean']:.2f} min={h['min']} max={h['max']}")
     if doc["tables"]:
         print(f"\ntables: {', '.join(t['name'] for t in doc['tables'])}")
 
