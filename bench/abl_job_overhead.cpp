@@ -1,9 +1,9 @@
-// Ablation J: job-dispatch overhead and StructureCache sharing across jobs.
+// Ablation J: job-dispatch overhead.
 //
 // The kernel drivers build exec::KernelJobs and run them with
 // ExecutionContext::jobs() instead of calling the thread primitives
 // directly (DESIGN.md Sec. 12). This bench pins the cost of that
-// indirection three ways:
+// indirection two ways:
 //   1. modeled counters — the bilateral job replayed with traced views
 //      (JobGraph::replay) must drive exactly the access stream of a
 //      direct replay loop (hand-rolled here). Deterministic memsim
@@ -14,9 +14,6 @@
 //      is pure dispatch bookkeeping (record, span, metrics); the
 //      acceptance target is <= 2% overhead. Advisory: wall clock never
 //      gates in CI.
-//   3. cache sharing — two macrocell raycasts run back-to-back on one
-//      context: job #1 must build the grid (1 miss), job #2 must reuse it
-//      (>= 1 hit, 0 misses), attributed per job in the run report.
 //
 // The binary hard-fails (exit 1) when the deterministic invariants break,
 // so the gate catches regressions even before table comparison.
@@ -29,7 +26,6 @@
 #include "sfcvis/filters/bilateral.hpp"
 #include "sfcvis/filters/gradient.hpp"
 #include "sfcvis/memsim/hierarchy.hpp"
-#include "sfcvis/render/raycast.hpp"
 #include "sfcvis/threads/schedulers.hpp"
 #include "sfcvis/verify/diff.hpp"
 
@@ -43,7 +39,6 @@ int main(int argc, char** argv) {
   const unsigned reps = opts.get_u32("reps", quick ? 3 : 5);
   const std::size_t trace_items = opts.get_u32("trace-items", quick ? 32 : 128);
   const std::uint32_t cache_scale = opts.get_u32("cache-scale", 64);
-  const std::uint32_t image = opts.get_u32("image", quick ? 64 : 128);
 
   const auto platform = memsim::scaled(memsim::ivybridge(), cache_scale);
   bench::print_preamble("Ablation J: job dispatch overhead", size, platform);
@@ -156,50 +151,5 @@ int main(int argc, char** argv) {
   wall.set(1, 1, t_job / t_direct);
   bench::emit_table(wall, opts, "abl_job_walltime.csv", 4);
 
-  // -- 3. Back-to-back raycasts share one StructureCache entry -------------
-  const bench::VolumePair cpair = bench::make_combustion_pair(size);
-  render::RenderConfig rconfig{image, image, 32, 0.5f, 0.98f};
-  rconfig.use_macrocells = true;
-  const auto fsize = static_cast<float>(size);
-  const auto camera = render::orbit_camera(1, 8, fsize, fsize, fsize);
-  const auto tf = render::TransferFunction::flame();
-  render::Image img1(image, image);
-  render::Image img2(image, image);
-
-  exec::ExecutionContext rctx(nthreads);  // fresh context -> cold StructureCache
-  exec::JobGraph& graph = rctx.jobs();
-  const exec::JobId id1 = graph.run(render::raycast_job(cpair.z, camera, tf, rconfig, img1));
-  const exec::JobId id2 = graph.run(render::raycast_job(cpair.z, camera, tf, rconfig, img2));
-  const auto rec1 = graph.find_record(id1);
-  const auto rec2 = graph.find_record(id2);
-  if (!rec1 || !rec2) {
-    std::fprintf(stderr, "FAIL: raycast job records missing\n");
-    return 1;
-  }
-
-  bench_util::ResultTable cache("back-to-back raycasts on one volume: macrocell cache",
-                                {"raycast #1", "raycast #2"},
-                                {"cache hits", "cache misses"});
-  cache.set(0, 0, static_cast<double>(rec1->structure_cache_hits));
-  cache.set(0, 1, static_cast<double>(rec1->structure_cache_misses));
-  cache.set(1, 0, static_cast<double>(rec2->structure_cache_hits));
-  cache.set(1, 1, static_cast<double>(rec2->structure_cache_misses));
-  bench::emit_table(cache, opts, "abl_job_cache.csv", 0);
-
-  if (rec1->structure_cache_misses != 1 || rec1->structure_cache_hits != 0 ||
-      rec2->structure_cache_hits < 1 || rec2->structure_cache_misses != 0) {
-    std::fprintf(stderr,
-                 "FAIL: expected raycast #1 to build the macrocell grid "
-                 "(1 miss) and #2 to reuse it (>= 1 hit, 0 misses)\n");
-    return 1;
-  }
-  const auto img_diff = verify::compare_images(img1, img2,
-                                               verify::Tolerance::bit_identical(),
-                                               "back-to-back raycast images");
-  if (!img_diff.ok) {
-    std::fprintf(stderr, "FAIL: %s\n", img_diff.to_string().c_str());
-    return 1;
-  }
-  std::printf("cache sharing: #1 built the grid, #2 reused it; images identical\n");
   return 0;
 }

@@ -90,8 +90,8 @@ int main(int argc, char** argv) {
     std::printf("bilateral r2: bricked == in-core: %s\n", identical ? "yes" : "NO");
 
     // Workload 2: raycast with empty-space skipping — the macrocell grid
-    // builds per brick through the same views, keyed by the bricked
-    // volume's identity + geometry salt in the structure cache.
+    // builds through the same brick views, once per volume, and both
+    // renders take their grid as an argument.
     const std::uint32_t mc = 8;
     render::MacrocellGrid cells_disk = render::MacrocellGrid::build(vol, mc, &ctx);
     render::MacrocellGrid cells_core = render::MacrocellGrid::build(in_core, mc, &ctx);

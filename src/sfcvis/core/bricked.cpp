@@ -44,15 +44,6 @@ constexpr std::size_t kDenseRankLimit = std::size_t{1} << 22;
 /// Stream-fallback budget when an mmap was requested but refused.
 constexpr std::size_t kFallbackCacheBytes = std::size_t{64} << 20;
 
-[[nodiscard]] std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 /// Shared immutable-file backend: geometry tables, the file handle, and
@@ -74,8 +65,6 @@ struct BrickedVolume::Impl {
   bool dense_ranks = true;
   unsigned shift = 0;
   std::size_t elems = 0;
-  std::uint64_t salt = 0;
-  float origin = 0.0f; ///< data() sentinel — identity, not storage
 
   // --- file ---
 #if SFCVIS_BRICKED_POSIX
@@ -489,13 +478,6 @@ BrickedVolume BrickedVolume::open(const std::string& path, const BrickOpenOption
     }
   }
 
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  h = fnv1a(h, &impl->info.brick_edge, sizeof(impl->info.brick_edge));
-  h = fnv1a(h, &impl->info.inner_kind, sizeof(impl->info.inner_kind));
-  h = fnv1a(h, &impl->info.inner_tile, sizeof(impl->info.inner_tile));
-  h = fnv1a(h, impl->info.interleave.data(), impl->info.interleave.size());
-  impl->salt = h | 1;  // never 0: distinguishes bricked from fixed layouts
-
 #if SFCVIS_BRICKED_POSIX
   impl->fd = ::open(path.c_str(), O_RDONLY);
   if (impl->fd < 0) {
@@ -572,16 +554,6 @@ std::size_t BrickedVolume::capacity() const noexcept {
                          : std::size_t{impl_->slot_count} * impl_->elems;
 }
 
-float* BrickedVolume::data() noexcept {
-  assert(impl_ != nullptr);
-  return &impl_->origin;
-}
-
-const float* BrickedVolume::data() const noexcept {
-  assert(impl_ != nullptr);
-  return &impl_->origin;
-}
-
 const BrickFileInfo& BrickedVolume::info() const noexcept {
   assert(impl_ != nullptr);
   return impl_->info;
@@ -600,11 +572,6 @@ const std::uint32_t* BrickedVolume::inner_offsets() const noexcept {
 unsigned BrickedVolume::edge_shift() const noexcept {
   assert(impl_ != nullptr);
   return impl_->shift;
-}
-
-std::uint64_t BrickedVolume::cache_salt() const noexcept {
-  assert(impl_ != nullptr);
-  return impl_->salt;
 }
 
 BrickedVolume::BrickRef BrickedVolume::acquire_brick(std::uint64_t code) const noexcept {
@@ -693,8 +660,12 @@ BrickCacheReport BrickedVolume::cache_report() const {
   std::lock_guard<std::mutex> lock(im.mu);
   r.io_error = im.io_error;
   r.degrade = im.degrade;
-  r.eviction_log = im.eviction_log;
   return r;
+}
+
+std::vector<std::uint64_t> BrickedVolume::eviction_log() const {
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  return impl_->eviction_log;
 }
 
 BrickCacheReport BrickedVolume::drain_cache_deltas() const {

@@ -84,7 +84,6 @@ struct BrickCacheReport {
   bool mmapped = false;               ///< file is memory-mapped
   std::string io_error;               ///< first read failure, sticky ("" = none)
   std::string degrade;                ///< first budget/mmap fallback, sticky
-  std::vector<std::uint64_t> eviction_log;  ///< evicted brick codes, oldest first (capped)
 };
 
 /// Read-only out-of-core volume over an SFCBRK01 brick file. Value
@@ -115,12 +114,6 @@ class BrickedVolume {
   /// Resident float capacity: the arena (stream) or the whole payload
   /// (mmap) — what this backend can hold in memory, not the file size.
   [[nodiscard]] std::size_t capacity() const noexcept;
-  /// Stable per-backend identity pointer (StructureCache owner key via the
-  /// AnyVolume facade). NOT element storage: a bricked volume has no
-  /// single contiguous buffer, so this points at a one-float sentinel.
-  [[nodiscard]] float* data() noexcept;
-  [[nodiscard]] const float* data() const noexcept;
-
   /// Serial-convenience element access (spot checks, copy_from, the
   /// AnyVolume facade). Never fails: an IO error yields the recorded-error
   /// zero value. The returned reference is only guaranteed while the next
@@ -153,10 +146,12 @@ class BrickedVolume {
   /// Snapshot of the cache counters + fallback reasons.
   [[nodiscard]] BrickCacheReport cache_report() const;
   /// Counter deltas since the previous drain (fallback strings and
-  /// slot_count ride along unchanged; eviction_log is not drained). The
-  /// metrics-registry publisher (exec::publish_brick_cache_metrics) uses
-  /// this so repeated publishes never double-count.
+  /// slot_count ride along unchanged). The metrics-registry publisher
+  /// (exec::publish_brick_cache_metrics) uses this so repeated publishes
+  /// never double-count.
   [[nodiscard]] BrickCacheReport drain_cache_deltas() const;
+  /// Brick codes the LRU cache evicted, oldest first (the first 1,024).
+  [[nodiscard]] std::vector<std::uint64_t> eviction_log() const;
 
   // --- internal surface for views and gather_row -------------------------
   // (stable within the library; not part of the user-facing facade)
@@ -177,10 +172,6 @@ class BrickedVolume {
   /// entry [li + (lj << s) + (lk << 2s)]).
   [[nodiscard]] const std::uint32_t* inner_offsets() const noexcept;
   [[nodiscard]] unsigned edge_shift() const noexcept;
-  /// Structure-cache salt: hash of brick edge + inner layout spelling, so
-  /// cached macrocell grids never cross brick geometries.
-  [[nodiscard]] std::uint64_t cache_salt() const noexcept;
-
  private:
   [[noreturn]] static void throw_read_only(const char* op);
   struct Impl;
@@ -444,10 +435,6 @@ template <AccessSink SinkT>
 [[nodiscard]] inline BrickedTracedView<SinkT> make_traced_view(const BrickedVolume& volume,
                                                                SinkT& sink) {
   return BrickedTracedView<SinkT>(volume, sink);
-}
-
-[[nodiscard]] inline std::uint64_t volume_cache_salt(const BrickedVolume& volume) {
-  return volume.cache_salt();
 }
 
 /// Bricked row gather: walks the row brick segment by brick segment, reads

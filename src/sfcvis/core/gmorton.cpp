@@ -143,20 +143,6 @@ GMortonTables::GMortonTables(const Extents3D& logical, const InterleavePattern& 
   ztab_ = build(2, pattern.padded().nz);
 }
 
-bool GMortonTables::blocks_contiguous(unsigned block_log2) const noexcept {
-  for (unsigned axis = 0; axis < 3; ++axis) {
-    if (pattern_.axis_bits(axis) < block_log2) {
-      return false;
-    }
-    for (unsigned plane = 0; plane < block_log2; ++plane) {
-      if (pattern_.bit_position(axis, plane) >= 3 * block_log2) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 Coord3D GMortonTables::decode(std::size_t index) const noexcept {
   Coord3D c;
   std::uint32_t* comp[3] = {&c.i, &c.j, &c.k};

@@ -103,18 +103,6 @@ class InterleavePattern {
   unsigned bitpos_[3][22] = {};
 };
 
-/// Stable 64-bit FNV-1a hash of an interleave string — the per-layout
-/// salt StructureCache keys mix in so two
-/// generalized-Morton volumes with different patterns never share a
-/// derived-structure entry.
-[[nodiscard]] constexpr std::uint64_t interleave_hash(std::string_view pattern) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : pattern) {
-    h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ULL;
-  }
-  return h;
-}
-
 /// Precomputed per-axis deposit tables for one interleave pattern: entry c
 /// of an axis table holds coordinate c's bits already deposited at their
 /// output positions.
@@ -141,15 +129,6 @@ class GMortonTables {
 
   /// Inverse mapping: recovers (i, j, k) from a linear index.
   [[nodiscard]] Coord3D decode(std::size_t index) const noexcept;
-
-  /// True when every 2^block_log2-aligned cube block occupies one
-  /// contiguous index range: the low 3*block_log2 output bits hold exactly
-  /// the low block_log2 bit-planes of each axis. The canonical pattern
-  /// passes whenever every padded axis is at least 2^block_log2 wide. When
-  /// true, the block with origin (i0, j0, k0) spans [index(i0, j0, k0),
-  /// +2^(3*block_log2)) — a linear scan of the grid's storage, which is
-  /// how layout-aware block summaries (render/macrocell.hpp) are built.
-  [[nodiscard]] bool blocks_contiguous(unsigned block_log2) const noexcept;
 
   /// Deposited bit pattern of coordinate `c` on `axis` (0 = x) — the
   /// per-axis summand of index(), for row walks that hold the other two
@@ -223,18 +202,5 @@ class GeneralizedMortonLayout {
   Extents3D extents_{};
   std::shared_ptr<const GMortonTables> tables_;
 };
-
-/// Per-layout salt for derived-structure cache keys: 0 for the fixed
-/// layouts (their identity is fully captured by the volume's storage
-/// pointer + extents), the interleave hash for generalized Morton (two
-/// patterns over one shape must never share an entry).
-template <class L>
-[[nodiscard]] constexpr std::uint64_t layout_cache_salt(const L&) noexcept {
-  return 0;
-}
-[[nodiscard]] inline std::uint64_t layout_cache_salt(
-    const GeneralizedMortonLayout& layout) noexcept {
-  return interleave_hash(layout.pattern().str());
-}
 
 }  // namespace sfcvis::core

@@ -213,13 +213,4 @@ template <SinkProvider P>
   return TracedViews<P>(provider);
 }
 
-/// Structure-cache salt of a backend: cached derived structures (macrocell
-/// grids) must not be reused across backends that place the same logical
-/// data differently. Grids delegate to their layout's salt; BrickedVolume
-/// (core/bricked.hpp) hashes its brick geometry.
-template <class T, Layout3D LayoutT>
-[[nodiscard]] inline std::uint64_t volume_cache_salt(const Grid3D<T, LayoutT>& grid) {
-  return layout_cache_salt(grid.layout());
-}
-
 }  // namespace sfcvis::core

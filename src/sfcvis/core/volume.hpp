@@ -116,12 +116,6 @@ class AnyVolume {
   [[nodiscard]] std::size_t capacity() const noexcept {
     return visit([](const auto& g) { return g.capacity(); });
   }
-  [[nodiscard]] float* data() noexcept {
-    return visit([](auto& g) { return g.data(); });
-  }
-  [[nodiscard]] const float* data() const noexcept {
-    return visit([](const auto& g) { return g.data(); });
-  }
   /// Writable element access; throws std::logic_error on a bricked volume
   /// (read-only, like fill_from and copy_from).
   [[nodiscard]] float& at(std::uint32_t i, std::uint32_t j, std::uint32_t k) {

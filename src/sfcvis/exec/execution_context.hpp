@@ -9,9 +9,6 @@
 //                 zsweep drivers.
 //   * memory    — the brick-cache budget of out-of-core volumes opened
 //                 through the context (open_bricked).
-//   * caches    — a StructureCache of derived acceleration structures
-//                 (macrocell grids), so repeated renders of one volume
-//                 stop rebuilding them per call.
 //   * tracing   — an optional owned TraceSession when constructed with
 //                 trace outputs.
 //
@@ -31,7 +28,6 @@
 
 #include "sfcvis/core/volume.hpp"
 #include "sfcvis/exec/job_graph.hpp"
-#include "sfcvis/exec/structure_cache.hpp"
 #include "sfcvis/exec/trace_session.hpp"
 #include "sfcvis/threads/pool.hpp"
 #include "sfcvis/threads/schedulers.hpp"
@@ -92,9 +88,6 @@ class ExecutionContext {
 
   /// The underlying pthread pool, created on first use.
   [[nodiscard]] threads::Pool& pool();
-
-  /// Cache of derived structures (macrocell grids) keyed on volume identity.
-  [[nodiscard]] StructureCache& structures() noexcept { return structures_; }
 
   /// The job runner every kernel driver dispatches through (created on
   /// first use): drivers build an exec::KernelJob and run it here, and
@@ -175,7 +168,6 @@ class ExecutionContext {
   bool replay_;
   core::MemoryPolicy memory_{};
   std::unique_ptr<threads::Pool> pool_;
-  StructureCache structures_;
   std::unique_ptr<JobGraph> jobs_;
   std::unique_ptr<TraceSession> trace_session_;
 };

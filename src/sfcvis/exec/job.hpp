@@ -3,9 +3,8 @@
 // A KernelJob captures one kernel invocation *after* decomposition: a
 // kernel id, the tile count its decomposer produced (pencils, curve
 // chunks, image tiles), the tile body as a type-erased closure, and an
-// optional job-prep stage where StructureCache lookups are hoisted so
-// back-to-back jobs over one volume share derived structures (macrocell
-// grids).
+// optional job-prep stage that runs once before any tile (per-worker read
+// views, and the macrocell grid of a render whose caller passed none).
 //
 // Jobs are built by the kernel layers (filters/kernels_common.hpp,
 // render/raycast.hpp) and executed by exec::JobGraph, which runs each one
@@ -77,8 +76,8 @@ struct KernelJob {
   const char* span_name = nullptr;
   const char* span_tag = nullptr;
 
-  /// Job-prep stage, run once before any tile: StructureCache lookups
-  /// belong here so jobs over one volume share structures.
+  /// Job-prep stage, run once before any tile: per-run state the tiles
+  /// share (read views, a render's macrocell grid) is built here.
   std::function<void(ExecutionContext&)> prepare;
   /// Per-worker state factory of a static job (the scratch/read-view slot
   /// every pencil and chunk kernel keeps); ignored by dynamic jobs. A
@@ -102,8 +101,6 @@ struct JobRecord {
   /// changes only with the benchmark; delete it together with that read.
   std::uint64_t queue_wait_ns = 0;
   std::uint64_t run_ns = 0;           ///< start -> completion (prep + tiles)
-  std::uint64_t structure_cache_hits = 0;    ///< attributed to this job's prep+run
-  std::uint64_t structure_cache_misses = 0;
 };
 
 }  // namespace sfcvis::exec

@@ -101,8 +101,6 @@ JobId JobGraph::run_one(KernelJob& job) {
     return id;
   }
   const std::uint64_t start_ns = now_ns();
-  const std::uint64_t hits_before = ctx_.structures().hits();
-  const std::uint64_t misses_before = ctx_.structures().misses();
   std::atomic<std::size_t> tiles_run{0};
   {
     // Per-job span, with the kernel's historical phase span nested inside
@@ -139,8 +137,6 @@ JobId JobGraph::run_one(KernelJob& job) {
   }
   record.tiles_run = tiles_run.load(std::memory_order_relaxed);
   record.run_ns = now_ns() - start_ns;
-  record.structure_cache_hits = ctx_.structures().hits() - hits_before;
-  record.structure_cache_misses = ctx_.structures().misses() - misses_before;
   record.state = (job.cancel.cancelled() && record.tiles_run < record.tiles)
                      ? JobState::kCancelled
                      : JobState::kDone;
@@ -162,8 +158,6 @@ void JobGraph::finish_record(JobRecord record) {
     entry.tiles = record.tiles;
     entry.tiles_run = record.tiles_run;
     entry.run_ns = record.run_ns;
-    entry.structure_cache_hits = record.structure_cache_hits;
-    entry.structure_cache_misses = record.structure_cache_misses;
     session->add_job(std::move(entry));
   }
   const std::lock_guard<std::mutex> lock(mutex_);

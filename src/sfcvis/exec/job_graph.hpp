@@ -4,9 +4,7 @@
 // thread: prepare, then its tiles on the context's worker pool (static
 // round-robin or the dynamic work queue, per JobDispatch). Jobs run one
 // at a time and each is internally parallel, which preserves the
-// bit-identity contract of the direct driver calls while letting
-// back-to-back jobs share StructureCache entries hoisted into their prep
-// stages.
+// bit-identity contract of the direct driver calls.
 //
 // Replay mode: replay(job, max_items) runs one job on a replay context
 // (make_replay_context). Its workers are logical: tile t runs on worker
@@ -16,13 +14,12 @@
 // view factory (core::traced_views), the job a native driver dispatches
 // becomes its own deterministic memsim / locality counter run.
 //
-// Per job the graph records run time, tiles run (cooperative cancellation
-// can cut a job short between tiles), and the StructureCache hit/miss
-// delta attributed to its prep+run window. Records flow three ways: the
-// bounded records() buffer here, aggregate "exec.job*" metrics counters,
-// and — when a TraceSession is active — the run report's always-present
-// "jobs" section (`sfcreport.py validate` checks it; `--require jobs`
-// gates on it).
+// Per job the graph records run time and tiles run (cooperative
+// cancellation can cut a job short between tiles). Records flow three
+// ways: the bounded records() buffer here, aggregate "exec.job*" metrics
+// counters, and — when a TraceSession is active — the run report's
+// always-present "jobs" section (`sfcreport.py validate` checks it;
+// `--require jobs` gates on it).
 #pragma once
 
 #include <cstddef>

@@ -8,16 +8,10 @@
 // classifies to zero opacity — the dominant cost of the paper's raycaster
 // on mostly-transparent data is exactly those wasted taps.
 //
-// The build is layout-aware, which is the Z-order payoff this subsystem
-// showcases: for a GeneralizedMortonLayout volume with B = 2^b whose low 3b
-// index bits hold the low b bit-planes of each axis — Z-order whenever every
-// padded axis is >= B, and any tuned pattern that keeps those planes at the
-// bottom — each macrocell's core block is one *contiguous* run of storage
-// (GMortonTables::blocks_contiguous), so the bulk of the build is a linear
-// scan — the cache-friendliest sweep the layout admits. Array-order (and
-// any other layout) builds through a blocked triple loop instead. Both
-// paths produce identical grids; cells are independent, so the build
-// parallelizes over the threads::Pool with the dynamic work queue.
+// Every backend builds one way: each cell scans its footprint box through
+// a read view, so the grid depends on the voxel values alone, never on the
+// layout. Cells are independent, so the build parallelizes over the
+// threads::Pool with the dynamic work queue.
 //
 // Footprint: a sample at continuous position p inside cell c reads lattice
 // neighbours floor(p) and floor(p)+1, which reach one voxel past the
@@ -29,11 +23,9 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
 #include "sfcvis/core/grid.hpp"
@@ -136,9 +128,10 @@ class MacrocellGrid {
   }
 
  private:
-  template <core::VolumeBackend VolT, core::ReadView3D ViewT>
-  static void compute_cell(const VolT& volume, const ViewT& view, std::uint32_t block,
-                           const CellCoord& c, float& out_min, float& out_max);
+  template <core::ReadView3D ViewT>
+  static void compute_cell(const core::Extents3D& e, const ViewT& view,
+                           std::uint32_t block, const CellCoord& c, float& out_min,
+                           float& out_max);
 
   core::Extents3D volume_{};
   core::Extents3D cells_{};
@@ -151,10 +144,10 @@ class MacrocellGrid {
 // Build
 // ---------------------------------------------------------------------------
 
-template <core::VolumeBackend VolT, core::ReadView3D ViewT>
-void MacrocellGrid::compute_cell(const VolT& volume, const ViewT& view, std::uint32_t block,
-                                 const CellCoord& c, float& out_min, float& out_max) {
-  const auto& e = volume.extents();
+template <core::ReadView3D ViewT>
+void MacrocellGrid::compute_cell(const core::Extents3D& e, const ViewT& view,
+                                 std::uint32_t block, const CellCoord& c, float& out_min,
+                                 float& out_max) {
   const std::int64_t b = block;
   // Inclusive footprint box: block widened by one voxel per side, clamped.
   const auto fp_lo = [&](std::uint32_t cell) { return std::max<std::int64_t>(0, cell * b - 1); };
@@ -169,56 +162,16 @@ void MacrocellGrid::compute_cell(const VolT& volume, const ViewT& view, std::uin
   float mx = std::numeric_limits<float>::lowest();
   // std::min/std::max drop NaN, so NaN is tracked on the side.
   bool nan = false;
-  const auto fold = [&](float v) {
-    mn = std::min(mn, v);
-    mx = std::max(mx, v);
-    nan |= std::isnan(v);
-  };
-  const auto scan = [&](std::int64_t i0, std::int64_t i1, std::int64_t j0, std::int64_t j1,
-                        std::int64_t k0, std::int64_t k1) {
-    for (std::int64_t k = k0; k <= k1; ++k) {
-      for (std::int64_t j = j0; j <= j1; ++j) {
-        for (std::int64_t i = i0; i <= i1; ++i) {
-          fold(view.at(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j),
-                       static_cast<std::uint32_t>(k)));
-        }
+  for (std::int64_t k = z0; k <= z1; ++k) {
+    for (std::int64_t j = y0; j <= y1; ++j) {
+      for (std::int64_t i = x0; i <= x1; ++i) {
+        const float v = view.at(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j),
+                                static_cast<std::uint32_t>(k));
+        mn = std::min(mn, v);
+        mx = std::max(mx, v);
+        nan |= std::isnan(v);
       }
     }
-  };
-
-  bool core_done = false;
-  // Layout-aware fast path only exists for in-core grids (out-of-core
-  // backends have no layout()/contiguous storage to scan linearly).
-  if constexpr (requires { typename VolT::layout_type; }) {
-    if constexpr (std::is_same_v<typename VolT::layout_type, core::GeneralizedMortonLayout>) {
-      // Layout-aware path: a 2^b-aligned block that lies fully inside the
-      // logical extents is one contiguous run of storage — scan it linearly
-      // and sweep only the one-voxel footprint shell through the indexer.
-      const std::int64_t cx0 = c.i * b, cy0 = c.j * b, cz0 = c.k * b;
-      const std::int64_t cx1 = cx0 + b - 1, cy1 = cy0 + b - 1, cz1 = cz0 + b - 1;
-      if (std::has_single_bit(block) && cx1 < e.nx && cy1 < e.ny && cz1 < e.nz &&
-          volume.layout().tables().blocks_contiguous(core::log2_pow2(block))) {
-        const std::size_t base = volume.layout().index(static_cast<std::uint32_t>(cx0),
-                                                       static_cast<std::uint32_t>(cy0),
-                                                       static_cast<std::uint32_t>(cz0));
-        const float* p = volume.data() + base;
-        const std::size_t n = static_cast<std::size_t>(block) * block * block;
-        for (std::size_t v = 0; v < n; ++v) {
-          fold(p[v]);
-        }
-        // Shell = footprint minus core, as six disjoint slabs.
-        scan(x0, cx0 - 1, y0, y1, z0, z1);
-        scan(cx1 + 1, x1, y0, y1, z0, z1);
-        scan(cx0, cx1, y0, cy0 - 1, z0, z1);
-        scan(cx0, cx1, cy1 + 1, y1, z0, z1);
-        scan(cx0, cx1, cy0, cy1, z0, cz0 - 1);
-        scan(cx0, cx1, cy0, cy1, cz1 + 1, z1);
-        core_done = true;
-      }
-    }
-  }
-  if (!core_done) {
-    scan(x0, x1, y0, y1, z0, z1);
   }
   if (nan) {
     // A NaN sample classifies as the transfer function's first point, so
@@ -259,13 +212,13 @@ MacrocellGrid MacrocellGrid::build(const VolT& volume, std::uint32_t block,
       views.push_back(core::make_read_view(volume));
     }
     ctx->parallel_dynamic(n, [&](std::size_t idx, unsigned tid) {
-      compute_cell(volume, views[tid], block, cell_at(idx), grid.min_[idx],
+      compute_cell(grid.volume_, views[tid], block, cell_at(idx), grid.min_[idx],
                    grid.max_[idx]);
     });
   } else {
     const auto view = core::make_read_view(volume);
     for (std::size_t idx = 0; idx < n; ++idx) {
-      compute_cell(volume, view, block, cell_at(idx), grid.min_[idx], grid.max_[idx]);
+      compute_cell(grid.volume_, view, block, cell_at(idx), grid.min_[idx], grid.max_[idx]);
     }
   }
   return grid;

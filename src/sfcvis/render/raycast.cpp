@@ -31,6 +31,17 @@ void validate_step(float step, const core::Extents3D& extents) {
   }
 }
 
+void validate_cells(const MacrocellGrid& cells, const core::Extents3D& extents) {
+  const core::Extents3D& e = cells.volume_extents();
+  if (e != extents) {
+    std::ostringstream msg;
+    msg << "macrocell grid summarizes a " << e.nx << "x" << e.ny << "x" << e.nz
+        << " volume, not the rendered " << extents.nx << "x" << extents.ny << "x"
+        << extents.nz << " one";
+    throw std::invalid_argument(msg.str());
+  }
+}
+
 std::optional<std::pair<float, float>> intersect_box(const Ray& ray, Vec3 lo,
                                                      Vec3 hi) noexcept {
   const float o[3] = {ray.origin.x, ray.origin.y, ray.origin.z};

@@ -529,39 +529,20 @@ void render_tile(const View& view, const Camera& camera, const TransferFunction&
   }
 }
 
-namespace detail {
-
-/// Cache key for a volume's macrocell grid: extents + block size +
-/// layout salt packed into 64 bits (the volume's identity is the cache's
-/// owner pointer; the salt distinguishes generalized-Morton interleave
-/// patterns, which the data pointer + extents alone cannot).
-[[nodiscard]] inline std::uint64_t macrocell_cache_key(const core::Extents3D& e,
-                                                       std::uint32_t block,
-                                                       std::uint64_t layout_salt) noexcept {
-  std::uint64_t key = e.nx;
-  key = key * 0x100000001b3ULL ^ e.ny;
-  key = key * 0x100000001b3ULL ^ e.nz;
-  key = key * 0x100000001b3ULL ^ block;
-  key = key * 0x100000001b3ULL ^ layout_salt;
-  return key;
-}
-
-}  // namespace detail
+/// Throws std::invalid_argument unless `cells` summarizes a volume of
+/// `extents`: a grid built for another shape skips the wrong cells.
+void validate_cells(const MacrocellGrid& cells, const core::Extents3D& extents);
 
 /// Builds the render job: image tiles under dynamic dispatch (the paper's
 /// best work-assignment strategy). The job's closures reference `volume`,
-/// `tf` and `image`, which must outlive its run.
+/// `tf`, `image` and `cells`, which must outlive its run.
 ///
 /// When config.use_macrocells is set the render takes the empty-space-
-/// skipping path: a caller-provided `cells` grid is used as-is, otherwise
-/// the running context's StructureCache supplies one — looked up in
-/// job.prepare (not at build time), so back-to-back renders of one
-/// volume share a single grid and every job after the first records a
-/// structure-cache hit in its JobRecord. The grid is built on first use,
-/// keyed on the volume's storage identity and cell size, and reused by
-/// every later render of the same volume (the fig4/fig5 orbit pattern no
-/// longer pays a full rebuild per viewpoint). Mutating a volume in place
-/// requires ctx.structures().invalidate(volume.data()). With
+/// skipping path over one macrocell grid: the caller's `cells`, which must
+/// summarize `volume` as it is when the job runs (validate_cells checks
+/// its extents), or else a grid that job.prepare builds from the volume
+/// for this job alone. A caller that renders one volume repeatedly builds
+/// the grid once (MacrocellGrid::build) and passes it. With
 /// `collect_stats` each worker folds its tile-local RayStats into the
 /// metrics registry ("raycast.*" counters; read them via
 /// Tracer::metrics_snapshot / render::skip_rate). `views` makes each
@@ -577,17 +558,18 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
   validate_step(config.step, volume.extents());
   const TileDecomposition tiles(config.image_width, config.image_height, config.tile_size);
   using View = decltype(views(volume, 0U));
-  // Per-run state resolved in job.prepare: the macrocell grid (cache
-  // lookup) and one read view per worker (out-of-core views carry
-  // per-worker brick pins and must not be shared across threads; a
+  // Per-run state resolved in job.prepare: the macrocell grid when the
+  // caller passed none, and one read view per worker (out-of-core views
+  // carry per-worker brick pins and must not be shared across threads; a
   // PlainView is free).
   struct Shared {
-    std::shared_ptr<const MacrocellGrid> cached_cells;
+    MacrocellGrid built;
     const MacrocellGrid* use_cells = nullptr;
     std::vector<View> views;
   };
   auto shared = std::make_shared<Shared>();
   if (config.use_macrocells && cells != nullptr) {
+    validate_cells(*cells, volume.extents());
     shared->use_cells = cells;
   }
   const VolT* vol_p = &volume;
@@ -601,12 +583,8 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
   job.span_tag = config.use_macrocells ? "macrocell" : "dense";
   job.prepare = [shared, vol_p, config, views](exec::ExecutionContext& ctx) {
     if (config.use_macrocells && shared->use_cells == nullptr) {
-      shared->cached_cells = ctx.structures().get_or_build<MacrocellGrid>(
-          vol_p->data(),
-          detail::macrocell_cache_key(vol_p->extents(), config.macrocell_size,
-                                      core::volume_cache_salt(*vol_p)),
-          [&] { return MacrocellGrid::build(*vol_p, config.macrocell_size, &ctx); });
-      shared->use_cells = shared->cached_cells.get();
+      shared->built = MacrocellGrid::build(*vol_p, config.macrocell_size, &ctx);
+      shared->use_cells = &shared->built;
     }
     shared->views.clear();
     shared->views.reserve(ctx.size());

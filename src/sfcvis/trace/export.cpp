@@ -203,7 +203,7 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
   JsonWriter w;
   w.begin_object();
   w.key("sfcvis_run_report");
-  w.value(std::uint64_t{4});
+  w.value(std::uint64_t{5});
   w.key("span_tracing");
   w.value(snap.span_tracing);
   w.key("dropped_spans");
@@ -277,10 +277,6 @@ std::string run_report_json(const TraceSnapshot& snap, const MetricsSnapshot& me
     w.value(j.tiles_run);
     w.key("run_ns");
     w.value(j.run_ns);
-    w.key("structure_cache_hits");
-    w.value(j.structure_cache_hits);
-    w.key("structure_cache_misses");
-    w.value(j.structure_cache_misses);
     w.end_object();
   }
   w.end_array();

@@ -90,8 +90,6 @@ struct JobReportEntry {
   std::uint64_t tiles = 0;
   std::uint64_t tiles_run = 0;
   std::uint64_t run_ns = 0;
-  std::uint64_t structure_cache_hits = 0;
-  std::uint64_t structure_cache_misses = 0;
 };
 
 /// The run report's always-present "jobs" section (reported-fallback

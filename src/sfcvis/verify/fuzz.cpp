@@ -459,17 +459,12 @@ void fuzz_raycast(FuzzSummary& summary, const VolumeSet& vols, SplitMix64& rng,
   record(summary, compare_images(base, render::raycast_parallel(vols.zorder, camera, tf, cfg, pool),
                                  Tolerance::bit_identical(),
                                  label.str() + " [macrocells on vs off, z-order]"));
-  // gmorton through the macrocell path also exercises the layout-salted
-  // StructureCache key: a stale grid cached under another interleave pattern
-  // would corrupt the skip structure and show up here.
   record(summary,
          compare_images(base, render::raycast_parallel(vols.gmorton, camera, tf, cfg, pool),
                         Tolerance::bit_identical(),
                         label.str() + " [macrocells on vs off, gmorton]"));
-  // The bricked backend through the macrocell path also exercises per-brick
-  // structure caching (owner = the backend's stable data() sentinel, salt =
-  // its brick/inner-layout hash) and empty-space skipping over a streamed
-  // cache smaller than the working set.
+  // The bricked backend builds its grid through per-worker brick views, and
+  // skips empty space over a streamed cache smaller than the working set.
   record(summary,
          compare_images(base, render::raycast_parallel(vols.bricked, camera, tf, cfg, pool),
                         Tolerance::bit_identical(),

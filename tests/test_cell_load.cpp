@@ -273,7 +273,7 @@ TEST(CellLoad, BrickedCellKeepsTheBrickCacheStreamOfEightTaps) {
     EXPECT_EQ(a.misses, b.misses) << cache;
     EXPECT_EQ(a.evictions, b.evictions) << cache;
     EXPECT_EQ(a.overflow_bricks, b.overflow_bricks) << cache;
-    EXPECT_EQ(a.eviction_log, b.eviction_log) << cache;
+    EXPECT_EQ(cell_vol.eviction_log(), taps_vol.eviction_log()) << cache;
     if (cache != 0) {
       EXPECT_GT(a.evictions, 0u) << "the walk must cycle the 4-slot cache";
     }

@@ -1,5 +1,5 @@
-// exec::ExecutionContext: dispatch coverage, curve decomposition and the
-// structure cache — the contract every migrated kernel driver leans on.
+// exec::ExecutionContext: dispatch coverage and curve decomposition — the
+// contract every migrated kernel driver leans on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 
 #include "sfcvis/core/volume.hpp"
 #include "sfcvis/exec/execution_context.hpp"
-#include "sfcvis/exec/structure_cache.hpp"
 #include "sfcvis/exec/trace_session.hpp"
 #include "sfcvis/trace/export.hpp"
 
@@ -95,52 +94,6 @@ TEST(ExecutionContextTest, AffinityRequestIsRecorded) {
   EXPECT_EQ(ctx.affinity_applied(), applied);
 }
 
-TEST(StructureCacheTest, HitsMissesAndInvalidate) {
-  exec::StructureCache cache;
-  int builds = 0;
-  const int owner_a = 0, owner_b = 0;
-  const auto build = [&] {
-    ++builds;
-    return 42;
-  };
-  const auto first = cache.get_or_build<int>(&owner_a, 7, build);
-  EXPECT_EQ(*first, 42);
-  EXPECT_EQ(builds, 1);
-  EXPECT_EQ(cache.misses(), 1U);
-  EXPECT_EQ(cache.hits(), 0U);
-
-  const auto again = cache.get_or_build<int>(&owner_a, 7, build);
-  EXPECT_EQ(again.get(), first.get());
-  EXPECT_EQ(builds, 1);
-  EXPECT_EQ(cache.hits(), 1U);
-
-  // Different parameter key or owner → separate entries.
-  (void)cache.get_or_build<int>(&owner_a, 8, build);
-  (void)cache.get_or_build<int>(&owner_b, 7, build);
-  EXPECT_EQ(builds, 3);
-  EXPECT_EQ(cache.size(), 3U);
-
-  cache.invalidate(&owner_a);
-  EXPECT_EQ(cache.size(), 1U);
-  // Outstanding shared_ptrs survive invalidation.
-  EXPECT_EQ(*first, 42);
-  (void)cache.get_or_build<int>(&owner_a, 7, build);
-  EXPECT_EQ(builds, 4);
-
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0U);
-}
-
-TEST(StructureCacheTest, DistinguishesTypesUnderOneKey) {
-  exec::StructureCache cache;
-  const int owner = 0;
-  const auto as_int = cache.get_or_build<int>(&owner, 1, [] { return 5; });
-  const auto as_double = cache.get_or_build<double>(&owner, 1, [] { return 2.5; });
-  EXPECT_EQ(*as_int, 5);
-  EXPECT_EQ(*as_double, 2.5);
-  EXPECT_EQ(cache.size(), 2U);
-}
-
 // ---------------------------------------------------------------------------
 // TraceSession abnormal-exit flush: a run that dies with a report pending
 // must still leave a valid run report on disk (atexit hook + best-effort
@@ -189,7 +142,7 @@ void expect_flushed_report(const std::string& path) {
   ASSERT_TRUE(in.good()) << path << " was not written by the flush hook";
   const std::string json((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-  EXPECT_NE(json.find("\"sfcvis_run_report\":4"), std::string::npos);
+  EXPECT_NE(json.find("\"sfcvis_run_report\":5"), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"flush_test\""), std::string::npos);
   if (std::system("python3 -c 'import json' > /dev/null 2>&1") == 0) {
     const std::string cmd = std::string("python3 \"") + SFCVIS_TOOLS_DIR +

@@ -1,8 +1,8 @@
 // Tests for the generalized-Morton layout family (core/gmorton.hpp):
 // pattern parsing/validation, the degeneracy pins (canonical string ==
 // Z-order indices, "zz..yy..xx" == row-major, tiled generator ==
-// TiledLayout on pow2 shapes), codec round-trips, gather_row
-// equivalence, and cache-key salting.
+// TiledLayout on pow2 shapes), codec round-trips and gather_row
+// equivalence.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -136,12 +136,6 @@ TEST(InterleavePattern, GeneratorsRoundTripThroughStrings) {
 TEST(InterleavePattern, CanonicalCubeIsRoundRobin) {
   EXPECT_EQ(InterleavePattern::canonical(Extents3D::cube(8)).str(), "zyxzyxzyx");
   EXPECT_EQ(InterleavePattern::array_order(Extents3D::cube(8)).str(), "zzzyyyxxx");
-}
-
-TEST(InterleaveHash, DistinguishesPatterns) {
-  EXPECT_NE(core::interleave_hash("zyxzyx"), core::interleave_hash("zyxzxy"));
-  EXPECT_NE(core::interleave_hash("zyx"), core::interleave_hash("zyxzyx"));
-  EXPECT_EQ(core::interleave_hash("zyxzyx"), core::interleave_hash("zyxzyx"));
 }
 
 // ---------------------------------------------------------------------------
@@ -305,14 +299,4 @@ TEST(GMortonVolumeFacade, ConvertToRoundTripsContents) {
       }
     }
   }
-}
-
-TEST(GMortonCacheSalt, ZeroForFixedLayoutsPatternHashForGMorton) {
-  EXPECT_EQ(core::layout_cache_salt(TiledLayout(Extents3D::cube(4))), 0u);
-  EXPECT_EQ(core::layout_cache_salt(ArrayOrderLayout(Extents3D::cube(4))), 0u);
-  const Extents3D e = Extents3D::cube(4);
-  const GeneralizedMortonLayout a(e, "zyxzyx");
-  const GeneralizedMortonLayout b(e, "xyzxyz");
-  EXPECT_NE(core::layout_cache_salt(a), core::layout_cache_salt(b));
-  EXPECT_EQ(core::layout_cache_salt(a), core::interleave_hash("zyxzyx"));
 }

@@ -7,10 +7,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "sfcvis/exec/execution_context.hpp"
 #include "sfcvis/core/grid.hpp"
+#include "sfcvis/core/volume.hpp"
 #include "sfcvis/data/combustion.hpp"
 #include "sfcvis/memsim/platforms.hpp"
 #include "sfcvis/render/camera.hpp"
@@ -18,7 +18,6 @@
 #include "sfcvis/render/raycast.hpp"
 #include "sfcvis/render/transfer.hpp"
 #include "sfcvis/threads/pool.hpp"
-#include "sfcvis/verify/fuzz.hpp"
 
 namespace core = sfcvis::core;
 namespace exec = sfcvis::exec;
@@ -27,7 +26,6 @@ namespace memsim = sfcvis::memsim;
 namespace render = sfcvis::render;
 namespace threads = sfcvis::threads;
 namespace trace = sfcvis::trace;
-namespace verify = sfcvis::verify;
 
 using core::ArrayOrderLayout;
 using core::Extents3D;
@@ -43,9 +41,8 @@ using render::ValueRange;
 
 namespace {
 
-/// A non-canonical 32^3 pattern whose low 9 output bits hold bit-planes
-/// 0-2 of every axis (8^3 row-major tiles): it passes blocks_contiguous(3),
-/// so 8^3 macrocells take the linear-scan build like Z-order does.
+/// A non-canonical pattern over a 32^3 padded box: 8^3 tiles (the low 9
+/// output bits hold bit-planes 0-2 of every axis) in row-major order.
 constexpr const char* kTunedTiles8 = "xyzxyzzzzyyyxxx";
 
 /// Deterministic pseudo-random fill (splitmix-style hash of the index).
@@ -181,31 +178,55 @@ TEST(Macrocell, MinMaxMatchesBruteForceArrayOrder) {
 }
 
 TEST(Macrocell, MinMaxMatchesBruteForceZOrderFastPath) {
+  // Pow2 cube under pow2 blocks: every interior cell is an aligned Morton
+  // run, read through the same layout.index() gather as any other cell.
   Grid3D<float, GeneralizedMortonLayout> g(Extents3D{32, 32, 32});
   fill_noise(g, 4);
-  expect_grid_matches_brute(g, 8);  // pow2 block: contiguous-run fast path
+  expect_grid_matches_brute(g, 8);
   expect_grid_matches_brute(g, 4);
 
   Grid3D<float, GeneralizedMortonLayout> tuned(
       GeneralizedMortonLayout(Extents3D{32, 32, 32}, kTunedTiles8));
   ASSERT_FALSE(tuned.layout().canonical());
-  ASSERT_TRUE(tuned.layout().tables().blocks_contiguous(3));
   fill_noise(tuned, 4);
-  expect_grid_matches_brute(tuned, 8);  // fast path on a tuned pattern
-  expect_grid_matches_brute(tuned, 4);  // predicate false: generic path
+  expect_grid_matches_brute(tuned, 8);  // one 8^3 tile per cell
+  expect_grid_matches_brute(tuned, 4);  // cells split the tiles
 }
 
 TEST(Macrocell, MinMaxMatchesBruteForceZOrderGenericPath) {
   Grid3D<float, GeneralizedMortonLayout> g(Extents3D{24, 20, 28});  // padded zorder extents
   fill_noise(g, 5);
-  expect_grid_matches_brute(g, 8);  // edge blocks exercise the fallback
-  expect_grid_matches_brute(g, 3);  // non-pow2 block: generic path everywhere
+  expect_grid_matches_brute(g, 8);  // edge blocks clip their footprint
+  expect_grid_matches_brute(g, 3);  // non-pow2 block
 
   Grid3D<float, GeneralizedMortonLayout> tuned(
       GeneralizedMortonLayout(Extents3D{24, 20, 28}, kTunedTiles8));
   fill_noise(tuned, 5);
   expect_grid_matches_brute(tuned, 8);
   expect_grid_matches_brute(tuned, 3);
+}
+
+TEST(Macrocell, MinMaxMatchesBruteForceEveryLayout) {
+  // Ragged, padded and pow2 shapes under non-pow2 (3, 5) and pow2 (4, 8)
+  // blocks, so border cells clip their footprint on every axis.
+  const std::uint32_t blocks[] = {3, 4, 5, 8};
+  for (const Extents3D& e : {Extents3D{20, 17, 13}, Extents3D{24, 20, 28}, Extents3D::cube(32)}) {
+    for (const core::LayoutKind kind : core::kAllLayoutKinds) {
+      core::AnyVolume volume = core::make_volume(kind, e);
+      volume.visit([&](auto& g) {
+        if constexpr (requires { g.layout(); }) {
+          fill_noise(g, 3);
+          for (const std::uint32_t block : blocks) {
+            SCOPED_TRACE(testing::Message() << core::to_string(kind) << " " << e.nx << "x"
+                                            << e.ny << "x" << e.nz << " block " << block);
+            expect_grid_matches_brute(g, block);
+          }
+        } else {
+          ADD_FAILURE() << core::to_string(kind) << " made a volume with no layout";
+        }
+      });
+    }
+  }
 }
 
 TEST(Macrocell, ParallelBuildMatchesSerial) {
@@ -223,71 +244,6 @@ TEST(Macrocell, ParallelBuildMatchesSerial) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Contiguity predicate
-// ---------------------------------------------------------------------------
-
-TEST(Macrocell, ZorderBlocksContiguousMatchesStorage) {
-  // The predicate must agree with the ground truth: enumerate the storage
-  // indices of an aligned block and check they form a contiguous run.
-  const auto check = [](const GeneralizedMortonLayout& layout, unsigned block_log2) {
-    const Extents3D& e = layout.extents();
-    const bool claim = layout.tables().blocks_contiguous(block_log2);
-    const std::uint32_t b = 1u << block_log2;
-    bool all_contiguous = true;
-    for (std::uint32_t z0 = 0; z0 + b <= e.nz && all_contiguous; z0 += b) {
-      for (std::uint32_t y0 = 0; y0 + b <= e.ny && all_contiguous; y0 += b) {
-        for (std::uint32_t x0 = 0; x0 + b <= e.nx && all_contiguous; x0 += b) {
-          std::vector<std::size_t> idx;
-          for (std::uint32_t z = z0; z < z0 + b; ++z) {
-            for (std::uint32_t y = y0; y < y0 + b; ++y) {
-              for (std::uint32_t x = x0; x < x0 + b; ++x) {
-                idx.push_back(layout.index(x, y, z));
-              }
-            }
-          }
-          std::sort(idx.begin(), idx.end());
-          for (std::size_t n = 0; n + 1 < idx.size(); ++n) {
-            if (idx[n + 1] != idx[n] + 1) {
-              all_contiguous = false;
-            }
-          }
-        }
-      }
-    }
-    EXPECT_EQ(claim, all_contiguous) << "extents " << e.nx << "x" << e.ny << "x" << e.nz
-                                     << " pattern " << layout.pattern().str()
-                                     << " block_log2 " << block_log2;
-    return claim;
-  };
-  // Cubic pow2 extents: standard interleave is contiguous at any b.
-  EXPECT_TRUE(check(GeneralizedMortonLayout(Extents3D{16, 16, 16}), 2));
-  EXPECT_TRUE(check(GeneralizedMortonLayout(Extents3D{32, 32, 32}), 3));
-  // Whatever anisotropic padding produces, predicate and ground truth must
-  // agree (the value itself is layout-defined).
-  check(GeneralizedMortonLayout(Extents3D{32, 8, 8}), 2);
-  check(GeneralizedMortonLayout(Extents3D{8, 32, 16}), 3);
-  // Random interleave patterns, drawn like the fuzzer draws them: tuned
-  // volumes take the linear-scan build whenever the predicate holds, so it
-  // is checked on both outcomes.
-  verify::SplitMix64 rng(13);
-  unsigned held = 0, failed = 0;
-  for (unsigned rep = 0; rep < 16; ++rep) {
-    for (const Extents3D& e : {Extents3D{16, 16, 16}, Extents3D{32, 8, 8}, Extents3D{8, 16, 32}}) {
-      for (const unsigned block_log2 : {1u, 2u}) {
-        const GeneralizedMortonLayout layout(e, verify::random_interleave(e, rng));
-        if (check(layout, block_log2)) {
-          ++held;
-        } else {
-          ++failed;
-        }
-      }
-    }
-  }
-  EXPECT_GT(held, 0u);
-  EXPECT_GT(failed, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -416,6 +372,28 @@ TEST(MacrocellRender, BlockSizesAgree) {
     const Image accel = render::raycast_parallel(volume, camera, tf, config, pool);
     EXPECT_EQ(count_mismatches(dense, accel), 0u) << "block " << block;
   }
+}
+
+TEST(MacrocellRender, GridOfOtherExtentsIsRejected) {
+  // A grid summarizes one volume shape: over another it would skip cells by
+  // the wrong footprints, so the render refuses it.
+  Grid3D<float, GeneralizedMortonLayout> small(Extents3D::cube(32));
+  data::fill_combustion(small);
+  const MacrocellGrid cells = MacrocellGrid::build(small, 8);
+  const core::AnyVolume volume =
+      core::make_volume(core::LayoutKind::kZOrder, Extents3D::cube(64));
+  const TransferFunction tf = TransferFunction::flame();
+  exec::ExecutionContext pool(2);
+  RenderConfig config;
+  config.image_width = 32;
+  config.image_height = 32;
+  config.use_macrocells = true;
+  const auto camera = render::orbit_camera(1, 8, 64, 64, 64);
+  EXPECT_THROW((void)render::raycast_parallel(volume, camera, tf, config, pool, &cells),
+               std::invalid_argument);
+  EXPECT_THROW((void)render::raycast_parallel(volume.as<GeneralizedMortonLayout>(), camera, tf,
+                                              config, pool, &cells),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

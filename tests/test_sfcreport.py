@@ -38,8 +38,7 @@ def granularity(granule_bytes):
 
 def job(job_id):
     return {"id": job_id, "kernel": "raycast", "state": "done", "tiles": 8,
-            "tiles_run": 8, "run_ns": 5000,
-            "structure_cache_hits": 1, "structure_cache_misses": 0}
+            "tiles_run": 8, "run_ns": 5000}
 
 
 def valid_report():
@@ -47,7 +46,7 @@ def valid_report():
     locality profile with a sampled slice, two jobs, brick-cache totals
     and one table."""
     return {
-        "sfcvis_run_report": 4, "span_tracing": True, "dropped_spans": 0,
+        "sfcvis_run_report": 5, "span_tracing": True, "dropped_spans": 0,
         "hw_counters": {"available": True, "source": "perf-group"},
         "run_totals": {"cache_misses": 7},
         "locality": {"available": True, "source": "locality profiler",
@@ -128,7 +127,7 @@ REJECTIONS = [
     ("no duration events", valid_trace, put("traceEvents", 1, "ph", "i"), None),
     # run report: top level, counters, phases, tables
     ("report missing required key", valid_report, drop("threads"), None),
-    ("report schema version not current", valid_report, put("sfcvis_run_report", 3), None),
+    ("report schema version not current", valid_report, put("sfcvis_run_report", 4), None),
     ("hw_counters without source", valid_report, drop("hw_counters", "source"), None),
     ("hw available, run_totals null", valid_report, put("run_totals", None), None),
     ("phase missing key", valid_report, drop("phases", 0, "max_us"), None),

@@ -245,7 +245,7 @@ TEST(TraceExport, RunReportCarriesPhasesMetricsAndTables) {
   const std::string json =
       trace::run_report_json(tracer.snapshot(), tracer.metrics_snapshot(), sections);
   for (const char* needle :
-       {"\"sfcvis_run_report\":4", "\"hw_counters\":", "\"phases\":[",
+       {"\"sfcvis_run_report\":5", "\"hw_counters\":", "\"phases\":[",
         "\"name\":\"test.report\"", "\"tag\":\"tag\"",
         "\"name\":\"test.report_metric\"", "\"total\":5",
         "\"name\":\"test_table\"", "\"rows\":[\"r0\"]", "\"cols\":[\"c0\",\"c1\"]",

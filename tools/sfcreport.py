@@ -56,7 +56,7 @@ ABS_FLOOR = 1e-9
 
 # The value of "sfcvis_run_report" a report of this schema carries; any
 # other version fails validation.
-REPORT_VERSION = 4
+REPORT_VERSION = 5
 
 REPORT_KEYS = ("sfcvis_run_report", "span_tracing", "dropped_spans",
                "hw_counters", "locality", "jobs", "threads",
@@ -69,8 +69,7 @@ LOCALITY_PROFILE_KEYS = ("kernel", "layout", "accesses", "bytes", "line",
                          "page", "sample_rate_log2", "sampled")
 LOCALITY_GRANULARITY_KEYS = ("granule_bytes", "accesses", "distinct", "cold",
                              "utilization", "reuse_log2", "mrc")
-JOB_ENTRY_KEYS = ("id", "kernel", "state", "tiles", "tiles_run", "run_ns",
-                  "structure_cache_hits", "structure_cache_misses")
+JOB_ENTRY_KEYS = ("id", "kernel", "state", "tiles", "tiles_run", "run_ns")
 JOB_STATES = ("done", "cancelled")
 # Sections `validate --require` can insist on.
 REQUIRABLE = ("brick-cache", "locality", "jobs")
@@ -153,13 +152,10 @@ BENCHES = {
     },
     "abl_job_overhead": {
         # Job-path replay counters must equal the direct loop's exactly
-        # (the ratio row is pinned at 1.0), and the second of two raycasts
-        # must keep hitting the shared macrocell grid: its 0-miss baseline
-        # pins it. Both are deterministic; the binary additionally
-        # hard-fails on any divergence. Wall-clock dispatch overhead only
-        # advises.
+        # (the ratio row is pinned at 1.0). They are deterministic; the
+        # binary additionally hard-fails on any divergence. Wall-clock
+        # dispatch overhead only advises.
         "abl_job_model.csv": "lower",
-        "abl_job_cache.csv": "higher",
         "abl_job_walltime.csv": "advisory",
     },
     "abl_locality": {
@@ -472,13 +468,9 @@ def summarize_report(doc, path):
     if jobs.get("available"):
         print(f"\njobs ({len(jobs['jobs'])}):")
         for j in jobs["jobs"]:
-            cache = ""
-            if j["structure_cache_hits"] or j["structure_cache_misses"]:
-                cache = (f"  cache {j['structure_cache_hits']}h/"
-                         f"{j['structure_cache_misses']}m")
             print(f"  #{j['id']:<4} {j['kernel']:<26} {j['state']:<10} "
                   f"{fmt_count(j['tiles_run'])}/{fmt_count(j['tiles'])} tiles  "
-                  f"run {j['run_ns'] / 1e6:.3f} ms{cache}")
+                  f"run {j['run_ns'] / 1e6:.3f} ms")
     else:
         print(f"\njobs: unavailable ({jobs.get('source', '?')})")
 
