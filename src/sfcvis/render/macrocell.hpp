@@ -3,10 +3,12 @@
 //
 // The volume is summarized at block granularity: one macrocell per B^3
 // voxel block stores the [min, max] of every voxel a trilinear sample
-// taken inside the cell can touch. trace_ray (raycast.hpp) walks rays
-// macrocell-by-macrocell and skips, in O(1), every cell whose value range
-// classifies to zero opacity — the dominant cost of the paper's raycaster
-// on mostly-transparent data is exactly those wasted taps.
+// taken inside the cell can touch. ClassifiedCells adds each cell's class
+// under one transfer function: transparent when that range classifies to
+// zero opacity. trace_ray (raycast.hpp) walks rays over runs of cells of
+// one class, stepping from cell to cell with MacrocellGrid::next_cell, and
+// skips a transparent run in O(1) — the dominant cost of the paper's
+// raycaster on mostly-transparent data is exactly those wasted taps.
 //
 // Every backend builds one way: each cell scans its footprint box through
 // a read view, so the grid depends on the voxel values alone, never on the
@@ -31,6 +33,7 @@
 #include "sfcvis/core/grid.hpp"
 #include "sfcvis/core/volume.hpp"
 #include "sfcvis/exec/execution_context.hpp"
+#include "sfcvis/render/transfer.hpp"
 #include "sfcvis/render/vec.hpp"
 #include "sfcvis/trace/trace.hpp"
 
@@ -82,14 +85,18 @@ class MacrocellGrid {
   /// cell_extents().
   [[nodiscard]] ValueRange range(std::uint32_t cx, std::uint32_t cy,
                                  std::uint32_t cz) const noexcept {
-    const std::size_t idx =
-        cx + static_cast<std::size_t>(cells_.nx) *
-                 (cy + static_cast<std::size_t>(cells_.ny) * cz);
-    return ValueRange{min_[idx], max_[idx]};
+    return range(CellCoord{cx, cy, cz});
   }
 
   [[nodiscard]] ValueRange range(const CellCoord& c) const noexcept {
-    return range(c.i, c.j, c.k);
+    const std::size_t idx = index(c);
+    return ValueRange{min_[idx], max_[idx]};
+  }
+
+  /// Row-major (x fastest) position of cell `c` in cell_extents().
+  [[nodiscard]] std::size_t index(const CellCoord& c) const noexcept {
+    return c.i + static_cast<std::size_t>(cells_.nx) *
+                     (c.j + static_cast<std::size_t>(cells_.ny) * c.k);
   }
 
   /// Cell containing continuous voxel position `p`, clamped to the grid —
@@ -114,20 +121,75 @@ class MacrocellGrid {
   /// into a border cell; the traversal guarantees progress regardless.
   [[nodiscard]] float cell_exit(const Vec3& origin, const Vec3& inv_dir,
                                 const CellCoord& c) const noexcept {
-    const float b = static_cast<float>(block_);
     float t = std::numeric_limits<float>::max();
-    const auto axis = [&](float o, float inv, std::uint32_t cell) {
-      const float lo = static_cast<float>(cell) * b;
-      const float bound = inv >= 0.0f ? lo + b : lo;
-      t = std::min(t, (bound - o) * inv);
-    };
-    axis(origin.x, inv_dir.x, c.i);
-    axis(origin.y, inv_dir.y, c.j);
-    axis(origin.z, inv_dir.z, c.k);
+    t = std::min(t, exit_term(origin.x, inv_dir.x, c.i));
+    t = std::min(t, exit_term(origin.y, inv_dir.y, c.j));
+    t = std::min(t, exit_term(origin.z, inv_dir.z, c.k));
     return t;
   }
 
+  /// Amanatides & Woo successor: moves `c` to the neighbour across the
+  /// face through which the ray leaves it and returns true. That face is
+  /// the axis whose cell_exit term is smallest: the same per-axis
+  /// expression, a NaN term passed over as cell_exit's std::min passes
+  /// over it, and ties broken toward x, then y, then z. Returns false and
+  /// leaves `c` unchanged when that face is the grid's boundary, or when
+  /// the smallest term is not finite: -inf marks a cell the ray is not in
+  /// (a position clamped into a border cell), and no term below float max
+  /// a ray that leaves by no face.
+  [[nodiscard]] bool next_cell(const Vec3& origin, const Vec3& inv_dir,
+                               CellCoord& c) const noexcept {
+    const float tx = exit_term(origin.x, inv_dir.x, c.i);
+    const float ty = exit_term(origin.y, inv_dir.y, c.j);
+    const float tz = exit_term(origin.z, inv_dir.z, c.k);
+    float t = std::numeric_limits<float>::max();
+    int axis = -1;
+    if (tx < t) {
+      t = tx;
+      axis = 0;
+    }
+    if (ty < t) {
+      t = ty;
+      axis = 1;
+    }
+    if (tz < t) {
+      t = tz;
+      axis = 2;
+    }
+    if (axis < 0 || t == -std::numeric_limits<float>::infinity()) {
+      return false;
+    }
+    // Across exit_term's choice of face: the upper one for inv >= 0.
+    const auto cross = [](std::uint32_t& v, float inv, std::uint32_t n) {
+      const bool up = inv >= 0.0f;
+      if (up ? v + 1 >= n : v == 0) {
+        return false;
+      }
+      v = up ? v + 1 : v - 1;
+      return true;
+    };
+    switch (axis) {
+      case 0:
+        return cross(c.i, inv_dir.x, cells_.nx);
+      case 1:
+        return cross(c.j, inv_dir.y, cells_.ny);
+      default:
+        return cross(c.k, inv_dir.z, cells_.nz);
+    }
+  }
+
  private:
+  /// Ray parameter at which a ray from `o` with reciprocal direction `inv`
+  /// crosses cell `cell`'s forward face on one axis: cell_exit's and
+  /// next_cell's shared per-axis expression. +-inf or NaN when inv is
+  /// +-inf.
+  [[nodiscard]] float exit_term(float o, float inv, std::uint32_t cell) const noexcept {
+    const float b = static_cast<float>(block_);
+    const float lo = static_cast<float>(cell) * b;
+    const float bound = inv >= 0.0f ? lo + b : lo;
+    return (bound - o) * inv;
+  }
+
   template <core::ReadView3D ViewT>
   static void compute_cell(const core::Extents3D& e, const ViewT& view,
                            std::uint32_t block, const CellCoord& c, float& out_min,
@@ -138,6 +200,27 @@ class MacrocellGrid {
   std::uint32_t block_ = 0;
   float inv_block_ = 0.0f;
   std::vector<float> min_, max_;
+};
+
+/// A macrocell grid together with each cell's class under one transfer
+/// function, computed once, one byte per cell: a cell is transparent when
+/// max_opacity over its value range is <= 0, so every sample inside it
+/// classifies to alpha exactly 0. The composite ray walk reads only this
+/// table; MIP reads the ranges through grid(). Refers to `grid`, which
+/// must outlive it.
+class ClassifiedCells {
+ public:
+  ClassifiedCells(const MacrocellGrid& grid, const TransferFunction& tf);
+  ClassifiedCells(MacrocellGrid&&, const TransferFunction&) = delete;
+
+  [[nodiscard]] const MacrocellGrid& grid() const noexcept { return *grid_; }
+  [[nodiscard]] bool transparent(const CellCoord& c) const noexcept {
+    return transparent_[grid_->index(c)] != 0;
+  }
+
+ private:
+  const MacrocellGrid* grid_;
+  std::vector<std::uint8_t> transparent_;
 };
 
 // ---------------------------------------------------------------------------
@@ -158,30 +241,52 @@ void MacrocellGrid::compute_cell(const core::Extents3D& e, const ViewT& view,
   const std::int64_t y0 = fp_lo(c.j), y1 = fp_hi(c.j, e.ny);
   const std::int64_t z0 = fp_lo(c.k), z1 = fp_hi(c.k, e.nz);
 
-  float mn = std::numeric_limits<float>::max();
-  float mx = std::numeric_limits<float>::lowest();
+  // The fold runs kLanes independent min/max chains, so it is not one
+  // latency-bound chain of dependent min/max operations: each full group of
+  // kLanes voxels in a row spreads over the lanes, and the row's remainder
+  // folds into lane 0 (constant lane indices keep the lanes in registers).
+  // Voxels are read in the same order as one chain would read them (a
+  // bricked view acquires its bricks in that order), and min/max are exact,
+  // so the lanes fold to the same range.
+  constexpr std::int64_t kLanes = 4;
+  float mn[kLanes], mx[kLanes];
+  std::fill(mn, mn + kLanes, std::numeric_limits<float>::max());
+  std::fill(mx, mx + kLanes, std::numeric_limits<float>::lowest());
   // std::min/std::max drop NaN, so NaN is tracked on the side.
   bool nan = false;
+  const auto fold = [&](std::int64_t lane, std::int64_t i, std::int64_t j, std::int64_t k) {
+    const float v = view.at(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j),
+                            static_cast<std::uint32_t>(k));
+    mn[lane] = std::min(mn[lane], v);
+    mx[lane] = std::max(mx[lane], v);
+    nan |= std::isnan(v);
+  };
   for (std::int64_t k = z0; k <= z1; ++k) {
     for (std::int64_t j = y0; j <= y1; ++j) {
-      for (std::int64_t i = x0; i <= x1; ++i) {
-        const float v = view.at(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j),
-                                static_cast<std::uint32_t>(k));
-        mn = std::min(mn, v);
-        mx = std::max(mx, v);
-        nan |= std::isnan(v);
+      std::int64_t i = x0;
+      for (; i + kLanes - 1 <= x1; i += kLanes) {
+        for (std::int64_t q = 0; q < kLanes; ++q) {
+          fold(q, i + q, j, k);
+        }
+      }
+      for (; i <= x1; ++i) {
+        fold(0, i, j, k);
       }
     }
+  }
+  for (std::int64_t q = 1; q < kLanes; ++q) {
+    mn[0] = std::min(mn[0], mn[q]);
+    mx[0] = std::max(mx[0], mx[q]);
   }
   if (nan) {
     // A NaN sample classifies as the transfer function's first point, so
     // the cell must never skip: max_opacity over [-inf, +inf] covers the
     // whole envelope, and no MIP peak is above +inf.
-    mn = -std::numeric_limits<float>::infinity();
-    mx = std::numeric_limits<float>::infinity();
+    mn[0] = -std::numeric_limits<float>::infinity();
+    mx[0] = std::numeric_limits<float>::infinity();
   }
-  out_min = mn;
-  out_max = mx;
+  out_min = mn[0];
+  out_max = mx[0];
 }
 
 template <core::VolumeBackend VolT>

@@ -16,10 +16,13 @@
 // the scalar loop reads, in its order.
 //
 // Empty-space skipping: with config.use_macrocells the ray integration
-// runs as a 3D DDA over a MacrocellGrid (Amanatides & Woo 1987): the ray
-// advances macrocell-by-macrocell, and every cell whose [min, max] value
-// range classifies to zero opacity (TransferFunction::max_opacity) is
-// skipped in O(1) instead of being sampled. MIP rays additionally skip
+// runs as a 3D DDA over a MacrocellGrid (Amanatides & Woo 1987) whose
+// cells are classified once per render (ClassifiedCells): transparent when
+// the cell's [min, max] value range classifies to zero opacity
+// (TransferFunction::max_opacity). The walk finds the cell of its next
+// sample, then steps from cell to cell (MacrocellGrid::next_cell) over the
+// run of following cells of the same class: a transparent run is skipped
+// in O(1), an occupied run is marched in one call. MIP rays skip runs of
 // cells whose max cannot raise the current peak. Sample positions are the
 // same arithmetic expression (t_enter + n*step) on the dense and the
 // accelerated path, and skipped samples contribute exactly zero to the
@@ -104,8 +107,8 @@ void validate_step(float step, const core::Extents3D& extents);
 struct RayStats {
   std::uint64_t samples_taken = 0;    ///< samples evaluated (trilinear taps done)
   std::uint64_t samples_skipped = 0;  ///< samples proven irrelevant and skipped
-  std::uint64_t cells_visited = 0;    ///< macrocells classified
-  std::uint64_t cells_skipped = 0;    ///< macrocells skipped whole
+  std::uint64_t cells_visited = 0;    ///< macrocells the walk's runs crossed
+  std::uint64_t cells_skipped = 0;    ///< of those, the ones in skipped runs
 
   void add(const RayStats& o) noexcept {
     samples_taken += o.samples_taken;
@@ -368,6 +371,22 @@ template <core::ReadView3D View>
   }
 }
 
+/// Crosses the run of cells that follow `c` along the ray while `same`
+/// holds for them, with MacrocellGrid::next_cell, stopping once a cell's
+/// exit reaches t_exit. Returns the run's exit, clamped to t_exit, and adds
+/// the run's cell count, `c` included, to `cells`.
+template <class Same>
+[[nodiscard]] float run_exit(const MacrocellGrid& grid, const Ray& ray, const Vec3& inv_dir,
+                             float t_exit, CellCoord c, Same same, std::uint64_t& cells) {
+  float exit = grid.cell_exit(ray.origin, inv_dir, c);
+  ++cells;
+  while (exit < t_exit && grid.next_cell(ray.origin, inv_dir, c) && same(c)) {
+    exit = grid.cell_exit(ray.origin, inv_dir, c);
+    ++cells;
+  }
+  return std::min(exit, t_exit);
+}
+
 }  // namespace detail
 
 /// Casts one ray. kComposite: classify each sample with the transfer
@@ -378,9 +397,11 @@ template <core::ReadView3D View>
 /// one step still classifies a real field value, never the -FLT_MAX
 /// sentinel.
 ///
-/// With `cells` non-null the ray walks the macrocell DDA and skips
+/// With `cells` non-null the ray walks the macrocell DDA by runs and skips
 /// provably irrelevant cells; the composited sample sequence (positions
-/// and float arithmetic) is identical to the dense path.
+/// and float arithmetic) is identical to the dense path, and a run skips
+/// or marches exactly the samples its cells would one at a time. `cells`
+/// must be classified under `tf`.
 ///
 /// Precondition: ray.dir is unit length, as every Camera ray is, so that
 /// config.step is a distance in voxels. Any other direction is rejected by
@@ -391,7 +412,7 @@ template <core::ReadView3D View>
 template <core::ReadView3D View>
 [[nodiscard]] Rgba trace_ray(const View& view, const Ray& ray, const TransferFunction& tf,
                              const RenderConfig& config,
-                             const MacrocellGrid* cells = nullptr,
+                             const ClassifiedCells* cells = nullptr,
                              RayStats* stats = nullptr) {
   const auto& e = view.extents();
   const Vec3 lo{-0.5f, -0.5f, -0.5f};
@@ -431,28 +452,32 @@ template <core::ReadView3D View>
         }
       }
     } else {
+      const MacrocellGrid& grid = cells->grid();
       const Vec3 inv_dir{1.0f / ray.dir.x, 1.0f / ray.dir.y, 1.0f / ray.dir.z};
       std::uint64_t n = 0;
+      std::uint64_t crossed = 0;
       while (true) {
         const float t = t_of(n);
         if (n != 0 && t > t_exit) {
           break;
         }
-        const CellCoord c = cells->cell_of(detail::sample_position(ray, t));
-        const float exit = std::min(cells->cell_exit(ray.origin, inv_dir, c), t_exit);
-        if (stats != nullptr) {
-          ++stats->cells_visited;
-        }
-        if (cells->range(c).max <= peak) {
-          // No sample in this cell can raise the peak: max(peak, v) with
-          // v <= peak leaves peak bit-identical, so the whole cell skips.
+        const CellCoord c = grid.cell_of(detail::sample_position(ray, t));
+        const auto below_peak = [&](const CellCoord& d) { return grid.range(d).max <= peak; };
+        if (below_peak(c)) {
+          // No sample in the run can raise the peak: max(peak, v) with
+          // v <= peak leaves peak bit-identical, so the whole run skips.
+          const std::uint64_t first_cell = crossed;
+          const float exit = detail::run_exit(grid, ray, inv_dir, t_exit, c, below_peak, crossed);
           const std::uint64_t next = detail::skip_samples_past(n, exit, t_enter, step);
           if (stats != nullptr) {
             stats->samples_skipped += next - n;
-            ++stats->cells_skipped;
+            stats->cells_skipped += crossed - first_cell;
           }
           n = next;
         } else {
+          // A sample can raise the peak, so an occupied cell is its own run.
+          const float exit = std::min(grid.cell_exit(ray.origin, inv_dir, c), t_exit);
+          ++crossed;
           do {
             peak = std::max(peak, sample_trilinear(view, detail::sample_position(ray, t_of(n))));
             if (stats != nullptr) {
@@ -461,6 +486,9 @@ template <core::ReadView3D View>
             ++n;
           } while (t_of(n) <= exit);
         }
+      }
+      if (stats != nullptr) {
+        stats->cells_visited += crossed;
       }
     }
     out = tf.sample(peak);
@@ -480,25 +508,27 @@ template <core::ReadView3D View>
     return out;
   }
 
+  const MacrocellGrid& grid = cells->grid();
   const Vec3 inv_dir{1.0f / ray.dir.x, 1.0f / ray.dir.y, 1.0f / ray.dir.z};
+  std::uint64_t crossed = 0;
   while (true) {
     const float t = t_of(n);
     if (t > t_exit) {
       break;
     }
-    const CellCoord c = cells->cell_of(detail::sample_position(ray, t));
-    const float exit = std::min(cells->cell_exit(ray.origin, inv_dir, c), t_exit);
-    if (stats != nullptr) {
-      ++stats->cells_visited;
-    }
-    const ValueRange range = cells->range(c);
-    if (tf.max_opacity(range.min, range.max) <= 0.0f) {
-      // Every sample in the cell classifies to alpha exactly 0 and would
-      // composite exactly nothing: skip the cell in O(1).
+    const CellCoord c = grid.cell_of(detail::sample_position(ray, t));
+    const bool clear = cells->transparent(c);
+    const std::uint64_t first_cell = crossed;
+    const float exit = detail::run_exit(
+        grid, ray, inv_dir, t_exit, c,
+        [&](const CellCoord& d) { return cells->transparent(d) == clear; }, crossed);
+    if (clear) {
+      // Every sample in the run classifies to alpha exactly 0 and would
+      // composite exactly nothing: skip the run in O(1).
       const std::uint64_t next = detail::skip_samples_past(n, exit, t_enter, step);
       if (stats != nullptr) {
         stats->samples_skipped += next - n;
-        ++stats->cells_skipped;
+        stats->cells_skipped += crossed - first_cell;
       }
       n = next;
     } else {
@@ -512,6 +542,9 @@ template <core::ReadView3D View>
       }
     }
   }
+  if (stats != nullptr) {
+    stats->cells_visited += crossed;
+  }
   return out;
 }
 
@@ -520,7 +553,7 @@ template <core::ReadView3D View>
 template <core::ReadView3D View>
 void render_tile(const View& view, const Camera& camera, const TransferFunction& tf,
                  const RenderConfig& config, Image& image, const Tile& tile,
-                 const MacrocellGrid* cells = nullptr, RayStats* stats = nullptr) {
+                 const ClassifiedCells* cells = nullptr, RayStats* stats = nullptr) {
   for (std::uint32_t y = tile.y0; y < tile.y1; ++y) {
     for (std::uint32_t x = tile.x0; x < tile.x1; ++x) {
       const Ray ray = camera.ray_for_pixel(x, y, image.width(), image.height());
@@ -542,9 +575,10 @@ void validate_cells(const MacrocellGrid& cells, const core::Extents3D& extents);
 /// summarize `volume` as it is when the job runs (validate_cells checks
 /// its extents), or else a grid that job.prepare builds from the volume
 /// for this job alone. A caller that renders one volume repeatedly builds
-/// the grid once (MacrocellGrid::build) and passes it. With
-/// `collect_stats` each worker folds its tile-local RayStats into the
-/// metrics registry ("raycast.*" counters; read them via
+/// the grid once (MacrocellGrid::build) and passes it. job.prepare
+/// classifies the grid's cells under `tf` (ClassifiedCells) for this
+/// render. With `collect_stats` each worker folds its tile-local RayStats
+/// into the metrics registry ("raycast.*" counters; read them via
 /// Tracer::metrics_snapshot / render::skip_rate). `views` makes each
 /// worker's read view (see core::ReadViews): a traced replay
 /// (exec::JobGraph::replay) reads the volume through traced views while
@@ -559,18 +593,17 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
   const TileDecomposition tiles(config.image_width, config.image_height, config.tile_size);
   using View = decltype(views(volume, 0U));
   // Per-run state resolved in job.prepare: the macrocell grid when the
-  // caller passed none, and one read view per worker (out-of-core views
-  // carry per-worker brick pins and must not be shared across threads; a
-  // PlainView is free).
+  // caller passed none, its cells classified under `tf`, and one read view
+  // per worker (out-of-core views carry per-worker brick pins and must not
+  // be shared across threads; a PlainView is free).
   struct Shared {
     MacrocellGrid built;
-    const MacrocellGrid* use_cells = nullptr;
+    std::optional<ClassifiedCells> classes;
     std::vector<View> views;
   };
   auto shared = std::make_shared<Shared>();
   if (config.use_macrocells && cells != nullptr) {
     validate_cells(*cells, volume.extents());
-    shared->use_cells = cells;
   }
   const VolT* vol_p = &volume;
   const TransferFunction* tf_p = &tf;
@@ -581,10 +614,12 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
   job.tiles = tiles.count();
   job.span_name = "raycast.parallel";
   job.span_tag = config.use_macrocells ? "macrocell" : "dense";
-  job.prepare = [shared, vol_p, config, views](exec::ExecutionContext& ctx) {
-    if (config.use_macrocells && shared->use_cells == nullptr) {
-      shared->built = MacrocellGrid::build(*vol_p, config.macrocell_size, &ctx);
-      shared->use_cells = &shared->built;
+  job.prepare = [shared, vol_p, tf_p, cells, config, views](exec::ExecutionContext& ctx) {
+    if (config.use_macrocells) {
+      if (cells == nullptr) {
+        shared->built = MacrocellGrid::build(*vol_p, config.macrocell_size, &ctx);
+      }
+      shared->classes.emplace(cells != nullptr ? *cells : shared->built, *tf_p);
     }
     shared->views.clear();
     shared->views.reserve(ctx.size());
@@ -597,7 +632,8 @@ template <core::VolumeBackend VolT, class Views = core::ReadViews>
     SFCVIS_TRACE_SPAN("raycast.tile", nullptr, t);
     RayStats tile_stats;
     render_tile(shared->views[tid], camera, *tf_p, config, *img_p, tiles.bounds(t),
-                shared->use_cells, collect_stats ? &tile_stats : nullptr);
+                shared->classes ? &*shared->classes : nullptr,
+                collect_stats ? &tile_stats : nullptr);
     if (collect_stats) {
       detail::fold_ray_stats(tile_stats);
     }

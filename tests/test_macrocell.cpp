@@ -166,6 +166,184 @@ TEST(Macrocell, CellExitIsNearestForwardFace) {
   EXPECT_FLOAT_EQ(grid.cell_exit({12.0f, 2.0f, 3.0f}, inv_neg, CellCoord{1, 0, 0}), 4.0f);
 }
 
+namespace {
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/// 3x2x2 cells of 8 voxels.
+MacrocellGrid step_test_grid() {
+  Grid3D<float, ArrayOrderLayout> g(Extents3D{24, 16, 16});
+  fill_noise(g, 7);
+  return MacrocellGrid::build(g, 8);
+}
+
+void expect_cell(const CellCoord& c, std::uint32_t i, std::uint32_t j, std::uint32_t k) {
+  EXPECT_EQ(c.i, i);
+  EXPECT_EQ(c.j, j);
+  EXPECT_EQ(c.k, k);
+}
+
+}  // namespace
+
+TEST(Macrocell, NextCellCrossesTheNearestFace) {
+  const MacrocellGrid grid = step_test_grid();
+  // Per-axis exits from (1, 2, 3) with inv (1, 2, 4): x 7, 15, 23; y 12,
+  // 28; z 20. The walk takes them in increasing order until x leaves.
+  const render::Vec3 origin{1.0f, 2.0f, 3.0f};
+  const render::Vec3 inv{1.0f, 2.0f, 4.0f};
+  CellCoord c{0, 0, 0};
+  ASSERT_TRUE(grid.next_cell(origin, inv, c));
+  expect_cell(c, 1, 0, 0);
+  EXPECT_EQ(grid.cell_exit(origin, inv, c), 12.0f);
+  ASSERT_TRUE(grid.next_cell(origin, inv, c));
+  expect_cell(c, 1, 1, 0);
+  EXPECT_EQ(grid.cell_exit(origin, inv, c), 15.0f);
+  ASSERT_TRUE(grid.next_cell(origin, inv, c));
+  expect_cell(c, 2, 1, 0);
+  EXPECT_EQ(grid.cell_exit(origin, inv, c), 20.0f);
+  ASSERT_TRUE(grid.next_cell(origin, inv, c));
+  expect_cell(c, 2, 1, 1);
+  EXPECT_EQ(grid.cell_exit(origin, inv, c), 23.0f);
+  EXPECT_FALSE(grid.next_cell(origin, inv, c));  // x = 24 is the grid's face
+  expect_cell(c, 2, 1, 1);
+  // Backwards from (23, 14, 13) with inv (-1, -2, -4): x 7, 15, 23; y 12,
+  // 28; z 20, 52.
+  const render::Vec3 back{23.0f, 14.0f, 13.0f};
+  const render::Vec3 inv_back{-1.0f, -2.0f, -4.0f};
+  c = CellCoord{2, 1, 1};
+  ASSERT_TRUE(grid.next_cell(back, inv_back, c));
+  expect_cell(c, 1, 1, 1);
+  ASSERT_TRUE(grid.next_cell(back, inv_back, c));
+  expect_cell(c, 1, 0, 1);
+  ASSERT_TRUE(grid.next_cell(back, inv_back, c));
+  expect_cell(c, 0, 0, 1);
+  ASSERT_TRUE(grid.next_cell(back, inv_back, c));
+  expect_cell(c, 0, 0, 0);
+  EXPECT_EQ(grid.cell_exit(back, inv_back, c), 23.0f);
+  EXPECT_FALSE(grid.next_cell(back, inv_back, c));  // x = 0 is the grid's face
+  expect_cell(c, 0, 0, 0);
+}
+
+TEST(Macrocell, NextCellBreaksTiesTowardXThenYThenZ) {
+  const MacrocellGrid grid = step_test_grid();
+  // From (4, 4, 4) every face of cell (0, 0, 0) is 4 away: the ray leaves
+  // through the corner, crossing two cells of zero length on the way.
+  const render::Vec3 origin{4.0f, 4.0f, 4.0f};
+  const render::Vec3 inv{1.0f, 1.0f, 1.0f};
+  CellCoord c{0, 0, 0};
+  ASSERT_TRUE(grid.next_cell(origin, inv, c));
+  expect_cell(c, 1, 0, 0);
+  EXPECT_EQ(grid.cell_exit(origin, inv, c), 4.0f);
+  ASSERT_TRUE(grid.next_cell(origin, inv, c));
+  expect_cell(c, 1, 1, 0);
+  EXPECT_EQ(grid.cell_exit(origin, inv, c), 4.0f);
+  ASSERT_TRUE(grid.next_cell(origin, inv, c));
+  expect_cell(c, 1, 1, 1);
+  EXPECT_EQ(grid.cell_exit(origin, inv, c), 12.0f);
+  // An edge: y and z tie at 4, x is farther (7).
+  c = CellCoord{0, 0, 0};
+  ASSERT_TRUE(grid.next_cell({1.0f, 4.0f, 4.0f}, inv, c));
+  expect_cell(c, 0, 1, 0);
+}
+
+TEST(Macrocell, NextCellPassesOverInfiniteAndNanFaces) {
+  const MacrocellGrid grid = step_test_grid();
+  // dir.x = +0 and dir.z = -0 (inv +inf and -inf): their faces are at
+  // +inf, so the ray steps along y only.
+  const render::Vec3 inv{kInf, -1.0f, -kInf};
+  CellCoord c{0, 1, 0};
+  ASSERT_TRUE(grid.next_cell({3.0f, 12.0f, 5.0f}, inv, c));
+  expect_cell(c, 0, 0, 0);
+  EXPECT_FALSE(grid.next_cell({3.0f, 12.0f, 5.0f}, inv, c));  // y = 0 face
+  // An origin on the face plane of a zero direction component makes that
+  // term 0 * inf = NaN, which cell_exit's std::min passes over; so does
+  // the step.
+  const render::Vec3 on_face{3.0f, 8.0f, 5.0f};
+  const render::Vec3 inv_nan{1.0f, -kInf, kInf};
+  c = CellCoord{0, 1, 0};
+  EXPECT_EQ(grid.cell_exit(on_face, inv_nan, c), 5.0f);
+  ASSERT_TRUE(grid.next_cell(on_face, inv_nan, c));
+  expect_cell(c, 1, 1, 0);
+  // Only NaN and +inf terms: the ray leaves by no face.
+  c = CellCoord{0, 1, 0};
+  EXPECT_FALSE(grid.next_cell(on_face, {kInf, -kInf, kInf}, c));
+  expect_cell(c, 0, 1, 0);
+  // A -inf term marks a cell the ray is not in (an origin past its upper
+  // y face with dir.y = +0): cell_exit is -inf and the step stays put.
+  c = CellCoord{0, 0, 0};
+  EXPECT_EQ(grid.cell_exit({3.0f, 9.0f, 5.0f}, {1.0f, kInf, kInf}, c), -kInf);
+  EXPECT_FALSE(grid.next_cell({3.0f, 9.0f, 5.0f}, {1.0f, kInf, kInf}, c));
+  expect_cell(c, 0, 0, 0);
+}
+
+TEST(Macrocell, NextCellStopsAtEveryGridFace) {
+  const MacrocellGrid grid = step_test_grid();
+  // Along each signed axis, from the center of the last cell on that side.
+  const struct {
+    render::Vec3 inv;
+    CellCoord last;
+  } faces[] = {{{1.0f, kInf, kInf}, {2, 0, 1}},  {{-1.0f, kInf, kInf}, {0, 1, 0}},
+               {{kInf, 1.0f, kInf}, {1, 1, 0}},  {{kInf, -1.0f, kInf}, {2, 0, 1}},
+               {{kInf, kInf, 1.0f}, {0, 0, 1}},  {{kInf, kInf, -1.0f}, {1, 1, 0}}};
+  for (const auto& f : faces) {
+    const render::Vec3 center{8.0f * static_cast<float>(f.last.i) + 4.0f,
+                              8.0f * static_cast<float>(f.last.j) + 4.0f,
+                              8.0f * static_cast<float>(f.last.k) + 4.0f};
+    CellCoord c = f.last;
+    EXPECT_EQ(grid.cell_exit(center, f.inv, c), 4.0f);
+    EXPECT_FALSE(grid.next_cell(center, f.inv, c));
+    expect_cell(c, f.last.i, f.last.j, f.last.k);
+  }
+}
+
+TEST(Macrocell, NextCellWalksTheCellsARayCrosses) {
+  // Random rays through a ragged grid (block 5 over 23x17x13): from the
+  // cell of the entry point, next_cell visits cells whose exits never
+  // decrease, and the midpoint of every interval longer than a rounding
+  // error lies in the cell the walk is in.
+  Grid3D<float, ArrayOrderLayout> g(Extents3D{23, 17, 13});
+  fill_noise(g, 8);
+  const MacrocellGrid grid = MacrocellGrid::build(g, 5);
+  std::uint64_t rng = 99;
+  const auto uniform = [&] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<float>((rng >> 40) % 100000) / 100000.0f;
+  };
+  std::uint64_t steps = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const render::Vec3 origin{23.0f * uniform(), 17.0f * uniform(), 13.0f * uniform()};
+    const render::Vec3 dir = render::normalized(
+        {uniform() - 0.5f, uniform() - 0.5f, uniform() - 0.5f});
+    const render::Vec3 inv{1.0f / dir.x, 1.0f / dir.y, 1.0f / dir.z};
+    CellCoord c = grid.cell_of(origin);
+    float entry = 0.0f;
+    float exit = grid.cell_exit(origin, inv, c);
+    while (true) {
+      ASSERT_GE(exit, entry) << "trial " << trial;
+      const render::Vec3 mid = origin + dir * (0.5f * (entry + exit));
+      const auto near_face = [](float v) { return std::abs(v - 5.0f * std::round(v / 5.0f)) < 1e-3f; };
+      if (!near_face(mid.x) && !near_face(mid.y) && !near_face(mid.z)) {
+        const CellCoord at = grid.cell_of(mid);
+        ASSERT_EQ(at.i, c.i) << "trial " << trial;
+        ASSERT_EQ(at.j, c.j) << "trial " << trial;
+        ASSERT_EQ(at.k, c.k) << "trial " << trial;
+      }
+      if (!grid.next_cell(origin, inv, c)) {
+        break;
+      }
+      ++steps;
+      entry = exit;
+      exit = grid.cell_exit(origin, inv, c);
+    }
+    // The walk ends where the ray leaves the grid's box [0, 25) x [0, 20) x [0, 15).
+    const render::Vec3 out = origin + dir * (exit + 0.05f);
+    EXPECT_TRUE(out.x < 0.0f || out.x >= 25.0f || out.y < 0.0f || out.y >= 20.0f ||
+                out.z < 0.0f || out.z >= 15.0f)
+        << "trial " << trial;
+  }
+  EXPECT_GT(steps, 1000u);
+}
+
 // ---------------------------------------------------------------------------
 // Min-max correctness vs brute force
 // ---------------------------------------------------------------------------
@@ -225,6 +403,44 @@ TEST(Macrocell, MinMaxMatchesBruteForceEveryLayout) {
           ADD_FAILURE() << core::to_string(kind) << " made a volume with no layout";
         }
       });
+    }
+  }
+}
+
+TEST(Macrocell, NanTakesTheFullRangeFromEveryLane) {
+  // The fold reads each footprint row into several lanes; a NaN must give
+  // every cell whose footprint holds it [-inf, +inf] whichever lane (or
+  // the row's remainder) reads it, and leave every other cell's range as
+  // brute force computes it.
+  const Extents3D e{20, 17, 13};
+  for (const std::uint32_t block : {3u, 8u}) {
+    for (std::uint32_t x = 0; x < e.nx; ++x) {
+      Grid3D<float, ArrayOrderLayout> g(e);
+      fill_noise(g, 11);
+      const Grid3D<float, ArrayOrderLayout> clean = g;
+      g.at(x, 9, 5) = std::numeric_limits<float>::quiet_NaN();
+      const MacrocellGrid grid = MacrocellGrid::build(g, block);
+      const auto& c = grid.cell_extents();
+      const auto covers = [&](std::uint32_t cell, std::uint32_t v) {
+        return v + 1 >= cell * block && v <= (cell + 1) * block + 1;
+      };
+      for (std::uint32_t cz = 0; cz < c.nz; ++cz) {
+        for (std::uint32_t cy = 0; cy < c.ny; ++cy) {
+          for (std::uint32_t cx = 0; cx < c.nx; ++cx) {
+            const ValueRange got = grid.range(cx, cy, cz);
+            const auto where = testing::Message() << "block " << block << " NaN x " << x
+                                                  << " cell " << cx << "," << cy << "," << cz;
+            if (covers(cx, x) && covers(cy, 9) && covers(cz, 5)) {
+              ASSERT_EQ(got.min, -std::numeric_limits<float>::infinity()) << where;
+              ASSERT_EQ(got.max, std::numeric_limits<float>::infinity()) << where;
+            } else {
+              const ValueRange want = brute_range(clean, block, cx, cy, cz);
+              ASSERT_EQ(got.min, want.min) << where;
+              ASSERT_EQ(got.max, want.max) << where;
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -449,7 +665,8 @@ void expect_nan_voxel_composited() {
   const auto view = core::make_read_view(volume);
   const render::Rgba dense = render::trace_ray(view, ray, tf, config);
   const MacrocellGrid cells = MacrocellGrid::build(volume, 8);
-  const render::Rgba accel = render::trace_ray(view, ray, tf, config, &cells);
+  const render::ClassifiedCells classes(cells, tf);
+  const render::Rgba accel = render::trace_ray(view, ray, tf, config, &classes);
   EXPECT_GT(dense.a, 0.8f);
   EXPECT_EQ(std::bit_cast<std::uint32_t>(dense.r), std::bit_cast<std::uint32_t>(accel.r));
   EXPECT_EQ(std::bit_cast<std::uint32_t>(dense.g), std::bit_cast<std::uint32_t>(accel.g));

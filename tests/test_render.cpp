@@ -622,10 +622,11 @@ TEST(Raycast, StepTooSmallForTheSpanRendersTransparent) {
   g.fill_from([](std::uint32_t, std::uint32_t, std::uint32_t) { return 1.0f; });
   const core::PlainView view(g);
   const auto cells = render::MacrocellGrid::build(g, 4);
+  const render::ClassifiedCells classes(cells, TransferFunction::flame());
   const Ray ray{{20.0f, 3.5f, 3.5f}, {-1, 0, 0}};
   for (const auto mode : {render::RenderMode::kComposite, render::RenderMode::kMip}) {
-    const std::array<const render::MacrocellGrid*, 2> grids{&cells, nullptr};
-    for (const render::MacrocellGrid* grid : grids) {
+    const std::array<const render::ClassifiedCells*, 2> grids{&classes, nullptr};
+    for (const render::ClassifiedCells* grid : grids) {
       RenderConfig config{8, 8, 8, 1e-30f, 0.98f};
       config.mode = mode;
       render::RayStats stats;
@@ -831,6 +832,7 @@ TEST(Raycast, MatchesDenseReferenceCompositorBitExact) {
       ASSERT_TRUE(std::isnan(tf.transparent_bound()));
     }
     const auto cells = render::MacrocellGrid::build(ga, 4);
+    const render::ClassifiedCells classes(cells, tf);
     const auto cam = render::orbit_camera(static_cast<unsigned>(2 * trial + 1) % 8, 8,
                                           static_cast<float>(e.nx), static_cast<float>(e.ny),
                                           static_cast<float>(e.nz));
@@ -858,10 +860,10 @@ TEST(Raycast, MatchesDenseReferenceCompositorBitExact) {
             for (std::size_t t = 0; t < tiles.count(); ++t) {
               if (zorder) {
                 render::render_tile(vz, cam, tf, config, img, tiles.bounds(t),
-                                    macro ? &cells : nullptr, &stats);
+                                    macro ? &classes : nullptr, &stats);
               } else {
                 render::render_tile(va, cam, tf, config, img, tiles.bounds(t),
-                                    macro ? &cells : nullptr, &stats);
+                                    macro ? &classes : nullptr, &stats);
               }
             }
             const auto where = ::testing::Message()
@@ -916,12 +918,14 @@ TEST(Raycast, TracedRenderReadsEightTapsPerReferenceSample) {
   });
   const auto tf = random_banded_tf(rng);
   const auto cells = render::MacrocellGrid::build(g, 4);
+  const render::ClassifiedCells classes(cells, tf);
   const auto cam = render::orbit_camera(3, 8, 21, 15, 18);
   for (const bool shade : {false, true}) {
     for (const bool macro : {false, true}) {
       RenderConfig config{16, 12, 8, 0.45f, 0.5f};
       config.shade = shade;
       const render::MacrocellGrid* grid = macro ? &cells : nullptr;
+      const render::ClassifiedCells* classified = macro ? &classes : nullptr;
       RecordingSink got;
       RecordingSink want;
       const core::TracedView traced(g, got);
@@ -931,7 +935,7 @@ TEST(Raycast, TracedRenderReadsEightTapsPerReferenceSample) {
         for (std::uint32_t x = 0; x < config.image_width; ++x) {
           const Ray ray = cam.ray_for_pixel(x, y, config.image_width, config.image_height);
           render::RayStats stats;
-          const Rgba c = render::trace_ray(traced, ray, tf, config, grid, &stats);
+          const Rgba c = render::trace_ray(traced, ray, tf, config, classified, &stats);
           std::uint64_t ref_taken = 0;
           ASSERT_EQ(bits(c), bits(reference_ray(reference, ray, tf, config, grid, &ref_taken)));
           ASSERT_EQ(stats.samples_taken, ref_taken);
@@ -943,4 +947,263 @@ TEST(Raycast, TracedRenderReadsEightTapsPerReferenceSample) {
       EXPECT_EQ(got.addrs, want.addrs) << "shade " << shade << " macrocells " << macro;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The macrocell walk by runs against the per-cell walk
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// MIP over the macrocells one cell at a time, the walk trace_ray took
+/// before it crossed runs of cells: a cell whose max cannot raise the peak
+/// is skipped to the first sample past its exit, any other is sampled up
+/// to its exit. `taken` counts the samples it takes.
+template <class View>
+Rgba reference_mip_ray(const View& view, const Ray& ray, const TransferFunction& tf,
+                       const RenderConfig& config, const render::MacrocellGrid& cells,
+                       std::uint64_t& taken) {
+  const auto& e = view.extents();
+  const auto span = render::intersect_box(
+      ray, Vec3{-0.5f, -0.5f, -0.5f},
+      Vec3{static_cast<float>(e.nx) - 0.5f, static_cast<float>(e.ny) - 0.5f,
+           static_cast<float>(e.nz) - 0.5f});
+  if (!span) {
+    return Rgba{};
+  }
+  const float t_enter = span->first;
+  const float t_exit = span->second;
+  const auto t_of = [&](std::uint64_t n) {
+    return render::detail::sample_param(t_enter, n, config.step);
+  };
+  const Vec3 inv_dir{1.0f / ray.dir.x, 1.0f / ray.dir.y, 1.0f / ray.dir.z};
+  float peak = -std::numeric_limits<float>::max();
+  std::uint64_t n = 0;
+  while (n == 0 || t_of(n) <= t_exit) {
+    const auto c = cells.cell_of(render::detail::sample_position(ray, t_of(n)));
+    const float exit = std::min(cells.cell_exit(ray.origin, inv_dir, c), t_exit);
+    if (cells.range(c).max <= peak) {
+      n = render::detail::skip_samples_past(n, exit, t_enter, config.step);
+      continue;
+    }
+    do {
+      const Vec3 p = render::detail::sample_position(ray, t_of(n++));
+      peak = std::max(peak, reference_trilinear(view, p));
+      ++taken;
+    } while (t_of(n) <= exit);
+  }
+  Rgba out = tf.sample(peak);
+  out.r *= out.a;
+  out.g *= out.a;
+  out.b *= out.a;
+  return out;
+}
+
+/// Samples the run walk took and skipped in composite mode, summed over rays.
+struct WalkTotals {
+  std::uint64_t taken = 0;
+  std::uint64_t skipped = 0;
+};
+
+/// Casts every ray through trace_ray's walk by runs over macrocells of
+/// `block` and through the per-cell walks (reference_ray,
+/// reference_mip_ray), in composite mode, shaded composite mode and MIP,
+/// through a PlainView and a TracedView. Each ray must come out with the
+/// same bits and the same sample count, and the traced view must read
+/// what the per-cell walk reads, in the same order.
+WalkTotals expect_runs_match_cells(const Grid3D<float, ArrayOrderLayout>& g,
+                                   std::uint32_t block, const TransferFunction& tf,
+                                   const std::vector<Ray>& rays) {
+  const auto cells = render::MacrocellGrid::build(g, block);
+  const render::ClassifiedCells classes(cells, tf);
+  const core::PlainView plain(g);
+  WalkTotals totals;
+  for (const int mode : {0, 1, 2}) {
+    RenderConfig config;
+    config.mode = mode == 2 ? render::RenderMode::kMip : render::RenderMode::kComposite;
+    config.shade = mode == 1;
+    RecordingSink got;
+    RecordingSink want;
+    const core::TracedView traced(g, got);
+    const core::TracedView reference(g, want);
+    for (std::size_t r = 0; r < rays.size(); ++r) {
+      const Ray& ray = rays[r];
+      render::RayStats plain_stats;
+      render::RayStats traced_stats;
+      std::uint64_t taken = 0;
+      const Rgba p = render::trace_ray(plain, ray, tf, config, &classes, &plain_stats);
+      const Rgba t = render::trace_ray(traced, ray, tf, config, &classes, &traced_stats);
+      const Rgba ref = mode == 2 ? reference_mip_ray(reference, ray, tf, config, cells, taken)
+                                 : reference_ray(reference, ray, tf, config, &cells, &taken);
+      const auto where = ::testing::Message()
+                         << "mode " << mode << " block " << block << " ray " << r << " origin ("
+                         << ray.origin.x << ", " << ray.origin.y << ", " << ray.origin.z
+                         << ") dir (" << ray.dir.x << ", " << ray.dir.y << ", " << ray.dir.z
+                         << ")";
+      EXPECT_EQ(bits(p), bits(ref)) << where;
+      EXPECT_EQ(bits(t), bits(ref)) << where;
+      EXPECT_EQ(plain_stats.samples_taken, taken) << where;
+      EXPECT_EQ(traced_stats.samples_taken, taken) << where;
+      if (mode == 0) {
+        totals.taken += plain_stats.samples_taken;
+        totals.skipped += plain_stats.samples_skipped;
+      }
+    }
+    EXPECT_EQ(got.addrs, want.addrs) << "mode " << mode << " block " << block;
+  }
+  return totals;
+}
+
+/// A smooth field whose flame-like banded map leaves runs of transparent
+/// and of occupied macrocells along most rays.
+Grid3D<float, ArrayOrderLayout> banded_volume(const Extents3D& e) {
+  Grid3D<float, ArrayOrderLayout> g(e);
+  g.fill_from([](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
+    return 0.5f + 0.45f * std::sin(0.37f * static_cast<float>(i)) *
+                      std::cos(0.29f * static_cast<float>(j) + 0.21f * static_cast<float>(k));
+  });
+  return g;
+}
+
+TransferFunction banded_tf() {
+  return TransferFunction({{0.0f, {0.2f, 0.3f, 0.4f, 0.0f}},
+                           {0.55f, {0.9f, 0.4f, 0.1f, 0.0f}},
+                           {0.7f, {1.0f, 0.6f, 0.2f, 0.5f}},
+                           {0.85f, {1.0f, 0.9f, 0.7f, 0.0f}},
+                           {1.0f, {1.0f, 1.0f, 1.0f, 0.0f}}});
+}
+
+/// The 26 directions toward the neighbours of a lattice point, each once
+/// with +0 and once with -0 in its zero components, normalized.
+std::vector<Vec3> lattice_directions() {
+  std::vector<Vec3> dirs;
+  for (const float zero : {0.0f, -0.0f}) {
+    for (int dz = -1; dz <= 1; ++dz) {
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          if (dx == 0 && dy == 0 && dz == 0) {
+            continue;
+          }
+          const auto c = [&](int d) { return d == 0 ? zero : static_cast<float>(d); };
+          dirs.push_back(render::normalized(Vec3{c(dx), c(dy), c(dz)}));
+        }
+      }
+    }
+  }
+  return dirs;
+}
+
+/// Rays along every lattice direction through each point of
+/// {x values} x {y values} x {z values}, starting `back` voxels before it.
+std::vector<Ray> rays_through(const std::vector<float>& xs, const std::vector<float>& ys,
+                              const std::vector<float>& zs, float back) {
+  std::vector<Ray> rays;
+  for (const Vec3& d : lattice_directions()) {
+    for (const float z : zs) {
+      for (const float y : ys) {
+        for (const float x : xs) {
+          const Vec3 p{x, y, z};
+          rays.push_back(Ray{p - d * back, d});
+        }
+      }
+    }
+  }
+  return rays;
+}
+
+/// Rays through every pixel of a 20x16 image from each of the 8 orbit
+/// viewpoints around `e`.
+std::vector<Ray> orbit_rays(const Extents3D& e) {
+  std::vector<Ray> rays;
+  for (unsigned v = 0; v < 8; ++v) {
+    const auto cam = render::orbit_camera(v, 8, static_cast<float>(e.nx),
+                                          static_cast<float>(e.ny), static_cast<float>(e.nz));
+    for (std::uint32_t y = 0; y < 16; ++y) {
+      for (std::uint32_t x = 0; x < 20; ++x) {
+        rays.push_back(cam.ray_for_pixel(x, y, 20, 16));
+      }
+    }
+  }
+  return rays;
+}
+
+}  // namespace
+
+TEST(RunWalk, ZeroDirectionComponents) {
+  // Axis-parallel and in-plane diagonal rays from outside the volume: a
+  // zero component makes inv_dir +-inf, and on the points that lie on a
+  // cell face plane (multiples of 4) that face's term is 0 * inf = NaN.
+  const auto g = banded_volume(Extents3D{24, 20, 16});
+  const auto totals = expect_runs_match_cells(
+      g, 4, banded_tf(), rays_through({4.0f, 9.3f, 16.0f}, {0.0f, 8.0f, 10.7f},
+                                      {-0.25f, 4.0f, 13.1f}, 40.0f));
+  EXPECT_GT(totals.taken, 0u);
+  EXPECT_GT(totals.skipped, 0u);
+}
+
+TEST(RunWalk, OriginsOnCellFacePlanes) {
+  // Rays start inside the volume at cell edges and corners, so face exits
+  // tie: the diagonal ones leave each cell through an edge or a corner.
+  const auto g = banded_volume(Extents3D{24, 20, 16});
+  const auto totals = expect_runs_match_cells(
+      g, 4, banded_tf(), rays_through({4.0f, 12.0f, 20.0f}, {4.0f, 8.0f, 16.0f},
+                                      {0.0f, 8.0f, 12.0f}, 0.0f));
+  EXPECT_GT(totals.taken, 0u);
+  EXPECT_GT(totals.skipped, 0u);
+}
+
+TEST(RunWalk, CameraInsideTheVolume) {
+  const auto g = banded_volume(Extents3D{24, 20, 16});
+  std::vector<Ray> rays;
+  for (const Vec3& target : {Vec3{24, 10, 8}, Vec3{0, 0, 0}, Vec3{12, 20, 16}}) {
+    const Camera cam(Vec3{11.3f, 9.6f, 7.2f}, target, Vec3{0, 1, 0.3f}, 100.0f,
+                     Projection::kPerspective);
+    for (std::uint32_t y = 0; y < 16; ++y) {
+      for (std::uint32_t x = 0; x < 20; ++x) {
+        rays.push_back(cam.ray_for_pixel(x, y, 20, 16));
+      }
+    }
+  }
+  const auto totals = expect_runs_match_cells(g, 4, banded_tf(), rays);
+  EXPECT_GT(totals.taken, 0u);
+  EXPECT_GT(totals.skipped, 0u);
+}
+
+TEST(RunWalk, OneCellGrid) {
+  // A macrocell of 32 covers the whole 23x17x13 volume: every run is the
+  // one cell, entered from the clamped apron and left at the volume's box.
+  const auto g = banded_volume(Extents3D{23, 17, 13});
+  const auto cells = render::MacrocellGrid::build(g, 32);
+  ASSERT_EQ(cells.cell_extents().size(), 1u);
+  auto rays = orbit_rays(Extents3D{23, 17, 13});
+  const auto lattice = rays_through({4.0f, 11.5f}, {0.0f, 8.0f}, {6.5f}, 40.0f);
+  rays.insert(rays.end(), lattice.begin(), lattice.end());
+  const auto totals = expect_runs_match_cells(g, 32, banded_tf(), rays);
+  EXPECT_GT(totals.taken, 0u);
+}
+
+TEST(RunWalk, ExtentsNotMultiplesOfTheBlock) {
+  // 23x17x13 under blocks of 5 and 4: the last cell on every axis is cut
+  // by the volume's box, and rays leave the grid through it.
+  const auto g = banded_volume(Extents3D{23, 17, 13});
+  auto rays = orbit_rays(Extents3D{23, 17, 13});
+  const auto lattice = rays_through({5.0f, 21.7f}, {10.0f, 16.2f}, {0.0f, 12.4f}, 40.0f);
+  rays.insert(rays.end(), lattice.begin(), lattice.end());
+  for (const std::uint32_t block : {5u, 4u}) {
+    const auto totals = expect_runs_match_cells(g, block, banded_tf(), rays);
+    EXPECT_GT(totals.taken, 0u) << block;
+    EXPECT_GT(totals.skipped, 0u) << block;
+  }
+}
+
+TEST(RunWalk, MacrocellSizeOne) {
+  // One-voxel cells: a step of 0.5 crosses a cell every other sample, and
+  // diagonal rays through lattice points tie on every face they cross.
+  const auto g = banded_volume(Extents3D{13, 11, 9});
+  auto rays = orbit_rays(Extents3D{13, 11, 9});
+  const auto lattice = rays_through({3.0f, 6.5f}, {2.0f, 5.0f}, {4.0f}, 30.0f);
+  rays.insert(rays.end(), lattice.begin(), lattice.end());
+  const auto totals = expect_runs_match_cells(g, 1, banded_tf(), rays);
+  EXPECT_GT(totals.taken, 0u);
+  EXPECT_GT(totals.skipped, 0u);
 }
